@@ -2,19 +2,17 @@
 
 Everything is computed over the Gaussian rationals Q(i): scalars are pairs of
 fractions.Fraction, polynomials are sparse dicts keyed by exponent tuples, and
-linear algebra is fraction-free.  No floats anywhere.
+linear algebra runs on one exact Gauss-Jordan elimination.  No floats anywhere.
 """
 
 from .scalar import Scalar, as_scalar
-from .mpoly import MPoly, poly_diff, poly_eval
+from .mpoly import MPoly
 from .linalg import ExactMatrix, mat_rank, mat_kernel
 
 __all__ = [
     "Scalar",
     "as_scalar",
     "MPoly",
-    "poly_diff",
-    "poly_eval",
     "ExactMatrix",
     "mat_rank",
     "mat_kernel",

@@ -30,7 +30,6 @@ from .errors import (
 from .flags import (
     BorelAtlas,
     FlagParabolic,
-    _inverse as _mat_inverse,
     elements_span,
     elements_span_contains,
     enumerate_atlas,
@@ -46,6 +45,7 @@ from .lie import (
 from .linalg import (
     ExactMatrix,
     Vector,
+    mat_inverse,
     mat_rank,
     solve,
     span_contains,
@@ -53,7 +53,7 @@ from .linalg import (
     span_le,
 )
 from .mfsystem import FibreValue, ShiftSystem
-from .mpoly import MPoly
+from .mpoly import MPoly, mpoly_mat_mul
 from .sampling import (
     random_distinct_rationals,
     random_rational,
@@ -229,7 +229,7 @@ def levi_system(p: FlagParabolic, a: GElement) -> tuple[tuple[str, ...], list[MP
         ]
         P = M
         for d in range(2, k + 1):
-            P = _mat_mul(P, M)
+            P = mpoly_mat_mul(P, M)
             tr = MPoly.zero(ext)
             for t in range(k):
                 tr = tr + P[t][t]
@@ -237,23 +237,6 @@ def levi_system(p: FlagParabolic, a: GElement) -> tuple[tuple[str, ...], list[MP
             for j in range(d):
                 polys.append(buckets.get(j, MPoly.zero(ext)).project(svars))
     return svars, polys
-
-
-def _mat_mul(A, B):
-    n = len(A)
-    k = len(B)
-    m = len(B[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = MPoly.zero(A[0][0].vars)
-            for t in range(k):
-                if A[i][t] and B[t][j]:
-                    acc = acc + A[i][t] * B[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
 
 
 def _coords_in_basis(basis: list[GElement], x: GElement) -> Vector:
@@ -705,7 +688,7 @@ def image_bba_check(sys_: ShiftSystem, atlas: BorelAtlas | None = None,
     for ch in chains:
         cols.extend(ch.vectors)
     U = ExactMatrix.from_columns(cols)
-    U_inv = _mat_inverse(U)
+    U_inv = mat_inverse(U)
     n = L.n
     # adapted Cartan basis: U diag(e_k - e_n-ish) U^{-1}; parametrized below
     h_elems = []
@@ -869,7 +852,7 @@ def critical_value_probe(sys_: ShiftSystem, samples: int = 30, seed: int = 0) ->
                 m[0][n - 1] = Scalar(1)
                 base = ExactMatrix(m)
             g = random_unimodular(L, rng)
-            y = L.element(g * base * _mat_inverse(g))
+            y = L.element(g * base * mat_inverse(g))
             if is_regular(y):
                 failures.append("sampler produced a regular element")
                 continue

@@ -47,6 +47,3 @@ class NonHomogeneousError(PreconditionError):
 class CertificationError(MFError):
     """An exact certificate the construction relies on failed to hold."""
 
-
-class VerificationFailure(MFError):
-    """A verification suite found a counterexample."""

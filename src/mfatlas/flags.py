@@ -37,9 +37,9 @@ from .linalg import (
     Vector,
     canonical_basis,
     char_poly,
+    mat_inverse,
     mat_kernel,
     mat_rank,
-    solve,
     span_contains,
     span_equal,
     span_intersection,
@@ -236,7 +236,7 @@ class FlagParabolic:
             raise PreconditionError("flag does not exhaust the space")
         U = ExactMatrix.from_columns(cols)
         self.U = U
-        self.U_inv = _inverse(U)
+        self.U_inv = mat_inverse(U)
         self.p_basis = self._conjugated_basis(upper=True, include_diag_blocks=True)
         self.l_basis = self._conjugated_basis(upper=False, include_diag_blocks=True)
         self.u_basis = self._conjugated_basis(upper=True, include_diag_blocks=False)
@@ -319,18 +319,6 @@ class FlagParabolic:
 
     def __repr__(self):
         return f"FlagParabolic(blocks={self.blocks})"
-
-
-def _inverse(m: ExactMatrix) -> ExactMatrix:
-    n = m.rows
-    cols = []
-    ident = ExactMatrix.identity(n)
-    for j in range(n):
-        x = solve(m, ident.col(j))
-        if x is None:
-            raise PreconditionError("singular change of basis")
-        cols.append(x)
-    return ExactMatrix.from_columns(cols)
 
 
 def _stabilizer_dimension(L: LieAlgebraA, flag: Flag) -> int:
@@ -416,14 +404,6 @@ def derived_span(elems: list[GElement]) -> list[GElement]:
     return span_to_elements(L, canonical_basis(vecs))
 
 
-def compute_b_a(a: GElement, atlas: BorelAtlas | None = None) -> tuple[list[GElement], list[GElement]]:
-    """(b^a, u^a), certified by both routes.  If an atlas is given its
-    intersection route is reused, otherwise the atlas is built."""
-    if atlas is None:
-        atlas = enumerate_atlas(a)
-    return atlas.b_a, atlas.u_a
-
-
 def compute_b_a_structural(a: GElement) -> tuple[list[GElement], list[GElement]]:
     """b^a = z(g_s) + (unique Borel of [g_s, g_s] containing the nilpotent
     part), built on the adapted chain basis; u^a is its derived algebra."""
@@ -435,7 +415,7 @@ def compute_b_a_structural(a: GElement) -> tuple[list[GElement], list[GElement]]
         cols.extend(ch.vectors)
         sizes.append(ch.mult)
     U = ExactMatrix.from_columns(cols)
-    U_inv = _inverse(U)
+    U_inv = mat_inverse(U)
     n = L.n
     mats: list[ExactMatrix] = []
     # centre of the centralizer of the semisimple part: one scalar per block,

@@ -1,9 +1,10 @@
 """Exact linear algebra over Q(i).
 
-Matrices are immutable tuples of tuples of Scalar.  Rank and determinant go
-through fraction-free Bareiss elimination on a denominator-cleared copy;
-kernels, solving and canonical subspace bases go through Gauss-Jordan RREF.
-Both pipelines are exact, so they double as cross-checks on one another.
+Matrices are immutable tuples of tuples of Scalar.  Every elimination goes
+through one Gauss-Jordan routine, rref: rank, kernels, solving, inverses,
+canonical subspace bases and span containment are all read off its output.
+Its independent oracle is a sympy cross-check in the tests, so the package
+needs no second elimination code.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .errors import PreconditionError
 from .scalar import Scalar, as_scalar
 
 Vector = tuple[Scalar, ...]
@@ -183,89 +185,7 @@ def _dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     return Scalar(re, im)
 
 
-# -- fraction-free elimination ------------------------------------------------
-
-
-def _cleared_rows(m: ExactMatrix) -> list[list[Scalar]]:
-    """Scale each row to Gaussian-integer entries (rank/det sign preserved
-    up to the recorded factors; callers that need det track the factors)."""
-    out = []
-    for row in m.entries:
-        lcm = 1
-        for a in row:
-            lcm = _lcm(lcm, a.re.denominator)
-            lcm = _lcm(lcm, a.im.denominator)
-        c = Scalar(lcm)
-        out.append([c * a for a in row])
-    return out
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a // gcd(a, b) * b
-
-
-def mat_rank(m: ExactMatrix) -> int:
-    """Rank via fraction-free Bareiss elimination."""
-    a = _cleared_rows(m)
-    rows, cols = len(a), (len(a[0]) if a else 0)
-    rank = 0
-    prev = Scalar(1)
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if not a[i][c].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        piv = a[r][c]
-        for i in range(r + 1, rows):
-            if all(a[i][j].is_zero() for j in range(c, cols)):
-                continue
-            for j in range(c + 1, cols):
-                a[i][j] = (piv * a[i][j] - a[i][c] * a[r][j]) / prev
-            a[i][c] = Scalar(0)
-        prev = piv
-        rank += 1
-        r += 1
-        if r == rows:
-            break
-    return rank
-
-
-def mat_det(m: ExactMatrix) -> Scalar:
-    """Determinant via Bareiss with row-clearing factors tracked."""
-    if m.rows != m.cols:
-        raise ValueError("determinant needs a square matrix")
-    n = m.rows
-    if n == 0:
-        return Scalar(1)
-    a = [list(row) for row in m.entries]
-    sign = 1
-    prev = Scalar(1)
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if not a[i][c].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return Scalar(0)
-        if pivot_row != c:
-            a[c], a[pivot_row] = a[pivot_row], a[c]
-            sign = -sign
-        piv = a[c][c]
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                a[i][j] = (piv * a[i][j] - a[i][c] * a[c][j]) / prev
-            a[i][c] = Scalar(0)
-        prev = piv
-    d = a[n - 1][n - 1]
-    return d if sign > 0 else -d
+# -- elimination ---------------------------------------------------------------
 
 
 def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
@@ -294,6 +214,27 @@ def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
         if r == rows:
             break
     return ExactMatrix(a), tuple(pivots)
+
+
+def mat_rank(m: ExactMatrix) -> int:
+    """Rank: the number of pivots of the RREF."""
+    return len(rref(m)[1])
+
+
+def mat_inverse(m: ExactMatrix) -> ExactMatrix:
+    """Inverse of a square matrix, read off the RREF of [m | I]."""
+    if m.rows != m.cols:
+        raise ValueError("mat_inverse needs a square matrix")
+    n = m.rows
+    one, zero = Scalar(1), Scalar(0)
+    aug = ExactMatrix(
+        [list(row) + [one if i == j else zero for j in range(n)]
+         for i, row in enumerate(m.entries)]
+    )
+    R, pivots = rref(aug)
+    if pivots != tuple(range(n)):
+        raise PreconditionError("singular change of basis")
+    return ExactMatrix([row[n:] for row in R.entries])
 
 
 def mat_kernel(m: ExactMatrix) -> list[Vector]:
@@ -389,35 +330,30 @@ def canonical_basis(vectors: Iterable[Sequence]) -> tuple[Vector, ...]:
     return tuple(R.entries[i] for i in range(len(pivots)))
 
 
-def span_dim(vectors: Iterable[Sequence]) -> int:
-    return len(canonical_basis(vectors))
-
-
 def span_contains(basis: Sequence[Sequence], v: Sequence) -> bool:
     """Is v in the span of the given vectors?"""
-    base = [tuple(as_scalar(x) for x in b) for b in basis]
-    vec = tuple(as_scalar(x) for x in v)
-    if all(a.is_zero() for a in vec):
-        return True
-    if not base:
-        return False
-    r0 = mat_rank(ExactMatrix(base))
-    r1 = mat_rank(ExactMatrix(base + [vec]))
-    return r0 == r1
+    return span_le([v], basis)
 
 
 def span_le(A: Sequence[Sequence], B: Sequence[Sequence]) -> bool:
-    """Is span(A) contained in span(B)?"""
+    """Is span(A) contained in span(B)?  Each vector of A is reduced against
+    the canonical basis of B; it lies in span(B) iff nothing is left."""
     a = [tuple(as_scalar(x) for x in v) for v in A]
-    b = [tuple(as_scalar(x) for x in v) for v in B]
-    a = [v for v in a if any(x for x in v)]
+    a = [v for v in a if any(v)]
     if not a:
         return True
-    if not b:
-        return False
-    rb = mat_rank(ExactMatrix(b))
-    rab = mat_rank(ExactMatrix(b + a))
-    return rb == rab
+    basis = canonical_basis(B)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+    for v in a:
+        if basis and len(v) != len(basis[0]):
+            raise ValueError("vector length mismatch")
+        for row, p in zip(basis, pivots):
+            c = v[p]
+            if c:
+                v = tuple(x - c * y for x, y in zip(v, row))
+        if any(v):
+            return False
+    return True
 
 
 def span_equal(A: Sequence[Sequence], B: Sequence[Sequence]) -> bool:

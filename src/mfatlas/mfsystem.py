@@ -322,11 +322,7 @@ def gradient_at(L: LieAlgebraA, grad: list[list[MPoly]], x: GElement) -> GElemen
 
 def poisson_bracket(f: MPoly, g: MPoly, L: LieAlgebraA) -> MPoly:
     """{f, g}(x) = <x, [grad f(x), grad g(x)]> as a polynomial."""
-    Gf = gradient_matrix(L, f)
-    Gg = gradient_matrix(L, g)
-    C = _mat_sub(mpoly_mat_mul(Gf, Gg), mpoly_mat_mul(Gg, Gf))
-    X = L.generic_matrix()
-    return mpoly_mat_trace(mpoly_mat_mul(X, C))
+    return poisson_bracket_grads(L, gradient_matrix(L, f), gradient_matrix(L, g))
 
 
 def poisson_bracket_grads(L: LieAlgebraA, Gf, Gg) -> MPoly:

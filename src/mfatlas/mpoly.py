@@ -339,14 +339,6 @@ class MPoly:
         return f"MPoly({str(self)})"
 
 
-def poly_diff(p: MPoly, var: str) -> MPoly:
-    return p.diff(var)
-
-
-def poly_eval(p: MPoly, point) -> Scalar:
-    return p.eval(point)
-
-
 # -- polynomial matrices ------------------------------------------------------------
 
 

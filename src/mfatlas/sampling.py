@@ -10,8 +10,8 @@ from fractions import Fraction
 from random import Random
 from typing import Sequence
 
-from .lie import GElement, LieAlgebraA, is_regular
-from .linalg import ExactMatrix
+from .lie import GElement, LieAlgebraA
+from .linalg import ExactMatrix, mat_inverse
 from .scalar import Scalar
 
 
@@ -40,14 +40,6 @@ def random_nonzero_rational(rng: Random, num_bound: int = 9) -> Fraction:
 def random_element(L: LieAlgebraA, rng: Random, gaussian: bool = False) -> GElement:
     coords = [random_scalar(rng, gaussian) for _ in range(L.dim)]
     return L.element_from_coords(coords)
-
-
-def random_regular_element(L: LieAlgebraA, rng: Random, gaussian: bool = False, tries: int = 60) -> GElement:
-    for _ in range(tries):
-        x = random_element(L, rng, gaussian)
-        if is_regular(x):
-            return x
-    raise RuntimeError("failed to sample a regular element")
 
 
 def random_distinct_rationals(rng: Random, k: int, num_bound: int = 9) -> list[Fraction]:
@@ -117,6 +109,4 @@ def random_unimodular(L: LieAlgebraA, rng: Random, shears: int = 4) -> ExactMatr
 
 
 def conjugate(g: ExactMatrix, x: GElement) -> GElement:
-    from .flags import _inverse
-
-    return x.algebra.element(g * x.matrix * _inverse(g))
+    return x.algebra.element(g * x.matrix * mat_inverse(g))

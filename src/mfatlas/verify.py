@@ -18,9 +18,9 @@ from .components import (
 )
 from .corpus import CheckResult, _result
 from .errors import CertificationError, MFError, PreconditionError
-from .flags import BorelAtlas, _inverse, enumerate_atlas
+from .flags import BorelAtlas, enumerate_atlas
 from .lie import centralizer
-from .linalg import mat_rank, span_le
+from .linalg import mat_inverse, mat_rank, span_le
 from .mfsystem import (
     ShiftSystem,
     alt_generators,
@@ -105,7 +105,7 @@ def check_equivariance(sys_: ShiftSystem, samples: int, seed: int) -> CheckResul
     rng = rng_for(f"verify-equivariance:{L.n}", seed)
     for _ in range(min(samples, 6)):
         g = random_unimodular(L, rng)
-        sys2 = build_system(conjugate(_inverse(g), sys_.a), certify=False)
+        sys2 = build_system(conjugate(mat_inverse(g), sys_.a), certify=False)
         for _ in range(3):
             x = random_element(L, rng)
             if sys_.evaluate(conjugate(g, x)) != sys2.evaluate(x):

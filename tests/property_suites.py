@@ -18,9 +18,9 @@ from mfatlas.corpus import (
     sl3_nilpotent,
     sl3_semisimple,
 )
-from mfatlas.flags import _inverse, enumerate_atlas
+from mfatlas.flags import enumerate_atlas
 from mfatlas.lie import centralizer, sl
-from mfatlas.linalg import ExactMatrix, solve, span_le
+from mfatlas.linalg import ExactMatrix, mat_inverse, solve, span_le
 from mfatlas.mfsystem import (
     build_system,
     fibre_membership,
@@ -132,7 +132,7 @@ def suite_equivariance(instances: int = 100, seed: int = 0) -> int:
         rng = rng_for(f"prop-equivariance:{key}:{checked}", seed)
         g = random_unimodular(L, rng)
         x = random_element(L, rng)
-        a2 = conjugate(_inverse(g), a)
+        a2 = conjugate(mat_inverse(g), a)
         assert mf_values(a, conjugate(g, x)) == mf_values(a2, x), (
             f"equivariance failed for {key}"
         )

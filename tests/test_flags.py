@@ -14,7 +14,6 @@ from mfatlas.corpus import (
 from mfatlas.errors import PreconditionError, UnsupportedElementError
 from mfatlas.flags import (
     compositions,
-    compute_b_a,
     compute_b_a_structural,
     eigen_chains,
     elements_span,
@@ -97,7 +96,7 @@ def test_non_regular_flags_rejected():
 def test_b_a_routes_agree():
     for a in (sl2_semisimple(1), sl3_semisimple(1, 2), sl3_mixed(1), sl3_nilpotent()):
         atlas = enumerate_atlas(a)
-        b1, u1 = compute_b_a(a, atlas)
+        b1, u1 = atlas.b_a, atlas.u_a
         b2, u2 = compute_b_a_structural(a)
         assert span_equal([e.coords for e in b1], [e.coords for e in b2])
         assert span_equal([e.coords for e in u1], [e.coords for e in u2])

@@ -377,6 +377,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        if args.samples is not None and args.samples < 1:
+            raise PreconditionError("--samples must be at least 1")
         report, ok = args.func(args)
     except PreconditionError as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)

@@ -8,9 +8,13 @@ chains, a finite set; for non-regular a the invariant subspaces form
 infinite families and enumeration is refused.
 
 A parabolic enters the atlas as the stabilizer of an invariant flag.  It is
-constructed by conjugating the block pattern with the adapted basis (Jordan
+constructed by conjugating the block pattern with the adapted basis U (Jordan
 chain vectors, eigenvalues ordered by (real, imaginary) within each flag
-step) and certified against the stabilizer equations Y V_t <= V_t.
+step) and certified against the stabilizer equations Y V_t <= V_t.  Each
+conjugated basis element U E_ij U^-1 is built as the outer product of column
+i of U and row j of U^-1, never as two dense matrix products.  The stabilizer
+equations w (B v) = 0, for w annihilating V_t, v in V_t and B running over
+the coordinate basis of sl_n, are read off the few nonzero entries of each B.
 
 b^a is computed two independent ways: as the intersection of the spans of
 all Borel members of the atlas, and structurally as the centre of the
@@ -66,14 +70,14 @@ def span_to_elements(L: LieAlgebraA, vectors: Sequence[Vector]) -> list[GElement
 
 def support_mask(L: LieAlgebraA, elems: Sequence[GElement]) -> list[list[int]]:
     """Entry-support pattern of a span: mask[i][j] = 1 if some element of the
-    span has a nonzero (i, j) entry."""
+    span has a nonzero (i, j) entry.  A span's support is the union of the
+    supports of any spanning set, so the elements are read as given."""
     n = L.n
     mask = [[0] * n for _ in range(n)]
-    for v in elements_span(elems):
-        m = L.matrix_of_coords(v)
-        for i in range(n):
-            for j in range(n):
-                if not m.entries[i][j].is_zero():
+    for e in elems:
+        for i, row in enumerate(e.matrix.entries):
+            for j, x in enumerate(row):
+                if not x.is_zero():
                     mask[i][j] = 1
     return mask
 
@@ -252,9 +256,16 @@ class FlagParabolic:
         return out
 
     def _conjugated_basis(self, upper: bool, include_diag_blocks: bool) -> list[GElement]:
+        """U E_ij U^-1 for the kept block positions (i, j), then U H_k U^-1.
+        U E_ij U^-1 is the outer product of column i of U and row j of U^-1,
+        and H_k = E_kk - E_(k+1)(k+1) gives a difference of two of them."""
         L = self.algebra
         n = L.n
         blk = self._block_of()
+
+        def conj(i: int, j: int) -> ExactMatrix:
+            return ExactMatrix([[x * y for y in self.U_inv.row(j)] for x in self.U.col(i)])
+
         out: list[GElement] = []
         for i in range(n):
             for j in range(n):
@@ -265,19 +276,10 @@ class FlagParabolic:
                 else:
                     keep = blk[i] < blk[j]
                 if keep:
-                    E = ExactMatrix(
-                        [
-                            [Scalar(1) if (r, c) == (i, j) else Scalar(0) for c in range(n)]
-                            for r in range(n)
-                        ]
-                    )
-                    out.append(L.element(self.U * E * self.U_inv))
+                    out.append(L.element(conj(i, j)))
         if include_diag_blocks:
             for k in range(n - 1):
-                H = ExactMatrix.diagonal(
-                    [Scalar(1) if t == k else (Scalar(-1) if t == k + 1 else Scalar(0)) for t in range(n)]
-                )
-                out.append(L.element(self.U * H * self.U_inv))
+                out.append(L.element(conj(k, k) - conj(k + 1, k + 1)))
         return out
 
     # -- membership and structure -------------------------------------------------
@@ -323,23 +325,28 @@ class FlagParabolic:
 
 def _stabilizer_dimension(L: LieAlgebraA, flag: Flag) -> int:
     """Dimension of {Y in sl_n : Y V_t <= V_t for all t}, by solving the
-    linear stabilizer equations in the coordinates."""
+    linear stabilizer equations in the coordinates.  The equation for a
+    vector v of V_t, an annihilator w of V_t and a basis matrix B is
+    w (B v) = sum of w_r B_rc v_c over the nonzero entries B_rc."""
     rows: list[list[Scalar]] = []
-    basis_mats = [e.matrix for e in L.basis()]
+    basis_entries = [
+        [
+            (r, c, x)
+            for r, row in enumerate(e.matrix.entries)
+            for c, x in enumerate(row)
+            if not x.is_zero()
+        ]
+        for e in L.basis()
+    ]
     for sub in flag.subspaces:
         # left annihilator rows w with w . V = 0
         V = ExactMatrix.from_columns(list(sub))
         ann = mat_kernel(V.transpose())
         for v in sub:
             for w in ann:
-                row = []
-                for bm in basis_mats:
-                    img = bm.apply(v)
-                    acc = Scalar(0)
-                    for wi, xi in zip(w, img):
-                        acc = acc + wi * xi
-                    row.append(acc)
-                rows.append(row)
+                rows.append(
+                    [sum((w[r] * x * v[c] for r, c, x in nz), Scalar(0)) for nz in basis_entries]
+                )
     if not rows:
         return L.dim
     return L.dim - mat_rank(ExactMatrix(rows))

@@ -5,6 +5,11 @@ through one Gauss-Jordan routine, rref: rank, kernels, solving, inverses,
 canonical subspace bases and span containment are all read off its output.
 Its independent oracle is a sympy cross-check in the tests, so the package
 needs no second elimination code.
+
+The matrices met here are mostly zeros, and both kernels make zeros free:
+_dot, which every matrix product and matrix-vector product goes through,
+skips each term with a zero factor, and rref leaves a row unscaled when its
+pivot is already 1, so re-reducing a canonical basis costs only zero tests.
 """
 
 from __future__ import annotations
@@ -180,6 +185,8 @@ def _dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     re = Fraction(0)
     im = Fraction(0)
     for a, b in zip(u, v):
+        if a.is_zero() or b.is_zero():
+            continue
         re += a.re * b.re - a.im * b.im
         im += a.re * b.im + a.im * b.re
     return Scalar(re, im)
@@ -203,8 +210,9 @@ def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
         if pivot_row is None:
             continue
         a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = Scalar(1) / a[r][c]
-        a[r] = [inv * v for v in a[r]]
+        if a[r][c] != 1:
+            inv = Scalar(1) / a[r][c]
+            a[r] = [inv * v for v in a[r]]
         for i in range(rows):
             if i != r and not a[i][c].is_zero():
                 f = a[i][c]

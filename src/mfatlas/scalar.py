@@ -4,6 +4,13 @@ Both parts are fractions.Fraction, so arithmetic is exact.  The imaginary
 unit is needed because some of the fibre witnesses we certify have entries
 in Q(i) but not in Q.
 
+Most entries the package multiplies are exact zeros (elementary matrices,
+Jordan-chain and canonical flag bases), so arithmetic on zero is free: a
+product with a zero factor is the shared zero, and adding zero, or
+subtracting it on the right, returns the other operand unchanged.  These are
+exact identities, so every result is the same value it would be computed
+the long way.
+
 Text form (used in every JSON report and accepted back by the parsers):
     "3", "-1/2", "i", "-i", "2/3*i", "1/2+3/4*i", "2-3*i"
 A bare "i" suffix without "*" is also accepted on input.
@@ -47,12 +54,18 @@ class Scalar:
 
     def __add__(self, other):
         other = as_scalar(other)
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
         return Scalar(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = as_scalar(other)
+        if other.is_zero():
+            return self
         return Scalar(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
@@ -63,6 +76,8 @@ class Scalar:
 
     def __mul__(self, other):
         other = as_scalar(other)
+        if self.is_zero() or other.is_zero():
+            return _ZERO
         return Scalar(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -107,7 +122,7 @@ class Scalar:
     # -- predicates and ordering helpers ------------------------------------
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.re or self.im)
 
     def is_real(self) -> bool:
         return self.im == 0

@@ -55,6 +55,16 @@ def test_bad_param_and_bad_n(capsys):
     assert code == 2
     code, _, err = _run(capsys, "verify", "--n", "2", "--element", "r")
     assert code == 2
+    for argv in (
+        ("check-examples", "--samples", "0"),
+        ("verify", "--n", "3", "--samples", "-2"),
+        ("build", "--n", "2", "--samples", "0"),
+        ("count", "--n", "2", "--samples", "0"),
+        ("atlas", "--n", "2", "--samples", "-1"),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: invalid input: --samples must be at least 1\n"
 
 
 def test_atlas_counts(capsys):

@@ -1,0 +1,112 @@
+"""Independent oracle for the parabolic construction in flags.
+
+FlagParabolic builds each conjugated basis element U E U^-1 as the outer
+product of a column of U and a row of U^-1, forms the stabilizer equations
+from the nonzero entries of the coordinate basis, and reads support masks
+off the elements as given.  These tests recompute each from its definition:
+two full matrix products per basis element, the dimension of the stabilizer
+of a flag of composition k (sum over i <= j of k_i k_j, less 1 for the
+trace), and the support read off the canonical basis of the span.
+"""
+
+import itertools
+from functools import lru_cache
+
+import pytest
+
+from mfatlas.corpus import sl3_mixed, sl3_nilpotent, sl3_semisimple
+from mfatlas.flags import (
+    _stabilizer_dimension,
+    compositions,
+    elements_span,
+    enumerate_atlas,
+    invariant_flags,
+    support_mask,
+)
+from mfatlas.lie import sl
+from mfatlas.linalg import ExactMatrix, mat_inverse
+
+
+def _shift(n):
+    return [[1 if j == i + 1 else 0 for j in range(n)] for i in range(n)]
+
+
+def _dense_sl3():
+    """U0 diag(1, 2, -3) U0^-1 with the dense unimodular U0[i][j] = min(i, j) + 1."""
+    U0 = ExactMatrix([[min(i, j) + 1 for j in range(3)] for i in range(3)])
+    return sl(3).element(U0 * ExactMatrix.diagonal([1, 2, -3]) * mat_inverse(U0))
+
+
+SHIFTS = {
+    "sl3-s": lambda: sl3_semisimple(1, 2),
+    "sl3-r": lambda: sl3_mixed(1),
+    "sl3-n": sl3_nilpotent,
+    "sl4-s": lambda: sl(4).element(ExactMatrix.diagonal([1, 2, 3, -6])),
+    "sl4-n": lambda: sl(4).element(ExactMatrix(_shift(4))),
+    "sl3-dense": _dense_sl3,
+}
+
+
+@lru_cache(maxsize=None)
+def _atlas(key):
+    return enumerate_atlas(SHIFTS[key]())
+
+
+def _unit(n, i, j):
+    return ExactMatrix([[1 if (r, c) == (i, j) else 0 for c in range(n)] for r in range(n)])
+
+
+def _expected_bases(p):
+    """Block-upper E_ij and H_k (parabolic), block-diagonal E_ij and H_k
+    (Levi), strictly block-upper E_ij (nilradical), in the adapted basis."""
+    n = p.algebra.n
+    blk = [b for b, k in enumerate(p.blocks) for _ in range(k)]
+    off = [(i, j) for i, j in itertools.product(range(n), repeat=2) if i != j]
+    cartan = [_unit(n, k, k) - _unit(n, k + 1, k + 1) for k in range(n - 1)]
+    return {
+        "p": [_unit(n, i, j) for i, j in off if blk[i] <= blk[j]] + cartan,
+        "l": [_unit(n, i, j) for i, j in off if blk[i] == blk[j]] + cartan,
+        "u": [_unit(n, i, j) for i, j in off if blk[i] < blk[j]],
+    }
+
+
+def _echelon_mask(L, elems):
+    """The support pattern read off the canonical basis of the span."""
+    mask = [[0] * L.n for _ in range(L.n)]
+    for v in elements_span(elems):
+        m = L.matrix_of_coords(v)
+        for i in range(L.n):
+            for j in range(L.n):
+                if not m.entries[i][j].is_zero():
+                    mask[i][j] = 1
+    return mask
+
+
+@pytest.mark.parametrize("key", SHIFTS)
+def test_conjugated_bases_match_full_products(key):
+    for p in _atlas(key).members:
+        expected = _expected_bases(p)
+        got = {"p": p.p_basis, "l": p.l_basis, "u": p.u_basis}
+        for name, mats in expected.items():
+            assert [e.matrix for e in got[name]] == [p.U * E * p.U_inv for E in mats], (p, name)
+
+
+@pytest.mark.parametrize("key", SHIFTS)
+def test_stabilizer_dimension_matches_composition(key):
+    a = SHIFTS[key]()
+    L = a.algebra
+    for comp in compositions(L.n):
+        expect = sum(comp[i] * comp[j] for i in range(len(comp)) for j in range(i, len(comp))) - 1
+        for flag in invariant_flags(a, comp):
+            assert _stabilizer_dimension(L, flag) == expect, (key, comp)
+
+
+@pytest.mark.parametrize("key", SHIFTS)
+def test_support_mask_matches_echelon_definition(key):
+    atlas = _atlas(key)
+    L = atlas.a.algebra
+    for elems in (atlas.b_a, atlas.u_a):
+        assert support_mask(L, elems) == _echelon_mask(L, elems)
+    for p in atlas.members:
+        for elems in (p.p_basis, p.l_basis, p.u_basis):
+            assert support_mask(L, elems) == _echelon_mask(L, elems)

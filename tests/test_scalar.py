@@ -70,3 +70,33 @@ def test_as_scalar_coercions():
     assert as_scalar(Scalar(7)) == Scalar(7)
     with pytest.raises(TypeError):
         as_scalar(0.5)
+
+
+def test_zero_short_circuits_are_exact_identities():
+    """0*x, x*0, x+0, 0+x and x-0 skip the arithmetic; each must be the same
+    value, with the same hash and text, as the component formulas give."""
+    zeros = (Scalar(0), Scalar(Fraction(0), Fraction(0)), 0, Fraction(0))
+    values = [
+        Scalar(Fraction(1, 3), Fraction(-2, 7)),
+        Scalar(0, 1),
+        Scalar(Fraction(-5, 2)),
+        Scalar(Fraction(9, 4), 3),
+        Scalar(0),
+    ]
+    for x in values:
+        product = Scalar(x.re * 0 - x.im * 0, x.re * 0 + x.im * 0)
+        total = Scalar(x.re + 0, x.im + 0)
+        difference = Scalar(x.re - 0, x.im - 0)
+        for z in zeros:
+            for got, want in (
+                (z * x, product),
+                (x * z, product),
+                (x + z, total),
+                (z + x, total),
+                (x - z, difference),
+                (z - x, Scalar(0 - x.re, 0 - x.im)),
+            ):
+                assert isinstance(got, Scalar)
+                assert got == want
+                assert hash(got) == hash(want)
+                assert str(got) == str(want) and repr(got) == repr(want)

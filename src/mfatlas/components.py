@@ -29,14 +29,18 @@ from .errors import (
 )
 from .flags import (
     BorelAtlas,
+    EigenChain,
     FlagParabolic,
+    chain_frame,
     elements_span,
     elements_span_contains,
     enumerate_atlas,
+    frame_unit,
     mask_strings,
 )
 from .lie import (
     GElement,
+    WeylElement,
     is_regular,
     jordan_chevalley,
     weyl_group,
@@ -52,8 +56,8 @@ from .linalg import (
     span_equal,
     span_le,
 )
-from .mfsystem import FibreValue, ShiftSystem
-from .mpoly import MPoly, mpoly_mat_mul
+from .mfsystem import FibreValue, ShiftSystem, section_chart
+from .mpoly import MPoly, affine_chart, mpoly_mat_mul
 from .sampling import (
     random_distinct_rationals,
     random_rational,
@@ -88,24 +92,14 @@ class AffineComponent:
     def contains(self, x: GElement) -> bool:
         return span_contains([d.coords for d in self.dirs], (x - self.base).coords)
 
-    def span_key(self):
-        return (self.base.matrix.entries, elements_span(self.dirs))
-
 
 def certify_affine_constant(sys_: ShiftSystem, base: GElement, dirs: list[GElement]) -> FibreValue:
     """Substitute base + sum t_k dirs_k into every component; all direction
     variables must cancel exactly.  Returns the certified value vector."""
     L = sys_.algebra
     tvars = tuple(f"t{k + 1}" for k in range(len(dirs)))
-    bc = base.coords
-    dcs = [d.coords for d in dirs]
-    mapping = {}
-    for idx, name in enumerate(L.coord_names):
-        p = MPoly.const(tvars, bc[idx])
-        for k, dc in enumerate(dcs):
-            if not dc[idx].is_zero():
-                p = p + MPoly.var(tvars, tvars[k]) * dc[idx]
-        mapping[name] = p
+    chart = affine_chart(tvars, base.coords, [d.coords for d in dirs])
+    mapping = dict(zip(L.coord_names, chart))
     values = []
     for comp in sys_.components:
         restricted = comp.subs(tvars, mapping)
@@ -260,13 +254,7 @@ def parabolic_lift(sys_: ShiftSystem, p: FlagParabolic, y_component: AffineCompo
     base_s = _coords_in_basis(p.l_basis, y_component.base)
     dir_s = [_coords_in_basis(p.l_basis, d) for d in y_component.dirs]
     tvars = tuple(f"t{k + 1}" for k in range(len(dir_s)))
-    mapping = {}
-    for m, sv in enumerate(svars):
-        q = MPoly.const(tvars, base_s[m])
-        for k, dc in enumerate(dir_s):
-            if not dc[m].is_zero():
-                q = q + MPoly.var(tvars, tvars[k]) * dc[m]
-        mapping[sv] = q
+    mapping = dict(zip(svars, affine_chart(tvars, base_s, dir_s)))
     for q in lpolys:
         if not q.subs(tvars, mapping).is_constant():
             raise CertificationError("family is not inside a single Levi fibre")
@@ -283,12 +271,9 @@ def parabolic_lift(sys_: ShiftSystem, p: FlagParabolic, y_component: AffineCompo
 # -- component counts -----------------------------------------------------------------
 
 
-def eigen_partition(a: GElement) -> tuple[int, ...]:
-    """Multiplicities of the eigenvalues of the semisimple part, sorted
-    descending: the Jordan type of a regular element."""
-    from .flags import eigen_chains
-
-    chains = eigen_chains(a)
+def eigen_partition(chains: list[EigenChain]) -> tuple[int, ...]:
+    """Multiplicities of the eigenvalues, sorted descending: the Jordan type
+    of a regular element with these Jordan chains."""
     return tuple(sorted((ch.mult for ch in chains), reverse=True))
 
 
@@ -412,7 +397,7 @@ def count_zero_fibre(a: GElement, table: IPrimeTable | None = None,
     if atlas is None:
         atlas = enumerate_atlas(a)
     L = a.algebra
-    part = eigen_partition(a)
+    part = eigen_partition(atlas.chains)
     terms: list[ParabolicTerm] = []
     for p in atlas.parabolics:
         Ap = p.U_inv * a.matrix * p.U
@@ -542,26 +527,28 @@ def tarasov_exotic_probe(sys_: ShiftSystem, atlas: BorelAtlas | None = None,
     if atlas is None:
         atlas = enumerate_atlas(a)
     rng = rng_for(f"tarasov-exotic:{L.n}", seed)
-    n = L.n
+    xi, dirs = section_chart(L)
+    chart = affine_chart(tuple(f"t{k + 1}" for k in range(len(dirs))), xi, dirs)
+    top = L.coord_names.index(f"x1{L.n}")
+
+    def section_point(top_vanishes: bool) -> GElement:
+        """A seeded point of xi + b, its chart coordinates drawn in order; the
+        highest-root coordinate is then set to 0, or moved from 0 to 1 otherwise."""
+        t = [Scalar(random_rational(rng)) for _ in dirs]
+        coords = [p.eval(t) for p in chart]
+        if top_vanishes:
+            coords[top] = Scalar(0)
+        elif coords[top].is_zero():
+            coords[top] = Scalar(1)
+        return L.element_from_coords(coords)
+
     labels = [member_label(m) for m in atlas.members]
     witnessed = {lab: False for lab in labels}
     zero_pattern = {lab: 0 for lab in labels}
     failures: list[str] = []
     outside_count = 0
-    top_name = f"x1{n}"
     for _ in range(samples):
-        coords = {}
-        for idx, (i, j) in enumerate(L.offdiag_positions):
-            name = L.coord_names[idx]
-            if i < j:
-                coords[name] = Scalar(random_rational(rng))
-            else:
-                coords[name] = Scalar(1) if i == j + 1 else Scalar(0)
-        for k in range(n - 1):
-            coords[f"h{k + 1}"] = Scalar(random_rational(rng))
-        if coords[top_name].is_zero():
-            coords[top_name] = Scalar(1)
-        x = L.element_from_coords([coords[v] for v in L.coord_names])
+        x = section_point(top_vanishes=False)
         all_out = True
         for m, lab in zip(atlas.members, labels):
             if m.contains(x):
@@ -573,17 +560,7 @@ def tarasov_exotic_probe(sys_: ShiftSystem, atlas: BorelAtlas | None = None,
             outside_count += 1
     # observational: what happens when the highest-root coordinate vanishes
     for _ in range(samples):
-        coords = {}
-        for idx, (i, j) in enumerate(L.offdiag_positions):
-            name = L.coord_names[idx]
-            if i < j:
-                coords[name] = Scalar(random_rational(rng))
-            else:
-                coords[name] = Scalar(1) if i == j + 1 else Scalar(0)
-        for k in range(n - 1):
-            coords[f"h{k + 1}"] = Scalar(random_rational(rng))
-        coords[top_name] = Scalar(0)
-        x = L.element_from_coords([coords[v] for v in L.coord_names])
+        x = section_point(top_vanishes=True)
         for m, lab in zip(atlas.members, labels):
             if m.contains(x):
                 zero_pattern[lab] += 1
@@ -676,46 +653,27 @@ def image_bba_check(sys_: ShiftSystem, atlas: BorelAtlas | None = None,
           on sampled regular diagonal points the number of distinct values on
           the Weyl orbit is exactly |W| / |W_s|.
     """
-    from .flags import eigen_chains
-
     L = sys_.algebra
     a = sys_.a
     if atlas is None:
         atlas = enumerate_atlas(a)
     failures: list[str] = []
-    chains = eigen_chains(a)
-    cols: list[Vector] = []
-    for ch in chains:
-        cols.extend(ch.vectors)
-    U = ExactMatrix.from_columns(cols)
-    U_inv = mat_inverse(U)
+    U, U_inv = chain_frame(atlas.chains)
     n = L.n
-    # adapted Cartan basis: U diag(e_k - e_n-ish) U^{-1}; parametrized below
-    h_elems = []
-    for k in range(n - 1):
-        D = [Scalar(0)] * n
-        D[k] = Scalar(1)
-        D[n - 1] = D[n - 1] - Scalar(1)
-        h_elems.append(L.element(U * ExactMatrix.diagonal(D) * U_inv))
+    # adapted Cartan basis: U (E_kk - E_nn) U^-1
+    hcs = [
+        L.coords_of_matrix(frame_unit(U, U_inv, k, k) - frame_unit(U, U_inv, n - 1, n - 1))
+        for k in range(n - 1)
+    ]
+    ucs = [e.coords for e in atlas.u_a]
     # certification: b^a = h_U  (+) u^a
-    hu = [e.coords for e in h_elems] + [e.coords for e in atlas.u_a]
-    if not span_equal(hu, [e.coords for e in atlas.b_a]):
+    if not span_equal(hcs + ucs, [e.coords for e in atlas.b_a]):
         raise CertificationError("b^a does not split as adapted Cartan plus u^a")
     svars = tuple(f"s{k + 1}" for k in range(n - 1))
     tvars = tuple(f"t{k + 1}" for k in range(len(atlas.u_a)))
     allvars = svars + tvars
-    mapping = {}
-    hcs = [e.coords for e in h_elems]
-    ucs = [e.coords for e in atlas.u_a]
-    for idx, name in enumerate(L.coord_names):
-        q = MPoly.zero(allvars)
-        for k, hc in enumerate(hcs):
-            if not hc[idx].is_zero():
-                q = q + MPoly.var(allvars, svars[k]) * hc[idx]
-        for k, uc in enumerate(ucs):
-            if not uc[idx].is_zero():
-                q = q + MPoly.var(allvars, tvars[k]) * uc[idx]
-        mapping[name] = q
+    origin = L.zero().coords
+    mapping = dict(zip(L.coord_names, affine_chart(allvars, origin, hcs + ucs)))
     restricted_full = [c.subs(allvars, mapping) for c in sys_.components]
     t_free = True
     for rp in restricted_full:
@@ -729,13 +687,7 @@ def image_bba_check(sys_: ShiftSystem, atlas: BorelAtlas | None = None,
     if a.is_nilpotent() and t_free:
         nilpotent_form = True
         r = L.rank
-        h_mapping = {}
-        for idx, name in enumerate(L.coord_names):
-            q = MPoly.zero(svars)
-            for k, hc in enumerate(hcs):
-                if not hc[idx].is_zero():
-                    q = q + MPoly.var(svars, svars[k]) * hc[idx]
-            h_mapping[name] = q
+        h_mapping = dict(zip(L.coord_names, affine_chart(svars, origin, hcs)))
         for idx, comp in enumerate(restricted):
             if idx < r:
                 gen_restr = sys_.generators[idx].subs(svars, h_mapping)
@@ -753,7 +705,7 @@ def image_bba_check(sys_: ShiftSystem, atlas: BorelAtlas | None = None,
     stab = weyl_stabilizer(s_diag)
     invariance_ok = True
     for w in stab:
-        wmap = _weyl_on_svars(svars, w.perm)
+        wmap = _weyl_on_svars(svars, w)
         for rp in restricted:
             if rp.subs(svars, wmap) != rp:
                 invariance_ok = False
@@ -793,20 +745,13 @@ def image_bba_check(sys_: ShiftSystem, atlas: BorelAtlas | None = None,
     )
 
 
-def _weyl_on_svars(svars: tuple[str, ...], perm: tuple[int, ...]) -> dict[str, MPoly]:
+def _weyl_on_svars(svars: tuple[str, ...], w: WeylElement) -> dict[str, MPoly]:
     """Action of a diagonal-slot permutation on the Cartan chart
     sigma_k = s_k (k < n), sigma_n = -sum s_k."""
-    n = len(perm)
-    sigma: list[MPoly] = []
-    minus_sum = MPoly.zero(svars)
-    for k in range(n - 1):
-        sigma.append(MPoly.var(svars, svars[k]))
-        minus_sum = minus_sum - MPoly.var(svars, svars[k])
-    sigma.append(minus_sum)
-    inv = [0] * n
-    for i, p in enumerate(perm):
-        inv[p] = i
-    return {svars[k]: sigma[inv[k]] for k in range(n - 1)}
+    sigma = [MPoly.var(svars, s) for s in svars]
+    sigma.append(-sum(sigma, MPoly.zero(svars)))
+    inv = w.inverse().perm
+    return {s: sigma[inv[k]] for k, s in enumerate(svars)}
 
 
 # -- critical values ------------------------------------------------------------------------
@@ -911,18 +856,12 @@ def near_section_probe(sys_: ShiftSystem, atlas: BorelAtlas | None = None,
     B = atlas.borels[0]
     n = L.n
     # opposite Borel: lower triangular in the adapted basis
-    lower = []
-    for i in range(n):
-        for j in range(n):
-            if i > j:
-                E = [[Scalar(0)] * n for _ in range(n)]
-                E[i][j] = Scalar(1)
-                lower.append(L.element(B.U * ExactMatrix(E) * B.U_inv))
+    lower = [
+        L.element(frame_unit(B.U, B.U_inv, i, j)) for i in range(n) for j in range(i)
+    ]
     for k in range(n - 1):
-        D = [Scalar(0)] * n
-        D[k] = Scalar(1)
-        D[k + 1] = Scalar(-1)
-        lower.append(L.element(B.U * ExactMatrix.diagonal(D) * B.U_inv))
+        H = frame_unit(B.U, B.U_inv, k, k) - frame_unit(B.U, B.U_inv, k + 1, k + 1)
+        lower.append(L.element(H))
     lower_span = elements_span(lower)
     rng = rng_for(f"near-section:{n}", seed)
     W = weyl_group(n)

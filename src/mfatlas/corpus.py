@@ -11,7 +11,6 @@ and verifies the harness notices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .components import (
@@ -49,17 +48,7 @@ from .sampling import (
     rng_for,
 )
 from .scalar import Scalar
-
-
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-def _result(name: str, passed: bool, detail: str = "") -> CheckResult:
-    return CheckResult(name=name, passed=bool(passed), detail=detail)
+from .verify import CheckResult, _result
 
 
 # -- frozen shape tables (matrix support patterns, rows joined by "|") ---------------

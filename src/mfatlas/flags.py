@@ -7,12 +7,17 @@ flags of a given composition are therefore lattice paths in the product of
 chains, a finite set; for non-regular a the invariant subspaces form
 infinite families and enumeration is refused.
 
+The Jordan chains of a are computed once per atlas (enumerate_atlas stores
+them as BorelAtlas.chains); every flag, b^a and the component layer read
+them from there.  chain_frame(chains) is the adapted basis U (chain vectors
+as columns, eigenvalues ordered by (real, imaginary)) with its inverse.
+
 A parabolic enters the atlas as the stabilizer of an invariant flag.  It is
-constructed by conjugating the block pattern with the adapted basis U (Jordan
-chain vectors, eigenvalues ordered by (real, imaginary) within each flag
-step) and certified against the stabilizer equations Y V_t <= V_t.  Each
-conjugated basis element U E_ij U^-1 is built as the outer product of column
-i of U and row j of U^-1, never as two dense matrix products.  The stabilizer
+constructed by conjugating the block pattern with the flag's own adapted
+basis U (the chain vectors in flag-step order) and certified against the
+stabilizer equations Y V_t <= V_t.  Each conjugated basis element
+U E_ij U^-1 is frame_unit(U, U^-1, i, j): the outer product of column i of U
+and row j of U^-1, never two dense matrix products.  The stabilizer
 equations w (B v) = 0, for w annihilating V_t, v in V_t and B running over
 the coordinate basis of sl_n, are read off the few nonzero entries of each B.
 
@@ -143,6 +148,17 @@ def eigen_chains(a: GElement) -> list[EigenChain]:
     return chains
 
 
+def chain_frame(chains: Sequence[EigenChain]) -> tuple[ExactMatrix, ExactMatrix]:
+    """The adapted basis U (chain vectors as columns, in chain order) and U^-1."""
+    U = ExactMatrix.from_columns([v for ch in chains for v in ch.vectors])
+    return U, mat_inverse(U)
+
+
+def frame_unit(U: ExactMatrix, U_inv: ExactMatrix, i: int, j: int) -> ExactMatrix:
+    """U E_ij U^-1, the outer product of column i of U and row j of U^-1."""
+    return ExactMatrix([[x * y for y in U_inv.row(j)] for x in U.col(i)])
+
+
 # -- flags --------------------------------------------------------------------------
 
 
@@ -174,14 +190,14 @@ def compositions(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def invariant_flags(a: GElement, composition: Sequence[int]) -> list[Flag]:
-    """All a-invariant flags of the given composition (lattice paths in the
-    product of Jordan chains)."""
-    comp = tuple(int(k) for k in composition)
-    if any(k <= 0 for k in comp) or sum(comp) != a.algebra.n:
-        raise PreconditionError(f"not a composition of {a.algebra.n}: {comp}")
-    chains = eigen_chains(a)
+def invariant_flags(chains: Sequence[EigenChain], composition: Sequence[int]) -> list[Flag]:
+    """All invariant flags of the given composition (lattice paths in the
+    product of the Jordan chains)."""
     mults = [ch.mult for ch in chains]
+    n = sum(mults)
+    comp = tuple(int(k) for k in composition)
+    if any(k <= 0 for k in comp) or sum(comp) != n:
+        raise PreconditionError(f"not a composition of {n}: {comp}")
     flags: list[Flag] = []
 
     def rec(step: int, level: tuple[int, ...], levels_acc, steps_acc):
@@ -256,16 +272,12 @@ class FlagParabolic:
         return out
 
     def _conjugated_basis(self, upper: bool, include_diag_blocks: bool) -> list[GElement]:
-        """U E_ij U^-1 for the kept block positions (i, j), then U H_k U^-1.
-        U E_ij U^-1 is the outer product of column i of U and row j of U^-1,
-        and H_k = E_kk - E_(k+1)(k+1) gives a difference of two of them."""
+        """U E_ij U^-1 for the kept block positions (i, j), then U H_k U^-1,
+        where H_k = E_kk - E_(k+1)(k+1) gives a difference of two frame units."""
         L = self.algebra
         n = L.n
         blk = self._block_of()
-
-        def conj(i: int, j: int) -> ExactMatrix:
-            return ExactMatrix([[x * y for y in self.U_inv.row(j)] for x in self.U.col(i)])
-
+        U, U_inv = self.U, self.U_inv
         out: list[GElement] = []
         for i in range(n):
             for j in range(n):
@@ -276,10 +288,11 @@ class FlagParabolic:
                 else:
                     keep = blk[i] < blk[j]
                 if keep:
-                    out.append(L.element(conj(i, j)))
+                    out.append(L.element(frame_unit(U, U_inv, i, j)))
         if include_diag_blocks:
             for k in range(n - 1):
-                out.append(L.element(conj(k, k) - conj(k + 1, k + 1)))
+                H = frame_unit(U, U_inv, k, k) - frame_unit(U, U_inv, k + 1, k + 1)
+                out.append(L.element(H))
         return out
 
     # -- membership and structure -------------------------------------------------
@@ -361,6 +374,7 @@ class BorelAtlas:
     element, plus the intersection algebra b^a and its nilradical u^a."""
 
     a: GElement
+    chains: list[EigenChain]
     borels: list[FlagParabolic]
     parabolics: list[FlagParabolic]
     b_a: list[GElement]
@@ -374,12 +388,13 @@ class BorelAtlas:
 def enumerate_atlas(a: GElement, verify: bool = True) -> BorelAtlas:
     L = a.algebra
     n = L.n
-    borels = [FlagParabolic(a, fl) for fl in invariant_flags(a, (1,) * n)]
+    chains = eigen_chains(a)
+    borels = [FlagParabolic(a, fl) for fl in invariant_flags(chains, (1,) * n)]
     parabolics: list[FlagParabolic] = []
     for comp in compositions(n):
         if len(comp) == n or len(comp) == 1:
             continue
-        for fl in invariant_flags(a, comp):
+        for fl in invariant_flags(chains, comp):
             parabolics.append(FlagParabolic(a, fl))
     if verify:
         for m in borels + parabolics:
@@ -391,12 +406,13 @@ def enumerate_atlas(a: GElement, verify: bool = True) -> BorelAtlas:
     b_a = span_to_elements(L, inter)
     u_a = derived_span(b_a)
     # route 2: structural, must agree exactly
-    b2, u2 = compute_b_a_structural(a)
+    b2, u2 = compute_b_a_structural(L, chains)
     if not span_equal([e.coords for e in b_a], [e.coords for e in b2]):
         raise CertificationError("b^a routes disagree")
     if not span_equal([e.coords for e in u_a], [e.coords for e in u2]):
         raise CertificationError("u^a routes disagree")
-    return BorelAtlas(a=a, borels=borels, parabolics=parabolics, b_a=b_a, u_a=u_a)
+    return BorelAtlas(a=a, chains=chains, borels=borels, parabolics=parabolics,
+                      b_a=b_a, u_a=u_a)
 
 
 def derived_span(elems: list[GElement]) -> list[GElement]:
@@ -411,27 +427,17 @@ def derived_span(elems: list[GElement]) -> list[GElement]:
     return span_to_elements(L, canonical_basis(vecs))
 
 
-def compute_b_a_structural(a: GElement) -> tuple[list[GElement], list[GElement]]:
+def compute_b_a_structural(L: LieAlgebraA, chains: Sequence[EigenChain]
+                           ) -> tuple[list[GElement], list[GElement]]:
     """b^a = z(g_s) + (unique Borel of [g_s, g_s] containing the nilpotent
     part), built on the adapted chain basis; u^a is its derived algebra."""
-    L = a.algebra
-    chains = eigen_chains(a)
-    cols: list[Vector] = []
-    sizes: list[int] = []
-    for ch in chains:
-        cols.extend(ch.vectors)
-        sizes.append(ch.mult)
-    U = ExactMatrix.from_columns(cols)
-    U_inv = mat_inverse(U)
+    U, U_inv = chain_frame(chains)
     n = L.n
+    sizes = [ch.mult for ch in chains]
+    offsets = [sum(sizes[:bi]) for bi in range(len(sizes))]
     mats: list[ExactMatrix] = []
     # centre of the centralizer of the semisimple part: one scalar per block,
     # trace-free
-    offsets = []
-    off = 0
-    for m in sizes:
-        offsets.append(off)
-        off += m
     k = len(sizes)
     for bi in range(k - 1):
         diag = [Scalar(0)] * n
@@ -439,23 +445,16 @@ def compute_b_a_structural(a: GElement) -> tuple[list[GElement], list[GElement]]
             diag[t] = Scalar(sizes[k - 1])
         for t in range(offsets[k - 1], offsets[k - 1] + sizes[k - 1]):
             diag[t] = Scalar(-sizes[bi])
-        mats.append(ExactMatrix.diagonal(diag))
+        mats.append(U * ExactMatrix.diagonal(diag) * U_inv)
     # upper-triangular part of each block (the unique Borel of the factor
     # sl_{m} containing the single Jordan block nilpotent)
-    for bi, m in enumerate(sizes):
-        o = offsets[bi]
+    for o, m in zip(offsets, sizes):
         for p in range(m):
             for q in range(p + 1, m):
-                E = [[Scalar(0)] * n for _ in range(n)]
-                E[o + p][o + q] = Scalar(1)
-                mats.append(ExactMatrix(E))
-        for p in range(m - 1):
-            D = [Scalar(0)] * n
-            D[o + p] = Scalar(1)
-            D[o + p + 1] = Scalar(-1)
-            mats.append(ExactMatrix.diagonal(D))
-    b_elems = [L.element(U * M * U_inv) for M in mats]
-    b_basis = span_to_elements(L, elements_span(b_elems))
+                mats.append(frame_unit(U, U_inv, o + p, o + q))
+        for p in range(o, o + m - 1):
+            mats.append(frame_unit(U, U_inv, p, p) - frame_unit(U, U_inv, p + 1, p + 1))
+    b_basis = span_to_elements(L, elements_span([L.element(M) for M in mats]))
     u_basis = derived_span(b_basis)
     return b_basis, u_basis
 

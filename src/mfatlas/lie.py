@@ -351,17 +351,11 @@ class WeylElement:
             out[p] = as_scalar(values[i])
         return tuple(out)
 
-    def compose(self, other: "WeylElement") -> "WeylElement":
-        return WeylElement(tuple(self.perm[other.perm[i]] for i in range(len(self.perm))))
-
     def inverse(self) -> "WeylElement":
         inv = [0] * len(self.perm)
         for i, p in enumerate(self.perm):
             inv[p] = i
         return WeylElement(tuple(inv))
-
-    def is_identity(self) -> bool:
-        return all(p == i for i, p in enumerate(self.perm))
 
 
 def weyl_group(n: int) -> list[WeylElement]:

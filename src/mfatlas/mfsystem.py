@@ -30,7 +30,7 @@ from .errors import (
 )
 from .lie import GElement, LieAlgebraA, bracket, is_regular
 from .linalg import ExactMatrix, Vector, canonical_basis, mat_rank
-from .mpoly import MPoly, mpoly_det, mpoly_mat_mul, mpoly_mat_trace
+from .mpoly import MPoly, affine_chart, mpoly_det, mpoly_mat_mul, mpoly_mat_trace
 from .sampling import random_element, random_rational, rng_for
 from .scalar import Scalar, as_scalar
 from . import unipoly as up
@@ -551,6 +551,22 @@ def _eval_along_line(p: MPoly, L: LieAlgebraA, xc: tuple[Scalar, ...], ac: tuple
 # -- the Tarasov section -----------------------------------------------------------------------
 
 
+def section_chart(L: LieAlgebraA) -> tuple[Vector, list[Vector]]:
+    """The Tarasov section xi + b in coordinates: xi has ones exactly on the
+    subdiagonal, and the directions are the unit vectors of the upper and
+    Cartan coordinates, in chart order."""
+    xi = [Scalar(0)] * L.dim
+    slots: list[int] = []
+    for idx, (i, j) in enumerate(L.offdiag_positions):
+        if i == j + 1:
+            xi[idx] = Scalar(1)
+        elif i < j:
+            slots.append(idx)
+    slots.extend(range(len(L.offdiag_positions), L.dim))
+    dirs = [tuple(Scalar(int(c == k)) for c in range(L.dim)) for k in slots]
+    return tuple(xi), dirs
+
+
 @dataclass
 class TarasovReport:
     passed: bool
@@ -573,18 +589,9 @@ def tarasov_check(a: GElement, sample_count: int = 50, seed: int = 0) -> Tarasov
     if len({(d.re, d.im) for d in diag}) != L.n:
         raise PreconditionError("diagonal entries must be pairwise distinct")
     sys_ = build_system(a)
-    n = L.n
     tvars = tuple(f"t{k + 1}" for k in range(L.b))
-    mapping: dict[str, MPoly] = {}
-    t_iter = iter(tvars)
-    for idx, (i, j) in enumerate(L.offdiag_positions):
-        name = L.coord_names[idx]
-        if i < j:
-            mapping[name] = MPoly.var(tvars, next(t_iter))
-        else:
-            mapping[name] = MPoly.const(tvars, Scalar(1) if i == j + 1 else Scalar(0))
-    for k in range(n - 1):
-        mapping[f"h{k + 1}"] = MPoly.var(tvars, next(t_iter))
+    chart = affine_chart(tvars, *section_chart(L))
+    mapping = dict(zip(L.coord_names, chart))
     restricted = [c.subs(tvars, mapping) for c in sys_.components]
     jac = [[rc.diff(tv) for tv in tvars] for rc in restricted]
     det = mpoly_det(jac)
@@ -597,9 +604,8 @@ def tarasov_check(a: GElement, sample_count: int = 50, seed: int = 0) -> Tarasov
     checked = 0
     points: list[GElement] = []
     for _ in range(sample_count):
-        tvals = {tv: Scalar(random_rational(rng)) for tv in tvars}
-        coords = [mapping[name].eval([tvals[tv] for tv in tvars]) for name in L.coord_names]
-        x = L.element_from_coords(coords)
+        tvals = [Scalar(random_rational(rng)) for _ in tvars]
+        x = L.element_from_coords([p.eval(tvals) for p in chart])
         points.append(x)
         if not is_strongly_regular(sys_, x, certify=True):
             failures.append("section point not strongly regular")

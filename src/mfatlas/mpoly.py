@@ -11,7 +11,7 @@ byte-stable across runs.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .scalar import Scalar, as_scalar
 
@@ -149,12 +149,6 @@ class MPoly:
 
     # -- structure ---------------------------------------------------------------
 
-    def total_degree(self) -> int:
-        """Max total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def homogeneous_degree(self) -> int | None:
         """The common total degree of all terms, or None if inhomogeneous.
         Zero polynomial reports None."""
@@ -162,12 +156,6 @@ class MPoly:
         if len(degs) == 1:
             return degs.pop()
         return None
-
-    def degree_in(self, name: str) -> int:
-        idx = self.vars.index(name)
-        if not self.terms:
-            return -1
-        return max(e[idx] for e in self.terms)
 
     def constant_term(self) -> Scalar:
         return self.terms.get((0,) * len(self.vars), Scalar(0))
@@ -296,9 +284,6 @@ class MPoly:
             out[tuple(e[i] for i in keep)] = c
         return MPoly(vt, out)
 
-    def map_coeffs(self, fn: Callable[[Scalar], Scalar]) -> "MPoly":
-        return MPoly(self.vars, {e: fn(c) for e, c in self.terms.items()})
-
     # -- canonical text -------------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Exponent, Scalar]]:
@@ -337,6 +322,23 @@ class MPoly:
 
     def __repr__(self):
         return f"MPoly({str(self)})"
+
+
+def affine_chart(vars_: Sequence[str], base: Sequence[Scalar],
+                 dirs: Sequence[Sequence[Scalar]]) -> list[MPoly]:
+    """One polynomial per coordinate of base + sum_k vars_[k] * dirs[k]."""
+    vt = tuple(vars_)
+    if len(dirs) != len(vt):
+        raise ValueError("need one variable per direction")
+    units = [tuple(int(m == k) for m in range(len(vt))) for k in range(len(vt))]
+    const = (0,) * len(vt)
+    out = []
+    for idx, c in enumerate(base):
+        terms = {const: c}
+        for e, d in zip(units, dirs):
+            terms[e] = d[idx]
+        out.append(MPoly(vt, terms))
+    return out
 
 
 # -- polynomial matrices ------------------------------------------------------------

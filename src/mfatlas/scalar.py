@@ -30,8 +30,8 @@ class Scalar:
     def __init__(self, re=0, im=0):
         if isinstance(re, float) or isinstance(im, float):
             raise TypeError("Scalar parts must be exact (int or Fraction), not float")
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -126,9 +126,6 @@ class Scalar:
 
     def is_real(self) -> bool:
         return self.im == 0
-
-    def is_integral(self) -> bool:
-        return self.re.denominator == 1 and self.im.denominator == 1
 
     def __bool__(self):
         return not self.is_zero()

@@ -8,6 +8,7 @@ ignore the sample count.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
 
 from .components import (
@@ -16,7 +17,6 @@ from .components import (
     near_section_probe,
     singular_family_check,
 )
-from .corpus import CheckResult, _result
 from .errors import CertificationError, MFError, PreconditionError
 from .flags import BorelAtlas, enumerate_atlas
 from .lie import centralizer
@@ -45,6 +45,17 @@ from .sampling import (
     rng_for,
 )
 from .scalar import Scalar
+
+
+@dataclass
+class CheckResult:
+    name: str
+    passed: bool
+    detail: str = ""
+
+
+def _result(name: str, passed: bool, detail: str = "") -> CheckResult:
+    return CheckResult(name=name, passed=bool(passed), detail=detail)
 
 
 def check_poisson_commutativity(sys_: ShiftSystem) -> CheckResult:

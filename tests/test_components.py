@@ -35,7 +35,7 @@ from mfatlas.corpus import (
     semisimple_zero_fibre_witness,
 )
 from mfatlas.errors import CertificationError, MembershipError, NotNilpotentError
-from mfatlas.flags import enumerate_atlas, levi_projection
+from mfatlas.flags import eigen_chains, enumerate_atlas, levi_projection
 from mfatlas.lie import sl
 from mfatlas.linalg import ExactMatrix
 from mfatlas.mfsystem import build_system
@@ -140,12 +140,36 @@ def _levi_u_component(p, al):
     return AffineComponent(base=al, dirs=[raise_dir], value=(), label="levi")
 
 
+def test_jordan_chains_computed_once_per_atlas(monkeypatch):
+    import mfatlas.flags
+
+    calls = []
+    real = mfatlas.flags.eigen_chains
+
+    def counting(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(mfatlas.flags, "eigen_chains", counting)
+    L = sl(4)
+    shift = [[1 if j == i + 1 else 0 for j in range(4)] for i in range(4)]
+    for a in (L.element(ExactMatrix.diagonal([1, 2, 3, -6])), L.element(ExactMatrix(shift))):
+        calls.clear()
+        atlas = enumerate_atlas(a)
+        assert len(calls) == 1
+        sys_ = build_system(a)
+        calls.clear()
+        count_zero_fibre(a, atlas=atlas)
+        assert image_bba_check(sys_, atlas, samples=2).passed
+        assert calls == []
+
+
 def test_eigen_partition():
-    assert eigen_partition(A_S3) == (1, 1, 1)
-    assert eigen_partition(sl3_mixed(1)) == (2, 1)
-    assert eigen_partition(A_N3) == (3,)
-    assert eigen_partition(sl2_semisimple(1)) == (1, 1)
-    assert eigen_partition(sl2_nilpotent()) == (2,)
+    assert eigen_partition(ATLAS_S3.chains) == (1, 1, 1)
+    assert eigen_partition(eigen_chains(sl3_mixed(1))) == (2, 1)
+    assert eigen_partition(ATLAS_N3.chains) == (3,)
+    assert eigen_partition(eigen_chains(sl2_semisimple(1))) == (1, 1)
+    assert eigen_partition(eigen_chains(sl2_nilpotent())) == (2,)
 
 
 def test_iprime_table_defaults_and_io(tmp_path):

@@ -90,14 +90,17 @@ def test_irrational_spectrum_rejected():
 def test_non_regular_flags_rejected():
     L = sl(3)
     with pytest.raises(PreconditionError):
-        invariant_flags(_el(L, [[1, 0, 0], [0, 1, 0], [0, 0, -2]]), (1, 1, 1))
+        invariant_flags(eigen_chains(_el(L, [[1, 0, 0], [0, 1, 0], [0, 0, -2]])), (1, 1, 1))
+    # the chains fix n = 3, so (1, 1) is not a composition of it
+    with pytest.raises(PreconditionError):
+        invariant_flags(eigen_chains(sl3_semisimple(1, 2)), (1, 1))
 
 
 def test_b_a_routes_agree():
     for a in (sl2_semisimple(1), sl3_semisimple(1, 2), sl3_mixed(1), sl3_nilpotent()):
         atlas = enumerate_atlas(a)
         b1, u1 = atlas.b_a, atlas.u_a
-        b2, u2 = compute_b_a_structural(a)
+        b2, u2 = compute_b_a_structural(a.algebra, atlas.chains)
         assert span_equal([e.coords for e in b1], [e.coords for e in b2])
         assert span_equal([e.coords for e in u1], [e.coords for e in u2])
         # u^a = [b^a, b^a] is contained in b^a and bracket-generated

@@ -18,6 +18,7 @@ from mfatlas.corpus import sl3_mixed, sl3_nilpotent, sl3_semisimple
 from mfatlas.flags import (
     _stabilizer_dimension,
     compositions,
+    eigen_chains,
     elements_span,
     enumerate_atlas,
     invariant_flags,
@@ -95,9 +96,10 @@ def test_conjugated_bases_match_full_products(key):
 def test_stabilizer_dimension_matches_composition(key):
     a = SHIFTS[key]()
     L = a.algebra
+    chains = eigen_chains(a)
     for comp in compositions(L.n):
         expect = sum(comp[i] * comp[j] for i in range(len(comp)) for j in range(i, len(comp))) - 1
-        for flag in invariant_flags(a, comp):
+        for flag in invariant_flags(chains, comp):
             assert _stabilizer_dimension(L, flag) == expect, (key, comp)
 
 

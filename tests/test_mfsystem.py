@@ -27,6 +27,7 @@ from mfatlas.mfsystem import (
     krylov_line_regular,
     mf_values,
     poisson_bracket,
+    section_chart,
     shift_expand,
     tangent_space,
     tarasov_check,
@@ -203,3 +204,21 @@ def test_tarasov_reports():
         tarasov_check(REPS["sl3-r"], sample_count=5, seed=0)
     with pytest.raises(PreconditionError):
         tarasov_check(sl3_nilpotent(), sample_count=5, seed=0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_section_chart(n):
+    L = sl(n)
+    xi, dirs = section_chart(L)
+    assert L.matrix_of_coords(xi) == ExactMatrix(
+        [[Scalar(1) if i == j + 1 else Scalar(0) for j in range(n)] for i in range(n)]
+    )
+    assert len(dirs) == L.b
+    slots = []
+    for d in dirs:
+        support = [idx for idx, c in enumerate(d) if not c.is_zero()]
+        assert len(support) == 1 and d[support[0]] == Scalar(1)
+        slots.append(support[0])
+    upper = [idx for idx, (i, j) in enumerate(L.offdiag_positions) if i < j]
+    cartan = list(range(len(L.offdiag_positions), L.dim))
+    assert slots == upper + cartan

@@ -1,10 +1,11 @@
 """Multivariate polynomial arithmetic, substitution, and calculus."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from mfatlas.mpoly import MPoly, mpoly_det, mpoly_mat_mul, mpoly_mat_trace
+from mfatlas.mpoly import MPoly, affine_chart, mpoly_det, mpoly_mat_mul, mpoly_mat_trace
 from mfatlas.scalar import Scalar
 
 V = ("x", "y", "z")
@@ -112,3 +113,37 @@ def test_det_3x3_frozen():
     x, y, z = _x(), _y(), _z()
     expect = x * z * y * 3 - (x * x * x + y * y * y + z * z * z)
     assert det == expect
+
+
+def _sparse_scalar(rng):
+    """A Gaussian rational that is zero about half the time."""
+    if rng.random() < 0.5:
+        return Scalar(0)
+    return Scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 5)), rng.choice((0, 0, 1, -2)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_affine_chart_matches_direct_evaluation(seed):
+    rng = random.Random(f"affine-chart:{seed}")
+    dim, k = rng.randint(1, 6), rng.randint(0, 4)
+    tvars = tuple(f"t{m + 1}" for m in range(k))
+    base = [_sparse_scalar(rng) for _ in range(dim)]
+    dirs = [[_sparse_scalar(rng) for _ in range(dim)] for _ in range(k)]
+    chart = affine_chart(tvars, base, dirs)
+    assert len(chart) == dim and all(p.vars == tvars for p in chart)
+    for _ in range(4):
+        t = [_sparse_scalar(rng) for _ in range(k)]
+        direct = list(base)
+        for tk, d in zip(t, dirs):
+            direct = [c + tk * x for c, x in zip(direct, d)]
+        assert [p.eval(t) for p in chart] == direct
+    # every chart coordinate is affine: constant term base, t_k-coefficient dirs[k]
+    for idx, p in enumerate(chart):
+        assert p.constant_term() == base[idx]
+        for m, tv in enumerate(tvars):
+            assert p.diff(tv) == MPoly.const(tvars, dirs[m][idx])
+
+
+def test_affine_chart_needs_one_variable_per_direction():
+    with pytest.raises(ValueError):
+        affine_chart(("t1",), [Scalar(1)], [])

@@ -100,3 +100,14 @@ def test_zero_short_circuits_are_exact_identities():
                 assert got == want
                 assert hash(got) == hash(want)
                 assert str(got) == str(want) and repr(got) == repr(want)
+
+
+def test_constructor_keeps_fraction_parts_and_rejects_floats():
+    f, g = Fraction(3, 7), Fraction(-2, 5)
+    z = Scalar(f, g)
+    assert z.re is f and z.im is g
+    assert Scalar(2, -1).re == Fraction(2) and type(Scalar(2).im) is Fraction
+    with pytest.raises(TypeError):
+        Scalar(0.5)
+    with pytest.raises(TypeError):
+        Scalar(1, 0.5)

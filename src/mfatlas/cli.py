@@ -32,6 +32,7 @@ from .scalar import Scalar, scalar_from_str, scalar_to_str
 from .verify import run_verify_suite
 
 SCHEMA = "mf-atlas/1"
+MAX_N = 4  # desk scale: sl_2 to sl_4
 
 
 # -- element resolution ---------------------------------------------------------
@@ -88,10 +89,10 @@ def resolve_element(args: argparse.Namespace) -> GElement:
             raise PreconditionError(
                 f"matrix file is sl_{a.algebra.n} but --n {args.n} was given"
             )
+        _check_n(a.algebra.n)
         return a
     n = args.n if args.n is not None else 3
-    if n < 2:
-        raise PreconditionError("n must be at least 2")
+    _check_n(n)
     L = sl(n)
     try:
         params = [scalar_from_str(p) for p in (args.param or [])]
@@ -105,6 +106,13 @@ def resolve_element(args: argparse.Namespace) -> GElement:
     if label == "r":
         return _mixed_rep(L, params)
     raise PreconditionError(f"unknown element label {label!r}")
+
+
+def _check_n(n: int) -> None:
+    if n < 2:
+        raise PreconditionError("n must be at least 2")
+    if n > MAX_N:
+        raise PreconditionError(f"n must be at most {MAX_N}")
 
 
 def _config_dict(args: argparse.Namespace, command: str) -> dict:

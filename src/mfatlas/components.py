@@ -57,7 +57,7 @@ from .linalg import (
     span_le,
 )
 from .mfsystem import FibreValue, ShiftSystem, section_chart
-from .mpoly import MPoly, affine_chart, mpoly_mat_mul
+from .mpoly import MPoly, affine_chart, mpoly_mat_mul, mpoly_mat_trace
 from .sampling import (
     random_distinct_rationals,
     random_rational,
@@ -182,41 +182,27 @@ def levi_system(p: FlagParabolic, a: GElement) -> tuple[tuple[str, ...], list[MP
     L = p.algebra
     if not elements_span_contains(p.p_basis, a):
         raise MembershipError("shift element is not in the parabolic")
-    svars = tuple(f"s{k + 1}" for k in range(len(p.l_basis)))
-    conj = [p.U_inv * e.matrix * p.U for e in p.l_basis]
+    pattern = p.block_pattern(upper=False, include_diag_blocks=True)
+    svars = tuple(f"s{k + 1}" for k in range(len(pattern)))
     n = L.n
     ext = svars + ("lam",)
-    E = [
-        [
-            sum(
-                (MPoly.var(ext, svars[m]) * conj[m].entries[i][j]
-                 for m in range(len(conj)) if not conj[m].entries[i][j].is_zero()),
-                MPoly.zero(ext),
-            )
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    # the generic Levi element sum_m s_m l_m written in the adapted basis,
+    # where U^-1 l_m U is E_ij, or H_i = E_ii - E_(i+1)(i+1) when i == j
+    E = [[MPoly.zero(ext)] * n for _ in range(n)]
+    for s, (i, j) in zip(svars, pattern):
+        E[i][j] = E[i][j] + MPoly.var(ext, s)
+        if i == j:
+            E[i + 1][i + 1] = E[i + 1][i + 1] - MPoly.var(ext, s)
     Ap = p.U_inv * a.matrix * p.U
     lam = MPoly.var(ext, "lam")
-    polys: list[MPoly] = []
-    offsets = []
-    off = 0
-    for k in p.blocks:
-        offsets.append(off)
-        off += k
+    offsets = [sum(p.blocks[:b]) for b in range(len(p.blocks))]
     # centre coordinates: block traces (last one is determined, kept anyway)
-    for bi, k in enumerate(p.blocks):
-        o = offsets[bi]
-        tr = MPoly.zero(ext)
-        for t in range(o, o + k):
-            tr = tr + E[t][t]
-        polys.append(tr.project(svars))
+    polys = [sum((E[t][t] for t in range(o, o + k)), MPoly.zero(ext)).project(svars)
+             for o, k in zip(offsets, p.blocks)]
     # per-factor shifted trace powers
-    for bi, k in enumerate(p.blocks):
+    for o, k in zip(offsets, p.blocks):
         if k < 2:
             continue
-        o = offsets[bi]
         M = [
             [E[o + i][o + j] + lam * Ap.entries[o + i][o + j] for j in range(k)]
             for i in range(k)
@@ -224,10 +210,7 @@ def levi_system(p: FlagParabolic, a: GElement) -> tuple[tuple[str, ...], list[MP
         P = M
         for d in range(2, k + 1):
             P = mpoly_mat_mul(P, M)
-            tr = MPoly.zero(ext)
-            for t in range(k):
-                tr = tr + P[t][t]
-            buckets = tr.collect("lam")
+            buckets = mpoly_mat_trace(P).collect("lam")
             for j in range(d):
                 polys.append(buckets.get(j, MPoly.zero(ext)).project(svars))
     return svars, polys

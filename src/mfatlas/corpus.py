@@ -42,6 +42,7 @@ from .mfsystem import ShiftSystem, build_system, is_strongly_regular, krylov_lin
 from .mpoly import MPoly, mpoly_mat_mul, mpoly_mat_trace
 from .sampling import (
     conjugate,
+    random_combination,
     random_distinct_rationals,
     random_nonzero_rational,
     random_rational,
@@ -826,12 +827,8 @@ def check_singular_families(samples: int, seed: int) -> CheckResult:
     for a in cases:
         sys_ = build_system(a)
         at = enumerate_atlas(a)
-        basis = at.b_a
         for _ in range(samples):
-            x = a.algebra.zero()
-            for e in basis:
-                x = x + e.scale(Scalar(random_rational(rng)))
-            rep = singular_family_check(sys_, x, at)
+            rep = singular_family_check(sys_, random_combination(a.algebra, at.b_a, rng), at)
             if not rep.passed or rep.expected_failure:
                 return _result("singular-families", False, str(a.matrix.entries))
     for a in (sl2_nilpotent(), sl3_nilpotent()):

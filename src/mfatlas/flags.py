@@ -30,6 +30,7 @@ containing the nilpotent part.  The two must agree exactly.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -266,33 +267,31 @@ class FlagParabolic:
 
     # block index of a row/column position in the adapted ordering
     def _block_of(self) -> list[int]:
-        out = []
-        for bi, k in enumerate(self.blocks):
-            out.extend([bi] * k)
+        return [bi for bi, k in enumerate(self.blocks) for _ in range(k)]
+
+    def block_pattern(self, upper: bool, include_diag_blocks: bool) -> list[tuple[int, int]]:
+        """The basis of a block pattern in the adapted basis, in basis order:
+        the kept off-diagonal positions (i, j), each standing for E_ij, then,
+        with the diagonal blocks, (k, k) standing for H_k = E_kk - E_(k+1)(k+1).
+        p_basis, l_basis and u_basis are these patterns conjugated by U."""
+        blk = self._block_of()
+        n = len(blk)
+        keep = (operator.le if upper else operator.eq) if include_diag_blocks else operator.lt
+        out = [(i, j) for i in range(n) for j in range(n) if i != j and keep(blk[i], blk[j])]
+        if include_diag_blocks:
+            out += [(k, k) for k in range(n - 1)]
         return out
 
     def _conjugated_basis(self, upper: bool, include_diag_blocks: bool) -> list[GElement]:
-        """U E_ij U^-1 for the kept block positions (i, j), then U H_k U^-1,
-        where H_k = E_kk - E_(k+1)(k+1) gives a difference of two frame units."""
-        L = self.algebra
-        n = L.n
-        blk = self._block_of()
+        """U E U^-1 for each element E of the block pattern: one frame unit for
+        E_ij, a difference of two for H_k."""
         U, U_inv = self.U, self.U_inv
         out: list[GElement] = []
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                if include_diag_blocks:
-                    keep = blk[i] <= blk[j] if upper else blk[i] == blk[j]
-                else:
-                    keep = blk[i] < blk[j]
-                if keep:
-                    out.append(L.element(frame_unit(U, U_inv, i, j)))
-        if include_diag_blocks:
-            for k in range(n - 1):
-                H = frame_unit(U, U_inv, k, k) - frame_unit(U, U_inv, k + 1, k + 1)
-                out.append(L.element(H))
+        for i, j in self.block_pattern(upper, include_diag_blocks):
+            m = frame_unit(U, U_inv, i, j)
+            if i == j:
+                m = m - frame_unit(U, U_inv, i + 1, i + 1)
+            out.append(self.algebra.element(m))
         return out
 
     # -- membership and structure -------------------------------------------------

@@ -42,6 +42,15 @@ def random_element(L: LieAlgebraA, rng: Random, gaussian: bool = False) -> GElem
     return L.element_from_coords(coords)
 
 
+def random_combination(L: LieAlgebraA, basis: Sequence[GElement], rng: Random) -> GElement:
+    """Sum of the basis elements with one random rational coefficient each,
+    drawn in basis order."""
+    x = L.zero()
+    for e in basis:
+        x = x + e.scale(Scalar(random_rational(rng)))
+    return x
+
+
 def random_distinct_rationals(rng: Random, k: int, num_bound: int = 9) -> list[Fraction]:
     seen: set[Fraction] = set()
     out: list[Fraction] = []

@@ -1,15 +1,17 @@
 """Named verification suites over a single shift system.
 
 Every check returns a CheckResult; run_verify_suite drives them in a fixed
-order.  Sampled checks draw from seeded generators so identical
-configurations produce identical reports; symbolic checks are exact and
-ignore the sample count.
+order.  A sampled check takes the random generator it draws from and a
+sample count, so mf verify (one seeded generator per check) and the test
+property suites (one generator per instance) run the same code; symbolic
+checks are exact and take neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from random import Random
 
 from .components import (
     critical_value_probe,
@@ -18,8 +20,8 @@ from .components import (
     singular_family_check,
 )
 from .errors import CertificationError, MFError, PreconditionError
-from .flags import BorelAtlas, enumerate_atlas
-from .lie import centralizer
+from .flags import BorelAtlas, FlagParabolic, enumerate_atlas
+from .lie import GElement, centralizer
 from .linalg import mat_inverse, mat_rank, span_le
 from .mfsystem import (
     ShiftSystem,
@@ -37,6 +39,7 @@ from .mpoly import MPoly
 from .sampling import (
     conjugate,
     random_borel_group_element,
+    random_combination,
     random_distinct_rationals,
     random_element,
     random_rational,
@@ -75,12 +78,11 @@ def check_jacobian_certificate(sys_: ShiftSystem) -> CheckResult:
     )
 
 
-def check_shift_reconstruction(sys_: ShiftSystem, samples: int, seed: int) -> CheckResult:
+def check_shift_reconstruction(sys_: ShiftSystem, rng: Random, samples: int) -> CheckResult:
     """f_i(x + lam a) equals the lambda-expansion through the system
     components plus f_i(a) lam^{d_i}, on random points and lambdas."""
     L = sys_.algebra
     a = sys_.a
-    rng = rng_for(f"verify-reconstruction:{L.n}", seed)
     fa = invariant_values_along(a, L.zero(), Scalar(1))
     r = L.rank
     for _ in range(samples):
@@ -110,10 +112,9 @@ def check_homogeneity(sys_: ShiftSystem) -> CheckResult:
     return _result("homogeneity", True, "all components")
 
 
-def check_equivariance(sys_: ShiftSystem, samples: int, seed: int) -> CheckResult:
+def check_equivariance(sys_: ShiftSystem, rng: Random, samples: int) -> CheckResult:
     """F_a(g x g^-1) = F_{g^-1 a g}(x) for unimodular rational g."""
     L = sys_.algebra
-    rng = rng_for(f"verify-equivariance:{L.n}", seed)
     for _ in range(min(samples, 6)):
         g = random_unimodular(L, rng)
         sys2 = build_system(conjugate(mat_inverse(g), sys_.a), certify=False)
@@ -124,18 +125,14 @@ def check_equivariance(sys_: ShiftSystem, samples: int, seed: int) -> CheckResul
     return _result("equivariance", True)
 
 
-def check_borel_invariance(sys_: ShiftSystem, atlas: BorelAtlas,
-                           samples: int, seed: int) -> CheckResult:
-    """F_a restricted to a Borel containing a is invariant under conjugation
+def check_borel_invariance(sys_: ShiftSystem, B: FlagParabolic,
+                           rng: Random, samples: int) -> CheckResult:
+    """F_a restricted to a Borel B containing a is invariant under conjugation
     by the Borel subgroup, realized by upper-triangular rational matrices in
     the adapted basis."""
     L = sys_.algebra
-    B = atlas.borels[0]
-    rng = rng_for(f"verify-borel-invariance:{L.n}", seed)
     for _ in range(samples):
-        x = L.zero()
-        for e in B.p_basis:
-            x = x + e.scale(Scalar(random_rational(rng)))
+        x = random_combination(L, B.p_basis, rng)
         g = B.U * random_borel_group_element(L, rng) * B.U_inv
         y = conjugate(g, x)
         if not B.contains(y):
@@ -145,11 +142,10 @@ def check_borel_invariance(sys_: ShiftSystem, atlas: BorelAtlas,
     return _result("borel-invariance", True, f"{samples} conjugations")
 
 
-def check_vandermonde_generators(sys_: ShiftSystem, samples: int, seed: int) -> CheckResult:
+def check_vandermonde_generators(sys_: ShiftSystem, rng: Random, samples: int) -> CheckResult:
     """g_ij = sum_k lambda_j^k f_ik as exact polynomial identities, for the
     default lambda table and random admissible tables."""
     L = sys_.algebra
-    rng = rng_for(f"verify-vandermonde:{L.n}", seed)
     by_label = dict(zip(sys_.labels, sys_.components))
     tables = [None]
     for _ in range(min(samples, 3)):
@@ -177,25 +173,21 @@ def check_vandermonde_generators(sys_: ShiftSystem, samples: int, seed: int) -> 
     return _result("vandermonde-generators", True, f"{len(tables)} lambda tables")
 
 
-def check_finite_lambda_membership(sys_: ShiftSystem, atlas: BorelAtlas,
-                                   samples: int, seed: int) -> CheckResult:
+def check_finite_lambda_membership(sys_: ShiftSystem, B: FlagParabolic, rng: Random,
+                                   samples: int, fibre_pairs: int) -> CheckResult:
     """Fibre membership via component values agrees with the finite-lambda
-    characteristic-value criterion, on random pairs and on engineered
-    same-fibre pairs (regular semisimple x in a Borel, y in x + [b, b])."""
+    characteristic-value criterion, on `samples` random pairs and on
+    `fibre_pairs` engineered same-fibre pairs (regular semisimple x in the
+    Borel B, y in x + [b, b])."""
     L = sys_.algebra
-    rng = rng_for(f"verify-membership:{L.n}", seed)
     for _ in range(samples):
         x = random_element(L, rng)
         y = random_element(L, rng)
         if fibre_membership(sys_, x, y) != fibre_membership_finite_lambda(sys_, x, y):
             return _result("finite-lambda-membership", False, "criteria disagree")
-    B = atlas.borels[0]
-    for _ in range(min(samples, 10)):
-        d = random_traceless_distinct_diag(L, rng)
-        x = conjugate(B.U, d)
-        y = x
-        for e in B.u_basis:
-            y = y + e.scale(Scalar(random_rational(rng)))
+    for _ in range(fibre_pairs):
+        x = conjugate(B.U, random_traceless_distinct_diag(L, rng))
+        y = x + random_combination(L, B.u_basis, rng)
         if not fibre_membership(sys_, x, y):
             return _result("finite-lambda-membership", False, "nilradical translate left the fibre")
         if not fibre_membership_finite_lambda(sys_, x, y):
@@ -203,11 +195,10 @@ def check_finite_lambda_membership(sys_: ShiftSystem, atlas: BorelAtlas,
     return _result("finite-lambda-membership", True)
 
 
-def check_tangent_triple(sys_: ShiftSystem, samples: int, seed: int) -> CheckResult:
+def check_tangent_triple(sys_: ShiftSystem, rng: Random, samples: int) -> CheckResult:
     """Three tangent-space routes agree at strongly regular points and give
     dimension b - r."""
     L = sys_.algebra
-    rng = rng_for(f"verify-tangent:{L.n}", seed)
     done = 0
     attempts = 0
     while done < min(samples, 6) and attempts < 60:
@@ -227,11 +218,10 @@ def check_tangent_triple(sys_: ShiftSystem, samples: int, seed: int) -> CheckRes
     return _result("tangent-triple", True, f"{done} points, dimension {sys_.b - L.rank}")
 
 
-def check_strong_regularity(sys_: ShiftSystem, samples: int, seed: int) -> CheckResult:
+def check_strong_regularity(sys_: ShiftSystem, rng: Random, samples: int) -> CheckResult:
     """Jacobian-rank and Krylov line certificates agree on random points;
     the origin is never strongly regular."""
     L = sys_.algebra
-    rng = rng_for(f"verify-sreg:{L.n}", seed)
     hits = 0
     try:
         for _ in range(samples):
@@ -246,9 +236,9 @@ def check_strong_regularity(sys_: ShiftSystem, samples: int, seed: int) -> Check
     return _result("strong-regularity", True, f"{hits}/{samples} strongly regular")
 
 
-def check_centralizer_containment(sys_: ShiftSystem, atlas: BorelAtlas) -> CheckResult:
-    """The centralizer of a lies in b^a and in every atlas member."""
-    cent = [e.coords for e in centralizer(sys_.a)]
+def check_centralizer_containment(a: GElement, atlas: BorelAtlas) -> CheckResult:
+    """The centralizer of a lies in b^a and in every member of the atlas."""
+    cent = [e.coords for e in centralizer(a)]
     if not span_le(cent, [e.coords for e in atlas.b_a]):
         return _result("centralizer-containment", False, "not inside b^a")
     for m in atlas.members:
@@ -273,12 +263,8 @@ def check_critical_values(sys_: ShiftSystem, samples: int, seed: int) -> CheckRe
     return _result("critical-values", rep.passed, detail if rep.passed else "; ".join(rep.failures))
 
 
-def check_singular_family(sys_: ShiftSystem, atlas: BorelAtlas, seed: int) -> CheckResult:
-    L = sys_.algebra
-    rng = rng_for(f"verify-singular-family:{L.n}", seed)
-    x = L.zero()
-    for e in atlas.b_a:
-        x = x + e.scale(Scalar(random_rational(rng)))
+def check_singular_family(sys_: ShiftSystem, atlas: BorelAtlas, rng: Random) -> CheckResult:
+    x = random_combination(sys_.algebra, atlas.b_a, rng)
     rep = singular_family_check(sys_, x, atlas)
     return _result("singular-family", rep.passed, rep.detail)
 
@@ -307,21 +293,26 @@ def check_near_section(sys_: ShiftSystem, atlas: BorelAtlas, samples: int, seed:
 
 def run_verify_suite(sys_: ShiftSystem, samples: int = 25, seed: int = 0) -> list[CheckResult]:
     atlas = enumerate_atlas(sys_.a)
+    B = atlas.borels[0]
+
+    def rng(tag: str) -> Random:
+        return rng_for(f"verify-{tag}:{sys_.algebra.n}", seed)
+
     return [
         check_poisson_commutativity(sys_),
         check_jacobian_certificate(sys_),
-        check_shift_reconstruction(sys_, samples, seed),
+        check_shift_reconstruction(sys_, rng("reconstruction"), samples),
         check_homogeneity(sys_),
-        check_equivariance(sys_, samples, seed),
-        check_borel_invariance(sys_, atlas, samples, seed),
-        check_vandermonde_generators(sys_, samples, seed),
-        check_finite_lambda_membership(sys_, atlas, samples, seed),
-        check_tangent_triple(sys_, samples, seed),
-        check_strong_regularity(sys_, min(samples, 12), seed),
-        check_centralizer_containment(sys_, atlas),
+        check_equivariance(sys_, rng("equivariance"), samples),
+        check_borel_invariance(sys_, B, rng("borel-invariance"), samples),
+        check_vandermonde_generators(sys_, rng("vandermonde"), samples),
+        check_finite_lambda_membership(sys_, B, rng("membership"), samples, min(samples, 10)),
+        check_tangent_triple(sys_, rng("tangent"), samples),
+        check_strong_regularity(sys_, rng("sreg"), min(samples, 12)),
+        check_centralizer_containment(sys_.a, atlas),
         check_image_bba(sys_, atlas, min(samples, 12), seed),
         check_critical_values(sys_, min(samples, 20), seed),
-        check_singular_family(sys_, atlas, seed),
+        check_singular_family(sys_, atlas, rng("singular-family")),
         check_tarasov_section(sys_, min(samples, 15), seed),
         check_near_section(sys_, atlas, samples, seed),
     ]

@@ -5,6 +5,12 @@ spread over the five desk-scale representatives (sl_2 s/n, sl_3 s/r/n),
 raising AssertionError with a description on the first violation and
 returning the number of instances actually checked.  All arithmetic is
 exact; a fixed seed makes every run identical.
+
+Where mfatlas.verify has the identity as a check, the suite calls that
+check once per instance with its own seeded generator, so mf verify and
+these suites run the same code.  The other suites check identities that
+verify does not: equivariance through mf_values, numeric Vandermonde
+inversion, a fresh generator per tangent-space attempt, and scaling.
 """
 
 from __future__ import annotations
@@ -19,12 +25,10 @@ from mfatlas.corpus import (
     sl3_semisimple,
 )
 from mfatlas.flags import enumerate_atlas
-from mfatlas.lie import centralizer, sl
-from mfatlas.linalg import ExactMatrix, mat_inverse, solve, span_le
+from mfatlas.lie import sl
+from mfatlas.linalg import ExactMatrix, mat_inverse, solve
 from mfatlas.mfsystem import (
     build_system,
-    fibre_membership,
-    fibre_membership_finite_lambda,
     invariant_values_along,
     is_strongly_regular,
     mf_values,
@@ -32,7 +36,6 @@ from mfatlas.mfsystem import (
 )
 from mfatlas.sampling import (
     conjugate,
-    random_borel_group_element,
     random_distinct_rationals,
     random_element,
     random_rational,
@@ -41,6 +44,13 @@ from mfatlas.sampling import (
     rng_for,
 )
 from mfatlas.scalar import Scalar
+from mfatlas.verify import (
+    check_borel_invariance,
+    check_centralizer_containment,
+    check_finite_lambda_membership,
+    check_homogeneity,
+    check_shift_reconstruction,
+)
 
 REP_KEYS = ("sl2-s", "sl2-n", "sl3-s", "sl3-r", "sl3-n")
 
@@ -66,6 +76,10 @@ def atlas_for(key: str):
     return enumerate_atlas(representative(key))
 
 
+def _require(result, where: str) -> None:
+    assert result.passed, f"{result.name} failed for {where}: {result.detail}"
+
+
 def _round_robin(instances: int):
     for k in range(instances):
         yield REP_KEYS[k % len(REP_KEYS)]
@@ -76,24 +90,8 @@ def suite_reconstruction(instances: int = 100, seed: int = 0) -> int:
     checked = 0
     for key in _round_robin(instances):
         sys_ = system_for(key)
-        L = sys_.algebra
         rng = rng_for(f"prop-reconstruction:{key}:{checked}", seed)
-        x = random_element(L, rng)
-        lam = Scalar(random_rational(rng))
-        fa = invariant_values_along(sys_.a, L.zero(), Scalar(1))
-        lhs = invariant_values_along(sys_.a, x, lam)
-        vals = sys_.evaluate(x)
-        r = L.rank
-        for i in range(r):
-            d = sys_.degrees[i]
-            idx = r + sum(sys_.degrees[k] - 1 for k in range(i))
-            acc = vals[i]
-            pw = Scalar(1)
-            for j in range(1, d):
-                pw = pw * lam
-                acc = acc + vals[idx + j - 1] * pw
-            acc = acc + fa[i] * pw * lam
-            assert acc == lhs[i], f"reconstruction failed for {key}, generator {i + 1}"
+        _require(check_shift_reconstruction(sys_, rng, 1), key)
         checked += 1
     return checked
 
@@ -101,11 +99,7 @@ def suite_reconstruction(instances: int = 100, seed: int = 0) -> int:
 def suite_homogeneity(instances: int = 100, seed: int = 0) -> int:
     """f_ij(t x) = t^{d_i - j} f_ij(x); degrees also certified symbolically."""
     for key in REP_KEYS:
-        sys_ = system_for(key)
-        for (i, j), comp in zip(sys_.labels, sys_.components):
-            assert comp.homogeneous_degree() == sys_.degrees[i - 1] - j, (
-                f"non-homogeneous component {(i, j)} for {key}"
-            )
+        _require(check_homogeneity(system_for(key)), key)
     checked = 0
     for key in _round_robin(instances):
         sys_ = system_for(key)
@@ -147,17 +141,10 @@ def suite_borel_invariance(instances: int = 100, seed: int = 0) -> int:
     checked = 0
     for key in _round_robin(instances):
         sys_ = system_for(key)
-        L = sys_.algebra
-        atlas = atlas_for(key)
+        borels = atlas_for(key).borels
         rng = rng_for(f"prop-borel:{key}:{checked}", seed)
-        B = atlas.borels[checked % len(atlas.borels)]
-        x = L.zero()
-        for e in B.p_basis:
-            x = x + e.scale(Scalar(random_rational(rng)))
-        g = B.U * random_borel_group_element(L, rng) * B.U_inv
-        y = conjugate(g, x)
-        assert B.contains(y), f"conjugate left the Borel for {key}"
-        assert sys_.evaluate(y) == sys_.evaluate(x), f"B-invariance failed for {key}"
+        B = borels[checked % len(borels)]
+        _require(check_borel_invariance(sys_, B, rng, 1), key)
         checked += 1
     return checked
 
@@ -199,25 +186,11 @@ def suite_finite_lambda(instances: int = 100, seed: int = 0) -> int:
     checked = 0
     for key in _round_robin(instances):
         sys_ = system_for(key)
-        L = sys_.algebra
         rng = rng_for(f"prop-membership:{key}:{checked}", seed)
-        if checked % 3 == 2:
-            # same-fibre pair: regular semisimple x in a Borel, y in x + [b, b]
-            B = atlas_for(key).borels[0]
-            x = conjugate(B.U, random_traceless_distinct_diag(L, rng))
-            y = x
-            for e in B.u_basis:
-                y = y + e.scale(Scalar(random_rational(rng)))
-            assert fibre_membership(sys_, x, y), f"fibre pair rejected for {key}"
-            assert fibre_membership_finite_lambda(sys_, x, y), (
-                f"finite-lambda criterion rejected a fibre pair for {key}"
-            )
-        else:
-            x = random_element(L, rng)
-            y = random_element(L, rng)
-            assert fibre_membership(sys_, x, y) == fibre_membership_finite_lambda(
-                sys_, x, y
-            ), f"membership criteria disagree for {key}"
+        # every third instance is a same-fibre pair, the others a random pair
+        random_pairs, fibre_pairs = (0, 1) if checked % 3 == 2 else (1, 0)
+        B = atlas_for(key).borels[0]
+        _require(check_finite_lambda_membership(sys_, B, rng, random_pairs, fibre_pairs), key)
         checked += 1
     return checked
 
@@ -258,13 +231,7 @@ def suite_containment(instances: int = 100, seed: int = 0) -> int:
         else:
             base = representative("sl2-s" if n == 2 else "sl3-r")
         a = conjugate(random_unimodular(L, rng), base)
-        atlas = enumerate_atlas(a, verify=False)
-        cent = [e.coords for e in centralizer(a)]
-        assert span_le(cent, [e.coords for e in atlas.b_a]), (
-            f"centralizer escapes b^a (n={n})"
-        )
-        for m in atlas.members:
-            assert span_le(cent, m.p_span), f"centralizer escapes a member (n={n})"
+        _require(check_centralizer_containment(a, enumerate_atlas(a, verify=False)), f"n={n}")
         checked += 1
     return checked
 

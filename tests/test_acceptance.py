@@ -5,9 +5,16 @@ Run order matters only for the shared caches; every criterion is
 self-contained and exact."""
 
 import time
-from itertools import combinations
 
-from property_suites import ALL_SUITES, run_suite_cached
+from property_suites import (
+    ALL_SUITES,
+    REP_KEYS,
+    _require,
+    atlas_for,
+    representative,
+    run_suite_cached,
+    system_for,
+)
 
 from mfatlas.components import (
     count_zero_fibre,
@@ -26,27 +33,14 @@ from mfatlas.corpus import (
     check_sl3_exotic_nilpotent,
     check_sl3_exotic_semisimple,
     check_sl3_printed_system,
-    sl2_nilpotent,
-    sl2_semisimple,
-    sl3_mixed,
-    sl3_nilpotent,
-    sl3_semisimple,
 )
-from mfatlas.flags import enumerate_atlas
-from mfatlas.linalg import mat_rank
-from mfatlas.mfsystem import build_system, poisson_bracket_grads, tarasov_check
-from mfatlas.sampling import random_rational, rng_for
-from mfatlas.scalar import Scalar
+from mfatlas.mfsystem import tarasov_check
+from mfatlas.sampling import random_combination, rng_for
+from mfatlas.verify import check_jacobian_certificate, check_poisson_commutativity
 
-REPS = {
-    "sl2-s": sl2_semisimple(1),
-    "sl2-n": sl2_nilpotent(),
-    "sl3-s": sl3_semisimple(1, 2),
-    "sl3-r": sl3_mixed(1),
-    "sl3-n": sl3_nilpotent(),
-}
-SYSTEMS = {k: build_system(a) for k, a in REPS.items()}
-ATLASES = {k: enumerate_atlas(a) for k, a in REPS.items()}
+REPS = {k: representative(k) for k in REP_KEYS}
+SYSTEMS = {k: system_for(k) for k in REP_KEYS}
+ATLASES = {k: atlas_for(k) for k in REP_KEYS}
 
 
 def _criterion(num: int, slug: str, fn):
@@ -59,21 +53,12 @@ def _criterion(num: int, slug: str, fn):
     print(f"[criterion {num:02d}] {slug}: PASS{suffix}", flush=True)
 
 
-def _require(results):
-    for r in results:
-        assert r.passed, f"{r.name}: {r.detail}"
-    return results
-
-
 def test_criterion_01_poisson_commutativity():
     def run():
         t0 = time.time()
-        pairs = 0
         for key, sys_ in SYSTEMS.items():
-            grads = sys_.component_gradients()
-            for Gf, Gg in combinations(grads, 2):
-                assert poisson_bracket_grads(sys_.algebra, Gf, Gg).is_zero(), key
-                pairs += 1
+            _require(check_poisson_commutativity(sys_), key)
+        pairs = sum(s.b * (s.b - 1) // 2 for s in SYSTEMS.values())
         elapsed = time.time() - t0
         assert elapsed < 30.0, f"{elapsed:.1f}s over budget"
         return f"{pairs} bracket pairs identically zero in {elapsed:.1f}s"
@@ -84,8 +69,7 @@ def test_criterion_01_poisson_commutativity():
 def test_criterion_02_free_generation_certificate():
     def run():
         for key, sys_ in SYSTEMS.items():
-            rank = mat_rank(sys_.jacobian_at(sys_.certificate_point))
-            assert rank == sys_.b, f"{key}: rank {rank} != {sys_.b}"
+            _require(check_jacobian_certificate(sys_), key)
         return "rank b certificates for all five shift elements"
 
     _criterion(2, "free-generation-certificate", run)
@@ -93,13 +77,14 @@ def test_criterion_02_free_generation_certificate():
 
 def test_criterion_03_sl2_closed_forms():
     def run():
-        _require([
+        for r in (
             check_sl2_printed_system(),
             check_sl2_zero_fibre(),
             check_sl2_semisimple_fibre_split(100, 0),
             check_sl2_singular_images(100, 0),
             check_sl2_nilpotent_fibres(100, 0),
-        ])
+        ):
+            _require(r, "sl2")
         return "printed systems, case-split identities, 100-sample images"
 
     _criterion(3, "sl2-closed-forms", run)
@@ -107,8 +92,9 @@ def test_criterion_03_sl2_closed_forms():
 
 def test_criterion_04_sl3_atlas_tables():
     def run():
-        _require([check_sl3_printed_system(), check_sl3_atlas_tables(),
-                  check_sl3_bba_restrictions()])
+        for r in (check_sl3_printed_system(), check_sl3_atlas_tables(),
+                  check_sl3_bba_restrictions()):
+            _require(r, "sl3")
         counts = {
             key: (len(ATLASES[key].borels), len(ATLASES[key].parabolics))
             for key in ("sl3-s", "sl3-r", "sl3-n")
@@ -138,11 +124,12 @@ def test_criterion_05_recursive_count():
 
 def test_criterion_06_exotic_witnesses():
     def run():
-        _require([
+        for r in (
             check_sl3_exotic_semisimple(),
             check_sl3_exotic_mixed(),
             check_sl3_exotic_nilpotent(),
-        ])
+        ):
+            _require(r, "sl3")
         return "three witnesses: value zero, outside every member, x^2 != 0 = x^3"
 
     _criterion(6, "exotic-witnesses", run)
@@ -172,12 +159,9 @@ def test_criterion_08_singular_family():
         for key in ("sl2-s", "sl3-s", "sl3-r"):
             sys_ = SYSTEMS[key]
             atlas = ATLASES[key]
-            L = sys_.algebra
             rng = rng_for(f"acceptance-singular:{key}", 0)
             for k in range(20):
-                x = L.zero()
-                for e in atlas.b_a:
-                    x = x + e.scale(Scalar(random_rational(rng)))
+                x = random_combination(sys_.algebra, atlas.b_a, rng)
                 rep = singular_family_check(sys_, x, atlas)
                 assert rep.passed and not rep.expected_failure, f"{key}[{k}]"
         for key in ("sl2-n", "sl3-n"):

@@ -48,7 +48,7 @@ def test_build_accepts_regular_matrix_with_nilpotent_part(tmp_path, capsys):
     assert json.loads(out)["b"] == 5
 
 
-def test_bad_param_and_bad_n(capsys):
+def test_bad_param_and_bad_n(tmp_path, capsys):
     code, _, err = _run(capsys, "build", "--n", "1", "--element", "s")
     assert code == 2
     code, _, err = _run(capsys, "build", "--n", "2", "--element", "s", "--param", "x")
@@ -65,6 +65,13 @@ def test_bad_param_and_bad_n(capsys):
         code, out, err = _run(capsys, *argv)
         assert code == 2 and out == ""
         assert err == "error: invalid input: --samples must be at least 1\n"
+    big = tmp_path / "sl5.json"
+    big.write_text(json.dumps({"n": 5, "entries": [[str(i - 2) if i == j else "0"
+                                                    for j in range(5)] for i in range(5)]}))
+    for argv in (("build", "--n", "5"), ("verify", "--n", "9", "--element", "n"),
+                 ("atlas", "--matrix", str(big)), ("count", "--n", "5", "--matrix", str(big))):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: invalid input: n must be at most 4\n")
 
 
 def test_atlas_counts(capsys):

@@ -3,9 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from property_suites import representative
 
 from mfatlas.corpus import (
-    sl2_nilpotent,
     sl2_semisimple,
     sl3_mixed,
     sl3_nilpotent,
@@ -49,18 +49,11 @@ def test_atlas_counts_all_representatives():
         "sl3-r": (3, 4),
         "sl3-n": (1, 2),
     }
-    els = {
-        "sl2-s": sl2_semisimple(1),
-        "sl2-n": sl2_nilpotent(),
-        "sl3-s": sl3_semisimple(1, 2),
-        "sl3-r": sl3_mixed(1),
-        "sl3-n": sl3_nilpotent(),
-    }
     for key, (nb, np_) in expect.items():
-        atlas = enumerate_atlas(els[key])
+        atlas = enumerate_atlas(representative(key))
         assert (len(atlas.borels), len(atlas.parabolics)) == (nb, np_), key
         for m in atlas.members:
-            assert m.contains(els[key])
+            assert m.contains(representative(key))
             m.verify()
 
 
@@ -120,8 +113,8 @@ def test_b_a_masks():
         "r": ("**0", "0*0", "00*"),
         "n": ("***", "0**", "00*"),
     }
-    els = {"s": sl3_semisimple(1, 2), "r": sl3_mixed(1), "n": sl3_nilpotent()}
-    for key, a in els.items():
+    for key in masks:
+        a = representative(f"sl3-{key}")
         atlas = enumerate_atlas(a)
         got = tuple(mask_strings(support_mask(a.algebra, atlas.b_a)))
         assert got == masks[key], key

@@ -7,6 +7,8 @@ off the elements as given.  These tests recompute each from its definition:
 two full matrix products per basis element, the dimension of the stabilizer
 of a flag of composition k (sum over i <= j of k_i k_j, less 1 for the
 trace), and the support read off the canonical basis of the span.
+components.levi_system writes its Levi chart from the same block pattern;
+its polynomials are rebuilt here from the products U^-1 l U.
 """
 
 import itertools
@@ -14,6 +16,7 @@ from functools import lru_cache
 
 import pytest
 
+from mfatlas.components import levi_system
 from mfatlas.corpus import sl3_mixed, sl3_nilpotent, sl3_semisimple
 from mfatlas.flags import (
     _stabilizer_dimension,
@@ -26,6 +29,7 @@ from mfatlas.flags import (
 )
 from mfatlas.lie import sl
 from mfatlas.linalg import ExactMatrix, mat_inverse
+from mfatlas.mpoly import MPoly, mpoly_mat_mul, mpoly_mat_trace
 
 
 def _shift(n):
@@ -112,3 +116,26 @@ def test_support_mask_matches_echelon_definition(key):
     for p in atlas.members:
         for elems in (p.p_basis, p.l_basis, p.u_basis):
             assert support_mask(L, elems) == _echelon_mask(L, elems)
+
+
+@pytest.mark.parametrize("key", ["sl3-s", "sl3-r", "sl3-n", "sl4-s"])
+def test_levi_system_matches_conjugation_products(key):
+    a = SHIFTS[key]()
+    n = a.algebra.n
+    for p in _atlas(key).parabolics:
+        svars, polys = levi_system(p, a)
+        ext, zero = svars + ("lam",), MPoly.zero(svars + ("lam",))
+        conj = [p.U_inv * e.matrix * p.U for e in p.l_basis]
+        shift = p.U_inv * a.matrix * p.U
+        X = [[sum((MPoly.var(ext, s) * c.entries[i][j] for s, c in zip(svars, conj)), zero)
+              + MPoly.var(ext, "lam") * shift.entries[i][j] for j in range(n)] for i in range(n)]
+        offsets = [sum(p.blocks[:b]) for b in range(len(p.blocks))]
+        blocks = [[row[o:o + k] for row in X[o:o + k]] for o, k in zip(offsets, p.blocks)]
+        want = [mpoly_mat_trace(M).collect("lam")[0].project(svars) for M in blocks]
+        for M in blocks:
+            P = M
+            for d in range(2, len(M) + 1):
+                P = mpoly_mat_mul(P, M)
+                tr = mpoly_mat_trace(P).collect("lam")
+                want += [tr.get(j, zero).project(svars) for j in range(d)]
+        assert polys == want, (key, p)

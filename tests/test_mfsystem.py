@@ -5,14 +5,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from property_suites import REP_KEYS, representative, system_for
 
-from mfatlas.corpus import (
-    sl2_nilpotent,
-    sl2_semisimple,
-    sl3_mixed,
-    sl3_nilpotent,
-    sl3_semisimple,
-)
 from mfatlas.errors import PreconditionError, RegularityError
 from mfatlas.lie import sl
 from mfatlas.linalg import ExactMatrix, mat_rank
@@ -35,14 +29,8 @@ from mfatlas.mfsystem import (
 from mfatlas.sampling import random_element, rng_for
 from mfatlas.scalar import Scalar
 
-REPS = {
-    "sl2-s": sl2_semisimple(1),
-    "sl2-n": sl2_nilpotent(),
-    "sl3-s": sl3_semisimple(1, 2),
-    "sl3-r": sl3_mixed(1),
-    "sl3-n": sl3_nilpotent(),
-}
-SYSTEMS = {k: build_system(a) for k, a in REPS.items()}
+REPS = {k: representative(k) for k in REP_KEYS}
+SYSTEMS = {k: system_for(k) for k in REP_KEYS}
 
 
 def test_shapes_and_labels():
@@ -197,13 +185,13 @@ def test_tangent_space_dimension():
 def test_tarasov_reports():
     rep2 = tarasov_check(REPS["sl2-s"], sample_count=10, seed=0)
     assert rep2.passed and rep2.section_dim == 2
-    rep3 = tarasov_check(sl3_semisimple(1, 2), sample_count=10, seed=0)
+    rep3 = tarasov_check(REPS["sl3-s"], sample_count=10, seed=0)
     assert rep3.passed and rep3.section_dim == 5
     assert rep3.strong_regular_checked == 10
     with pytest.raises(PreconditionError):
         tarasov_check(REPS["sl3-r"], sample_count=5, seed=0)
     with pytest.raises(PreconditionError):
-        tarasov_check(sl3_nilpotent(), sample_count=5, seed=0)
+        tarasov_check(REPS["sl3-n"], sample_count=5, seed=0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

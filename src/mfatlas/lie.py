@@ -10,6 +10,12 @@ polynomial in the package is written in these variables, in this order.
 The invariant form used everywhere is the trace form <x, y> = tr(xy); it is
 proportional to the Killing form (factor 2n), which is kept available as an
 independent oracle.
+
+Regularity costs n - 2 products of n x n matrices and one rank of an
+n x n^2 matrix: x in sl_n is regular iff it is nonderogatory (Kostant 1963),
+i.e. iff I, x, ..., x^{n-1} are linearly independent.  The textbook test,
+dim ker ad_x = n - 1 on the (n^2 - 1) x (n^2 - 1) matrix ad_x, is its
+oracle in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from math import ceil, log2
 from typing import Sequence
 
 from .errors import AlgebraMismatchError, PreconditionError
-from .linalg import ExactMatrix, canonical_basis, mat_kernel, char_poly, min_poly
+from .linalg import ExactMatrix, canonical_basis, char_poly, mat_kernel, mat_rank
 from .mpoly import MPoly
 from .scalar import Scalar, as_scalar, scalar_from_str
 from . import unipoly as up
@@ -272,15 +278,13 @@ def centralizer(x: GElement) -> list[GElement]:
 
 
 def is_regular(x: GElement) -> bool:
-    """dim ker ad_x == rank.  Cross-checked in tests against the
-    nonderogatory criterion (char poly == min poly)."""
-    ker = mat_kernel(ad_matrix(x))
-    return len(ker) == x.algebra.rank
-
-
-def is_regular_nonderogatory(x: GElement) -> bool:
-    """Oracle: x is regular iff its char poly equals its min poly."""
-    return char_poly(x.matrix) == min_poly(x.matrix)
+    """x is regular iff I, x, ..., x^{n-1} are linearly independent: the
+    rank of the n x n^2 matrix of their flattened entries is n."""
+    n = x.algebra.n
+    powers = [ExactMatrix.identity(n), x.matrix]
+    for _ in range(n - 2):
+        powers.append(powers[-1] * x.matrix)
+    return mat_rank(ExactMatrix([[v for row in p.entries for v in row] for p in powers])) == n
 
 
 @dataclass(frozen=True)

@@ -294,36 +294,6 @@ def char_poly(m: ExactMatrix) -> list[Scalar]:
     return coeffs
 
 
-def min_poly(m: ExactMatrix) -> list[Scalar]:
-    """Monic minimal polynomial coefficients, low degree first.
-
-    Finds the first power m^d that is a combination of lower powers,
-    working on vectorised matrices.
-    """
-    if m.rows != m.cols:
-        raise ValueError("min_poly needs a square matrix")
-    n = m.rows
-    powers = [ExactMatrix.identity(n)]
-    vecs = [_vec(powers[0])]
-    while True:
-        nxt = powers[-1] * m
-        target = _vec(nxt)
-        A = ExactMatrix.from_columns(vecs)
-        x = solve(A, target)
-        if x is not None:
-            d = len(vecs)
-            coeffs = [-c for c in x] + [Scalar(1)]
-            return coeffs
-        powers.append(nxt)
-        vecs.append(target)
-        if len(vecs) > n * n + 1:
-            raise RuntimeError("min_poly failed to terminate")
-
-
-def _vec(m: ExactMatrix) -> Vector:
-    return tuple(v for row in m.entries for v in row)
-
-
 # -- canonical subspaces -------------------------------------------------------
 
 

@@ -14,6 +14,17 @@ functionally independent, the assembled system is certified of full rank b
 at a witness point, and strong regularity of a point is certified both by
 the Jacobian rank criterion and by a Krylov determinant certificate for
 regularity of the whole line x + C a.
+
+Values and the Jacobian at a point share one lambda-power chain: the
+coefficient matrices C_0, ..., C_k of M^k, M = x + lambda a, each power
+built from the last by n x n products.  Since the gradient of tr(M^d) is
+d M^{d-1}, the Jacobian row of f_ij is d C_j of M^{d-1} paired with the
+coordinate basis.  The values pair two powers in <P, Q> = tr(P Q):
+tr(M^d) = <M^{floor(d/2)}, M^{ceil(d/2)}>, so the power M^d itself is never
+formed and the chain stops at M^{ceil(n/2)}; for d <= 3 this reads
+<C_j, x> + <C_{j-1}, a> off M^{d-1}.  The symbolic routes (substituting x
+into the components, and differentiating them) are the oracles for both, in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ from .errors import (
     RegularityError,
 )
 from .lie import GElement, LieAlgebraA, bracket, is_regular
-from .linalg import ExactMatrix, Vector, canonical_basis, mat_rank
+from .linalg import ExactMatrix, Vector, _dot, canonical_basis, mat_rank
 from .mpoly import MPoly, affine_chart, mpoly_det, mpoly_mat_mul, mpoly_mat_trace
 from .sampling import random_element, random_rational, rng_for
 from .scalar import Scalar, as_scalar
@@ -122,24 +133,17 @@ class ShiftSystem:
         self.degrees = [i + 1 for i in range(1, self.algebra.n)]
         self.b = self.algebra.b
         self.certificate_point = certificate_point
-        self._jacobian: list[list[MPoly]] | None = None
         self._gradients: list[list[list[MPoly]]] | None = None
         self._gen_gradients: list[list[list[MPoly]]] | None = None
 
     # -- evaluation ---------------------------------------------------------------
 
     def evaluate(self, x: GElement) -> FibreValue:
-        """Value vector of all components at x, via the lambda-matrix trace
-        path (no symbolic substitution)."""
+        """Value vector of all components at x, via the lambda-power chain
+        (no symbolic substitution)."""
         if x.algebra != self.algebra:
             raise AlgebraMismatchError("point from a different algebra")
         return mf_values(self.a, x)
-
-    def evaluate_symbolic(self, x: GElement) -> FibreValue:
-        """Independent evaluation path: plug coordinates into the symbolic
-        components."""
-        point = dict(zip(self.algebra.coord_names, x.coords))
-        return tuple(c.eval(point) for c in self.components)
 
     @property
     def display_scale(self) -> tuple[Scalar, ...]:
@@ -161,19 +165,20 @@ class ShiftSystem:
 
     # -- derivatives -------------------------------------------------------------------
 
-    def jacobian_polys(self) -> list[list[MPoly]]:
-        if self._jacobian is None:
-            self._jacobian = [
-                [c.diff(v) for v in self.algebra.coord_names]
-                for c in self.components
-            ]
-        return self._jacobian
-
     def jacobian_at(self, x: GElement) -> ExactMatrix:
-        point = dict(zip(self.algebra.coord_names, x.coords))
-        return ExactMatrix(
-            [[e.eval(point) for e in row] for row in self.jacobian_polys()]
-        )
+        """dF_a(x) in the coordinate chart.  Row (i, j) is d C_j, with d = i + 1
+        and C_j the lambda^j coefficient of (x + lambda a)^{d-1}, read at x_pq
+        as C_j[q][p] and at h_k as C_j[k][k] - C_j[k+1][k+1]."""
+        L = self.algebra
+        chain = _power_chain(self.a, x, L.n - 1)
+        rows = []
+        for i, j in self.labels:
+            C = chain[i - 1][j].entries
+            d = Scalar(i + 1)
+            row = [C[q][p] for (p, q) in L.offdiag_positions]
+            row += [C[k][k] - C[k + 1][k + 1] for k in range(L.n - 1)]
+            rows.append([d * v for v in row])
+        return ExactMatrix(rows)
 
     def component_gradients(self) -> list[list[list[MPoly]]]:
         """Trace-form gradient matrices of every component."""
@@ -222,50 +227,50 @@ def build_system(a: GElement, certify: bool = True) -> ShiftSystem:
     return sys_
 
 
-# -- fast value path -----------------------------------------------------------------
+# -- the lambda-power chain: values and Jacobian ----------------------------------------
 
 
-def _uni_mat_mul(A, B):
-    n = len(A)
-    m = len(B[0])
-    k = len(B)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc: up.Poly = ()
-            for t in range(k):
-                acc = up.uni_add(acc, up.uni_mul(A[i][t], B[t][j]))
-            row.append(acc)
-        out.append(row)
-    return out
+def _power_chain(a: GElement, x: GElement, top: int) -> list[list[ExactMatrix]]:
+    """Entry k - 1 holds the lambda-coefficients [C_0, ..., C_k] of
+    (x + lambda a)^k, for k = 1..top; each power is the last one times
+    x + lambda a."""
+    X, A = x.matrix, a.matrix
+    chain = [[X, A]]
+    while len(chain) < top:
+        C = chain[-1]
+        nxt = [C[0] * X]
+        nxt.extend(C[j] * X + C[j - 1] * A for j in range(1, len(C)))
+        nxt.append(C[-1] * A)
+        chain.append(nxt)
+    return chain
+
+
+def _pair(P: ExactMatrix, Q: ExactMatrix) -> Scalar:
+    """tr(P Q), without forming P Q."""
+    return sum((_dot(r, c) for r, c in zip(P.entries, zip(*Q.entries))), Scalar(0))
 
 
 def mf_values(a: GElement, x: GElement) -> FibreValue:
-    """All component values of F_a at x, reading lambda-coefficients off
-    tr((x + lambda a)^d).  Works for any a (regularity not needed to
-    evaluate); order matches ShiftSystem.components."""
+    """All component values of F_a at x.  With P and Q the power chain's
+    coefficients of (x + lambda a)^{floor(d/2)} and (x + lambda a)^{ceil(d/2)},
+    the lambda^j coefficient of tr((x + lambda a)^d) is sum_s <P_s, Q_{j-s}>,
+    so the chain stops at the power ceil(n/2).  Works for any a (regularity
+    not needed to evaluate); order matches ShiftSystem.components."""
     if a.algebra != x.algebra:
         raise AlgebraMismatchError("mixed algebras")
     n = a.algebra.n
-    M = [
-        [
-            up.uni([x.matrix.entries[i][j], a.matrix.entries[i][j]])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    chain = _power_chain(a, x, (n + 1) // 2)
     heads: list[Scalar] = []
     tails: list[Scalar] = []
-    P = M
     for d in range(2, n + 1):
-        P = _uni_mat_mul(P, M)
-        tr: up.Poly = ()
-        for i in range(n):
-            tr = up.uni_add(tr, P[i][i])
-        coeffs = list(tr) + [Scalar(0)] * (d + 1 - len(tr))
+        P, Q = chain[d // 2 - 1], chain[(d + 1) // 2 - 1]
+        coeffs = [Scalar(0)] * d
+        for s, left in enumerate(P):
+            for t, right in enumerate(Q):
+                if s + t < d:
+                    coeffs[s + t] = coeffs[s + t] + _pair(left, right)
         heads.append(coeffs[0])
-        tails.extend(coeffs[1:d])
+        tails.extend(coeffs[1:])
     return tuple(heads + tails)
 
 
@@ -577,18 +582,18 @@ class TarasovReport:
     failures: list[str] = field(default_factory=list)
 
 
-def tarasov_check(a: GElement, sample_count: int = 50, seed: int = 0) -> TarasovReport:
+def tarasov_check(sys_: ShiftSystem, sample_count: int = 50, seed: int = 0) -> TarasovReport:
     """Certify that xi + b is a section of F_a for diagonal regular a:
     the restricted Jacobian determinant is a nonzero constant, sampled
     section points are strongly regular, and sampled distinct pairs take
     distinct values."""
-    L = a.algebra
+    L = sys_.algebra
+    a = sys_.a
     if not a.is_diagonal():
         raise PreconditionError("the section check needs a diagonal shift element")
     diag = [a.matrix.entries[i][i] for i in range(L.n)]
     if len({(d.re, d.im) for d in diag}) != L.n:
         raise PreconditionError("diagonal entries must be pairwise distinct")
-    sys_ = build_system(a)
     tvars = tuple(f"t{k + 1}" for k in range(L.b))
     chart = affine_chart(tvars, *section_chart(L))
     mapping = dict(zip(L.coord_names, chart))

@@ -271,7 +271,7 @@ def check_singular_family(sys_: ShiftSystem, atlas: BorelAtlas, rng: Random) -> 
 
 def check_tarasov_section(sys_: ShiftSystem, samples: int, seed: int) -> CheckResult:
     try:
-        rep = tarasov_check(sys_.a, sample_count=samples, seed=seed)
+        rep = tarasov_check(sys_, sample_count=samples, seed=seed)
     except PreconditionError as exc:
         return _result("tarasov-section", True, f"skipped: {exc}")
     if not rep.passed:

@@ -16,11 +16,7 @@ from property_suites import (
     system_for,
 )
 
-from mfatlas.components import (
-    count_zero_fibre,
-    image_bba_check,
-    singular_family_check,
-)
+from mfatlas.components import count_zero_fibre, image_bba_check
 from mfatlas.corpus import (
     check_sl2_nilpotent_fibres,
     check_sl2_printed_system,
@@ -33,9 +29,9 @@ from mfatlas.corpus import (
     check_sl3_exotic_nilpotent,
     check_sl3_exotic_semisimple,
     check_sl3_printed_system,
+    check_singular_families,
 )
 from mfatlas.mfsystem import tarasov_check
-from mfatlas.sampling import random_combination, rng_for
 from mfatlas.verify import check_jacobian_certificate, check_poisson_commutativity
 
 REPS = {k: representative(k) for k in REP_KEYS}
@@ -156,17 +152,7 @@ def test_criterion_07_image_of_bba():
 
 def test_criterion_08_singular_family():
     def run():
-        for key in ("sl2-s", "sl3-s", "sl3-r"):
-            sys_ = SYSTEMS[key]
-            atlas = ATLASES[key]
-            rng = rng_for(f"acceptance-singular:{key}", 0)
-            for k in range(20):
-                x = random_combination(sys_.algebra, atlas.b_a, rng)
-                rep = singular_family_check(sys_, x, atlas)
-                assert rep.passed and not rep.expected_failure, f"{key}[{k}]"
-        for key in ("sl2-n", "sl3-n"):
-            rep = singular_family_check(SYSTEMS[key], REPS[key], ATLASES[key])
-            assert rep.passed and rep.expected_failure, key
+        _require(check_singular_families(20, 0), "sl2 s, sl3 s/r, sl2 n, sl3 n")
         return "two-Borel certificates on 20 points each; nilpotent expected-failure"
 
     _criterion(8, "singular-family", run)
@@ -174,8 +160,8 @@ def test_criterion_08_singular_family():
 
 def test_criterion_09_tarasov_section():
     def run():
-        rep2 = tarasov_check(REPS["sl2-s"], sample_count=50, seed=0)
-        rep3 = tarasov_check(REPS["sl3-s"], sample_count=50, seed=0)
+        rep2 = tarasov_check(SYSTEMS["sl2-s"], sample_count=50, seed=0)
+        rep3 = tarasov_check(SYSTEMS["sl3-s"], sample_count=50, seed=0)
         for rep in (rep2, rep3):
             assert rep.passed, rep.failures
             assert rep.jacobian_constant not in ("0", "")

@@ -1,5 +1,6 @@
 """sl_n structure: brackets, forms, centralizers, regularity, Jordan
-decomposition, Weyl action."""
+decomposition, Weyl action.  Regularity is cross-checked against the ad_x
+kernel oracle of oracles.py."""
 
 from fractions import Fraction
 
@@ -14,7 +15,6 @@ from mfatlas.lie import (
     centralizer,
     invariant_form,
     is_regular,
-    is_regular_nonderogatory,
     jordan_chevalley,
     killing_form,
     sl,
@@ -22,8 +22,15 @@ from mfatlas.lie import (
     weyl_stabilizer,
 )
 from mfatlas.linalg import ExactMatrix
-from mfatlas.sampling import random_element, rng_for
+from mfatlas.sampling import (
+    conjugate,
+    random_distinct_rationals,
+    random_element,
+    random_unimodular,
+    rng_for,
+)
 from mfatlas.scalar import Scalar
+from oracles import is_regular_ad_kernel
 
 
 def _el(L, rows):
@@ -105,11 +112,77 @@ def test_regularity():
     assert is_regular(_el(L, [[1, 1, 0], [0, 1, 0], [0, 0, -2]]))
     assert not is_regular(_el(L, [[1, 0, 0], [0, 1, 0], [0, 0, -2]]))
     assert not is_regular(L.zero())
-    # regular iff nonderogatory for sl_n
-    rng = rng_for("lie-reg", 0)
-    for _ in range(15):
-        x = random_element(L, rng)
-        assert is_regular(x) == is_regular_nonderogatory(x)
+
+
+def _regularity_cases(n):
+    """(label, element, expected verdict or None) for sl_n: zero, the
+    minimal, subregular and regular nilpotents and repeated-eigenvalue
+    diagonals (with and without a Jordan block on the repeated eigenvalue),
+    each also conjugated to a dense matrix, then random rational and Gaussian
+    points."""
+    L = sl(n)
+    rng = rng_for(f"lie-reg-oracle:{n}", 0)
+
+    def units(cells):
+        return ExactMatrix([[int((i, j) in cells) for j in range(n)] for i in range(n)])
+
+    bases = [
+        ("zero", L.zero(), False),
+        ("minimal nilpotent", L.element(units({(0, n - 1)})), n == 2),
+        ("subregular nilpotent", L.element(units({(i, i + 1) for i in range(n - 2)})), False),
+        ("regular nilpotent", L.element(units({(i, i + 1) for i in range(n - 1)})), True),
+    ]
+    if n >= 3:
+        for _ in range(3):
+            vals = random_distinct_rationals(rng, n - 2)
+            d = [vals[0], vals[0]] + vals[1:]
+            d.append(-sum(d))
+            diag = L.element(ExactMatrix.diagonal(d))
+            bases.append(("repeated-eigenvalue diagonal", diag, False))
+            bases.append(("repeated eigenvalue, Jordan block", diag + L.element(units({(0, 1)})), None))
+    cases = []
+    for label, x, want in bases:
+        cases.append((label, x, want))
+        cases.append((f"conjugated {label}", conjugate(random_unimodular(L, rng), x), want))
+    for k in range(10):
+        cases.append((f"random {k}", random_element(L, rng), None))
+        cases.append((f"Gaussian {k}", random_element(L, rng, gaussian=True), None))
+    return cases
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_is_regular_matches_ad_kernel_oracle(n):
+    verdicts = set()
+    for label, x, want in _regularity_cases(n):
+        got = is_regular(x)
+        assert got == is_regular_ad_kernel(x), label
+        if want is not None:
+            assert got == want, label
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_is_regular_builds_no_ad_matrix_and_no_kernel(monkeypatch):
+    import mfatlas.lie
+    import mfatlas.linalg
+
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(mfatlas.lie, "ad_matrix", counting("ad_matrix", mfatlas.lie.ad_matrix))
+    for mod in (mfatlas.lie, mfatlas.linalg):
+        monkeypatch.setattr(mod, "mat_kernel", counting("mat_kernel", mod.mat_kernel))
+    for n in (2, 3, 4):
+        for _, x, _ in _regularity_cases(n):
+            is_regular(x)
+    assert calls == []
+    centralizer(sl(3).zero())
+    assert calls == ["ad_matrix", "mat_kernel"]
 
 
 def test_jordan_chevalley_exact():

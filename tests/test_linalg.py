@@ -9,7 +9,6 @@ from mfatlas.linalg import (
     char_poly,
     mat_kernel,
     mat_rank,
-    min_poly,
     rref,
     solve,
     span_contains,
@@ -18,6 +17,7 @@ from mfatlas.linalg import (
     span_le,
 )
 from mfatlas.scalar import Scalar
+from oracles import min_poly
 
 
 def _m(rows):

@@ -4,10 +4,11 @@ mfatlas has one elimination routine, linalg.rref, and reads rank, kernels,
 solutions, inverses and span containment off it; matrix products and
 matrix-vector products go through one dot product that skips zero terms, and
 rref leaves rows whose pivot is already 1 unscaled.  These tests check each
-of them, and the characteristic and minimal polynomials, against sympy on
-seeded random Q(i) matrices: dense ones, and sparse ones (mostly zeros, unit
-row vectors, inputs already in RREF) that take the zero short-cuts.  sympy
-is a test-only dependency; the tests are skipped where it is not installed.
+of them, the characteristic polynomial and the minimal-polynomial oracle of
+oracles.py against sympy on seeded random Q(i) matrices: dense ones, and
+sparse ones (mostly zeros, unit row vectors, inputs already in RREF) that
+take the zero short-cuts.  sympy is a test-only dependency; the tests are
+skipped where it is not installed.
 """
 
 from fractions import Fraction
@@ -25,13 +26,13 @@ from mfatlas.linalg import (
     mat_inverse,
     mat_kernel,
     mat_rank,
-    min_poly,
     rref,
     solve,
     span_contains,
     span_le,
 )
 from mfatlas.scalar import Scalar
+from oracles import min_poly
 
 DRAWS = 4
 

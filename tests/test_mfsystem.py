@@ -1,5 +1,7 @@
 """Shift systems: construction, evaluation paths, Poisson structure,
-membership criteria, strong regularity, tangent spaces, sections."""
+membership criteria, strong regularity, tangent spaces, sections.  Values
+and Jacobians are cross-checked against the symbolic oracles of
+oracles.py."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -8,6 +10,7 @@ import pytest
 from property_suites import REP_KEYS, representative, system_for
 
 from mfatlas.errors import PreconditionError, RegularityError
+from mfatlas.flags import enumerate_atlas
 from mfatlas.lie import sl
 from mfatlas.linalg import ExactMatrix, mat_rank
 from mfatlas.mfsystem import (
@@ -26,8 +29,16 @@ from mfatlas.mfsystem import (
     tangent_space,
     tarasov_check,
 )
-from mfatlas.sampling import random_element, rng_for
+from mfatlas.sampling import (
+    conjugate,
+    random_combination,
+    random_element,
+    random_traceless_distinct_diag,
+    random_unimodular,
+    rng_for,
+)
 from mfatlas.scalar import Scalar
+from oracles import evaluate_symbolic, jacobian_at_symbolic
 
 REPS = {k: representative(k) for k in REP_KEYS}
 SYSTEMS = {k: system_for(k) for k in REP_KEYS}
@@ -87,7 +98,7 @@ def test_two_evaluation_paths_agree():
     for key, sys_ in SYSTEMS.items():
         for _ in range(15):
             x = random_element(sys_.algebra, rng)
-            assert sys_.evaluate(x) == sys_.evaluate_symbolic(x), key
+            assert sys_.evaluate(x) == evaluate_symbolic(sys_, x), key
 
 
 def test_printed_sl2_system():
@@ -183,15 +194,15 @@ def test_tangent_space_dimension():
 
 
 def test_tarasov_reports():
-    rep2 = tarasov_check(REPS["sl2-s"], sample_count=10, seed=0)
+    rep2 = tarasov_check(SYSTEMS["sl2-s"], sample_count=10, seed=0)
     assert rep2.passed and rep2.section_dim == 2
-    rep3 = tarasov_check(REPS["sl3-s"], sample_count=10, seed=0)
+    rep3 = tarasov_check(SYSTEMS["sl3-s"], sample_count=10, seed=0)
     assert rep3.passed and rep3.section_dim == 5
     assert rep3.strong_regular_checked == 10
     with pytest.raises(PreconditionError):
-        tarasov_check(REPS["sl3-r"], sample_count=5, seed=0)
+        tarasov_check(SYSTEMS["sl3-r"], sample_count=5, seed=0)
     with pytest.raises(PreconditionError):
-        tarasov_check(REPS["sl3-n"], sample_count=5, seed=0)
+        tarasov_check(SYSTEMS["sl3-n"], sample_count=5, seed=0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -210,3 +221,66 @@ def test_section_chart(n):
     upper = [idx for idx, (i, j) in enumerate(L.offdiag_positions) if i < j]
     cartan = list(range(len(L.offdiag_positions), L.dim))
     assert slots == upper + cartan
+
+
+def _oracle_shifts(n):
+    """A dense rational regular semisimple shift, a Gaussian diagonal one and
+    a dense regular nilpotent one."""
+    L = sl(n)
+    rng = rng_for(f"sys-oracle-shifts:{n}", 0)
+    rational = conjugate(random_unimodular(L, rng), random_traceless_distinct_diag(L, rng))
+    gauss = [Scalar(k + 1, 2 * k - 1) for k in range(n - 1)]
+    gauss.append(-sum(gauss, Scalar(0)))
+    shift = ExactMatrix([[int(j == i + 1) for j in range(n)] for i in range(n)])
+    nilpotent = conjugate(random_unimodular(L, rng), L.element(shift))
+    return {
+        "rational": rational,
+        "Gaussian": L.element(ExactMatrix.diagonal(gauss)),
+        "nilpotent": nilpotent,
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_jacobian_and_values_match_symbolic_oracles(n):
+    """Entry for entry, at the origin, at a, and at random rational, Gaussian
+    and b^a points.  For semisimple a, b^a is the Cartan subalgebra through
+    a, where every gradient lies in b^a, so the rank drops to at most n - 1."""
+    L = sl(n)
+    rng = rng_for(f"sys-oracle-points:{n}", 0)
+    for kind, a in _oracle_shifts(n).items():
+        sys_ = build_system(a)
+        b_a = enumerate_atlas(a).b_a
+        points = [("origin", L.zero()), ("a", a)]
+        for k in range(3):
+            points.append((f"random {k}", random_element(L, rng)))
+            points.append((f"Gaussian {k}", random_element(L, rng, gaussian=True)))
+            points.append((f"b^a {k}", random_combination(L, b_a, rng)))
+        for label, x in points:
+            where = f"{kind} shift, {label} point"
+            jac = sys_.jacobian_at(x)
+            assert jac == jacobian_at_symbolic(sys_, x), where
+            assert mf_values(a, x) == evaluate_symbolic(sys_, x), where
+            if label.startswith("b^a") and kind != "nilpotent":
+                assert mat_rank(jac) <= n - 1, where
+
+
+def test_jacobian_at_evaluates_no_polynomial(monkeypatch):
+    from mfatlas.mpoly import MPoly
+
+    cases = [(sys_, random_element(sys_.algebra, rng_for(f"sys-no-eval:{key}", 0)))
+             for key, sys_ in SYSTEMS.items()]
+    sl4 = build_system(sl(4).element(ExactMatrix.diagonal([1, 2, 3, -6])))
+    cases.append((sl4, random_element(sl4.algebra, rng_for("sys-no-eval:sl4", 0))))
+    calls = []
+    real = MPoly.eval
+
+    def counting(self, point):
+        calls.append(point)
+        return real(self, point)
+
+    monkeypatch.setattr(MPoly, "eval", counting)
+    for sys_, x in cases:
+        sys_.jacobian_at(x)
+    assert calls == []
+    evaluate_symbolic(sl4, cases[-1][1])
+    assert len(calls) == sl4.b

@@ -15,3 +15,10 @@ SEED = 0
 def test_property_suite(name):
     checked = run_suite_cached(name, INSTANCES, SEED)
     assert checked >= INSTANCES
+
+
+def test_tangent_suite_count_falls_short_when_draws_are_skipped(monkeypatch):
+    import property_suites
+
+    monkeypatch.setattr(property_suites, "is_strongly_regular", lambda sys_, x: False)
+    assert property_suites.suite_tangent_triple(instances=5, seed=0) == 0

@@ -56,8 +56,8 @@ from .linalg import (
     span_equal,
     span_le,
 )
-from .mfsystem import FibreValue, ShiftSystem, section_chart
-from .mpoly import MPoly, affine_chart, mpoly_mat_mul, mpoly_mat_trace
+from .mfsystem import FibreValue, ShiftSystem, section_chart, trace_power_coefficients
+from .mpoly import MPoly, affine_chart
 from .sampling import (
     random_distinct_rationals,
     random_rational,
@@ -201,18 +201,12 @@ def levi_system(p: FlagParabolic, a: GElement) -> tuple[tuple[str, ...], list[MP
              for o, k in zip(offsets, p.blocks)]
     # per-factor shifted trace powers
     for o, k in zip(offsets, p.blocks):
-        if k < 2:
-            continue
         M = [
             [E[o + i][o + j] + lam * Ap.entries[o + i][o + j] for j in range(k)]
             for i in range(k)
         ]
-        P = M
-        for d in range(2, k + 1):
-            P = mpoly_mat_mul(P, M)
-            buckets = mpoly_mat_trace(P).collect("lam")
-            for j in range(d):
-                polys.append(buckets.get(j, MPoly.zero(ext)).project(svars))
+        for coeffs in trace_power_coefficients(M, k):
+            polys.extend(coeffs)
     return svars, polys
 
 
@@ -673,7 +667,7 @@ def image_bba_check(sys_: ShiftSystem, atlas: BorelAtlas | None = None,
         h_mapping = dict(zip(L.coord_names, affine_chart(svars, origin, hcs)))
         for idx, comp in enumerate(restricted):
             if idx < r:
-                gen_restr = sys_.generators[idx].subs(svars, h_mapping)
+                gen_restr = sys_.components[idx].subs(svars, h_mapping)
                 if comp != gen_restr:
                     nilpotent_form = False
                     failures.append("invariant part of nilpotent restriction mismatch")

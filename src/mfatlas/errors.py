@@ -40,10 +40,6 @@ class RegularityError(PreconditionError):
     """Operation requires a regular element."""
 
 
-class NonHomogeneousError(PreconditionError):
-    """Shift expansion requires a homogeneous input polynomial."""
-
-
 class CertificationError(MFError):
     """An exact certificate the construction relies on failed to hold."""
 

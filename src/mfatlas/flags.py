@@ -476,7 +476,3 @@ def levi_projection(p: FlagParabolic, x: GElement) -> GElement:
     ]
     return p.algebra.element(p.U * ExactMatrix(rows) * p.U_inv)
 
-
-def levi_simple_factors(p: FlagParabolic) -> list[int]:
-    """Sizes of the simple factors sl_k (k >= 2) of the Levi."""
-    return [k for k in p.blocks if k >= 2]

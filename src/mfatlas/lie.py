@@ -8,8 +8,7 @@ the partial sum of the first k diagonal entries of the matrix.  Every
 polynomial in the package is written in these variables, in this order.
 
 The invariant form used everywhere is the trace form <x, y> = tr(xy); it is
-proportional to the Killing form (factor 2n), which is kept available as an
-independent oracle.
+proportional to the Killing form (factor 2n), its oracle in tests/oracles.py.
 
 Regularity costs n - 2 products of n x n matrices and one rank of an
 n x n^2 matrix: x in sl_n is regular iff it is nonderogatory (Kostant 1963),
@@ -21,7 +20,6 @@ oracle in tests/oracles.py.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from math import ceil, log2
 from typing import Sequence
@@ -225,13 +223,6 @@ class GElement:
         mat = ExactMatrix([[scalar_from_str(v) for v in row] for row in entries])
         return sl(n).element(mat)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "GElement":
-        return GElement.from_json_dict(json.loads(text))
-
 
 def _same(x: GElement, y: GElement):
     if x.algebra != y.algebra:
@@ -244,21 +235,6 @@ def _same(x: GElement, y: GElement):
 def bracket(x: GElement, y: GElement) -> GElement:
     _same(x, y)
     return GElement(x.algebra, x.matrix * y.matrix - y.matrix * x.matrix)
-
-
-def invariant_form(x: GElement, y: GElement) -> Scalar:
-    """Trace form tr(xy); the invariant bilinear form used throughout."""
-    _same(x, y)
-    return (x.matrix * y.matrix).trace()
-
-
-def killing_form(x: GElement, y: GElement) -> Scalar:
-    """tr(ad_x ad_y), computed from adjoint matrices.  Equals 2n tr(xy);
-    kept as an independent oracle for the trace form."""
-    _same(x, y)
-    ax = ad_matrix(x)
-    ay = ad_matrix(y)
-    return (ax * ay).trace()
 
 
 def ad_matrix(x: GElement) -> ExactMatrix:
@@ -378,10 +354,3 @@ def weyl_stabilizer(x: GElement) -> list[WeylElement]:
             out.append(w)
     return out
 
-
-def apply_weyl(w: WeylElement, x: GElement) -> GElement:
-    """Conjugate a diagonal element by the permutation matrix of w."""
-    if not x.is_diagonal():
-        raise PreconditionError("apply_weyl needs a diagonal element")
-    diag = [x.matrix.entries[i][i] for i in range(x.algebra.n)]
-    return x.algebra.element(ExactMatrix.diagonal(w.apply_to_diagonal(diag)))

@@ -9,22 +9,30 @@ and the system F_a collects the f_i together with all proper coefficients
 f_ij (j >= 1), giving b = (dim + rank) / 2 polynomials.  The component order
 everywhere is f_1, ..., f_r, then f_ij for i ascending and j = 1..d_i - 1.
 
-All constructions come with exact certificates: generators are certified
-functionally independent, the assembled system is certified of full rank b
-at a witness point, and strong regularity of a point is certified both by
-the Jacobian rank criterion and by a Krylov determinant certificate for
-regularity of the whole line x + C a.
+All constructions come with exact certificates: the assembled system is
+certified of full rank b at a witness point (so in particular the generators
+f_i are functionally independent), and strong regularity of a point is
+certified both by the Jacobian rank criterion and by a Krylov determinant
+certificate for regularity of the whole line x + C a.
 
-Values and the Jacobian at a point share one lambda-power chain: the
-coefficient matrices C_0, ..., C_k of M^k, M = x + lambda a, each power
-built from the last by n x n products.  Since the gradient of tr(M^d) is
-d M^{d-1}, the Jacobian row of f_ij is d C_j of M^{d-1} paired with the
-coordinate basis.  The values pair two powers in <P, Q> = tr(P Q):
-tr(M^d) = <M^{floor(d/2)}, M^{ceil(d/2)}>, so the power M^d itself is never
-formed and the chain stops at M^{ceil(n/2)}; for d <= 3 this reads
-<C_j, x> + <C_{j-1}, a> off M^{d-1}.  The symbolic routes (substituting x
-into the components, and differentiating them) are the oracles for both, in
-tests/oracles.py.
+Every lambda-expansion of trace powers uses the same pairing of two half
+powers, <P, Q> = tr(P Q): tr(M^d) = <M^{floor(d/2)}, M^{ceil(d/2)}>, so the
+power M^d itself is never formed and on n <= 4 only M^2 is.
+
+Symbolically, trace_power_coefficients is the one builder of the
+coefficients: build_system calls it on the generic matrix X + lambda a, and
+components.levi_system on each Levi block.  Substituting x + lambda a into
+tr(X^d) is its oracle, in tests/oracles.py.
+
+Numerically, values, the Jacobian and tangent route (3) at a point share one
+lambda-power chain: the coefficient matrices C_0, ..., C_k of M^k,
+M = x + lambda a, each power built from the last by n x n products.  Since
+the gradient of tr(M^d) is d M^{d-1} up to a scalar matrix, the Jacobian row
+of f_ij is d C_j of M^{d-1} paired with the coordinate basis, and route (3)
+spans the [a, C_j].  The values stop the chain at M^{ceil(n/2)}; for d <= 3
+they read <C_j, x> + <C_{j-1}, a> off M^{d-1}.  The symbolic routes
+(substituting x into the components, and differentiating them) are the
+oracles for values and Jacobian, in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -35,7 +43,6 @@ from typing import Sequence
 from .errors import (
     AlgebraMismatchError,
     CertificationError,
-    NonHomogeneousError,
     PreconditionError,
     RegularityError,
 )
@@ -49,74 +56,30 @@ from . import unipoly as up
 FibreValue = tuple[Scalar, ...]
 
 
-# -- invariant generators -------------------------------------------------------
+# -- the symbolic builder ---------------------------------------------------------
 
 
-_GEN_CACHE: dict[int, list[MPoly]] = {}
-
-
-def invariant_generators(L: LieAlgebraA) -> list[MPoly]:
-    """Trace powers tr(x^2), ..., tr(x^n): free generators of the invariant
-    ring, certified functionally independent at a witness point."""
-    if L.n in _GEN_CACHE:
-        return list(_GEN_CACHE[L.n])
-    X = L.generic_matrix()
-    gens = []
-    P = X
-    for d in range(2, L.n + 1):
-        P = mpoly_mat_mul(P, X)
-        gens.append(mpoly_mat_trace(P))
-    witness = _independence_witness(L)
-    jac = ExactMatrix(
-        [
-            [g.diff(v).eval(witness) for v in L.coord_names]
-            for g in gens
-        ]
-    )
-    if mat_rank(jac) != L.rank:
-        raise CertificationError("invariant generators failed independence check")
-    _GEN_CACHE[L.n] = gens
-    return list(gens)
-
-
-def _independence_witness(L: LieAlgebraA) -> dict[str, Scalar]:
-    # distinct-eigenvalue diagonal matrix: a regular point where the trace
-    # powers have independent differentials
-    n = L.n
-    diag = [Scalar(k + 1) for k in range(n - 1)]
-    diag.append(-sum(diag, Scalar(0)))
-    m = ExactMatrix.diagonal(diag)
-    coords = L.coords_of_matrix(m)
-    return dict(zip(L.coord_names, coords))
-
-
-def shift_expand(f: MPoly, d: int, a: GElement) -> list[MPoly]:
-    """Coefficients [f_0, ..., f_{d-1}] of f(x + lambda a) as polynomials in
-    x, checking that the top coefficient collapses to the constant f(a).
-
-    f must be homogeneous of total degree d in the coordinates of a's
-    algebra; then f_j is homogeneous of degree d - j.
-    """
-    L = a.algebra
-    if f.vars != L.coord_names:
-        raise PreconditionError("polynomial is not over the algebra coordinates")
-    if f.homogeneous_degree() != d:
-        raise NonHomogeneousError(f"expected homogeneous degree {d}")
-    ext = L.coord_names + ("lam",)
-    lam = MPoly.var(ext, "lam")
-    acoords = a.coords
-    mapping = {
-        name: MPoly.var(ext, name) + MPoly.const(ext, acoords[k]) * lam
-        for k, name in enumerate(L.coord_names)
-    }
-    shifted = f.subs(ext, mapping)
-    buckets = shifted.collect("lam")
-    top = buckets.get(d, MPoly.zero(ext))
-    if top != MPoly.const(ext, f.eval(acoords)):
-        raise CertificationError("top shift coefficient is not f(a)")
+def trace_power_coefficients(M: list[list[MPoly]], top: int) -> list[list[MPoly]]:
+    """For d = 2..top, the lambda-coefficients [c_0, ..., c_{d-1}] of
+    tr(M^d), for a polynomial matrix M over vars + ("lam",); the c_j are
+    returned over vars.  As in mf_values, tr(M^d) pairs two half powers,
+    sum_ij (M^floor(d/2))_ij (M^ceil(d/2))_ji, so the highest power formed is
+    M^ceil(top/2).  The dropped lambda^d coefficient is a constant."""
+    vars_ = M[0][0].vars
+    zero = MPoly.zero(vars_)
+    powers = [M]
+    while len(powers) < (top + 1) // 2:
+        powers.append(mpoly_mat_mul(powers[-1], M))
     out = []
-    for j in range(d):
-        out.append(buckets.get(j, MPoly.zero(ext)).project(L.coord_names))
+    for d in range(2, top + 1):
+        P, Q = powers[d // 2 - 1], powers[(d + 1) // 2 - 1]
+        trace = zero
+        for i, row in enumerate(P):
+            for j, p in enumerate(row):
+                if p and Q[j][i]:
+                    trace = trace + p * Q[j][i]
+        buckets = trace.collect("lam")
+        out.append([buckets.get(j, zero).project(vars_[:-1]) for j in range(d)])
     return out
 
 
@@ -124,17 +87,15 @@ class ShiftSystem:
     """The system F_a = (f_1, ..., f_r, f_ij) for a regular shift element."""
 
     def __init__(self, a: GElement, components: list[MPoly], labels: list[tuple[int, int]],
-                 generators: list[MPoly], certificate_point: GElement):
+                 certificate_point: GElement):
         self.algebra = a.algebra
         self.a = a
         self.components = components
         self.labels = labels
-        self.generators = generators
         self.degrees = [i + 1 for i in range(1, self.algebra.n)]
         self.b = self.algebra.b
         self.certificate_point = certificate_point
         self._gradients: list[list[list[MPoly]]] | None = None
-        self._gen_gradients: list[list[list[MPoly]]] | None = None
 
     # -- evaluation ---------------------------------------------------------------
 
@@ -186,33 +147,31 @@ class ShiftSystem:
             self._gradients = [gradient_matrix(self.algebra, c) for c in self.components]
         return self._gradients
 
-    def generator_gradients(self) -> list[list[list[MPoly]]]:
-        if self._gen_gradients is None:
-            self._gen_gradients = [gradient_matrix(self.algebra, g) for g in self.generators]
-        return self._gen_gradients
-
     def __repr__(self):
         return f"ShiftSystem(sl({self.algebra.n}), b={self.b})"
 
 
 def build_system(a: GElement, certify: bool = True) -> ShiftSystem:
-    """Assemble F_a for a regular shift element, with a full-rank certificate."""
+    """Assemble F_a for a regular shift element, with a full-rank certificate
+    (which also certifies the generators f_i functionally independent)."""
     L = a.algebra
     if not is_regular(a):
         raise RegularityError("shift element must be regular")
-    gens = invariant_generators(L)
-    per_gen: list[list[MPoly]] = []
-    for i, f in enumerate(gens, start=1):
-        per_gen.append(shift_expand(f, i + 1, a))
-    components: list[MPoly] = [per_gen[i][0] for i in range(len(gens))]
-    labels: list[tuple[int, int]] = [(i + 1, 0) for i in range(len(gens))]
-    for i in range(len(gens)):
+    ext = L.coord_names + ("lam",)
+    lam = MPoly.var(ext, "lam")
+    X = L.generic_matrix(ext)
+    M = [[e + lam * c for e, c in zip(xrow, arow)] for xrow, arow in zip(X, a.matrix.entries)]
+    per_gen = trace_power_coefficients(M, L.n)
+    rank = len(per_gen)
+    components: list[MPoly] = [per_gen[i][0] for i in range(rank)]
+    labels: list[tuple[int, int]] = [(i + 1, 0) for i in range(rank)]
+    for i in range(rank):
         for j in range(1, i + 2):
             components.append(per_gen[i][j])
             labels.append((i + 1, j))
     if len(components) != L.b:
         raise CertificationError("component count is not b")
-    sys_ = ShiftSystem(a, components, labels, gens, a)
+    sys_ = ShiftSystem(a, components, labels, a)
     if certify:
         rng = rng_for(f"build-cert:{L.n}:" + ",".join(str(c) for c in a.coords), 0)
         point = None
@@ -325,12 +284,9 @@ def gradient_at(L: LieAlgebraA, grad: list[list[MPoly]], x: GElement) -> GElemen
     )
 
 
-def poisson_bracket(f: MPoly, g: MPoly, L: LieAlgebraA) -> MPoly:
-    """{f, g}(x) = <x, [grad f(x), grad g(x)]> as a polynomial."""
-    return poisson_bracket_grads(L, gradient_matrix(L, f), gradient_matrix(L, g))
-
-
 def poisson_bracket_grads(L: LieAlgebraA, Gf, Gg) -> MPoly:
+    """{f, g}(x) = <x, [Gf(x), Gg(x)]> as a polynomial, from the gradient
+    matrices of f and g."""
     C = _mat_sub(mpoly_mat_mul(Gf, Gg), mpoly_mat_mul(Gg, Gf))
     X = L.generic_matrix()
     return mpoly_mat_trace(mpoly_mat_mul(X, C))
@@ -354,7 +310,7 @@ def alt_generators(sys_: ShiftSystem, lambda_table: Sequence[Sequence] | None = 
         raise PreconditionError("need one lambda row per generator")
     out: list[list[MPoly]] = []
     acoords = sys_.a.coords
-    for i, f in enumerate(sys_.generators):
+    for i, f in enumerate(sys_.components[:L.rank]):
         d = i + 2
         lams = [as_scalar(v) for v in lambda_table[i]]
         if len(lams) != d:
@@ -386,27 +342,30 @@ def fibre_membership(sys_: ShiftSystem, x: GElement, y: GElement) -> bool:
 def fibre_membership_finite_lambda(sys_: ShiftSystem, x: GElement, y: GElement) -> bool:
     """Membership via invariant values at finitely many shifts: per
     generator f_i, compare f_i(x + lambda a) and f_i(y + lambda a) at
-    lambda = 0 and d_i - 1 further rationals at which x + lambda a is
-    regular."""
+    lambda = 0 and the first d_i - 1 of the rationals 1, 2, ... at which
+    x + lambda a is regular.  Each shift is searched for and evaluated once,
+    for all the generators compared there."""
     L = sys_.algebra
     a = sys_.a
-    for i in range(L.n - 1):
-        d = i + 2
-        lams: list[Scalar] = [Scalar(0)]
-        cand = 1
-        while len(lams) < d:
-            lam = Scalar(cand)
-            if is_regular(x + a.scale(lam)):
-                lams.append(lam)
-            cand += 1
-            if cand > 200:
-                raise RuntimeError("could not find regular shift values")
-        for lam in lams:
-            vx = invariant_values_along(a, x, lam)[i]
-            vy = invariant_values_along(a, y, lam)[i]
-            if vx != vy:
-                return False
+    for k, lam in zip(range(L.n), _regular_shifts(x, a)):
+        vx = invariant_values_along(a, x, lam)
+        vy = invariant_values_along(a, y, lam)
+        # f_i, of degree i + 2, is compared at the first i + 2 shifts
+        low = max(k - 1, 0)
+        if vx[low:] != vy[low:]:
+            return False
     return True
+
+
+def _regular_shifts(x: GElement, a: GElement):
+    """lambda = 0, then the rationals 1, 2, ... at which x + lambda a is
+    regular."""
+    yield Scalar(0)
+    for cand in range(1, 201):
+        lam = Scalar(cand)
+        if is_regular(x + a.scale(lam)):
+            yield lam
+    raise RuntimeError("could not find regular shift values")
 
 
 def krylov_line_regular(x: GElement, a: GElement) -> bool:
@@ -487,6 +446,9 @@ def tangent_space(sys_: ShiftSystem, x: GElement) -> list[GElement]:
       (2) the same span including the invariants (their gradients
           centralize x, contributing nothing),
       (3) span of the lambda-coefficients of [a, grad f_i(x + lambda a)].
+          The gradient of tr(y^d) is d y^{d-1} up to a scalar matrix, which
+          [a, .] kills, so these are [a, C] over the coefficients C of the
+          lambda-power chain of (x + lambda a)^k, k < n.
     """
     L = sys_.algebra
     if not is_strongly_regular(sys_, x):
@@ -507,50 +469,15 @@ def tangent_space(sys_: ShiftSystem, x: GElement) -> list[GElement]:
     T2 = canonical_basis(vec_all)
     if T1 != T2:
         raise CertificationError("tangent space routes (1) and (2) disagree")
-    # route (3): coefficients in lambda of [a, grad f_i(x + lambda a)]
-    n = L.n
-    vec3: list[Vector] = []
-    xc = x.coords
-    ac = sys_.a.coords
-    for grad in sys_.generator_gradients():
-        # each entry becomes a univariate polynomial in lambda
-        entry_polys = []
-        for row in grad:
-            prow = []
-            for e in row:
-                shifted = _eval_along_line(e, L, xc, ac)
-                prow.append(shifted)
-            entry_polys.append(prow)
-        deg = max((up.uni_deg(p) for row in entry_polys for p in row), default=-1)
-        amat = sys_.a.matrix
-        for k in range(deg + 1):
-            Gk = ExactMatrix(
-                [
-                    [p[k] if k < len(p) else Scalar(0) for p in row]
-                    for row in entry_polys
-                ]
-            )
-            comm = amat * Gk - Gk * amat
-            vec3.append(L.coords_of_matrix(comm))
-    T3 = canonical_basis(vec3)
+    A = sys_.a.matrix
+    T3 = canonical_basis([
+        L.coords_of_matrix(A * C - C * A)
+        for coeffs in _power_chain(sys_.a, x, L.n - 1)
+        for C in coeffs
+    ])
     if T3 != T1:
         raise CertificationError("tangent space route (3) disagrees")
     return [L.element_from_coords(v) for v in T1]
-
-
-def _eval_along_line(p: MPoly, L: LieAlgebraA, xc: tuple[Scalar, ...], ac: tuple[Scalar, ...]) -> up.Poly:
-    """Evaluate a coordinate polynomial at x + lambda a, returning a
-    univariate polynomial in lambda."""
-    out: up.Poly = ()
-    for e, c in p.terms.items():
-        term: up.Poly = up.uni([c])
-        for idx, k in enumerate(e):
-            if k:
-                lin = up.uni([xc[idx], ac[idx]])
-                for _ in range(k):
-                    term = up.uni_mul(term, lin)
-        out = up.uni_add(out, term)
-    return out
 
 
 # -- the Tarasov section -----------------------------------------------------------------------
@@ -617,12 +544,13 @@ def tarasov_check(sys_: ShiftSystem, sample_count: int = 50, seed: int = 0) -> T
             break
         checked += 1
     pairs = 0
+    values = [sys_.evaluate(x) for x in points]
     for idx in range(len(points)):
         for jdx in range(idx + 1, min(idx + 4, len(points))):
             if points[idx] == points[jdx]:
                 continue
             pairs += 1
-            if sys_.evaluate(points[idx]) == sys_.evaluate(points[jdx]):
+            if values[idx] == values[jdx]:
                 failures.append("distinct section points share a value vector")
     return TarasovReport(
         passed=not failures,

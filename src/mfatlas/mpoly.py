@@ -163,18 +163,6 @@ class MPoly:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def coeff_of(self, name: str, k: int) -> "MPoly":
-        """Coefficient of name**k, as a polynomial in the same variables
-        (the collected variable appears with exponent zero)."""
-        idx = self.vars.index(name)
-        out = {}
-        for e, c in self.terms.items():
-            if e[idx] == k:
-                e2 = list(e)
-                e2[idx] = 0
-                out[tuple(e2)] = c
-        return MPoly(self.vars, out)
-
     def collect(self, name: str) -> dict[int, "MPoly"]:
         """Split into {exponent of name: coefficient polynomial}."""
         idx = self.vars.index(name)

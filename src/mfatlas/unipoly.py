@@ -167,42 +167,6 @@ def uni_squarefree_part(p: Poly) -> Poly:
     return uni_monic(q)
 
 
-def uni_to_str(p: Poly, var: str = "t") -> str:
-    if not p:
-        return "0"
-    parts = []
-    for k in range(len(p) - 1, -1, -1):
-        c = p[k]
-        if c.is_zero():
-            continue
-        if k == 0:
-            mono = ""
-        elif k == 1:
-            mono = var
-        else:
-            mono = f"{var}^{k}"
-        cs = str(c)
-        if mono:
-            if cs == "1":
-                term = mono
-            elif cs == "-1":
-                term = "-" + mono
-            elif c.is_real() or c.re == 0:
-                term = f"{cs}*{mono}"
-            else:
-                term = f"({cs})*{mono}"
-        else:
-            term = cs if (c.is_real() or c.re == 0) else f"({cs})"
-        parts.append(term)
-    out = parts[0]
-    for term in parts[1:]:
-        if term.startswith("-"):
-            out += " - " + term[1:]
-        else:
-            out += " + " + term
-    return out
-
-
 # -- Gaussian-integer machinery for exact root extraction ----------------------
 
 

@@ -6,6 +6,9 @@ in mfatlas replaced, kept here to cross-check them.
 * evaluate_symbolic, jacobian_polys, jacobian_at_symbolic: substitute x into
   the symbolic components of F_a and into their partial derivatives (oracles
   for mfsystem.mf_values and ShiftSystem.jacobian_at).
+* shift_expansion_by_substitution: substitute x + lambda a into tr(X^d) and
+  collect by lambda (oracle for mfsystem.trace_power_coefficients).
+* killing_form: tr(ad_x ad_y) from adjoint matrices, 2n times the trace form.
 * min_poly: the minimal polynomial from the first power of m that is a
   combination of lower powers (checked against sympy in test_linalg_oracle).
 """
@@ -17,12 +20,33 @@ from functools import lru_cache
 from mfatlas.lie import GElement, ad_matrix
 from mfatlas.linalg import ExactMatrix, mat_kernel, solve
 from mfatlas.mfsystem import ShiftSystem
-from mfatlas.mpoly import MPoly
+from mfatlas.mpoly import MPoly, mpoly_mat_mul, mpoly_mat_trace
 from mfatlas.scalar import Scalar
 
 
 def is_regular_ad_kernel(x: GElement) -> bool:
     return len(mat_kernel(ad_matrix(x))) == x.algebra.rank
+
+
+def killing_form(x: GElement, y: GElement) -> Scalar:
+    return (ad_matrix(x) * ad_matrix(y)).trace()
+
+
+def shift_expansion_by_substitution(a: GElement) -> list[list[MPoly]]:
+    """For d = 2..n, the lambda-coefficients [c_0, ..., c_{d-1}] of
+    tr((x + lambda a)^d), as polynomials in x."""
+    L = a.algebra
+    ext = L.coord_names + ("lam",)
+    lam = MPoly.var(ext, "lam")
+    mapping = {name: MPoly.var(ext, name) + lam * c for name, c in zip(L.coord_names, a.coords)}
+    X = L.generic_matrix()
+    out = []
+    P = X
+    for d in range(2, L.n + 1):
+        P = mpoly_mat_mul(P, X)
+        buckets = mpoly_mat_trace(P).subs(ext, mapping).collect("lam")
+        out.append([buckets.get(j, MPoly.zero(ext)).project(L.coord_names) for j in range(d)])
+    return out
 
 
 def evaluate_symbolic(sys_: ShiftSystem, x: GElement) -> tuple[Scalar, ...]:

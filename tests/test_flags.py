@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from property_suites import representative
 
+from mfatlas.components import levi_system
 from mfatlas.corpus import (
     sl2_semisimple,
     sl3_mixed,
@@ -20,7 +21,6 @@ from mfatlas.flags import (
     enumerate_atlas,
     invariant_flags,
     levi_projection,
-    levi_simple_factors,
     mask_strings,
     span_to_elements,
     support_mask,
@@ -126,10 +126,13 @@ def test_levi_projection_and_factors():
     for p in atlas.parabolics:
         al = levi_projection(p, a)
         assert p.contains(al)
-        factors = levi_simple_factors(p)
-        assert all(k >= 2 for k in factors)
+        # one centre coordinate per block, and d coefficients of tr(M^d),
+        # d = 2..k, per simple factor sl_k
+        _, polys = levi_system(p, a)
+        assert len(polys) == len(p.blocks) + sum(
+            d for k in p.blocks for d in range(2, k + 1))
         if p.blocks in ((2, 1), (1, 2)):
-            assert factors == [2]
+            assert len(polys) == 4
     p0 = atlas.parabolics[0]
     lower = [[Scalar(0)] * 3 for _ in range(3)]
     lower[1][0] = lower[2][0] = lower[2][1] = Scalar(1)

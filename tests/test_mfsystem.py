@@ -11,21 +11,20 @@ from property_suites import REP_KEYS, representative, system_for
 
 from mfatlas.errors import PreconditionError, RegularityError
 from mfatlas.flags import enumerate_atlas
-from mfatlas.lie import sl
+from mfatlas.lie import is_regular, sl
 from mfatlas.linalg import ExactMatrix, mat_rank
 from mfatlas.mfsystem import (
     alt_generators,
     build_system,
     fibre_membership,
     fibre_membership_finite_lambda,
-    invariant_generators,
+    gradient_matrix,
     invariant_values_along,
     is_strongly_regular,
     krylov_line_regular,
     mf_values,
-    poisson_bracket,
+    poisson_bracket_grads,
     section_chart,
-    shift_expand,
     tangent_space,
     tarasov_check,
 )
@@ -38,7 +37,7 @@ from mfatlas.sampling import (
     rng_for,
 )
 from mfatlas.scalar import Scalar
-from oracles import evaluate_symbolic, jacobian_at_symbolic
+from oracles import evaluate_symbolic, jacobian_at_symbolic, shift_expansion_by_substitution
 
 REPS = {k: representative(k) for k in REP_KEYS}
 SYSTEMS = {k: system_for(k) for k in REP_KEYS}
@@ -54,9 +53,10 @@ def test_shapes_and_labels():
 
 
 def test_invariant_generators_are_trace_powers():
-    L = sl(3)
-    gens = invariant_generators(L)
-    assert len(gens) == 2
+    sys_ = SYSTEMS["sl3-s"]
+    L = sys_.algebra
+    assert sys_.labels[:L.rank] == [(1, 0), (2, 0)]
+    gens = sys_.components[:L.rank]
     rng = rng_for("sys-gens", 0)
     for _ in range(10):
         x = random_element(L, rng)
@@ -67,11 +67,9 @@ def test_invariant_generators_are_trace_powers():
 
 
 def test_shift_expand_matches_along_line():
-    L = sl(3)
-    a = REPS["sl3-s"]
-    f = invariant_generators(L)[1]
-    coeffs = shift_expand(f, 3, a)
-    assert len(coeffs) == 3
+    sys_ = SYSTEMS["sl3-s"]
+    L, a = sys_.algebra, sys_.a
+    coeffs = [sys_.components[sys_.labels.index((2, j))] for j in range(3)]
     rng = rng_for("sys-expand", 0)
     for _ in range(10):
         x = random_element(L, rng)
@@ -112,10 +110,14 @@ def test_printed_sl2_system():
     ]
 
 
+def _poisson_bracket(f, g, L):
+    return poisson_bracket_grads(L, gradient_matrix(L, f), gradient_matrix(L, g))
+
+
 def test_poisson_brackets_vanish_on_system():
     sys_ = SYSTEMS["sl3-r"]
     for f, g in combinations(sys_.components, 2):
-        assert poisson_bracket(f, g, sys_.algebra).is_zero()
+        assert _poisson_bracket(f, g, sys_.algebra).is_zero()
 
 
 def test_poisson_bracket_nonzero_outside_system():
@@ -125,7 +127,7 @@ def test_poisson_bracket_nonzero_outside_system():
 
     f = MPoly.var(L.coord_names, "x12")
     g = MPoly.var(L.coord_names, "x21")
-    br = poisson_bracket(f, g, L)
+    br = _poisson_bracket(f, g, L)
     assert not br.is_zero()
 
 
@@ -150,6 +152,25 @@ def test_membership_reflexive_and_shift_translates():
         x = random_element(sys_.algebra, rng)
         assert fibre_membership(sys_, x, x)
         assert fibre_membership_finite_lambda(sys_, x, x)
+
+
+def test_finite_lambda_membership_agrees_with_values():
+    """Same-fibre pairs x, x + u with x in a Borel b containing a and u in
+    its nilradical, and conjugate pairs, which share the invariants f_i
+    (the values at lambda = 0) but not the rest of the fibre."""
+    rng = rng_for("sys-member-pairs", 0)
+    seen = set()
+    for key, sys_ in SYSTEMS.items():
+        L = sys_.algebra
+        B = enumerate_atlas(sys_.a).borels[0]
+        for _ in range(3):
+            x = random_combination(L, B.p_basis, rng)
+            for y in (x + random_combination(L, B.u_basis, rng),
+                      conjugate(random_unimodular(L, rng), x)):
+                same = fibre_membership(sys_, x, y)
+                assert fibre_membership_finite_lambda(sys_, x, y) == same, key
+                seen.add(same)
+    assert seen == {True, False}
 
 
 def test_mf_values_matches_system_order():
@@ -284,3 +305,60 @@ def test_jacobian_at_evaluates_no_polynomial(monkeypatch):
     assert calls == []
     evaluate_symbolic(sl4, cases[-1][1])
     assert len(calls) == sl4.b
+
+
+def _dense_shift(n):
+    """A dense rational shift, as a --matrix file would give."""
+    L = sl(n)
+    a = random_element(L, rng_for(f"sys-dense-shift:{n}", 0))
+    assert is_regular(a)
+    return a
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_build_system_matches_substitution_oracle(n):
+    """Polynomial for polynomial, in component order: the pairing builder
+    against substituting x + lambda a into tr(X^d)."""
+    shifts = dict(_oracle_shifts(n), dense=_dense_shift(n))
+    for kind, a in shifts.items():
+        sys_ = build_system(a, certify=False)
+        per_gen = shift_expansion_by_substitution(a)
+        expected = [coeffs[0] for coeffs in per_gen]
+        expected += [c for coeffs in per_gen for c in coeffs[1:]]
+        assert sys_.components == expected, kind
+
+
+def test_build_substitutes_nothing_and_tangent_space_uses_no_unipoly(monkeypatch):
+    import mfatlas.unipoly as up
+    from mfatlas.mpoly import MPoly
+
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(MPoly, "subs", counting("subs", MPoly.subs))
+    for name, fn in list(vars(up).items()):
+        if name.startswith("uni") and callable(fn):
+            monkeypatch.setattr(up, name, counting(name, fn))
+    for n in (2, 3, 4):
+        for a in dict(_oracle_shifts(n), dense=_dense_shift(n)).values():
+            build_system(a)
+    assert calls == []
+    rng = rng_for("sys-no-unipoly", 0)
+    tangents = 0
+    for sys_ in SYSTEMS.values():
+        x = random_element(sys_.algebra, rng)
+        if is_strongly_regular(sys_, x):
+            tangent_space(sys_, x)
+            tangents += 1
+    assert calls == [] and tangents >= 3
+    sys_ = SYSTEMS["sl3-s"]
+    sys_.components[0].subs(sys_.algebra.coord_names, {
+        v: MPoly.var(sys_.algebra.coord_names, v) for v in sys_.algebra.coord_names
+    })
+    up.uni_deg(up.uni([1, 2]))
+    assert calls == ["subs", "uni", "uni_deg"]

@@ -74,16 +74,10 @@ def test_project_and_collect():
     assert q.vars == ("x",)
     with pytest.raises(ValueError):
         (_x() * _y()).project(("x",))
-
-
-def test_coeff_of():
-    p = _x() ** 2 * _y() + _x() * _z() + _y()
-    cx2 = p.coeff_of("x", 2)
-    assert cx2 == MPoly.var(V, "y")
-    cx1 = p.coeff_of("x", 1)
-    assert cx1 == _z()
-    cx0 = p.coeff_of("x", 0)
-    assert cx0 == _y()
+    # collect keeps the variables, with the collected one at exponent zero
+    r = _x() ** 2 * _y() + _x() * _z() + _y()
+    assert r.collect("x") == {0: _y(), 1: _z(), 2: _y()}
+    assert list(r.collect("x")) == [0, 1, 2]
 
 
 def test_canonical_str_ordering():

@@ -16,7 +16,6 @@ from mfatlas.unipoly import (
     uni_roots_gaussian,
     uni_squarefree_part,
     uni_sub,
-    uni_to_str,
 )
 
 
@@ -81,8 +80,3 @@ def test_gaussian_roots():
     found = {(r.re, r.im) for r, mult in roots}
     assert found == {(2, 0), (0, 1), (0, -1)}
     assert all(mult == 1 for _, mult in roots)
-
-
-def test_to_str():
-    assert uni_to_str(uni([1, 0, -2])) == "-2*t^2 + 1"
-    assert uni_to_str(()) == "0"

@@ -40,5 +40,5 @@ def test_centralizer_containment_fails_for_another_atlas():
 def test_homogeneity_fails_on_a_tampered_component():
     comps = list(SYS.components)
     comps[SYS.labels.index((1, 0))] += MPoly.var(SYS.algebra.coord_names, "x12")
-    bad = ShiftSystem(SYS.a, comps, SYS.labels, SYS.generators, SYS.certificate_point)
+    bad = ShiftSystem(SYS.a, comps, SYS.labels, SYS.certificate_point)
     _fails(check_homogeneity(bad), "component (1, 0)")

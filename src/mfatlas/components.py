@@ -31,6 +31,7 @@ from .flags import (
     BorelAtlas,
     EigenChain,
     FlagParabolic,
+    chain_diagonal,
     chain_frame,
     elements_span,
     elements_span_contains,
@@ -42,7 +43,6 @@ from .lie import (
     GElement,
     WeylElement,
     is_regular,
-    jordan_chevalley,
     weyl_group,
     weyl_stabilizer,
 )
@@ -65,7 +65,6 @@ from .sampling import (
     rng_for,
 )
 from .scalar import Scalar
-from . import unipoly as up
 
 
 def member_label(m: FlagParabolic) -> str:
@@ -312,17 +311,22 @@ class IPrimeTable:
             for row in data["entries"]:
                 key = (int(row["n"]), tuple(int(k) for k in row["partition"]))
                 val = row.get("value")
-                entries[key] = IPrimeEntry(
-                    None if val is None else int(val), int(row.get("lower", 0))
-                )
+                ent = IPrimeEntry(None if val is None else int(val), int(row.get("lower", 0)))
+                if ent.lower < 0 or (ent.value is not None and ent.value < ent.lower):
+                    raise ValueError(f"entry {row} needs 0 <= lower <= value")
+                entries[key] = ent
         except (KeyError, TypeError, ValueError) as exc:
             raise PreconditionError(f"malformed I' table: {exc}") from exc
         return IPrimeTable(entries)
 
     @staticmethod
     def load(path: str) -> "IPrimeTable":
-        with open(path, "r", encoding="utf-8") as fh:
-            return IPrimeTable.from_json_dict(json.load(fh))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise PreconditionError(f"cannot read I' table: {exc}") from exc
+        return IPrimeTable.from_json_dict(data)
 
 
 @dataclass
@@ -377,22 +381,20 @@ def count_zero_fibre(a: GElement, table: IPrimeTable | None = None,
     part = eigen_partition(atlas.chains)
     terms: list[ParabolicTerm] = []
     for p in atlas.parabolics:
-        Ap = p.U_inv * a.matrix * p.U
+        # block t of U^-1 a U is one Jordan block per chain, of the chain's
+        # level increment, with distinct chain values
         keys: list[tuple[int, tuple[int, ...]]] = []
         values: list[int | None] = []
         lowers: list[int] = []
-        off = 0
-        for k in p.blocks:
+        prev = (0,) * len(atlas.chains)
+        for k, level in zip(p.blocks, p.flag.levels):
             if k >= 2:
-                block = ExactMatrix(
-                    [[Ap.entries[off + i][off + j] for j in range(k)] for i in range(k)]
-                )
-                bpart = _block_partition(block)
+                bpart = tuple(sorted((l - q for l, q in zip(level, prev) if l > q), reverse=True))
                 ent = table.get(k, bpart)
                 keys.append((k, bpart))
                 values.append(ent.value)
                 lowers.append(ent.lower)
-            off += k
+            prev = level
         terms.append(
             ParabolicTerm(
                 label=member_label(p),
@@ -438,17 +440,6 @@ def count_zero_fibre(a: GElement, table: IPrimeTable | None = None,
         total=total,
         total_lower=total_lower,
     )
-
-
-def _block_partition(block: ExactMatrix) -> tuple[int, ...]:
-    """Eigenvalue-multiplicity partition of a (not necessarily traceless)
-    block matrix; used to classify Levi factors of shift elements."""
-    from .linalg import char_poly
-
-    roots, rem = up.uni_roots_gaussian(up.uni(char_poly(block)))
-    if rem:
-        raise PreconditionError("block has an eigenvalue outside Q(i)")
-    return tuple(sorted((m for _, m in roots), reverse=True))
 
 
 # -- exotic components ---------------------------------------------------------------
@@ -676,9 +667,7 @@ def image_bba_check(sys_: ShiftSystem, atlas: BorelAtlas | None = None,
                     nilpotent_form = False
                     failures.append("shifted component does not vanish on b^a")
     # (3) W_s-invariance of the restriction, symbolically
-    s_part = jordan_chevalley(a).s
-    Sp = U_inv * s_part.matrix * U
-    s_diag = L.element(ExactMatrix.diagonal([Sp.entries[i][i] for i in range(n)]))
+    s_diag = L.element(ExactMatrix.diagonal(chain_diagonal(atlas.chains)))
     stab = weyl_stabilizer(s_diag)
     invariance_ok = True
     for w in stab:

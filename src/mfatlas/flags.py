@@ -7,10 +7,14 @@ flags of a given composition are therefore lattice paths in the product of
 chains, a finite set; for non-regular a the invariant subspaces form
 infinite families and enumeration is refused.
 
-The Jordan chains of a are computed once per atlas (enumerate_atlas stores
-them as BorelAtlas.chains); every flag, b^a and the component layer read
-them from there.  chain_frame(chains) is the adapted basis U (chain vectors
-as columns, eigenvalues ordered by (real, imaginary)) with its inverse.
+The Jordan chains of a are its only Jordan decomposition.  They are
+computed once per atlas (enumerate_atlas stores them as BorelAtlas.chains);
+every flag, b^a and the component layer read them from there.
+chain_frame(chains) is the adapted basis U (chain vectors as columns,
+eigenvalues ordered by (real, imaginary)) with its inverse; in it a is a
+direct sum of single Jordan blocks, so the semisimple part is
+semisimple_part(chains) = U diag(chain values) U^-1, and the Levi block of a
+flag step is one Jordan block per chain, of size the chain's level increment.
 
 A parabolic enters the atlas as the stabilizer of an invariant flag.  It is
 constructed by conjugating the block pattern with the flag's own adapted
@@ -153,6 +157,18 @@ def chain_frame(chains: Sequence[EigenChain]) -> tuple[ExactMatrix, ExactMatrix]
     """The adapted basis U (chain vectors as columns, in chain order) and U^-1."""
     U = ExactMatrix.from_columns([v for ch in chains for v in ch.vectors])
     return U, mat_inverse(U)
+
+
+def chain_diagonal(chains: Sequence[EigenChain]) -> list[Scalar]:
+    """The diagonal of U^-1 s U: each chain value repeated mult times."""
+    return [ch.value for ch in chains for _ in range(ch.mult)]
+
+
+def semisimple_part(chains: Sequence[EigenChain]) -> ExactMatrix:
+    """The semisimple part s of the element with these chains:
+    U diag(c_1, ..., c_1, c_2, ...) U^-1."""
+    U, U_inv = chain_frame(chains)
+    return U * ExactMatrix.diagonal(chain_diagonal(chains)) * U_inv
 
 
 def frame_unit(U: ExactMatrix, U_inv: ExactMatrix, i: int, j: int) -> ExactMatrix:

@@ -15,20 +15,21 @@ n x n^2 matrix: x in sl_n is regular iff it is nonderogatory (Kostant 1963),
 i.e. iff I, x, ..., x^{n-1} are linearly independent.  The textbook test,
 dim ker ad_x = n - 1 on the (n^2 - 1) x (n^2 - 1) matrix ad_x, is its
 oracle in tests/oracles.py.
+
+The Jordan data of a regular element (eigenvalues, chains, semisimple part)
+is not computed here: flags.eigen_chains owns it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import ceil, log2
 from typing import Sequence
 
 from .errors import AlgebraMismatchError, PreconditionError
-from .linalg import ExactMatrix, canonical_basis, char_poly, mat_kernel, mat_rank
+from .linalg import ExactMatrix, canonical_basis, mat_kernel, mat_rank
 from .mpoly import MPoly
 from .scalar import Scalar, as_scalar, scalar_from_str
-from . import unipoly as up
 
 
 class LieAlgebraA:
@@ -216,10 +217,10 @@ class GElement:
         try:
             n = int(data["n"])
             entries = data["entries"]
+            if len(entries) != n or any(len(r) != n for r in entries):
+                raise PreconditionError("element JSON has wrong shape")
         except (KeyError, TypeError, ValueError) as exc:
             raise PreconditionError(f"malformed element JSON: {exc}") from exc
-        if len(entries) != n or any(len(r) != n for r in entries):
-            raise PreconditionError("element JSON has wrong shape")
         mat = ExactMatrix([[scalar_from_str(v) for v in row] for row in entries])
         return sl(n).element(mat)
 
@@ -261,58 +262,6 @@ def is_regular(x: GElement) -> bool:
     for _ in range(n - 2):
         powers.append(powers[-1] * x.matrix)
     return mat_rank(ExactMatrix([[v for row in p.entries for v in row] for p in powers])) == n
-
-
-@dataclass(frozen=True)
-class JordanData:
-    """Additive Jordan decomposition x = s + nil with a witness polynomial:
-    s = witness(x), computed without leaving Q(i)."""
-
-    s: GElement
-    nil: GElement
-    witness: tuple[Scalar, ...]  # unipoly, low degree first
-
-
-def jordan_chevalley(x: GElement) -> JordanData:
-    """Jordan decomposition via Newton iteration on the squarefree part of
-    the characteristic polynomial.
-
-    With p the char poly, q its squarefree part and u q + v q' = 1, iterate
-    z <- z - v(z) q(z) (mod p) starting from z = t.  Each step doubles the
-    q-adic accuracy, so ceil(log2(n)) + 1 steps force q(z(x)) = 0; then
-    s = z(x) is semisimple and x - s nilpotent, both polynomials in x.
-    """
-    L = x.algebra
-    p = up.uni(char_poly(x.matrix))
-    q = up.uni_squarefree_part(p)
-    if up.uni_deg(q) == 0:
-        raise ValueError("characteristic polynomial degenerated to a constant")
-    _, _, v = up.uni_ext_gcd(q, up.uni_deriv(q))
-    z = up.uni_x()
-    steps = ceil(log2(L.n)) + 1 if L.n > 1 else 1
-    for _ in range(steps):
-        qz = up.uni_compose_mod(q, z, p)
-        if up.uni_is_zero(qz):
-            break
-        vz = up.uni_compose_mod(v, z, p)
-        z = up.uni_mod(up.uni_sub(z, up.uni_mul(vz, qz)), p)
-    s_mat = _poly_at_matrix(z, x.matrix)
-    # the iteration certificate: q(s) = 0, i.e. s is semisimple
-    if not _poly_at_matrix(up.uni_compose_mod(q, z, p), x.matrix).is_zero():
-        raise ArithmeticError("Jordan iteration failed to converge")
-    s = L.element(s_mat)
-    nil = x - s
-    if not nil.is_nilpotent():
-        raise ArithmeticError("Jordan nilpotent part is not nilpotent")
-    return JordanData(s=s, nil=nil, witness=z)
-
-
-def _poly_at_matrix(p: up.Poly, m: ExactMatrix) -> ExactMatrix:
-    n = m.rows
-    acc = ExactMatrix.zeros(n, n)
-    for c in reversed(p):
-        acc = acc * m + ExactMatrix.identity(n).scale(c)
-    return acc
 
 
 # -- Weyl group ---------------------------------------------------------------------

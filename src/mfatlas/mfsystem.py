@@ -127,11 +127,15 @@ class ShiftSystem:
     # -- derivatives -------------------------------------------------------------------
 
     def jacobian_at(self, x: GElement) -> ExactMatrix:
-        """dF_a(x) in the coordinate chart.  Row (i, j) is d C_j, with d = i + 1
-        and C_j the lambda^j coefficient of (x + lambda a)^{d-1}, read at x_pq
-        as C_j[q][p] and at h_k as C_j[k][k] - C_j[k+1][k+1]."""
+        """dF_a(x) in the coordinate chart."""
+        return self._jacobian_from_chain(_power_chain(self.a, x, self.algebra.n - 1))
+
+    def _jacobian_from_chain(self, chain: list[list[ExactMatrix]]) -> ExactMatrix:
+        """dF_a(x) read off the lambda-power chain of x + lambda a, up to the
+        power n - 1.  Row (i, j) is d C_j, with d = i + 1 and C_j the lambda^j
+        coefficient of (x + lambda a)^{d-1}, read at x_pq as C_j[q][p] and at
+        h_k as C_j[k][k] - C_j[k+1][k+1]."""
         L = self.algebra
-        chain = _power_chain(self.a, x, L.n - 1)
         rows = []
         for i, j in self.labels:
             C = chain[i - 1][j].entries
@@ -451,7 +455,11 @@ def tangent_space(sys_: ShiftSystem, x: GElement) -> list[GElement]:
           lambda-power chain of (x + lambda a)^k, k < n.
     """
     L = sys_.algebra
-    if not is_strongly_regular(sys_, x):
+    if x.algebra != L:
+        raise AlgebraMismatchError("point from a different algebra")
+    # one power chain serves the strong-regularity test and route (3)
+    chain = _power_chain(sys_.a, x, L.n - 1)
+    if mat_rank(sys_._jacobian_from_chain(chain)) != sys_.b:
         raise RegularityError("tangent_space needs a strongly regular point")
     grads = sys_.component_gradients()
     vec_shift: list[Vector] = []
@@ -472,7 +480,7 @@ def tangent_space(sys_: ShiftSystem, x: GElement) -> list[GElement]:
     A = sys_.a.matrix
     T3 = canonical_basis([
         L.coords_of_matrix(A * C - C * A)
-        for coeffs in _power_chain(sys_.a, x, L.n - 1)
+        for coeffs in chain
         for C in coeffs
     ])
     if T3 != T1:

@@ -192,7 +192,10 @@ _TERM_RE = _re.compile(r"[+-]?[^+-]+")
 
 
 def scalar_from_str(text: str) -> Scalar:
-    """Parse 'p/q', 'p/q+r/s*i', '2-3i', 'i', '-i' and friends."""
+    """Parse 'p/q', 'p/q+r/s*i', '2-3i', 'i', '-i' and friends; ValueError
+    for anything else, a zero denominator and a non-string included."""
+    if not isinstance(text, str):
+        raise ValueError(f"scalar must be a string, got {text!r}")
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty scalar string")
@@ -201,19 +204,22 @@ def scalar_from_str(text: str) -> Scalar:
         raise ValueError(f"malformed scalar string: {text!r}")
     re_part = Fraction(0)
     im_part = Fraction(0)
-    for term in terms:
-        if term.endswith("i"):
-            coef = term[:-1]
-            if coef.endswith("*"):
-                coef = coef[:-1]
-            if coef in ("", "+"):
-                im_part += 1
-            elif coef == "-":
-                im_part -= 1
+    try:
+        for term in terms:
+            if term.endswith("i"):
+                coef = term[:-1]
+                if coef.endswith("*"):
+                    coef = coef[:-1]
+                if coef in ("", "+"):
+                    im_part += 1
+                elif coef == "-":
+                    im_part -= 1
+                else:
+                    im_part += Fraction(coef)
             else:
-                im_part += Fraction(coef)
-        else:
-            re_part += Fraction(term)
+                re_part += Fraction(term)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in scalar string: {text!r}") from exc
     return Scalar(re_part, im_part)
 
 

@@ -1,8 +1,9 @@
 """Univariate polynomials over Q(i), as coefficient tuples (low degree first).
 
-The zero polynomial is the empty tuple.  These back the Jordan-Chevalley
-iteration (gcd, extended Euclid, composition mod p) and exact eigenvalue
-extraction (all roots lying in Q(i), via Gaussian-integer divisor search).
+The zero polynomial is the empty tuple.  Two callers use them: the root
+search behind flags.eigen_chains (all roots of a characteristic polynomial
+lying in Q(i), via Gaussian-integer divisor search) and the gcd of the
+Krylov line certificate, mfsystem.krylov_line_regular.
 """
 
 from __future__ import annotations
@@ -23,18 +24,6 @@ def uni(coeffs) -> Poly:
     return tuple(cs)
 
 
-def uni_zero() -> Poly:
-    return ()
-
-
-def uni_x() -> Poly:
-    return (Scalar(0), Scalar(1))
-
-
-def uni_const(c) -> Poly:
-    return uni([c])
-
-
 def uni_deg(p: Poly) -> int:
     """Degree; -1 for the zero polynomial."""
     return len(p) - 1
@@ -48,41 +37,11 @@ def uni_is_constant(p: Poly) -> bool:
     return len(p) <= 1
 
 
-def uni_add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    out = []
-    for k in range(n):
-        a = p[k] if k < len(p) else Scalar(0)
-        b = q[k] if k < len(q) else Scalar(0)
-        out.append(a + b)
-    return uni(out)
-
-
-def uni_neg(p: Poly) -> Poly:
-    return tuple(-c for c in p)
-
-
-def uni_sub(p: Poly, q: Poly) -> Poly:
-    return uni_add(p, uni_neg(q))
-
-
 def uni_scale(p: Poly, c) -> Poly:
     c = as_scalar(c)
     if c.is_zero():
         return ()
     return tuple(c * a for a in p)
-
-
-def uni_mul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return ()
-    out = [Scalar(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return uni(out)
 
 
 def uni_divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
@@ -103,10 +62,6 @@ def uni_divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
     return uni(quot), uni(rem)
 
 
-def uni_mod(p: Poly, m: Poly) -> Poly:
-    return uni_divmod(p, m)[1]
-
-
 def uni_monic(p: Poly) -> Poly:
     if not p:
         return ()
@@ -116,28 +71,8 @@ def uni_monic(p: Poly) -> Poly:
 def uni_gcd(p: Poly, q: Poly) -> Poly:
     a, b = p, q
     while b:
-        a, b = b, uni_mod(a, b)
+        a, b = b, uni_divmod(a, b)[1]
     return uni_monic(a)
-
-
-def uni_ext_gcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
-    """Return (g, u, v) with u*p + v*q = g = monic gcd."""
-    r0, r1 = p, q
-    s0, s1 = uni_const(1), uni_zero()
-    t0, t1 = uni_zero(), uni_const(1)
-    while r1:
-        qt, rm = uni_divmod(r0, r1)
-        r0, r1 = r1, rm
-        s0, s1 = s1, uni_sub(s0, uni_mul(qt, s1))
-        t0, t1 = t1, uni_sub(t0, uni_mul(qt, t1))
-    if not r0:
-        return (), s0, t0
-    lead_inv = Scalar(1) / r0[-1]
-    return uni_scale(r0, lead_inv), uni_scale(s0, lead_inv), uni_scale(t0, lead_inv)
-
-
-def uni_deriv(p: Poly) -> Poly:
-    return uni([Scalar(k) * p[k] for k in range(1, len(p))])
 
 
 def uni_eval(p: Poly, x) -> Scalar:
@@ -146,25 +81,6 @@ def uni_eval(p: Poly, x) -> Scalar:
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-def uni_compose_mod(p: Poly, q: Poly, m: Poly) -> Poly:
-    """p(q) reduced mod m (Horner with modular reduction)."""
-    acc: Poly = ()
-    for c in reversed(p):
-        acc = uni_mod(uni_add(uni_mul(acc, q), uni_const(c)), m)
-    return acc
-
-
-def uni_squarefree_part(p: Poly) -> Poly:
-    """p / gcd(p, p'), monic."""
-    if uni_is_constant(p):
-        return uni_monic(p)
-    g = uni_gcd(p, uni_deriv(p))
-    q, r = uni_divmod(p, g)
-    if r:
-        raise ArithmeticError("gcd failed to divide in squarefree part")
-    return uni_monic(q)
 
 
 # -- Gaussian-integer machinery for exact root extraction ----------------------
@@ -214,51 +130,36 @@ def _gi_divides(d: tuple[int, int], z: tuple[int, int]) -> tuple[int, int] | Non
 
 def gaussian_divisors(z: tuple[int, int]) -> list[tuple[int, int]]:
     """All divisors of the Gaussian integer z, up to units (one per associate
-    class), nonzero z required."""
+    class), nonzero z required.  With z = unit * prod pi^e over pairwise
+    non-associate Gaussian primes pi, the divisors are the products over
+    exponent vectors, prod (e + 1) of them, each distinct up to units."""
     if z == (0, 0):
         raise ValueError("zero has no divisor list")
     norm = z[0] * z[0] + z[1] * z[1]
-    primes: list[tuple[int, int]] = []
+    factors: list[tuple[tuple[int, int], int]] = []
     rest = z
-    for p, e in sorted(_factor_int(norm).items()):
+    for p in sorted(_factor_int(norm)):
         if p == 2:
-            pi = (1, 1)
-            while True:
-                q = _gi_divides(pi, rest)
-                if q is None:
-                    break
-                primes.append(pi)
-                rest = q
+            over = [(1, 1)]
         elif p % 4 == 3:
-            # inert prime: divides with even norm-exponent
-            while True:
-                q = _gi_divides((p, 0), rest)
-                if q is None:
-                    break
-                primes.append((p, 0))
-                rest = q
+            over = [(p, 0)]  # inert: divides with even norm-exponent
         else:
             a, b = _gaussian_prime_over(p)
-            for pi in ((a, b), (a, -b)):
-                while True:
-                    q = _gi_divides(pi, rest)
-                    if q is None:
-                        break
-                    primes.append(pi)
-                    rest = q
+            over = [(a, b), (a, -b)]
+        for pi in over:
+            e = 0
+            while (q := _gi_divides(pi, rest)) is not None:
+                rest = q
+                e += 1
+            if e:
+                factors.append((pi, e))
     divisors = [(1, 0)]
-    for pi in primes:
-        divisors.extend([_gi_mul(d, pi) for d in divisors])
-    seen = set()
-    out = []
-    for d in divisors:
-        canon = max(
-            [d, (-d[0], -d[1]), (-d[1], d[0]), (d[1], -d[0])]
-        )
-        if canon not in seen:
-            seen.add(canon)
-            out.append(canon)
-    return out
+    for pi, e in factors:
+        powers = [(1, 0)]
+        for _ in range(e):
+            powers.append(_gi_mul(powers[-1], pi))
+        divisors = [_gi_mul(d, w) for d in divisors for w in powers]
+    return [max(d, (-d[0], -d[1]), (-d[1], d[0]), (d[1], -d[0])) for d in divisors]
 
 
 def _scalar_to_gi(s: Scalar) -> tuple[int, int] | None:

@@ -74,6 +74,51 @@ def test_bad_param_and_bad_n(tmp_path, capsys):
         assert (code, out, err) == (2, "", "error: invalid input: n must be at most 4\n")
 
 
+def test_bad_numbers_exit_2(tmp_path, capsys):
+    def matrix_file(name, entries):
+        path = tmp_path / name
+        path.write_text(json.dumps({"n": 2, "entries": entries}))
+        return str(path)
+
+    not_json = tmp_path / "table.txt"
+    not_json.write_text("not json")
+    for argv in (
+        ("build", "--n", "2", "--element", "s", "--param", "1/0"),
+        ("atlas", "--n", "3", "--element", "r", "--param", "2/0*i"),
+        ("build", "--matrix", matrix_file("zero-den.json", [["1/0", "0"], ["0", "-1"]])),
+        ("build", "--matrix", matrix_file("bare-number.json", [[1, "0"], ["0", "-1"]])),
+        ("build", "--matrix", matrix_file("no-rows.json", [1, 2])),
+        ("build", "--matrix", matrix_file("no-list.json", 5)),
+        ("count", "--n", "2", "--iprime", str(tmp_path / "missing.json")),
+        ("count", "--n", "2", "--iprime", str(not_json)),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: invalid input: "), argv
+        assert "Traceback" not in err
+
+
+def test_contradictory_iprime_entries_exit_2(tmp_path, capsys):
+    for entry in (
+        {"n": 3, "partition": [1, 1, 1], "value": -5},
+        {"n": 3, "partition": [1, 1, 1], "lower": -1},
+        {"n": 3, "partition": [1, 1, 1], "value": 2, "lower": 3},
+    ):
+        table = tmp_path / "t.json"
+        table.write_text(json.dumps({"schema": "mf-iprime/1", "entries": [entry]}))
+        code, out, err = _run(capsys, "count", "--n", "3", "--element", "s",
+                              "--iprime", str(table))
+        assert (code, out) == (2, ""), entry
+        assert err.startswith("error: invalid input: malformed I' table"), entry
+
+
+def test_atlas_with_a_large_power_of_two_param(capsys):
+    # the eigenvalue search divides 2^12 = (1 + i)^24: 25 divisors, not 2^24
+    code, out, _ = _run(capsys, "atlas", "--n", "2", "--element", "s", "--param", "64")
+    assert code == 0
+    assert json.loads(out)["borel_count"] == 2
+
+
 def test_atlas_counts(capsys):
     for el, nb, np_ in (("s", 6, 6), ("r", 3, 4), ("n", 1, 2)):
         code, out, _ = _run(capsys, "atlas", "--n", "3", "--element", el)

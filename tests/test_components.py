@@ -37,9 +37,11 @@ from mfatlas.corpus import (
 from mfatlas.errors import CertificationError, MembershipError, NotNilpotentError
 from mfatlas.flags import eigen_chains, enumerate_atlas, levi_projection
 from mfatlas.lie import sl
-from mfatlas.linalg import ExactMatrix
+from mfatlas.linalg import ExactMatrix, char_poly
 from mfatlas.mfsystem import build_system
+from mfatlas.sampling import conjugate
 from mfatlas.scalar import Scalar
+from mfatlas.unipoly import uni, uni_roots_gaussian
 
 A_N3 = sl3_nilpotent()
 SYS_N3 = build_system(A_N3)
@@ -162,6 +164,47 @@ def test_jordan_chains_computed_once_per_atlas(monkeypatch):
         count_zero_fibre(a, atlas=atlas)
         assert image_bba_check(sys_, atlas, samples=2).passed
         assert calls == []
+
+
+def _block_partition_by_roots(p, a):
+    """The eigenvalue-multiplicity partition of each Levi block of size >= 2
+    of U^-1 a U, from the roots of its characteristic polynomial."""
+    Ap = p.U_inv * a.matrix * p.U
+    out = []
+    off = 0
+    for k in p.blocks:
+        if k >= 2:
+            block = ExactMatrix([[Ap.entries[off + i][off + j] for j in range(k)]
+                                 for i in range(k)])
+            roots, rem = uni_roots_gaussian(uni(char_poly(block)))
+            assert rem == 0
+            out.append((k, tuple(sorted((m for _, m in roots), reverse=True))))
+        off += k
+    return out
+
+
+def test_count_factor_keys_match_levi_block_roots():
+    """The factor keys read off the flag levels equal the partitions from
+    the characteristic polynomial of each Levi block of U^-1 a U."""
+    L4 = sl(4)
+    U0 = ExactMatrix([[Scalar(min(i, j) + 1) for j in range(4)] for i in range(4)])
+    # a dense --matrix shift: U0 J U0^-1 with J of Jordan type (2, 1, 1)
+    J = _el(L4, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, -2]])
+    shifts = [
+        A_S3, sl3_mixed(1), A_N3,
+        _el(L4, [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, -6]]),
+        _el(L4, [[int(j == i + 1) for j in range(4)] for i in range(4)]),
+        conjugate(U0, J),
+    ]
+    checked = 0
+    for a in shifts:
+        atlas = enumerate_atlas(a)
+        rep = count_zero_fibre(a, atlas=atlas)
+        assert len(rep.parabolic_terms) == len(atlas.parabolics)
+        for p, term in zip(atlas.parabolics, rep.parabolic_terms):
+            assert term.factor_keys == _block_partition_by_roots(p, a), term.label
+            checked += 1
+    assert checked == 6 + 4 + 2 + 50 + 6 + 31
 
 
 def test_eigen_partition():

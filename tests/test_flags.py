@@ -22,6 +22,7 @@ from mfatlas.flags import (
     invariant_flags,
     levi_projection,
     mask_strings,
+    semisimple_part,
     span_to_elements,
     support_mask,
 )
@@ -70,6 +71,61 @@ def test_eigen_chains_nilpotent_and_semisimple():
     chains_s = eigen_chains(sl3_semisimple(1, 2))
     assert len(chains_s) == 3
     assert all(len(c.vectors) == 1 for c in chains_s)
+
+
+def _jordan(L, blocks):
+    """The Jordan matrix with one block of each (value, size)."""
+    n = L.n
+    rows = [[0] * n for _ in range(n)]
+    off = 0
+    for value, size in blocks:
+        for k in range(size):
+            rows[off + k][off + k] = value
+            if k + 1 < size:
+                rows[off + k][off + k + 1] = 1
+        off += size
+    return _el(L, rows)
+
+
+def _decomposition_cases():
+    """sl2-sl4 s/r/n, the mixed sl4 Jordan types (2,1,1), (2,2) and (3,1), a
+    Gaussian shift and an upper-triangular sl3 element, each also conjugated
+    to a dense matrix.  The sl3 r and n rows are written out as matrices."""
+    L2, L3, L4 = sl(2), sl(3), sl(4)
+    bases = [
+        _jordan(L2, [(1, 1), (-1, 1)]),
+        _jordan(L2, [(0, 2)]),
+        sl3_semisimple(1, 2),
+        _el(L3, [[1, 1, 0], [0, 1, 0], [0, 0, -2]]),
+        _el(L3, [[0, 1, 0], [0, 0, 1], [0, 0, 0]]),
+        _el(L3, [[2, 7, -1], [0, 2, 3], [0, 0, -4]]),
+        _jordan(L4, [(1, 1), (2, 1), (3, 1), (-6, 1)]),
+        _jordan(L4, [(0, 4)]),
+        _jordan(L4, [(1, 2), (2, 1), (-4, 1)]),
+        _jordan(L4, [(1, 2), (-1, 2)]),
+        _jordan(L4, [(1, 3), (-3, 1)]),
+        L3.element(ExactMatrix.diagonal([Scalar(0, 1), Scalar(1), Scalar(-1, -1)])),
+    ]
+    rng = rng_for("flags-semisimple-part", 0)
+    return bases + [conjugate(random_unimodular(x.algebra, rng), x) for x in bases]
+
+
+def test_semisimple_part_by_defining_properties():
+    """s = semisimple_part(eigen_chains(a)) is the semisimple part of a by the
+    defining properties alone: [s, a] = 0, (a - s)^n = 0, and s is killed by
+    the product of (s - c) over the distinct chain values c."""
+    for a in _decomposition_cases():
+        L = a.algebra
+        chains = eigen_chains(a)
+        s = L.element(semisimple_part(chains))
+        assert bracket(s, a).is_zero()
+        assert (a - s).is_nilpotent()
+        ident = ExactMatrix.identity(L.n)
+        prod = ident
+        for c in {ch.value for ch in chains}:
+            prod = prod * (s.matrix - ident.scale(c))
+        assert prod.is_zero()
+        assert (s == a) == all(ch.mult == 1 for ch in chains)
 
 
 def test_irrational_spectrum_rejected():

@@ -1,6 +1,5 @@
-"""sl_n structure: brackets, forms, centralizers, regularity, Jordan
-decomposition, Weyl action.  Regularity is cross-checked against the ad_x
-kernel oracle of oracles.py."""
+"""sl_n structure: brackets, forms, centralizers, regularity, Weyl action.
+Regularity is cross-checked against the ad_x kernel oracle of oracles.py."""
 
 import json
 from fractions import Fraction
@@ -14,7 +13,6 @@ from mfatlas.lie import (
     bracket,
     centralizer,
     is_regular,
-    jordan_chevalley,
     sl,
     weyl_group,
     weyl_stabilizer,
@@ -185,25 +183,6 @@ def test_is_regular_builds_no_ad_matrix_and_no_kernel(monkeypatch):
     assert calls == []
     centralizer(sl(3).zero())
     assert calls == ["ad_matrix", "mat_kernel"]
-
-
-def test_jordan_chevalley_exact():
-    L = sl(3)
-    rng = rng_for("lie-jc", 0)
-    cases = [
-        _el(L, [[1, 1, 0], [0, 1, 0], [0, 0, -2]]),
-        _el(L, [[0, 1, 0], [0, 0, 1], [0, 0, 0]]),
-        _el(L, [[2, 7, -1], [0, 2, 3], [0, 0, -4]]),
-    ]
-    for x in cases:
-        jd = jordan_chevalley(x)
-        assert jd.s + jd.nil == x
-        assert bracket(jd.s, jd.nil).is_zero()
-        assert jd.nil.is_nilpotent()
-        assert not jd.s.is_nilpotent() or jd.s.is_zero()
-        # semisimple part: decomposing again must be idempotent
-        jd2 = jordan_chevalley(jd.s)
-        assert jd2.nil.is_zero()
 
 
 def test_weyl_group_order_and_action():

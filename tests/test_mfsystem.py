@@ -214,6 +214,28 @@ def test_tangent_space_dimension():
         tangent_space(sys_, sys_.algebra.zero())
 
 
+def test_tangent_space_builds_one_power_chain(monkeypatch):
+    """The strong-regularity guard and route (3) share one lambda-power chain."""
+    import mfatlas.mfsystem
+
+    calls = []
+    real = mfatlas.mfsystem._power_chain
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(mfatlas.mfsystem, "_power_chain", counting)
+    sys_ = SYSTEMS["sl3-s"]
+    rng = rng_for("sys-tangent-chain", 0)
+    x = random_element(sys_.algebra, rng)
+    while not is_strongly_regular(sys_, x):
+        x = random_element(sys_.algebra, rng)
+    calls.clear()
+    assert len(tangent_space(sys_, x)) == 3
+    assert len(calls) == 1
+
+
 def test_tarasov_reports():
     rep2 = tarasov_check(SYSTEMS["sl2-s"], sample_count=10, seed=0)
     assert rep2.passed and rep2.section_dim == 2

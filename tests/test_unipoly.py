@@ -1,21 +1,20 @@
-"""Univariate polynomial arithmetic over Q(i)."""
+"""Univariate polynomial arithmetic over Q(i): what the eigenvalue root
+search and the Krylov line gcd use.  Polynomials are literal coefficient
+tuples, low degree first."""
 
 from mfatlas.scalar import Scalar
 from mfatlas.unipoly import (
+    gaussian_divisors,
     uni,
-    uni_compose_mod,
     uni_deg,
-    uni_deriv,
     uni_divmod,
     uni_eval,
-    uni_ext_gcd,
     uni_gcd,
+    uni_is_constant,
     uni_is_zero,
     uni_monic,
-    uni_mul,
     uni_roots_gaussian,
-    uni_squarefree_part,
-    uni_sub,
+    uni_scale,
 )
 
 
@@ -24,14 +23,18 @@ def test_normalization_drops_leading_zeros():
     assert uni([0]) == ()
     assert uni_is_zero(uni([0, 0]))
     assert uni_deg(uni([0, 0, 5])) == 2
+    assert uni_is_constant(uni([7, 0])) and uni_is_constant(())
+    assert not uni_is_constant(uni([0, 1]))
 
 
 def test_ring_identities():
-    p = uni([1, 0, 1])  # 1 + t^2
-    q = uni([-2, 1])    # t - 2
-    assert uni_sub(uni_mul(p, q), uni_mul(q, p)) == ()
-    quot, rem = uni_divmod(uni_mul(p, q), q)
-    assert quot == p and rem == ()
+    p = uni([1, 0, 1])           # 1 + t^2
+    q = uni([-2, 1])             # t - 2
+    pq = uni([-2, 1, -2, 1])     # (1 + t^2)(t - 2)
+    assert uni_divmod(pq, q) == (p, ())
+    assert uni_divmod(pq, p) == (q, ())
+    assert uni_scale(p, 3) == uni([3, 0, 3])
+    assert uni_scale(p, 0) == ()
 
 
 def test_divmod_with_remainder():
@@ -42,41 +45,56 @@ def test_divmod_with_remainder():
     assert rem == uni([1])
 
 
-def test_gcd_and_extended_gcd():
-    p = uni_mul(uni([-1, 1]), uni([-2, 1]))  # (t-1)(t-2)
-    q = uni_mul(uni([-1, 1]), uni([3, 1]))   # (t-1)(t+3)
-    g = uni_gcd(p, q)
-    assert uni_monic(g) == uni([-1, 1])
-    g2, u, v = uni_ext_gcd(p, q)
-    lhs = uni_sub(uni_mul(u, p), uni_sub((), uni_mul(v, q)))  # u p + v q
-    assert uni_monic(lhs) == uni_monic(g2)
+def test_gcd_and_monic():
+    p = uni([2, -3, 1])    # (t - 1)(t - 2)
+    q = uni([-3, 2, 1])    # (t - 1)(t + 3)
+    assert uni_gcd(p, q) == uni([-1, 1])
+    assert uni_gcd(uni([4, -6, 2]), q) == uni([-1, 1])
+    assert uni_gcd(p, uni([3, 1])) == uni([1])
+    assert uni_gcd((), q) == uni_monic(q) == q
+    assert uni_monic(uni([2, 4])) == uni([Scalar(1, 0) / 2, 1])
+    assert uni_monic(uni([1, Scalar(0, 2)])) == uni([Scalar(0, -1) / 2, 1])
 
 
-def test_derivative_and_eval():
+def test_eval():
     p = uni([5, -3, 0, 2])  # 5 - 3t + 2t^3
-    assert uni_deriv(p) == uni([-3, 0, 6])
     assert uni_eval(p, Scalar(2)) == Scalar(15)
     assert uni_eval(p, Scalar(0, 1)) == Scalar(5, -5)
+    assert uni_eval((), Scalar(3)) == Scalar(0)
 
 
-def test_squarefree_part():
-    p = uni_mul(uni_mul(uni([-1, 1]), uni([-1, 1])), uni([2, 1]))  # (t-1)^2 (t+2)
-    sf = uni_monic(uni_squarefree_part(p))
-    assert sf == uni_monic(uni_mul(uni([-1, 1]), uni([2, 1])))
+def _associates(z):
+    return {z, (-z[0], -z[1]), (-z[1], z[0]), (z[1], -z[0])}
 
 
-def test_compose_mod():
-    m = uni([0, 0, 1])      # t^2
-    p = uni([0, 1, 1])      # t + t^2
-    q = uni([1, 1])         # 1 + t
-    # p(q) = (1+t) + (1+t)^2 = 2 + 3t + t^2 ; mod t^2 -> 2 + 3t
-    assert uni_compose_mod(p, q, m) == uni([2, 3])
+def _divides(d, z):
+    nd = d[0] * d[0] + d[1] * d[1]
+    re_num = z[0] * d[0] + z[1] * d[1]
+    im_num = z[1] * d[0] - z[0] * d[1]
+    return re_num % nd == 0 and im_num % nd == 0
+
+
+def test_gaussian_divisors_one_per_associate_class():
+    # 2^12 = (1 + i)^24: 25 divisor classes
+    # 5 = (2 + i)(2 - i): 1, 2 + i, 2 - i, 5; 3 is inert: 1, 3
+    # 12 + 5i = i (3 - 2i)^2: 1, 3 - 2i, 12 + 5i
+    # -30i is (1 + i)^2 * 3 * (2 + i)(2 - i) up to a unit: 3 * 2 * 2 * 2 classes
+    for z, count in (((2**12, 0), 25), ((5, 0), 4), ((3, 0), 2), ((12, 5), 3),
+                     ((1, 0), 1), ((0, -30), 3 * 2 * 2 * 2)):
+        divs = gaussian_divisors(z)
+        assert len(divs) == count, z
+        assert all(_divides(d, z) for d in divs), z
+        classes = [frozenset(_associates(d)) for d in divs]
+        assert len(set(classes)) == len(divs), z
+    assert len(gaussian_divisors((2**64, 0))) == 129
 
 
 def test_gaussian_roots():
     # (t - 2)(t - i)(t + i) = t^3 - 2t^2 + t - 2
-    p = uni([-2, 1, -2, 1])
-    roots, _ = uni_roots_gaussian(p)
-    found = {(r.re, r.im) for r, mult in roots}
-    assert found == {(2, 0), (0, 1), (0, -1)}
-    assert all(mult == 1 for _, mult in roots)
+    roots, rest = uni_roots_gaussian(uni([-2, 1, -2, 1]))
+    assert [(r.re, r.im, mult) for r, mult in roots] == [(0, -1, 1), (0, 1, 1), (2, 0, 1)]
+    assert rest == 0
+    # t (t - 1)^2 (t^2 - 2): roots 0 and 1 (twice), a rootless quadratic
+    roots, rest = uni_roots_gaussian(uni([0, -2, 4, -1, -2, 1]))
+    assert [(r, mult) for r, mult in roots] == [(Scalar(0), 1), (Scalar(1), 2)]
+    assert rest == 2

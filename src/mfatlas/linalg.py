@@ -10,15 +10,17 @@ The matrices met here are mostly zeros, and both kernels make zeros free:
 _dot, which every matrix product and matrix-vector product goes through,
 skips each term with a zero factor, and rref leaves a row unscaled when its
 pivot is already 1, so re-reducing a canonical basis costs only zero tests.
+_dot reads the integer fields (x + y*i)/d of each Scalar: it adds the
+products in ints over one running denominator and reduces once per entry.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
-from .scalar import Scalar, as_scalar
+from .scalar import Scalar, as_scalar, scalar_from_ints
 
 Vector = tuple[Scalar, ...]
 
@@ -182,14 +184,32 @@ class ExactMatrix:
 
 
 def _dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
-    re = Fraction(0)
-    im = Fraction(0)
+    """sum u_k v_k, added in ints over one running denominator (the lcm of
+    the products' denominators) and reduced once at the end."""
+    x = y = 0
+    d = 1
     for a, b in zip(u, v):
-        if a.is_zero() or b.is_zero():
+        ax, ay = a.x, a.y
+        if not (ax or ay):
             continue
-        re += a.re * b.re - a.im * b.im
-        im += a.re * b.im + a.im * b.re
-    return Scalar(re, im)
+        bx, by = b.x, b.y
+        if not (bx or by):
+            continue
+        px = ax * bx - ay * by
+        py = ax * by + ay * bx
+        pd = a.d * b.d
+        if pd != d:
+            g = gcd(d, pd)
+            k = d // g
+            px *= k
+            py *= k
+            k = pd // g
+            x *= k
+            y *= k
+            d *= k
+        x += px
+        y += py
+    return scalar_from_ints(x, y, d)
 
 
 # -- elimination ---------------------------------------------------------------

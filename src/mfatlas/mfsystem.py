@@ -319,7 +319,7 @@ def alt_generators(sys_: ShiftSystem, lambda_table: Sequence[Sequence] | None = 
         lams = [as_scalar(v) for v in lambda_table[i]]
         if len(lams) != d:
             raise PreconditionError(f"row {i + 1} must have {d} lambdas")
-        if len({(s.re, s.im) for s in lams}) != d:
+        if len(set(lams)) != d:
             raise PreconditionError(f"row {i + 1} lambdas are not pairwise distinct")
         fa = f.eval(acoords)
         row = []
@@ -527,7 +527,7 @@ def tarasov_check(sys_: ShiftSystem, sample_count: int = 50, seed: int = 0) -> T
     if not a.is_diagonal():
         raise PreconditionError("the section check needs a diagonal shift element")
     diag = [a.matrix.entries[i][i] for i in range(L.n)]
-    if len({(d.re, d.im) for d in diag}) != L.n:
+    if len(set(diag)) != L.n:
         raise PreconditionError("diagonal entries must be pairwise distinct")
     tvars = tuple(f"t{k + 1}" for k in range(L.b))
     chart = affine_chart(tvars, *section_chart(L))

@@ -1,8 +1,12 @@
 """Gaussian-rational scalars: exact numbers of the form re + im*i.
 
-Both parts are fractions.Fraction, so arithmetic is exact.  The imaginary
-unit is needed because some of the fibre witnesses we certify have entries
-in Q(i) but not in Q.
+A Scalar stores three ints (x, y, d) and means (x + y*i)/d.  The form is
+canonical: d > 0 and gcd(x, y, d) = 1, so equal values have equal fields and
+equality is a field comparison.  Each + - * / is a few int products and at
+most one math.gcd (none when the denominator is 1).  The parts re = x/d and
+im = y/d are read as fractions.Fraction.  The imaginary unit is needed
+because some of the fibre witnesses we certify have entries in Q(i) but not
+in Q.
 
 Most entries the package multiplies are exact zeros (elementary matrices,
 Jordan-chain and canonical flag bases), so arithmetic on zero is free: a
@@ -20,21 +24,43 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from math import gcd
+
+_new = object.__new__
 
 
 class Scalar:
-    """An element of Q(i), immutable by convention."""
+    """An element of Q(i), immutable; (x + y*i)/d in canonical form."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("x", "y", "d")
 
     def __init__(self, re=0, im=0):
-        if isinstance(re, float) or isinstance(im, float):
-            raise TypeError("Scalar parts must be exact (int or Fraction), not float")
-        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
+        if type(re) is int and type(im) is int:
+            x, y, d = re, im, 1
+        else:
+            if isinstance(re, float) or isinstance(im, float):
+                raise TypeError("Scalar parts must be exact (int or Fraction), not float")
+            re = re if type(re) is Fraction else Fraction(re)
+            im = im if type(im) is Fraction else Fraction(im)
+            # d = lcm of the two reduced denominators; then gcd(x, y, d) = 1
+            dr, di = re.denominator, im.denominator
+            d = dr if dr == di else dr // gcd(dr, di) * di
+            x = re.numerator * (d // dr)
+            y = im.numerator * (d // di)
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.x, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.y, self.d)
 
     # -- constructors ------------------------------------------------------
 
@@ -53,47 +79,58 @@ class Scalar:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = as_scalar(other)
-        if other.is_zero():
+        if type(other) is not Scalar:
+            other = as_scalar(other)
+        ox, oy, od = other.x, other.y, other.d
+        if not (ox or oy):
             return self
-        if self.is_zero():
+        x, y, d = self.x, self.y, self.d
+        if not (x or y):
             return other
-        return Scalar(self.re + other.re, self.im + other.im)
+        if d == od:
+            return scalar_from_ints(x + ox, y + oy, d)
+        return scalar_from_ints(x * od + ox * d, y * od + oy * d, d * od)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = as_scalar(other)
-        if other.is_zero():
+        if type(other) is not Scalar:
+            other = as_scalar(other)
+        ox, oy, od = other.x, other.y, other.d
+        if not (ox or oy):
             return self
-        return Scalar(self.re - other.re, self.im - other.im)
+        x, y, d = self.x, self.y, self.d
+        if d == od:
+            return scalar_from_ints(x - ox, y - oy, d)
+        return scalar_from_ints(x * od - ox * d, y * od - oy * d, d * od)
 
     def __rsub__(self, other):
         return as_scalar(other).__sub__(self)
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        return scalar_from_ints(-self.x, -self.y, self.d)
 
     def __mul__(self, other):
-        other = as_scalar(other)
-        if self.is_zero() or other.is_zero():
+        if type(other) is not Scalar:
+            other = as_scalar(other)
+        x, y = self.x, self.y
+        ox, oy = other.x, other.y
+        if not (x or y) or not (ox or oy):
             return _ZERO
-        return Scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        return scalar_from_ints(x * ox - y * oy, x * oy + y * ox, self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = as_scalar(other)
-        n = other.norm()
+        if type(other) is not Scalar:
+            other = as_scalar(other)
+        ox, oy, od = other.x, other.y, other.d
+        n = ox * ox + oy * oy
         if n == 0:
             raise ZeroDivisionError("division by zero Scalar")
-        return Scalar(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        # (x + y i)/d * od/(ox + oy i) = (x + y i)(ox - oy i) od / (d n)
+        x, y = self.x, self.y
+        return scalar_from_ints((x * ox + y * oy) * od, (y * ox - x * oy) * od, self.d * n)
 
     def __rtruediv__(self, other):
         return as_scalar(other).__truediv__(self)
@@ -113,33 +150,36 @@ class Scalar:
         return out
 
     def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        return scalar_from_ints(self.x, -self.y, self.d)
 
     def norm(self) -> Fraction:
         """re^2 + im^2, a nonnegative rational."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.x * self.x + self.y * self.y, self.d * self.d)
 
     # -- predicates and ordering helpers ------------------------------------
 
     def is_zero(self) -> bool:
-        return not (self.re or self.im)
+        return not (self.x or self.y)
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return self.y == 0
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.x or self.y)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if isinstance(other, Scalar):
+            return self.x == other.x and self.y == other.y and self.d == other.d
+        if isinstance(other, int):
+            return self.y == 0 and self.d == 1 and self.x == other
+        if isinstance(other, Fraction):
+            return self.y == 0 and self.d == other.denominator and self.x == other.numerator
+        return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
+        if self.y == 0:
+            # hash(Fraction(x, 1)) == hash(x)
+            return hash(self.x) if self.d == 1 else hash(Fraction(self.x, self.d))
         return hash((self.re, self.im))
 
     def sort_key(self):
@@ -153,6 +193,27 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({scalar_to_str(self)!r})"
+
+
+# Scalar.__setattr__ refuses every write, so fields go through the slots.
+_set_x = Scalar.x.__set__
+_set_y = Scalar.y.__set__
+_set_d = Scalar.d.__set__
+
+
+def scalar_from_ints(x: int, y: int, d: int) -> Scalar:
+    """(x + y*i)/d for ints with d > 0, reduced to canonical form."""
+    if d != 1:
+        g = gcd(x, y, d)
+        if g != 1:
+            x //= g
+            y //= g
+            d //= g
+    s = _new(Scalar)
+    _set_x(s, x)
+    _set_y(s, y)
+    _set_d(s, d)
+    return s
 
 
 _ZERO = Scalar(0)
@@ -179,13 +240,14 @@ def _frac_str(q: Fraction) -> str:
 
 def scalar_to_str(s: Scalar) -> str:
     """Canonical text form; round-trips through scalar_from_str."""
-    if s.im == 0:
-        return _frac_str(s.re)
-    im_abs = _frac_str(abs(s.im)) + "*i"
-    if s.re == 0:
-        return im_abs if s.im > 0 else "-" + im_abs
-    sign = "+" if s.im > 0 else "-"
-    return f"{_frac_str(s.re)}{sign}{im_abs}"
+    re, im = s.re, s.im
+    if im == 0:
+        return _frac_str(re)
+    im_abs = _frac_str(abs(im)) + "*i"
+    if re == 0:
+        return im_abs if im > 0 else "-" + im_abs
+    sign = "+" if im > 0 else "-"
+    return f"{_frac_str(re)}{sign}{im_abs}"
 
 
 _TERM_RE = _re.compile(r"[+-]?[^+-]+")

@@ -8,9 +8,9 @@ Krylov line certificate, mfsystem.krylov_line_regular.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd as _int_gcd, isqrt
 
+from .errors import UnsupportedElementError
 from .scalar import Scalar, as_scalar
 
 Poly = tuple[Scalar, ...]
@@ -86,11 +86,20 @@ def uni_eval(p: Poly, x) -> Scalar:
 # -- Gaussian-integer machinery for exact root extraction ----------------------
 
 
+# Trial division stops at this divisor.  A number whose unfactored part is
+# still above its square has a prime factor above it, and is refused.
+_TRIAL_DIVISION_LIMIT = 10**6
+
+
 def _factor_int(n: int) -> dict[int, int]:
     n = abs(n)
     out: dict[int, int] = {}
     d = 2
     while d * d <= n:
+        if d > _TRIAL_DIVISION_LIMIT:
+            raise UnsupportedElementError(
+                "eigenvalue search: a coefficient norm has a prime factor above "
+                f"{_TRIAL_DIVISION_LIMIT}, past the trial-division bound")
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
@@ -163,9 +172,9 @@ def gaussian_divisors(z: tuple[int, int]) -> list[tuple[int, int]]:
 
 
 def _scalar_to_gi(s: Scalar) -> tuple[int, int] | None:
-    if s.re.denominator != 1 or s.im.denominator != 1:
+    if s.d != 1:
         return None
-    return (s.re.numerator, s.im.numerator)
+    return (s.x, s.y)
 
 
 def uni_roots_gaussian(p: Poly) -> tuple[list[tuple[Scalar, int]], int]:
@@ -196,15 +205,14 @@ def uni_roots_gaussian(p: Poly) -> tuple[list[tuple[Scalar, int]], int]:
     # clear denominators to Z[i]
     lcm = 1
     for c in q:
-        lcm = lcm * c.re.denominator // _int_gcd(lcm, c.re.denominator)
-        lcm = lcm * c.im.denominator // _int_gcd(lcm, c.im.denominator)
+        lcm = lcm * c.d // _int_gcd(lcm, c.d)
     qz = uni_scale(q, Scalar(lcm))
     a0 = _scalar_to_gi(qz[0])
     ad = _scalar_to_gi(qz[-1])
     assert a0 is not None and ad is not None and a0 != (0, 0)
     units = (Scalar(1), Scalar(-1), Scalar(0, 1), Scalar(0, -1))
     candidates: list[Scalar] = []
-    seen: set[tuple[Fraction, Fraction]] = set()
+    seen: set[Scalar] = set()
     for num in gaussian_divisors(a0):
         num_s = Scalar(num[0], num[1])
         for den in gaussian_divisors(ad):
@@ -212,9 +220,8 @@ def uni_roots_gaussian(p: Poly) -> tuple[list[tuple[Scalar, int]], int]:
             base = num_s / den_s
             for u in units:
                 cand = u * base
-                key = (cand.re, cand.im)
-                if key not in seen:
-                    seen.add(key)
+                if cand not in seen:
+                    seen.add(cand)
                     candidates.append(cand)
     candidates.sort(key=lambda s: (s.norm(), s.sort_key()))
     cur = q

@@ -11,17 +11,21 @@ in mfatlas replaced, kept here to cross-check them.
 * killing_form: tr(ad_x ad_y) from adjoint matrices, 2n times the trace form.
 * min_poly: the minimal polynomial from the first power of m that is a
   combination of lower powers (checked against sympy in test_linalg_oracle).
+* FractionPairScalar, dot_fraction_pairs: Gaussian rationals stored as a pair
+  of fractions.Fraction, each part computed by the textbook formulas (oracle
+  for the integer-backed scalar.Scalar and linalg._dot).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
 from mfatlas.lie import GElement, ad_matrix
 from mfatlas.linalg import ExactMatrix, mat_kernel, solve
 from mfatlas.mfsystem import ShiftSystem
 from mfatlas.mpoly import MPoly, mpoly_mat_mul, mpoly_mat_trace
-from mfatlas.scalar import Scalar
+from mfatlas.scalar import Scalar, scalar_to_str
 
 
 def is_regular_ad_kernel(x: GElement) -> bool:
@@ -86,3 +90,67 @@ def min_poly(m: ExactMatrix) -> list[Scalar]:
 
 def _vec(m: ExactMatrix) -> tuple[Scalar, ...]:
     return tuple(v for row in m.entries for v in row)
+
+
+class FractionPairScalar:
+    """re + im*i with both parts a Fraction: the arithmetic scalar.Scalar had
+    before it stored (x + y*i)/d in ints, without its zero short cuts."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    def __add__(self, other):
+        return FractionPairScalar(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return FractionPairScalar(self.re - other.re, self.im - other.im)
+
+    def __neg__(self):
+        return FractionPairScalar(-self.re, -self.im)
+
+    def __mul__(self, other):
+        return FractionPairScalar(self.re * other.re - self.im * other.im,
+                                  self.re * other.im + self.im * other.re)
+
+    def __truediv__(self, other):
+        n = other.norm()
+        if n == 0:
+            raise ZeroDivisionError("division by zero Scalar")
+        return FractionPairScalar((self.re * other.re + self.im * other.im) / n,
+                                  (self.im * other.re - self.re * other.im) / n)
+
+    def conjugate(self):
+        return FractionPairScalar(self.re, -self.im)
+
+    def norm(self) -> Fraction:
+        return self.re * self.re + self.im * self.im
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.im == 0 and self.re == other
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        if self.im == 0:
+            return hash(self.re)
+        return hash((self.re, self.im))
+
+    def sort_key(self):
+        return (self.re, self.im)
+
+    def __str__(self):
+        return scalar_to_str(self)
+
+    def __repr__(self):
+        return f"Scalar({scalar_to_str(self)!r})"
+
+
+def dot_fraction_pairs(u, v) -> FractionPairScalar:
+    """sum u_k v_k over FractionPairScalar vectors, term by term."""
+    out = FractionPairScalar()
+    for a, b in zip(u, v):
+        out = out + a * b
+    return out

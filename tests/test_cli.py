@@ -1,6 +1,11 @@
 """Command-line interface: exit codes, report schemas, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 from mfatlas.cli import main, render_report
 
@@ -117,6 +122,21 @@ def test_atlas_with_a_large_power_of_two_param(capsys):
     code, out, _ = _run(capsys, "atlas", "--n", "2", "--element", "s", "--param", "64")
     assert code == 0
     assert json.loads(out)["borel_count"] == 2
+
+
+def test_atlas_with_a_large_prime_param_exits_2_quickly():
+    # the norm 1000000007^4 has no prime factor below the trial-division bound;
+    # a separate process with a timeout, so a hang fails instead of blocking
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "mfatlas.cli", "atlas", "--n", "2", "--element", "s",
+         "--param", "1000000007"],
+        capture_output=True, text=True, env=env, timeout=30)
+    assert time.monotonic() - start < 10
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: invalid input: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_atlas_counts(capsys):

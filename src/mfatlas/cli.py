@@ -69,6 +69,8 @@ def _nilpotent_rep(L: LieAlgebraA) -> GElement:
 def _mixed_rep(L: LieAlgebraA, params: list[Scalar]) -> GElement:
     if L.n != 3:
         raise UnsupportedElementError("element r (mixed representative) is defined on sl_3")
+    if len(params) > 1:
+        raise PreconditionError(f"element r takes at most 1 parameter, got {len(params)}")
     rho = params[0] if params else Scalar(1)
     if rho == Scalar(0):
         raise PreconditionError("parameter rho must be nonzero")
@@ -79,6 +81,8 @@ def _mixed_rep(L: LieAlgebraA, params: list[Scalar]) -> GElement:
 
 def resolve_element(args: argparse.Namespace) -> GElement:
     if getattr(args, "matrix", None):
+        if args.element is not None or args.param:
+            raise PreconditionError("--matrix takes no --element or --param")
         try:
             with open(args.matrix) as f:
                 data = json.load(f)
@@ -102,6 +106,8 @@ def resolve_element(args: argparse.Namespace) -> GElement:
     if label == "s":
         return _semisimple_rep(L, params)
     if label == "n":
+        if params:
+            raise PreconditionError("element n takes no parameters")
         return _nilpotent_rep(L)
     if label == "r":
         return _mixed_rep(L, params)

@@ -16,19 +16,24 @@ direct sum of single Jordan blocks, so the semisimple part is
 semisimple_part(chains) = U diag(chain values) U^-1, and the Levi block of a
 flag step is one Jordan block per chain, of size the chain's level increment.
 
-A parabolic enters the atlas as the stabilizer of an invariant flag.  It is
-constructed by conjugating the block pattern with the flag's own adapted
-basis U (the chain vectors in flag-step order) and certified against the
-stabilizer equations Y V_t <= V_t.  Each conjugated basis element
-U E_ij U^-1 is frame_unit(U, U^-1, i, j): the outer product of column i of U
-and row j of U^-1, never two dense matrix products.  The stabilizer
-equations w (B v) = 0, for w annihilating V_t, v in V_t and B running over
-the coordinate basis of sl_n, are read off the few nonzero entries of each B.
+A parabolic enters the atlas as the stabilizer of an invariant flag, and is
+cut out of sl_n by one set of linear equations: w (Y v) = 0 for v in V_t and
+w annihilating V_t.  stabilizer_equations builds them once per member, read
+off the few nonzero entries of each coordinate basis matrix, and every
+membership decision reads them: FlagParabolic.contains is a zero test of
+equations . x, and the certificate (FlagParabolic.verify, run on every
+member) checks that a and every basis element satisfy them, that the basis
+is independent of size dim - rank(equations), and the l + u split.  The
+basis itself is the block pattern conjugated by the flag's own adapted basis
+U (the chain vectors in flag-step order); each U E_ij U^-1 is
+frame_unit(U, U^-1, i, j), the outer product of column i of U and row j of
+U^-1, never two dense matrix products.
 
-b^a is computed two independent ways: as the intersection of the spans of
-all Borel members of the atlas, and structurally as the centre of the
-centralizer of the semisimple part plus the unique Borel of the centralizer
-containing the nilpotent part.  The two must agree exactly.
+b^a, the intersection of all Borels containing a, is the canonical basis of
+the kernel of all Borels' equations stacked.  Its structural route, the
+centre of the centralizer of the semisimple part plus the unique Borel of
+the centralizer containing the nilpotent part, is the cross-check: the two
+must agree exactly.
 """
 
 from __future__ import annotations
@@ -54,9 +59,7 @@ from .linalg import (
     mat_inverse,
     mat_kernel,
     mat_rank,
-    span_contains,
     span_equal,
-    span_intersection,
 )
 from .scalar import Scalar
 from . import unipoly as up
@@ -68,10 +71,6 @@ from . import unipoly as up
 def elements_span(elems: Sequence[GElement]) -> tuple[Vector, ...]:
     """Canonical basis (coordinate vectors) of the span of the elements."""
     return canonical_basis([e.coords for e in elems])
-
-
-def elements_span_contains(elems: Sequence[GElement], x: GElement) -> bool:
-    return span_contains([e.coords for e in elems], x.coords)
 
 
 def span_to_elements(L: LieAlgebraA, vectors: Sequence[Vector]) -> list[GElement]:
@@ -277,8 +276,8 @@ class FlagParabolic:
         self.p_basis = self._conjugated_basis(upper=True, include_diag_blocks=True)
         self.l_basis = self._conjugated_basis(upper=False, include_diag_blocks=True)
         self.u_basis = self._conjugated_basis(upper=True, include_diag_blocks=False)
-        self.p_span = elements_span(self.p_basis)
         self.u_span = elements_span(self.u_basis)
+        self.equations = stabilizer_equations(L, flag)
         self.key = flag.key()
 
     # block index of a row/column position in the adapted ordering
@@ -313,14 +312,14 @@ class FlagParabolic:
     # -- membership and structure -------------------------------------------------
 
     def contains(self, x: GElement) -> bool:
-        return span_contains(self.p_span, x.coords)
+        return not any(self.equations.apply(x.coords))
 
     def is_borel(self) -> bool:
         return all(k == 1 for k in self.blocks)
 
     @property
     def dim_p(self) -> int:
-        return len(self.p_span)
+        return len(self.p_basis)
 
     @property
     def dim_u(self) -> int:
@@ -333,16 +332,15 @@ class FlagParabolic:
         return self.blocks
 
     def verify(self) -> None:
-        """Certify the construction against the stabilizer equations."""
-        if not elements_span_contains(self.p_basis, self.a):
+        """Certify the construction against the stabilizer equations: p_basis
+        is an independent set of dim - rank(equations) solutions, so it spans
+        the stabilizer, and a is in it."""
+        if not self.contains(self.a):
             raise CertificationError("shift element not in its flag stabilizer")
-        for y in self.p_basis:
-            for sub in self.flag.subspaces:
-                for v in sub:
-                    img = y.matrix.apply(v)
-                    if not span_contains(sub, img):
-                        raise CertificationError("basis element fails to stabilize flag")
-        if _stabilizer_dimension(self.algebra, self.flag) != self.dim_p:
+        if not all(self.contains(y) for y in self.p_basis):
+            raise CertificationError("basis element fails to stabilize flag")
+        if not (len(elements_span(self.p_basis)) == self.dim_p
+                == self.algebra.dim - mat_rank(self.equations)):
             raise CertificationError("stabilizer dimension mismatch")
         if len(elements_span(self.l_basis)) + self.dim_u != self.dim_p:
             raise CertificationError("p != l + u dimension split")
@@ -351,11 +349,14 @@ class FlagParabolic:
         return f"FlagParabolic(blocks={self.blocks})"
 
 
-def _stabilizer_dimension(L: LieAlgebraA, flag: Flag) -> int:
-    """Dimension of {Y in sl_n : Y V_t <= V_t for all t}, by solving the
-    linear stabilizer equations in the coordinates.  The equation for a
-    vector v of V_t, an annihilator w of V_t and a basis matrix B is
-    w (B v) = sum of w_r B_rc v_c over the nonzero entries B_rc."""
+def stabilizer_equations(L: LieAlgebraA, flag: Flag) -> ExactMatrix:
+    """The linear equations of {Y in sl_n : Y V_t <= V_t for all t} in the
+    coordinates, one row per vector v added at step t and annihilator w of
+    V_t: w (B v) = sum of w_r B_rc v_c over the nonzero entries B_rc of each
+    basis matrix B.  A vector of V_(t-1) needs no row at step t, since the
+    earlier rows already put Y v in V_(t-1); so there are as many rows as
+    the codimension of the stabilizer.  The trivial flag gets one zero row
+    (its stabilizer is sl_n)."""
     rows: list[list[Scalar]] = []
     basis_entries = [
         [
@@ -366,18 +367,16 @@ def _stabilizer_dimension(L: LieAlgebraA, flag: Flag) -> int:
         ]
         for e in L.basis()
     ]
-    for sub in flag.subspaces:
+    for sub, added in zip(flag.subspaces, flag.step_vectors):
         # left annihilator rows w with w . V = 0
         V = ExactMatrix.from_columns(list(sub))
         ann = mat_kernel(V.transpose())
-        for v in sub:
+        for v in added:
             for w in ann:
                 rows.append(
                     [sum((w[r] * x * v[c] for r, c, x in nz), Scalar(0)) for nz in basis_entries]
                 )
-    if not rows:
-        return L.dim
-    return L.dim - mat_rank(ExactMatrix(rows))
+    return ExactMatrix(rows or [[Scalar(0)] * L.dim])
 
 
 # -- atlas ---------------------------------------------------------------------------
@@ -400,7 +399,7 @@ class BorelAtlas:
         return list(self.borels) + list(self.parabolics)
 
 
-def enumerate_atlas(a: GElement, verify: bool = True) -> BorelAtlas:
+def enumerate_atlas(a: GElement) -> BorelAtlas:
     L = a.algebra
     n = L.n
     chains = eigen_chains(a)
@@ -411,14 +410,11 @@ def enumerate_atlas(a: GElement, verify: bool = True) -> BorelAtlas:
             continue
         for fl in invariant_flags(chains, comp):
             parabolics.append(FlagParabolic(a, fl))
-    if verify:
-        for m in borels + parabolics:
-            m.verify()
-    # route 1: intersection of all Borel spans
-    inter = borels[0].p_span
-    for bp in borels[1:]:
-        inter = span_intersection(inter, bp.p_span)
-    b_a = span_to_elements(L, inter)
+    for m in borels + parabolics:
+        m.verify()
+    # route 1: the solutions of every Borel's stabilizer equations
+    stacked = ExactMatrix([row for bp in borels for row in bp.equations.entries])
+    b_a = span_to_elements(L, canonical_basis(mat_kernel(stacked)))
     u_a = derived_span(b_a)
     # route 2: structural, must agree exactly
     b2, u2 = compute_b_a_structural(L, chains)

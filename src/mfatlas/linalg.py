@@ -357,24 +357,3 @@ def span_le(A: Sequence[Sequence], B: Sequence[Sequence]) -> bool:
 def span_equal(A: Sequence[Sequence], B: Sequence[Sequence]) -> bool:
     return canonical_basis(A) == canonical_basis(B)
 
-
-def span_intersection(A: Sequence[Sequence], B: Sequence[Sequence]) -> tuple[Vector, ...]:
-    """Canonical basis of span(A) intersect span(B)."""
-    a = [tuple(as_scalar(x) for x in v) for v in A if any(as_scalar(x) for x in v)]
-    b = [tuple(as_scalar(x) for x in v) for v in B if any(as_scalar(x) for x in v)]
-    if not a or not b:
-        return ()
-    n = len(a[0])
-    # Columns of M are the A vectors then the negated B vectors; kernel
-    # elements (u, w) satisfy sum u_k a_k = sum w_k b_k.
-    cols = [list(v) for v in a] + [[-x for x in v] for v in b]
-    M = ExactMatrix.from_columns(cols)
-    inter = []
-    for k in mat_kernel(M):
-        vec = [Scalar(0)] * n
-        for idx in range(len(a)):
-            if not k[idx].is_zero():
-                for t in range(n):
-                    vec[t] = vec[t] + k[idx] * a[idx][t]
-        inter.append(tuple(vec))
-    return canonical_basis(inter)

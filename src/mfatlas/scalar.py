@@ -62,20 +62,6 @@ class Scalar:
     def im(self) -> Fraction:
         return Fraction(self.y, self.d)
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero() -> "Scalar":
-        return _ZERO
-
-    @staticmethod
-    def one() -> "Scalar":
-        return _ONE
-
-    @staticmethod
-    def i() -> "Scalar":
-        return _I
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
@@ -218,7 +204,6 @@ def scalar_from_ints(x: int, y: int, d: int) -> Scalar:
 
 _ZERO = Scalar(0)
 _ONE = Scalar(1)
-_I = Scalar(0, 1)
 
 
 def as_scalar(v) -> Scalar:
@@ -284,7 +269,3 @@ def scalar_from_str(text: str) -> Scalar:
         raise ValueError(f"zero denominator in scalar string: {text!r}") from exc
     return Scalar(re_part, im_part)
 
-
-S0 = _ZERO
-S1 = _ONE
-SI = _I

@@ -238,11 +238,11 @@ def check_strong_regularity(sys_: ShiftSystem, rng: Random, samples: int) -> Che
 
 def check_centralizer_containment(a: GElement, atlas: BorelAtlas) -> CheckResult:
     """The centralizer of a lies in b^a and in every member of the atlas."""
-    cent = [e.coords for e in centralizer(a)]
-    if not span_le(cent, [e.coords for e in atlas.b_a]):
+    cent = centralizer(a)
+    if not span_le([e.coords for e in cent], [e.coords for e in atlas.b_a]):
         return _result("centralizer-containment", False, "not inside b^a")
     for m in atlas.members:
-        if not span_le(cent, m.p_span):
+        if not all(m.contains(e) for e in cent):
             return _result("centralizer-containment", False, "not inside a member")
     return _result("centralizer-containment", True, f"{len(atlas.members)} members")
 

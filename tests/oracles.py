@@ -9,6 +9,10 @@ in mfatlas replaced, kept here to cross-check them.
 * shift_expansion_by_substitution: substitute x + lambda a into tr(X^d) and
   collect by lambda (oracle for mfsystem.trace_power_coefficients).
 * killing_form: tr(ad_x ad_y) from adjoint matrices, 2n times the trace form.
+* span_intersection: the canonical basis of span(A) intersect span(B), from
+  the kernel of [A | -B] (folded pairwise over the Borels' spans, the oracle
+  for b^a as the solutions of all their stabilizer equations in
+  flags.enumerate_atlas).
 * min_poly: the minimal polynomial from the first power of m that is a
   combination of lower powers (checked against sympy in test_linalg_oracle).
 * FractionPairScalar, dot_fraction_pairs: Gaussian rationals stored as a pair
@@ -22,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from mfatlas.lie import GElement, ad_matrix
-from mfatlas.linalg import ExactMatrix, mat_kernel, solve
+from mfatlas.linalg import ExactMatrix, canonical_basis, mat_kernel, solve
 from mfatlas.mfsystem import ShiftSystem
 from mfatlas.mpoly import MPoly, mpoly_mat_mul, mpoly_mat_trace
 from mfatlas.scalar import Scalar, scalar_to_str
@@ -68,6 +72,24 @@ def jacobian_polys(sys_: ShiftSystem) -> tuple[tuple[MPoly, ...], ...]:
 def jacobian_at_symbolic(sys_: ShiftSystem, x: GElement) -> ExactMatrix:
     point = dict(zip(sys_.algebra.coord_names, x.coords))
     return ExactMatrix([[e.eval(point) for e in row] for row in jacobian_polys(sys_)])
+
+
+def span_intersection(A, B) -> tuple[tuple[Scalar, ...], ...]:
+    """Canonical basis of span(A) intersect span(B)."""
+    a = [tuple(v) for v in A if any(v)]
+    b = [tuple(v) for v in B if any(v)]
+    if not a or not b:
+        return ()
+    # Columns are the A vectors then the negated B vectors; kernel elements
+    # (u, w) satisfy sum u_k a_k = sum w_k b_k.
+    M = ExactMatrix.from_columns(a + [tuple(-x for x in v) for v in b])
+    inter = []
+    for k in mat_kernel(M):
+        vec = [Scalar(0)] * len(a[0])
+        for coef, vector in zip(k, a):
+            vec = [t + coef * x for t, x in zip(vec, vector)]
+        inter.append(tuple(vec))
+    return canonical_basis(inter)
 
 
 def min_poly(m: ExactMatrix) -> list[Scalar]:

@@ -235,7 +235,7 @@ def suite_containment(instances: int = 100, seed: int = 0) -> int:
         else:
             base = representative("sl2-s" if n == 2 else "sl3-r")
         a = conjugate(random_unimodular(L, rng), base)
-        _require(check_centralizer_containment(a, enumerate_atlas(a, verify=False)), f"n={n}")
+        _require(check_centralizer_containment(a, enumerate_atlas(a)), f"n={n}")
         checked += 1
     return checked
 

@@ -103,6 +103,22 @@ def test_bad_numbers_exit_2(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_ignored_element_flags_exit_2(tmp_path, capsys):
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({"n": 3, "entries": [["1", "1", "0"], ["0", "1", "0"], ["0", "0", "-2"]]}))
+    for argv, message in (
+        (("atlas", "--n", "3", "--element", "r", "--param", "1", "--param", "2"),
+         "element r takes at most 1 parameter, got 2"),
+        (("atlas", "--n", "3", "--element", "n", "--param", "5"), "element n takes no parameters"),
+        (("atlas", "--matrix", str(m), "--element", "n", "--param", "5"),
+         "--matrix takes no --element or --param"),
+        (("build", "--matrix", str(m), "--element", "s"), "--matrix takes no --element or --param"),
+        (("verify", "--matrix", str(m), "--param", "1"), "--matrix takes no --element or --param"),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: invalid input: {message}\n"), argv
+
+
 def test_contradictory_iprime_entries_exit_2(tmp_path, capsys):
     for entry in (
         {"n": 3, "partition": [1, 1, 1], "value": -5},

@@ -202,7 +202,7 @@ def test_atlas_equivariance_under_conjugation():
     rng = rng_for("flags-conj", 0)
     a = sl3_semisimple(1, 2)
     g = random_unimodular(a.algebra, rng)
-    atlas = enumerate_atlas(conjugate(g, a), verify=False)
+    atlas = enumerate_atlas(conjugate(g, a))
     assert (len(atlas.borels), len(atlas.parabolics)) == (6, 6)
 
 

@@ -12,24 +12,29 @@ its polynomials are rebuilt here from the products U^-1 l U.
 """
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import pytest
 
 from mfatlas.components import levi_system
-from mfatlas.corpus import sl3_mixed, sl3_nilpotent, sl3_semisimple
+from mfatlas.corpus import sl2_nilpotent, sl2_semisimple, sl3_mixed, sl3_nilpotent, sl3_semisimple
+from mfatlas.errors import CertificationError
 from mfatlas.flags import (
-    _stabilizer_dimension,
+    FlagParabolic,
     compositions,
     eigen_chains,
     elements_span,
     enumerate_atlas,
+    frame_unit,
     invariant_flags,
+    stabilizer_equations,
     support_mask,
 )
 from mfatlas.lie import sl
-from mfatlas.linalg import ExactMatrix, mat_inverse
+from mfatlas.linalg import ExactMatrix, mat_inverse, mat_rank, span_contains
 from mfatlas.mpoly import MPoly, mpoly_mat_mul, mpoly_mat_trace
+from mfatlas.sampling import random_combination, random_element, rng_for
+from oracles import span_intersection
 
 
 def _shift(n):
@@ -43,6 +48,8 @@ def _dense_sl3():
 
 
 SHIFTS = {
+    "sl2-s": lambda: sl2_semisimple(1),
+    "sl2-n": sl2_nilpotent,
     "sl3-s": lambda: sl3_semisimple(1, 2),
     "sl3-r": lambda: sl3_mixed(1),
     "sl3-n": sl3_nilpotent,
@@ -104,7 +111,48 @@ def test_stabilizer_dimension_matches_composition(key):
     for comp in compositions(L.n):
         expect = sum(comp[i] * comp[j] for i in range(len(comp)) for j in range(i, len(comp))) - 1
         for flag in invariant_flags(chains, comp):
-            assert _stabilizer_dimension(L, flag) == expect, (key, comp)
+            assert L.dim - mat_rank(stabilizer_equations(L, flag)) == expect, (key, comp)
+
+
+@pytest.mark.parametrize("key", SHIFTS)
+def test_b_a_is_the_intersection_of_the_borel_spans(key):
+    atlas = _atlas(key)
+    spans = [elements_span(b.p_basis) for b in atlas.borels]
+    assert tuple(e.coords for e in atlas.b_a) == reduce(span_intersection, spans), key
+
+
+@pytest.mark.parametrize("key", SHIFTS)
+def test_contains_agrees_with_span_membership(key):
+    """contains (a zero test of the stabilizer equations) against membership
+    in the span of p_basis, on points in, on and off each member."""
+    atlas = _atlas(key)
+    L = atlas.a.algebra
+    rng = rng_for(f"flags-contains:{key}", 0)
+    members = atlas.members
+    for k, m in enumerate(members):
+        span = elements_span(m.p_basis)
+        points = [random_combination(L, m.p_basis, rng) for _ in range(3)]
+        points += [random_element(L, rng) for _ in range(3)]
+        points += [random_combination(L, members[k - 1].p_basis, rng)]
+        points += [atlas.a, *m.l_basis, *m.u_basis]
+        for x in points:
+            assert m.contains(x) == span_contains(span, x.coords), (key, m)
+
+
+@pytest.mark.parametrize("key", ["sl2-s", "sl3-s", "sl3-n", "sl3-dense", "sl4-s"])
+def test_verify_rejects_a_tampered_basis(key):
+    a = SHIFTS[key]()
+    n = a.algebra.n
+    flag = invariant_flags(eigen_chains(a), (1,) * n)[0]
+    p = FlagParabolic(a, flag)
+    p.verify()
+    # U E_n1 U^-1 maps the first flag line out of every proper step
+    p.p_basis.append(a.algebra.element(frame_unit(p.U, p.U_inv, n - 1, 0)))
+    with pytest.raises(CertificationError, match="fails to stabilize"):
+        p.verify()
+    p.p_basis[-2:] = []
+    with pytest.raises(CertificationError, match="dimension mismatch"):
+        p.verify()
 
 
 @pytest.mark.parametrize("key", SHIFTS)

@@ -13,11 +13,10 @@ from mfatlas.linalg import (
     solve,
     span_contains,
     span_equal,
-    span_intersection,
     span_le,
 )
 from mfatlas.scalar import Scalar
-from oracles import min_poly
+from oracles import min_poly, span_intersection
 
 
 def _m(rows):

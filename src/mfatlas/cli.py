@@ -400,7 +400,11 @@ def main(argv: list[str] | None = None) -> int:
     except (CertificationError, MFError) as exc:
         print(f"error: verification failure: {exc}", file=sys.stderr)
         return 1
-    write_output(render_report(report, args.format), args.out)
+    try:
+        write_output(render_report(report, args.format), args.out)
+    except OSError as exc:
+        print(f"error: invalid input: cannot write report: {exc}", file=sys.stderr)
+        return 2
     return 0 if ok else 1
 
 

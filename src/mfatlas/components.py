@@ -289,20 +289,6 @@ class IPrimeTable:
     def symbol(n: int, partition: tuple[int, ...]) -> str:
         return f"I'({n},[{','.join(str(k) for k in partition)}])"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "mf-iprime/1",
-            "entries": [
-                {
-                    "n": n,
-                    "partition": list(part),
-                    "value": ent.value,
-                    "lower": ent.lower,
-                }
-                for (n, part), ent in sorted(self.entries.items())
-            ],
-        }
-
     @staticmethod
     def from_json_dict(data: dict) -> "IPrimeTable":
         try:

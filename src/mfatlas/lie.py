@@ -29,7 +29,7 @@ from typing import Sequence
 from .errors import AlgebraMismatchError, PreconditionError
 from .linalg import ExactMatrix, canonical_basis, mat_kernel, mat_rank
 from .mpoly import MPoly
-from .scalar import Scalar, as_scalar, scalar_from_str
+from .scalar import Scalar, scalar_from_str
 
 
 class LieAlgebraA:
@@ -64,15 +64,14 @@ class LieAlgebraA:
             coords.append(partial)
         return tuple(coords)
 
-    def matrix_of_coords(self, coords: Sequence) -> ExactMatrix:
-        cs = [as_scalar(c) for c in coords]
-        if len(cs) != self.dim:
+    def matrix_of_coords(self, coords: Sequence[Scalar]) -> ExactMatrix:
+        if len(coords) != self.dim:
             raise ValueError("coordinate length mismatch")
         n = self.n
         rows = [[Scalar(0)] * n for _ in range(n)]
         for idx, (i, j) in enumerate(self.offdiag_positions):
-            rows[i][j] = cs[idx]
-        h = cs[len(self.offdiag_positions):]
+            rows[i][j] = coords[idx]
+        h = coords[len(self.offdiag_positions):]
         prev = Scalar(0)
         for k in range(n):
             cur = h[k] if k < n - 1 else Scalar(0)
@@ -167,7 +166,7 @@ class GElement:
     def __neg__(self) -> "GElement":
         return GElement(self.algebra, -self.matrix)
 
-    def scale(self, c) -> "GElement":
+    def scale(self, c: Scalar) -> "GElement":
         return GElement(self.algebra, self.matrix.scale(c))
 
     def is_zero(self) -> bool:
@@ -277,7 +276,7 @@ class WeylElement:
         """Permute diagonal values: slot perm[i] receives value i."""
         out = [Scalar(0)] * len(self.perm)
         for i, p in enumerate(self.perm):
-            out[p] = as_scalar(values[i])
+            out[p] = values[i]
         return tuple(out)
 
     def inverse(self) -> "WeylElement":

@@ -1,6 +1,9 @@
 """Exact linear algebra over Q(i).
 
-Matrices are immutable tuples of tuples of Scalar.  Every elimination goes
+Matrices are immutable tuples of tuples of Scalar.  The constructor and the
+functions below take Scalar entries as given and do not coerce them (the
+constructor only checks that the rows have one width), so every matrix,
+vector and basis they return holds Scalars only.  Every elimination goes
 through one Gauss-Jordan routine, rref: rank, kernels, solving, inverses,
 canonical subspace bases and span containment are all read off its output.
 Its independent oracle is a sympy cross-check in the tests, so the package
@@ -20,7 +23,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
-from .scalar import Scalar, as_scalar, scalar_from_ints
+from .scalar import Scalar, scalar_from_ints
 
 Vector = tuple[Scalar, ...]
 
@@ -30,8 +33,8 @@ class ExactMatrix:
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries: Sequence[Sequence]):
-        rows = tuple(tuple(as_scalar(v) for v in row) for row in entries)
+    def __init__(self, entries: Sequence[Sequence[Scalar]]):
+        rows = tuple(tuple(row) for row in entries)
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -60,20 +63,18 @@ class ExactMatrix:
         return ExactMatrix([[zero] * c for _ in range(r)])
 
     @staticmethod
-    def from_columns(cols: Sequence[Sequence]) -> "ExactMatrix":
-        cols = [tuple(as_scalar(v) for v in c) for c in cols]
+    def from_columns(cols: Sequence[Sequence[Scalar]]) -> "ExactMatrix":
         if not cols:
             return ExactMatrix([])
         n = len(cols[0])
         return ExactMatrix([[c[i] for c in cols] for i in range(n)])
 
     @staticmethod
-    def diagonal(values: Sequence) -> "ExactMatrix":
-        vals = [as_scalar(v) for v in values]
+    def diagonal(values: Sequence[Scalar]) -> "ExactMatrix":
         zero = Scalar(0)
-        n = len(vals)
+        n = len(values)
         return ExactMatrix(
-            [[vals[i] if i == j else zero for j in range(n)] for i in range(n)]
+            [[values[i] if i == j else zero for j in range(n)] for i in range(n)]
         )
 
     # -- basic ops -----------------------------------------------------------
@@ -99,8 +100,7 @@ class ExactMatrix:
     def __neg__(self) -> "ExactMatrix":
         return ExactMatrix([[-a for a in row] for row in self.entries])
 
-    def scale(self, c) -> "ExactMatrix":
-        c = as_scalar(c)
+    def scale(self, c: Scalar) -> "ExactMatrix":
         return ExactMatrix([[c * a for a in row] for row in self.entries])
 
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
@@ -146,12 +146,11 @@ class ExactMatrix:
             t = t + self.entries[i][i]
         return t
 
-    def apply(self, v: Sequence) -> Vector:
+    def apply(self, v: Sequence[Scalar]) -> Vector:
         """Matrix times column vector."""
-        vec = tuple(as_scalar(x) for x in v)
-        if len(vec) != self.cols:
+        if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(_dot(row, vec) for row in self.entries)
+        return tuple(_dot(row, v) for row in self.entries)
 
     def row(self, i: int) -> Vector:
         return self.entries[i]
@@ -280,13 +279,12 @@ def mat_kernel(m: ExactMatrix) -> list[Vector]:
     return basis
 
 
-def solve(A: ExactMatrix, b: Sequence) -> Vector | None:
+def solve(A: ExactMatrix, b: Sequence[Scalar]) -> Vector | None:
     """One solution of A x = b, or None if inconsistent."""
-    bvec = [as_scalar(v) for v in b]
-    if len(bvec) != A.rows:
+    if len(b) != A.rows:
         raise ValueError("rhs length mismatch")
     aug = ExactMatrix(
-        [list(A.entries[i]) + [bvec[i]] for i in range(A.rows)]
+        [list(A.entries[i]) + [b[i]] for i in range(A.rows)]
     )
     R, pivots = rref(aug)
     if A.cols in pivots:
@@ -317,11 +315,10 @@ def char_poly(m: ExactMatrix) -> list[Scalar]:
 # -- canonical subspaces -------------------------------------------------------
 
 
-def canonical_basis(vectors: Iterable[Sequence]) -> tuple[Vector, ...]:
+def canonical_basis(vectors: Iterable[Sequence[Scalar]]) -> tuple[Vector, ...]:
     """Canonical (RREF, zero rows dropped) basis of the span of the input
     vectors.  Equal spans give identical outputs, so this doubles as a key."""
-    vecs = [tuple(as_scalar(v) for v in vec) for vec in vectors]
-    vecs = [v for v in vecs if any(not a.is_zero() for a in v)]
+    vecs = [v for v in vectors if any(v)]
     if not vecs:
         return ()
     R, pivots = rref(ExactMatrix(vecs))
@@ -336,8 +333,7 @@ def span_contains(basis: Sequence[Sequence], v: Sequence) -> bool:
 def span_le(A: Sequence[Sequence], B: Sequence[Sequence]) -> bool:
     """Is span(A) contained in span(B)?  Each vector of A is reduced against
     the canonical basis of B; it lies in span(B) iff nothing is left."""
-    a = [tuple(as_scalar(x) for x in v) for v in A]
-    a = [v for v in a if any(v)]
+    a = [v for v in A if any(v)]
     if not a:
         return True
     basis = canonical_basis(B)

@@ -50,7 +50,7 @@ from .lie import GElement, LieAlgebraA, bracket, is_regular
 from .linalg import ExactMatrix, Vector, _dot, canonical_basis, mat_rank
 from .mpoly import MPoly, affine_chart, mpoly_det, mpoly_mat_mul, mpoly_mat_trace
 from .sampling import random_element, random_rational, rng_for
-from .scalar import Scalar, as_scalar
+from .scalar import Scalar
 from . import unipoly as up
 
 FibreValue = tuple[Scalar, ...]
@@ -237,9 +237,9 @@ def mf_values(a: GElement, x: GElement) -> FibreValue:
     return tuple(heads + tails)
 
 
-def invariant_values_along(a: GElement, x: GElement, lam) -> tuple[Scalar, ...]:
+def invariant_values_along(a: GElement, x: GElement, lam: Scalar) -> tuple[Scalar, ...]:
     """(f_1, ..., f_r) evaluated at x + lam a."""
-    shifted = x + a.scale(as_scalar(lam))
+    shifted = x + a.scale(lam)
     vals = []
     P = shifted.matrix
     for d in range(2, a.algebra.n + 1):
@@ -303,7 +303,7 @@ def _mat_sub(A, B):
 # -- alternative generators ----------------------------------------------------------------
 
 
-def alt_generators(sys_: ShiftSystem, lambda_table: Sequence[Sequence] | None = None) -> list[list[MPoly]]:
+def alt_generators(sys_: ShiftSystem, lambda_table: Sequence[Sequence[Scalar]] | None = None) -> list[list[MPoly]]:
     """g_ij(x) = f_i(x + lambda_j a) - f_i(lambda_j a) for a table of
     pairwise-distinct lambdas per row; row i spans the same space as
     (f_i, f_i1, ..., f_i,d-1) by Vandermonde inversion."""
@@ -316,7 +316,7 @@ def alt_generators(sys_: ShiftSystem, lambda_table: Sequence[Sequence] | None = 
     acoords = sys_.a.coords
     for i, f in enumerate(sys_.components[:L.rank]):
         d = i + 2
-        lams = [as_scalar(v) for v in lambda_table[i]]
+        lams = lambda_table[i]
         if len(lams) != d:
             raise PreconditionError(f"row {i + 1} must have {d} lambdas")
         if len(set(lams)) != d:

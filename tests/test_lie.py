@@ -124,7 +124,7 @@ def _regularity_cases(n):
     rng = rng_for(f"lie-reg-oracle:{n}", 0)
 
     def units(cells):
-        return ExactMatrix([[int((i, j) in cells) for j in range(n)] for i in range(n)])
+        return ExactMatrix([[Scalar(int((i, j) in cells)) for j in range(n)] for i in range(n)])
 
     bases = [
         ("zero", L.zero(), False),
@@ -137,7 +137,7 @@ def _regularity_cases(n):
             vals = random_distinct_rationals(rng, n - 2)
             d = [vals[0], vals[0]] + vals[1:]
             d.append(-sum(d))
-            diag = L.element(ExactMatrix.diagonal(d))
+            diag = L.element(ExactMatrix.diagonal([Scalar(v) for v in d]))
             bases.append(("repeated-eigenvalue diagonal", diag, False))
             bases.append(("repeated eigenvalue, Jordan block", diag + L.element(units({(0, 1)})), None))
     cases = []

@@ -1,12 +1,16 @@
 """Exact matrix algebra: rank, kernels, characteristic and minimal
 polynomials."""
 
+import random
 from fractions import Fraction
+
+import pytest
 
 from mfatlas.linalg import (
     ExactMatrix,
     canonical_basis,
     char_poly,
+    mat_inverse,
     mat_kernel,
     mat_rank,
     rref,
@@ -92,3 +96,31 @@ def test_matrix_helpers():
     cols = ExactMatrix.from_columns([(Scalar(1), Scalar(0)), (Scalar(5), Scalar(1))])
     assert cols.col(1) == (Scalar(5), Scalar(1))
     assert cols.row(0) == (Scalar(1), Scalar(5))
+
+
+def _all_scalars(vectors):
+    return all(type(v) is Scalar for vec in vectors for v in vec)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_results_hold_only_scalars(seed):
+    """ExactMatrix does not coerce its entries, so every result the arithmetic
+    builds must already be a Scalar."""
+    rng = random.Random(f"linalg-scalars:{seed}")
+
+    def draw(rows, cols):
+        return ExactMatrix([[Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.choice((0, 0, 1)))
+                             for _ in range(cols)] for _ in range(rows)])
+
+    A, B = draw(3, 3), draw(3, 3)
+    while mat_rank(A) < 3:
+        A = draw(3, 3)
+    S = draw(3, 2) * draw(2, 4)
+    b = (Scalar(1), Scalar(0), Scalar(Fraction(-2, 3), 1))
+    for M in (A * B, A + B, A - B, -A, A.scale(Scalar(0, 1)), S.transpose(), rref(S)[0],
+              mat_inverse(A), A.matpow(3)):
+        assert _all_scalars(M.entries)
+    kernel = mat_kernel(S)
+    assert _all_scalars(kernel) and len(kernel) == 2
+    assert _all_scalars([solve(A, b), A.apply(b), char_poly(A)])
+    assert _all_scalars(canonical_basis(S.entries))

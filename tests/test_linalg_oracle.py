@@ -59,7 +59,7 @@ def _sparse(rng: Random, rows: int, cols: int) -> ExactMatrix:
 def _unit_rows(rng: Random, rows: int, cols: int) -> ExactMatrix:
     """Every row a unit vector; repeated rows make some draws rank-deficient."""
     picks = [rng.randrange(cols) for _ in range(rows)]
-    return ExactMatrix([[1 if c == p else 0 for c in range(cols)] for p in picks])
+    return ExactMatrix([[Scalar(1 if c == p else 0) for c in range(cols)] for p in picks])
 
 
 def _in_rref(rng: Random, rows: int, cols: int, rank: int) -> ExactMatrix:
@@ -225,9 +225,9 @@ def _sympy_min_poly(M):
 def _structured(n: int) -> list[ExactMatrix]:
     """Derogatory and nilpotent matrices, where the minimal polynomial is a
     proper divisor of the characteristic one."""
-    J = [[1 if j == i + 1 else 0 for j in range(n)] for i in range(n)]
-    D = [[(i % 2) + 1 if i == j else 0 for j in range(n)] for i in range(n)]
-    J2 = [[1 if (i, j) == (0, 1) else 0 for j in range(n)] for i in range(n)]
+    J = [[Scalar(1 if j == i + 1 else 0) for j in range(n)] for i in range(n)]
+    D = [[Scalar((i % 2) + 1 if i == j else 0) for j in range(n)] for i in range(n)]
+    J2 = [[Scalar(1 if (i, j) == (0, 1) else 0) for j in range(n)] for i in range(n)]
     return [ExactMatrix(J), ExactMatrix(D), ExactMatrix(J2), ExactMatrix.zeros(n, n)]
 
 

@@ -274,7 +274,7 @@ def _oracle_shifts(n):
     rational = conjugate(random_unimodular(L, rng), random_traceless_distinct_diag(L, rng))
     gauss = [Scalar(k + 1, 2 * k - 1) for k in range(n - 1)]
     gauss.append(-sum(gauss, Scalar(0)))
-    shift = ExactMatrix([[int(j == i + 1) for j in range(n)] for i in range(n)])
+    shift = ExactMatrix([[Scalar(int(j == i + 1)) for j in range(n)] for i in range(n)])
     nilpotent = conjugate(random_unimodular(L, rng), L.element(shift))
     return {
         "rational": rational,
@@ -312,7 +312,7 @@ def test_jacobian_at_evaluates_no_polynomial(monkeypatch):
 
     cases = [(sys_, random_element(sys_.algebra, rng_for(f"sys-no-eval:{key}", 0)))
              for key, sys_ in SYSTEMS.items()]
-    sl4 = build_system(sl(4).element(ExactMatrix.diagonal([1, 2, 3, -6])))
+    sl4 = build_system(sl(4).element(ExactMatrix.diagonal([Scalar(v) for v in (1, 2, 3, -6)])))
     cases.append((sl4, random_element(sl4.algebra, rng_for("sys-no-eval:sl4", 0))))
     calls = []
     real = MPoly.eval
@@ -382,5 +382,5 @@ def test_build_substitutes_nothing_and_tangent_space_uses_no_unipoly(monkeypatch
     sys_.components[0].subs(sys_.algebra.coord_names, {
         v: MPoly.var(sys_.algebra.coord_names, v) for v in sys_.algebra.coord_names
     })
-    up.uni_deg(up.uni([1, 2]))
+    up.uni_deg(up.uni([Scalar(1), Scalar(2)]))
     assert calls == ["subs", "uni", "uni_deg"]

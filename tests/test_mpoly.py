@@ -109,6 +109,49 @@ def test_det_3x3_frozen():
     assert det == expect
 
 
+def _well_formed(p):
+    """The MPoly term invariant: nonzero Scalar values, keyed by tuples of
+    len(vars) nonnegative ints."""
+    return all(
+        type(c) is Scalar and not c.is_zero()
+        and type(e) is tuple and len(e) == len(p.vars)
+        and all(type(k) is int and k >= 0 for k in e)
+        for e, c in p.terms.items()
+    )
+
+
+def _small_poly(rng, vars_, terms):
+    """A seeded polynomial with coefficients in -2..2 and degree at most 2 per
+    variable, so sums and products of two of them often cancel."""
+    out = MPoly.zero(vars_)
+    for _ in range(terms):
+        e = tuple(rng.randint(0, 2) for _ in vars_)
+        out = out + MPoly(vars_, {e: Scalar(rng.choice((-2, -1, 1, 2)))})
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_results_keep_the_term_invariant(seed):
+    rng = random.Random(f"mpoly-invariant:{seed}")
+    p, q = _small_poly(rng, V, 5), _small_poly(rng, V, 5)
+    results = [p + q, p - q, p - p, p + (-p), p * q, (p - q) * (p + q), p ** 3,
+               p * 3, p * 0, p * Scalar(Fraction(-1, 2), 1), 2 * p, p - 1,
+               p.diff("x"), (p * q).diff("z"), p.extend(("w",) + V),
+               p.subs(V, {"x": q, "y": p - q, "z": MPoly.const(V, Scalar(-1))})]
+    results += p.collect("y").values()
+    results.append(p.subs(V, {"x": _x(), "y": _y(), "z": MPoly.zero(V)}).project(("x", "y")))
+    m = [[_small_poly(rng, V, 2) for _ in range(3)] for _ in range(3)]
+    results.append(mpoly_det(m))
+    results.append(mpoly_mat_trace(mpoly_mat_mul(m, m)))
+    # zeros in base and dirs; the last coordinate is zero throughout
+    chart = affine_chart(("s", "t"), [Scalar(0), Scalar(1), Scalar(0)],
+                         [[Scalar(0), Scalar(2), Scalar(0)], [Scalar(1), Scalar(0), Scalar(0)]])
+    assert chart[2] == MPoly.zero(("s", "t"))
+    results += chart
+    for r in results:
+        assert _well_formed(r), r.terms
+
+
 def _sparse_scalar(rng):
     """A Gaussian rational that is zero about half the time."""
     if rng.random() < 0.5:
@@ -125,6 +168,7 @@ def test_affine_chart_matches_direct_evaluation(seed):
     dirs = [[_sparse_scalar(rng) for _ in range(dim)] for _ in range(k)]
     chart = affine_chart(tvars, base, dirs)
     assert len(chart) == dim and all(p.vars == tvars for p in chart)
+    assert all(_well_formed(p) for p in chart)
     for _ in range(4):
         t = [_sparse_scalar(rng) for _ in range(k)]
         direct = list(base)

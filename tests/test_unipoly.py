@@ -18,46 +18,51 @@ from mfatlas.unipoly import (
 )
 
 
+def _s(*coeffs):
+    """Low-first coefficients with each int made a Scalar."""
+    return [c if isinstance(c, Scalar) else Scalar(c) for c in coeffs]
+
+
 def test_normalization_drops_leading_zeros():
-    assert uni([1, 2, 0, 0]) == (Scalar(1), Scalar(2))
-    assert uni([0]) == ()
-    assert uni_is_zero(uni([0, 0]))
-    assert uni_deg(uni([0, 0, 5])) == 2
-    assert uni_is_constant(uni([7, 0])) and uni_is_constant(())
-    assert not uni_is_constant(uni([0, 1]))
+    assert uni(_s(1, 2, 0, 0)) == (Scalar(1), Scalar(2))
+    assert uni(_s(0)) == ()
+    assert uni_is_zero(uni(_s(0, 0)))
+    assert uni_deg(uni(_s(0, 0, 5))) == 2
+    assert uni_is_constant(uni(_s(7, 0))) and uni_is_constant(())
+    assert not uni_is_constant(uni(_s(0, 1)))
 
 
 def test_ring_identities():
-    p = uni([1, 0, 1])           # 1 + t^2
-    q = uni([-2, 1])             # t - 2
-    pq = uni([-2, 1, -2, 1])     # (1 + t^2)(t - 2)
+    p = uni(_s(1, 0, 1))           # 1 + t^2
+    q = uni(_s(-2, 1))             # t - 2
+    pq = uni(_s(-2, 1, -2, 1))     # (1 + t^2)(t - 2)
     assert uni_divmod(pq, q) == (p, ())
     assert uni_divmod(pq, p) == (q, ())
-    assert uni_scale(p, 3) == uni([3, 0, 3])
-    assert uni_scale(p, 0) == ()
+    assert uni_scale(p, Scalar(3)) == uni(_s(3, 0, 3))
+    assert uni_scale(p, Scalar(0)) == ()
 
 
 def test_divmod_with_remainder():
-    p = uni([1, 1, 1])   # 1 + t + t^2
-    q = uni([1, 1])      # 1 + t
+    p = uni(_s(1, 1, 1))   # 1 + t + t^2
+    q = uni(_s(1, 1))      # 1 + t
     quot, rem = uni_divmod(p, q)
-    assert quot == uni([0, 1])
-    assert rem == uni([1])
+    assert quot == uni(_s(0, 1))
+    assert rem == uni(_s(1))
 
 
 def test_gcd_and_monic():
-    p = uni([2, -3, 1])    # (t - 1)(t - 2)
-    q = uni([-3, 2, 1])    # (t - 1)(t + 3)
-    assert uni_gcd(p, q) == uni([-1, 1])
-    assert uni_gcd(uni([4, -6, 2]), q) == uni([-1, 1])
-    assert uni_gcd(p, uni([3, 1])) == uni([1])
+    p = uni(_s(2, -3, 1))    # (t - 1)(t - 2)
+    q = uni(_s(-3, 2, 1))    # (t - 1)(t + 3)
+    assert uni_gcd(p, q) == uni(_s(-1, 1))
+    assert uni_gcd(uni(_s(4, -6, 2)), q) == uni(_s(-1, 1))
+    assert uni_gcd(p, uni(_s(3, 1))) == uni(_s(1))
     assert uni_gcd((), q) == uni_monic(q) == q
-    assert uni_monic(uni([2, 4])) == uni([Scalar(1, 0) / 2, 1])
-    assert uni_monic(uni([1, Scalar(0, 2)])) == uni([Scalar(0, -1) / 2, 1])
+    assert uni_monic(uni(_s(2, 4))) == uni(_s(Scalar(1, 0) / 2, 1))
+    assert uni_monic(uni(_s(1, Scalar(0, 2)))) == uni(_s(Scalar(0, -1) / 2, 1))
 
 
 def test_eval():
-    p = uni([5, -3, 0, 2])  # 5 - 3t + 2t^3
+    p = uni(_s(5, -3, 0, 2))  # 5 - 3t + 2t^3
     assert uni_eval(p, Scalar(2)) == Scalar(15)
     assert uni_eval(p, Scalar(0, 1)) == Scalar(5, -5)
     assert uni_eval((), Scalar(3)) == Scalar(0)
@@ -91,10 +96,10 @@ def test_gaussian_divisors_one_per_associate_class():
 
 def test_gaussian_roots():
     # (t - 2)(t - i)(t + i) = t^3 - 2t^2 + t - 2
-    roots, rest = uni_roots_gaussian(uni([-2, 1, -2, 1]))
+    roots, rest = uni_roots_gaussian(uni(_s(-2, 1, -2, 1)))
     assert [(r.re, r.im, mult) for r, mult in roots] == [(0, -1, 1), (0, 1, 1), (2, 0, 1)]
     assert rest == 0
     # t (t - 1)^2 (t^2 - 2): roots 0 and 1 (twice), a rootless quadratic
-    roots, rest = uni_roots_gaussian(uni([0, -2, 4, -1, -2, 1]))
+    roots, rest = uni_roots_gaussian(uni(_s(0, -2, 4, -1, -2, 1)))
     assert [(r, mult) for r, mult in roots] == [(Scalar(0), 1), (Scalar(1), 2)]
     assert rest == 2

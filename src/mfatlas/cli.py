@@ -5,31 +5,24 @@ Subcommands: build, verify, count, atlas, check-examples.  Reports are JSON
 (including the seed) produce byte-identical output.
 
 Exit codes: 0 all checks passed, 1 verification failure, 2 invalid input.
+
+Only the build path is imported with this module; every other subcommand
+imports its own layer when it runs, so each process loads just the layers
+its subcommand uses.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
-import tempfile
 
-from .components import (
-    IPrimeTable,
-    count_zero_fibre,
-    member_label,
-)
-from .corpus import run_corpus
 from .errors import CertificationError, MFError, PreconditionError, UnsupportedElementError
-from .flags import enumerate_atlas, mask_strings, support_mask
 from .lie import GElement, LieAlgebraA, sl
 from .linalg import ExactMatrix
 from .mfsystem import build_system
 from .scalar import Scalar, scalar_from_str, scalar_to_str
-from .verify import run_verify_suite
 
 SCHEMA = "mf-atlas/1"
 MAX_N = 4  # desk scale: sl_2 to sl_4
@@ -157,6 +150,8 @@ def cmd_build(args: argparse.Namespace) -> tuple[dict, bool]:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[dict, bool]:
+    from .verify import run_verify_suite
+
     a = resolve_element(args)
     sys_ = build_system(a)
     samples = args.samples if args.samples is not None else 25
@@ -174,6 +169,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, bool]:
 
 
 def cmd_count(args: argparse.Namespace) -> tuple[dict, bool]:
+    from .components import IPrimeTable, count_zero_fibre
+
     a = resolve_element(args)
     table = None
     if args.iprime:
@@ -219,6 +216,8 @@ def cmd_count(args: argparse.Namespace) -> tuple[dict, bool]:
 
 
 def _member_row(m, L) -> dict:
+    from .flags import mask_strings, member_label
+
     return {
         "label": member_label(m),
         "kind": "borel" if m.is_borel() else "parabolic",
@@ -230,6 +229,8 @@ def _member_row(m, L) -> dict:
 
 
 def cmd_atlas(args: argparse.Namespace) -> tuple[dict, bool]:
+    from .flags import enumerate_atlas, mask_strings, support_mask
+
     a = resolve_element(args)
     L = a.algebra
     atlas = enumerate_atlas(a)
@@ -255,6 +256,8 @@ def cmd_atlas(args: argparse.Namespace) -> tuple[dict, bool]:
 
 
 def cmd_check_examples(args: argparse.Namespace) -> tuple[dict, bool]:
+    from .corpus import run_corpus
+
     samples = args.samples if args.samples is not None else 100
     results = run_corpus(samples=samples, seed=args.seed, self_test=args.self_test)
     ok = all(r.passed for r in results)
@@ -288,6 +291,9 @@ def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if "checks" in report:
@@ -307,6 +313,8 @@ def write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
         return
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(out))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mf-report-")
     try:

@@ -36,12 +36,12 @@ from .flags import (
     elements_span,
     enumerate_atlas,
     frame_unit,
-    mask_strings,
+    member_label,
 )
 from .lie import (
     GElement,
-    WeylElement,
     is_regular,
+    permute_diagonal,
     weyl_group,
     weyl_stabilizer,
 )
@@ -64,11 +64,6 @@ from .sampling import (
     rng_for,
 )
 from .scalar import Scalar
-
-
-def member_label(m: FlagParabolic) -> str:
-    kind = "borel" if m.is_borel() else "parabolic"
-    return f"{kind}:{'-'.join(str(k) for k in m.blocks)}:{'|'.join(mask_strings(m.mask()))}"
 
 
 # -- affine families -------------------------------------------------------------
@@ -150,7 +145,7 @@ def weyl_components(sys_: ShiftSystem, x: GElement, atlas: BorelAtlas | None = N
     out: list[AffineComponent] = []
     seen = set()
     for w in weyl_group(L.n):
-        perm_diag = w.apply_to_diagonal(diag)
+        perm_diag = permute_diagonal(w, diag)
         if perm_diag in seen:
             continue
         seen.add(perm_diag)
@@ -160,7 +155,7 @@ def weyl_components(sys_: ShiftSystem, x: GElement, atlas: BorelAtlas | None = N
             raise CertificationError("Weyl translate left the fibre")
         out.append(
             AffineComponent(base=base, dirs=list(B.u_basis), value=value,
-                            label=f"weyl:{w.perm}")
+                            label=f"weyl:{w}")
         )
     return out
 
@@ -677,7 +672,7 @@ def image_bba_check(sys_: ShiftSystem, atlas: BorelAtlas | None = None,
         vals.append(last)
         seen_vals = set()
         for w in W:
-            D = ExactMatrix.diagonal(w.apply_to_diagonal([Scalar(v) for v in vals]))
+            D = ExactMatrix.diagonal(permute_diagonal(w, [Scalar(v) for v in vals]))
             xw = L.element(U * D * U_inv)
             seen_vals.add(sys_.evaluate(xw))
         counts.append(len(seen_vals))
@@ -696,12 +691,14 @@ def image_bba_check(sys_: ShiftSystem, atlas: BorelAtlas | None = None,
     )
 
 
-def _weyl_on_svars(svars: tuple[str, ...], w: WeylElement) -> dict[str, MPoly]:
+def _weyl_on_svars(svars: tuple[str, ...], w: tuple[int, ...]) -> dict[str, MPoly]:
     """Action of a diagonal-slot permutation on the Cartan chart
     sigma_k = s_k (k < n), sigma_n = -sum s_k."""
     sigma = [MPoly.var(svars, s) for s in svars]
     sigma.append(-sum(sigma, MPoly.zero(svars)))
-    inv = w.inverse().perm
+    inv = [0] * len(w)
+    for i, p in enumerate(w):
+        inv[p] = i
     return {s: sigma[inv[k]] for k, s in enumerate(svars)}
 
 
@@ -827,7 +824,7 @@ def near_section_probe(sys_: ShiftSystem, atlas: BorelAtlas | None = None,
         vals.append(last)
         values = set()
         for w in W:
-            D = ExactMatrix.diagonal(w.apply_to_diagonal([Scalar(v) for v in vals]))
+            D = ExactMatrix.diagonal(permute_diagonal(w, [Scalar(v) for v in vals]))
             xw = L.element(B.U * D * B.U_inv)
             point = a + xw
             if not span_contains(lower_span, (point - a).coords):

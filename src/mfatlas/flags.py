@@ -95,6 +95,11 @@ def mask_strings(mask: list[list[int]]) -> list[str]:
     return ["".join("*" if v else "0" for v in row) for row in mask]
 
 
+def member_label(m: FlagParabolic) -> str:
+    kind = "borel" if m.is_borel() else "parabolic"
+    return f"{kind}:{'-'.join(str(k) for k in m.blocks)}:{'|'.join(mask_strings(m.mask()))}"
+
+
 # -- eigen chains ----------------------------------------------------------------
 
 

@@ -23,7 +23,6 @@ is not computed here: flags.eigen_chains owns it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import AlgebraMismatchError, PreconditionError
@@ -266,39 +265,24 @@ def is_regular(x: GElement) -> bool:
 # -- Weyl group ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    """A permutation of diagonal slots; perm[i] = image of slot i."""
-
-    perm: tuple[int, ...]
-
-    def apply_to_diagonal(self, values: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        """Permute diagonal values: slot perm[i] receives value i."""
-        out = [Scalar(0)] * len(self.perm)
-        for i, p in enumerate(self.perm):
-            out[p] = values[i]
-        return tuple(out)
-
-    def inverse(self) -> "WeylElement":
-        inv = [0] * len(self.perm)
-        for i, p in enumerate(self.perm):
-            inv[p] = i
-        return WeylElement(tuple(inv))
+def permute_diagonal(perm: tuple[int, ...], values: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    """Permute diagonal values by a Weyl element: slot perm[i] receives
+    value i."""
+    out = list(values)
+    for i, p in enumerate(perm):
+        out[p] = values[i]
+    return tuple(out)
 
 
-def weyl_group(n: int) -> list[WeylElement]:
-    """All n! diagonal-slot permutations, in lexicographic order."""
-    return [WeylElement(p) for p in itertools.permutations(range(n))]
+def weyl_group(n: int) -> list[tuple[int, ...]]:
+    """All n! diagonal-slot permutations, in lexicographic order; a Weyl
+    element is its permutation tuple, perm[i] = image of slot i."""
+    return list(itertools.permutations(range(n)))
 
 
-def weyl_stabilizer(x: GElement) -> list[WeylElement]:
+def weyl_stabilizer(x: GElement) -> list[tuple[int, ...]]:
     """Permutations fixing the diagonal of x (x must be diagonal)."""
     if not x.is_diagonal():
         raise PreconditionError("weyl_stabilizer needs a diagonal element")
-    diag = [x.matrix.entries[i][i] for i in range(x.algebra.n)]
-    out = []
-    for w in weyl_group(x.algebra.n):
-        if w.apply_to_diagonal(diag) == tuple(diag):
-            out.append(w)
-    return out
-
+    diag = tuple(x.matrix.entries[i][i] for i in range(x.algebra.n))
+    return [w for w in weyl_group(x.algebra.n) if permute_diagonal(w, diag) == diag]

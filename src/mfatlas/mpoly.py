@@ -19,6 +19,7 @@ scalar multiplication, the only places that coerce.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Mapping, Sequence
 
 from .scalar import Scalar, as_scalar
@@ -103,7 +104,7 @@ class MPoly:
         out: dict[Exponent, Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 c = c1 * c2
                 acc = out.get(e)
                 s = c if acc is None else acc + c

@@ -9,7 +9,7 @@ checks are exact and take neither.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from random import Random
 
@@ -32,10 +32,10 @@ from .mfsystem import (
     invariant_values_along,
     is_strongly_regular,
     poisson_bracket_grads,
+    section_chart,
     tangent_space,
-    tarasov_check,
 )
-from .mpoly import MPoly
+from .mpoly import MPoly, affine_chart, mpoly_det
 from .sampling import (
     conjugate,
     random_borel_group_element,
@@ -267,6 +267,69 @@ def check_singular_family(sys_: ShiftSystem, atlas: BorelAtlas, rng: Random) -> 
     x = random_combination(sys_.algebra, atlas.b_a, rng)
     rep = singular_family_check(sys_, x, atlas)
     return _result("singular-family", rep.passed, rep.detail)
+
+
+@dataclass
+class TarasovReport:
+    passed: bool
+    jacobian_constant: str
+    section_dim: int
+    strong_regular_checked: int
+    injectivity_pairs: int
+    failures: list[str] = field(default_factory=list)
+
+
+def tarasov_check(sys_: ShiftSystem, sample_count: int = 50, seed: int = 0) -> TarasovReport:
+    """Certify that xi + b is a section of F_a for diagonal regular a:
+    the restricted Jacobian determinant is a nonzero constant, sampled
+    section points are strongly regular, and sampled distinct pairs take
+    distinct values."""
+    L = sys_.algebra
+    a = sys_.a
+    if not a.is_diagonal():
+        raise PreconditionError("the section check needs a diagonal shift element")
+    diag = [a.matrix.entries[i][i] for i in range(L.n)]
+    if len(set(diag)) != L.n:
+        raise PreconditionError("diagonal entries must be pairwise distinct")
+    tvars = tuple(f"t{k + 1}" for k in range(L.b))
+    chart = affine_chart(tvars, *section_chart(L))
+    mapping = dict(zip(L.coord_names, chart))
+    restricted = [c.subs(tvars, mapping) for c in sys_.components]
+    jac = [[rc.diff(tv) for tv in tvars] for rc in restricted]
+    det = mpoly_det(jac)
+    failures: list[str] = []
+    const_ok = det.is_constant() and not det.is_zero()
+    if not const_ok:
+        failures.append("restricted Jacobian determinant is not a nonzero constant")
+    jc = str(det.constant_term()) if det.is_constant() else str(det)
+    rng = rng_for(f"tarasov:{L.n}", seed)
+    checked = 0
+    points: list[GElement] = []
+    for _ in range(sample_count):
+        tvals = [Scalar(random_rational(rng)) for _ in tvars]
+        x = L.element_from_coords([p.eval(tvals) for p in chart])
+        points.append(x)
+        if not is_strongly_regular(sys_, x, certify=True):
+            failures.append("section point not strongly regular")
+            break
+        checked += 1
+    pairs = 0
+    values = [sys_.evaluate(x) for x in points]
+    for idx in range(len(points)):
+        for jdx in range(idx + 1, min(idx + 4, len(points))):
+            if points[idx] == points[jdx]:
+                continue
+            pairs += 1
+            if values[idx] == values[jdx]:
+                failures.append("distinct section points share a value vector")
+    return TarasovReport(
+        passed=not failures,
+        jacobian_constant=jc,
+        section_dim=L.b,
+        strong_regular_checked=checked,
+        injectivity_pairs=pairs,
+        failures=failures,
+    )
 
 
 def check_tarasov_section(sys_: ShiftSystem, samples: int, seed: int) -> CheckResult:

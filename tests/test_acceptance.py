@@ -31,8 +31,7 @@ from mfatlas.corpus import (
     check_sl3_printed_system,
     check_singular_families,
 )
-from mfatlas.mfsystem import tarasov_check
-from mfatlas.verify import check_jacobian_certificate, check_poisson_commutativity
+from mfatlas.verify import check_jacobian_certificate, check_poisson_commutativity, tarasov_check
 
 REPS = {k: representative(k) for k in REP_KEYS}
 SYSTEMS = {k: system_for(k) for k in REP_KEYS}

@@ -155,6 +155,39 @@ def test_atlas_with_a_large_prime_param_exits_2_quickly():
     assert "Traceback" not in proc.stderr
 
 
+# Runs one subcommand in a fresh interpreter and prints, as the last stdout
+# line, its exit code, the mfatlas modules it loaded, and whether dataclasses
+# was loaded before mfatlas was imported and after the command ran.
+_IMPORT_PROBE = """
+import json, sys
+bare = "dataclasses" in sys.modules
+from mfatlas import cli
+rc = cli.main(sys.argv[1:])
+print(json.dumps({"rc": rc, "bare": bare, "dataclasses": "dataclasses" in sys.modules,
+                  "modules": sorted(m for m in sys.modules if m.startswith("mfatlas."))}))
+"""
+
+
+def _probe_imports(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["rc"] == 0
+    return got
+
+
+def test_build_and_atlas_load_only_their_layers():
+    build = {f"mfatlas.{m}" for m in (
+        "cli", "errors", "lie", "linalg", "mfsystem", "mpoly", "sampling", "scalar", "unipoly")}
+    got = _probe_imports("build", "--n", "4", "--element", "s")
+    assert set(got["modules"]) == build
+    assert got["bare"] or not got["dataclasses"]
+    got = _probe_imports("atlas", "--n", "3")
+    assert set(got["modules"]) == build | {"mfatlas.flags"}
+
+
 def test_atlas_counts(capsys):
     for el, nb, np_ in (("s", 6, 6), ("r", 3, 4), ("n", 1, 2)):
         code, out, _ = _run(capsys, "atlas", "--n", "3", "--element", el)

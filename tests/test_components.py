@@ -17,7 +17,6 @@ from mfatlas.components import (
     exotic_witness_check,
     image_bba_check,
     levi_system,
-    member_label,
     near_section_probe,
     parabolic_lift,
     singular_family_check,
@@ -35,7 +34,7 @@ from mfatlas.corpus import (
     semisimple_zero_fibre_witness,
 )
 from mfatlas.errors import CertificationError, MembershipError, NotNilpotentError
-from mfatlas.flags import eigen_chains, enumerate_atlas, levi_projection
+from mfatlas.flags import eigen_chains, enumerate_atlas, levi_projection, member_label
 from mfatlas.lie import sl
 from mfatlas.linalg import ExactMatrix, char_poly
 from mfatlas.mfsystem import build_system

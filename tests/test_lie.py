@@ -13,6 +13,7 @@ from mfatlas.lie import (
     bracket,
     centralizer,
     is_regular,
+    permute_diagonal,
     sl,
     weyl_group,
     weyl_stabilizer,
@@ -191,7 +192,7 @@ def test_weyl_group_order_and_action():
     L = sl(3)
     s = _el(L, [[1, 0, 0], [0, 2, 0], [0, 0, -3]])
     diag = [s.matrix.entries[i][i] for i in range(3)]
-    orbit = {L.element(ExactMatrix.diagonal(w.apply_to_diagonal(diag))) for w in weyl_group(3)}
+    orbit = {L.element(ExactMatrix.diagonal(permute_diagonal(w, diag))) for w in weyl_group(3)}
     assert len(orbit) == 6
     sub = _el(L, [[2, 0, 0], [0, 2, 0], [0, 0, -4]])
     assert len(weyl_stabilizer(sub)) == 2

@@ -26,7 +26,6 @@ from mfatlas.mfsystem import (
     poisson_bracket_grads,
     section_chart,
     tangent_space,
-    tarasov_check,
 )
 from mfatlas.sampling import (
     conjugate,
@@ -37,6 +36,7 @@ from mfatlas.sampling import (
     rng_for,
 )
 from mfatlas.scalar import Scalar
+from mfatlas.verify import tarasov_check
 from oracles import evaluate_symbolic, jacobian_at_symbolic, shift_expansion_by_substitution
 
 REPS = {k: representative(k) for k in REP_KEYS}

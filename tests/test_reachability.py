@@ -8,6 +8,10 @@ class reaches its class body and its dunder methods.  Matching by name over-
 approximates (two methods of the same name are reached together), so the
 guard can miss dead code; code called only through getattr or a string would
 be reported dead, and the package has none.
+
+The unused-import guard: every name a module imports, at module level or
+inside a function, is used in the scope that imports it (the package
+__init__, which only re-exports, and __future__ imports are exempt).
 """
 
 import ast
@@ -104,3 +108,48 @@ def unreached_definitions() -> set[str]:
 
 def test_every_definition_is_reached_from_the_cli_or_allowlisted():
     assert sorted(unreached_definitions()) == sorted(ALLOWLIST)
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _own_nodes(scope, skip=lambda fn: True):
+    """Nodes of ``scope`` outside the nested functions for which ``skip``
+    holds (by default, outside every nested function)."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not (isinstance(node, _FUNCTIONS) and skip(node)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _imported_names(scope) -> dict[str, int]:
+    """{bound name: line} of the imports ``scope`` makes itself."""
+    out = {}
+    for node in _own_nodes(scope):
+        if isinstance(node, ast.Import):
+            out.update(((a.asname or a.name).split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out.update((a.asname or a.name, node.lineno) for a in node.names)
+    return out
+
+
+def unused_imports() -> list[str]:
+    """Imports not read in the scope that makes them; a nested function that
+    imports the same name again does not count as a use."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        for scope in [tree] + [n for n in ast.walk(tree) if isinstance(n, _FUNCTIONS)]:
+            for name, line in _imported_names(scope).items():
+                reads = _own_nodes(scope, skip=lambda fn: name in _imported_names(fn))
+                if not any(isinstance(n, ast.Name) and n.id == name for n in reads):
+                    found.append(f"{path.stem}:{line} {name}")
+    return sorted(found)
+
+
+def test_every_import_is_used():
+    assert unused_imports() == []

@@ -18,58 +18,16 @@ import json
 import os
 import sys
 
-from .errors import CertificationError, MFError, PreconditionError, UnsupportedElementError
-from .lie import GElement, LieAlgebraA, sl
-from .linalg import ExactMatrix
+from .errors import CertificationError, MFError, PreconditionError
+from .lie import GElement, mixed_rep, nilpotent_rep, semisimple_rep, sl
 from .mfsystem import build_system
-from .scalar import Scalar, scalar_from_str, scalar_to_str
+from .scalar import scalar_from_str, scalar_to_str
 
 SCHEMA = "mf-atlas/1"
 MAX_N = 4  # desk scale: sl_2 to sl_4
 
 
 # -- element resolution ---------------------------------------------------------
-
-
-def _diag(L: LieAlgebraA, values: list[Scalar]) -> GElement:
-    return L.element(ExactMatrix.diagonal(values))
-
-
-def _semisimple_rep(L: LieAlgebraA, params: list[Scalar]) -> GElement:
-    n = L.n
-    if not params:
-        if n == 2:
-            params = [Scalar(1)]
-        else:
-            params = [Scalar(k) for k in range(1, n)]
-    if len(params) == n - 1:
-        params = params + [-sum(params, Scalar(0))]
-    if len(params) != n:
-        raise PreconditionError(
-            f"element s on sl_{n} takes {n - 1} or {n} parameters, got {len(params)}"
-        )
-    if sum(params, Scalar(0)) != Scalar(0):
-        raise PreconditionError("diagonal parameters must sum to zero")
-    return _diag(L, params)
-
-
-def _nilpotent_rep(L: LieAlgebraA) -> GElement:
-    n = L.n
-    m = [[Scalar(1) if j == i + 1 else Scalar(0) for j in range(n)] for i in range(n)]
-    return L.element(ExactMatrix(m))
-
-
-def _mixed_rep(L: LieAlgebraA, params: list[Scalar]) -> GElement:
-    if L.n != 3:
-        raise UnsupportedElementError("element r (mixed representative) is defined on sl_3")
-    if len(params) > 1:
-        raise PreconditionError(f"element r takes at most 1 parameter, got {len(params)}")
-    rho = params[0] if params else Scalar(1)
-    if rho == Scalar(0):
-        raise PreconditionError("parameter rho must be nonzero")
-    z = Scalar(0)
-    m = [[rho, Scalar(1), z], [z, rho, z], [z, z, Scalar(-2) * rho]]
-    return L.element(ExactMatrix(m))
 
 
 def resolve_element(args: argparse.Namespace) -> GElement:
@@ -97,13 +55,13 @@ def resolve_element(args: argparse.Namespace) -> GElement:
         raise PreconditionError(f"bad --param value: {exc}") from exc
     label = args.element or "s"
     if label == "s":
-        return _semisimple_rep(L, params)
+        return semisimple_rep(L, params)
     if label == "n":
         if params:
             raise PreconditionError("element n takes no parameters")
-        return _nilpotent_rep(L)
+        return nilpotent_rep(L)
     if label == "r":
-        return _mixed_rep(L, params)
+        return mixed_rep(L, params)
     raise PreconditionError(f"unknown element label {label!r}")
 
 

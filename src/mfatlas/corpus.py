@@ -13,14 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .components import (
-    certify_affine_constant,
-    count_zero_fibre,
-    critical_value_probe,
-    exotic_witness_check,
-    image_bba_check,
-    singular_family_check,
-)
+from .components import certify_affine_constant, count_zero_fibre
 from .errors import CertificationError, PreconditionError
 from .flags import (
     elements_span,
@@ -33,7 +26,10 @@ from .flags import (
 from .lie import (
     GElement,
     ad_matrix,
+    mixed_rep,
+    nilpotent_rep,
     permute_diagonal,
+    semisimple_rep,
     sl,
     weyl_group,
     weyl_stabilizer,
@@ -44,13 +40,20 @@ from .mpoly import MPoly, mpoly_mat_mul, mpoly_mat_trace
 from .sampling import (
     conjugate,
     random_combination,
-    random_distinct_rationals,
     random_nonzero_rational,
     random_rational,
+    random_traceless_distinct_diag,
     rng_for,
 )
 from .scalar import Scalar
-from .verify import CheckResult, _result
+from .verify import (
+    CheckResult,
+    _result,
+    check_critical_values,
+    check_exotic_witness,
+    check_image_bba,
+    check_singular_family,
+)
 
 
 # -- frozen shape tables (matrix support patterns, rows joined by "|") ---------------
@@ -90,36 +93,23 @@ UA_MASK = {"s": "000|000|000", "r": "0*0|000|000", "n": "0**|00*|000"}
 
 
 def sl2_semisimple(a1) -> GElement:
-    L = sl(2)
-    return L.element(ExactMatrix.diagonal([Scalar(Fraction(a1)), -Scalar(Fraction(a1))]))
+    return semisimple_rep(sl(2), [Scalar(Fraction(a1))])
 
 
 def sl2_nilpotent() -> GElement:
-    L = sl(2)
-    return L.element(ExactMatrix([[Scalar(0), Scalar(1)], [Scalar(0), Scalar(0)]]))
+    return nilpotent_rep(sl(2))
 
 
 def sl3_semisimple(s1, s2) -> GElement:
-    L = sl(3)
-    d = [Scalar(Fraction(s1)), Scalar(Fraction(s2)), -Scalar(Fraction(s1)) - Scalar(Fraction(s2))]
-    return L.element(ExactMatrix.diagonal(d))
+    return semisimple_rep(sl(3), [Scalar(Fraction(s1)), Scalar(Fraction(s2))])
 
 
 def sl3_mixed(rho) -> GElement:
-    L = sl(3)
-    p = Scalar(Fraction(rho))
-    z = Scalar(0)
-    return L.element(
-        ExactMatrix([[p, Scalar(1), z], [z, p, z], [z, z, Scalar(-2) * p]])
-    )
+    return mixed_rep(sl(3), [Scalar(Fraction(rho))])
 
 
 def sl3_nilpotent() -> GElement:
-    L = sl(3)
-    z = Scalar(0)
-    return L.element(
-        ExactMatrix([[z, Scalar(1), z], [z, z, Scalar(1)], [z, z, z]])
-    )
+    return nilpotent_rep(sl(3))
 
 
 def semisimple_zero_fibre_witness(s_alpha, s_beta, root) -> tuple[GElement, GElement]:
@@ -373,10 +363,10 @@ def check_sl2_singular_images(samples: int, seed: int) -> CheckResult:
             lam = Scalar(random_rational(rng))
             if any(not v.is_zero() for v in sys_n.evaluate_scaled(n2.scale(lam))):
                 return _result("sl2-singular-images", False, "nilpotent image not origin")
-    cv = critical_value_probe(build_system(sl2_semisimple(1)), samples=20, seed=seed)
-    cvn = critical_value_probe(build_system(sl2_nilpotent()), samples=20, seed=seed)
-    ok = cv.passed and cvn.passed and cv.closed_form_ok and cvn.closed_form_ok
-    return _result("sl2-singular-images", ok, "" if ok else str(cv.failures + cvn.failures))
+    probes = [check_critical_values(build_system(a), 20, seed)
+              for a in (sl2_semisimple(1), sl2_nilpotent())]
+    ok = all(r.passed and r.detail.endswith(", closed form") for r in probes)
+    return _result("sl2-singular-images", ok, "" if ok else "; ".join(r.detail for r in probes))
 
 
 def check_sl2_nilpotent_fibres(samples: int, seed: int) -> CheckResult:
@@ -587,12 +577,8 @@ def check_sl3_weyl_degree(samples: int, seed: int) -> CheckResult:
     rng = rng_for("corpus-weyl-degree", seed)
     W = weyl_group(3)
     for _ in range(samples):
-        vals = random_distinct_rationals(rng, 2)
-        third = -sum(vals)
-        if third in vals:
-            continue
-        d = [Scalar(v) for v in vals] + [Scalar(third)]
-        x = L.element(ExactMatrix.diagonal(d))
+        x = random_traceless_distinct_diag(L, rng)
+        d = [x.matrix.entries[i][i] for i in range(3)]
         base_val = sys_r.evaluate(x)
         distinct = set()
         for sigma in W:
@@ -604,15 +590,12 @@ def check_sl3_weyl_degree(samples: int, seed: int) -> CheckResult:
                 return _result("sl3-weyl-degree", False, f"translate {sigma}")
         if len(distinct) != 3:
             return _result("sl3-weyl-degree", False, f"{len(distinct)} orbit values")
-    rep_r = image_bba_check(sys_r, atlas_r, samples=max(6, samples // 3), seed=seed)
-    rep_s = image_bba_check(build_system(sl3_semisimple(1, 2)), samples=max(6, samples // 3), seed=seed)
-    rep_n = image_bba_check(build_system(sl3_nilpotent()), samples=max(6, samples // 3), seed=seed)
-    ok = (
-        rep_r.passed and rep_r.expected_degree == 3
-        and rep_s.passed and rep_s.expected_degree == 6
-        and rep_n.passed and rep_n.expected_degree == 1
-        and rep_n.nilpotent_form is True
-    )
+    probe_samples = max(6, samples // 3)
+    probes = [check_image_bba(sys_r, atlas_r, probe_samples, seed)]
+    for a in (sl3_semisimple(1, 2), sl3_nilpotent()):
+        probes.append(check_image_bba(build_system(a), enumerate_atlas(a), probe_samples, seed))
+    ok = [(r.passed, r.detail) for r in probes] == [
+        (True, "degree 3"), (True, "degree 6"), (True, "degree 1, nilpotent form")]
     return _result("sl3-weyl-degree", ok, "" if ok else "image probes")
 
 
@@ -631,7 +614,7 @@ def check_sl3_exotic_semisimple() -> CheckResult:
     if [list(row) for row in x.matrix.entries] != expected:
         return _result("sl3-exotic-semisimple", False, "witness entries")
     sys_ = build_system(s)
-    rep = exotic_witness_check(sys_, x, atlas=enumerate_atlas(s))
+    rep = check_exotic_witness(sys_, x, enumerate_atlas(s))
     if not rep.passed:
         return _result("sl3-exotic-semisimple", False, f"witness check {rep.detail}")
     if x.matrix.matpow(2).is_zero() or not x.matrix.matpow(3).is_zero():
@@ -733,7 +716,7 @@ def check_sl3_exotic_mixed() -> CheckResult:
         return _result("sl3-exotic-mixed", False, "witness does not solve the system")
     x = mixed_zero_fibre_witness(1)
     sys_1 = build_system(r)
-    rep = exotic_witness_check(sys_1, x, atlas=enumerate_atlas(r))
+    rep = check_exotic_witness(sys_1, x, enumerate_atlas(r))
     if not rep.passed:
         return _result("sl3-exotic-mixed", False, "witness check")
     if x.matrix.matpow(2).is_zero() or not x.matrix.matpow(3).is_zero():
@@ -751,7 +734,7 @@ def check_sl3_exotic_nilpotent() -> CheckResult:
     n = sl3_nilpotent()
     x = lowering_zero_fibre_witness()
     sys_ = build_system(n)
-    rep = exotic_witness_check(sys_, x, atlas=enumerate_atlas(n))
+    rep = check_exotic_witness(sys_, x, enumerate_atlas(n))
     if not rep.passed:
         return _result("sl3-exotic-nilpotent", False, "witness check")
     if x.matrix.matpow(2).is_zero() or not x.matrix.matpow(3).is_zero():
@@ -829,12 +812,13 @@ def check_singular_families(samples: int, seed: int) -> CheckResult:
         sys_ = build_system(a)
         at = enumerate_atlas(a)
         for _ in range(samples):
-            rep = singular_family_check(sys_, random_combination(a.algebra, at.b_a, rng), at)
-            if not rep.passed or rep.expected_failure:
+            rep = check_singular_family(sys_, random_combination(a.algebra, at.b_a, rng), at)
+            if (rep.passed, rep.detail) != (True, "x + u^a lies in two distinct Borel components"):
                 return _result("singular-families", False, str(a.matrix.entries))
     for a in (sl2_nilpotent(), sl3_nilpotent()):
-        rep = singular_family_check(build_system(a), a, enumerate_atlas(a))
-        if not (rep.passed and rep.expected_failure):
+        rep = check_singular_family(build_system(a), a, enumerate_atlas(a))
+        if (rep.passed, rep.detail) != (
+                True, "nilpotent shift element: unique Borel, no second component exists"):
             return _result("singular-families", False, "nilpotent expected failure")
     return _result("singular-families", True)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from .errors import AlgebraMismatchError, PreconditionError
+from .errors import AlgebraMismatchError, PreconditionError, UnsupportedElementError
 from .linalg import ExactMatrix, canonical_basis, mat_kernel, mat_rank
 from .mpoly import MPoly
 from .scalar import Scalar, scalar_from_str
@@ -260,6 +260,52 @@ def is_regular(x: GElement) -> bool:
     for _ in range(n - 2):
         powers.append(powers[-1] * x.matrix)
     return mat_rank(ExactMatrix([[v for row in p.entries for v in row] for p in powers])) == n
+
+
+# -- shift representatives ------------------------------------------------------------
+
+
+def semisimple_rep(L: LieAlgebraA, params: list[Scalar]) -> GElement:
+    """The diagonal representative s: n - 1 entries (the last one is then
+    minus their sum) or n entries summing to 0; by default diag(1, -1) on
+    sl_2 and diag(1, ..., n - 1, -sum) otherwise."""
+    n = L.n
+    if not params:
+        if n == 2:
+            params = [Scalar(1)]
+        else:
+            params = [Scalar(k) for k in range(1, n)]
+    if len(params) == n - 1:
+        params = params + [-sum(params, Scalar(0))]
+    if len(params) != n:
+        raise PreconditionError(
+            f"element s on sl_{n} takes {n - 1} or {n} parameters, got {len(params)}"
+        )
+    if sum(params, Scalar(0)) != Scalar(0):
+        raise PreconditionError("diagonal parameters must sum to zero")
+    return L.element(ExactMatrix.diagonal(params))
+
+
+def nilpotent_rep(L: LieAlgebraA) -> GElement:
+    """The regular nilpotent representative n = e_12 + e_23 + ... + e_(n-1)n."""
+    n = L.n
+    m = [[Scalar(1) if j == i + 1 else Scalar(0) for j in range(n)] for i in range(n)]
+    return L.element(ExactMatrix(m))
+
+
+def mixed_rep(L: LieAlgebraA, params: list[Scalar]) -> GElement:
+    """The mixed representative r on sl_3: a Jordan block of eigenvalue rho
+    (default 1, nonzero) and the eigenvalue -2 rho."""
+    if L.n != 3:
+        raise UnsupportedElementError("element r (mixed representative) is defined on sl_3")
+    if len(params) > 1:
+        raise PreconditionError(f"element r takes at most 1 parameter, got {len(params)}")
+    rho = params[0] if params else Scalar(1)
+    if rho == Scalar(0):
+        raise PreconditionError("parameter rho must be nonzero")
+    z = Scalar(0)
+    m = [[rho, Scalar(1), z], [z, rho, z], [z, z, Scalar(-2) * rho]]
+    return L.element(ExactMatrix(m))
 
 
 # -- Weyl group ---------------------------------------------------------------------

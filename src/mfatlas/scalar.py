@@ -142,9 +142,6 @@ class Scalar:
             k >>= 1
         return out
 
-    def conjugate(self) -> "Scalar":
-        return scalar_from_ints(self.x, -self.y, self.d)
-
     def norm(self) -> Fraction:
         """re^2 + im^2, a nonnegative rational."""
         return Fraction(self.x * self.x + self.y * self.y, self.d * self.d)

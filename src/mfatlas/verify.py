@@ -1,10 +1,18 @@
-"""Named verification suites over a single shift system.
+"""Named verification checks over a single shift system.
 
-Every check returns a CheckResult; run_verify_suite drives them in a fixed
-order.  A sampled check takes the random generator it draws from and a
+Every check is a check_* function that builds its CheckResult where it
+decides the verdict; run_verify_suite drives them in a fixed order.  The
+structural checks come first, then the checks of the paper's results on the
+fibres: the image of b^a, critical values on the singular family, the family
+x + [b^a, b^a] inside two Borel components, the Tarasov section and the
+near-section translates.  check_exotic_witness and check_tarasov_exotic are
+run by the corpus and the tests only.
+
+A sampled structural check takes the random generator it draws from and a
 sample count, so mf verify (one seeded generator per check) and the test
-property suites (one generator per instance) run the same code; symbolic
-checks are exact and take neither.
+property suites (one generator per instance) run the same code; a fibre
+check takes a seed for its own tagged generator; symbolic checks are exact
+and take neither.
 """
 
 from __future__ import annotations
@@ -13,17 +21,30 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from random import Random
 
-from .components import (
-    critical_value_probe,
-    image_bba_check,
-    near_section_probe,
-    singular_family_check,
+from .components import borel_component
+from .errors import CertificationError, MembershipError, MFError, PreconditionError
+from .flags import (
+    BorelAtlas,
+    FlagParabolic,
+    chain_diagonal,
+    chain_frame,
+    elements_span,
+    enumerate_atlas,
+    frame_unit,
+    member_label,
 )
-from .errors import CertificationError, MFError, PreconditionError
-from .flags import BorelAtlas, FlagParabolic, enumerate_atlas
-from .lie import GElement, centralizer
-from .linalg import mat_inverse, mat_rank, span_le
+from .lie import (
+    GElement,
+    LieAlgebraA,
+    centralizer,
+    is_regular,
+    permute_diagonal,
+    weyl_group,
+    weyl_stabilizer,
+)
+from .linalg import ExactMatrix, mat_inverse, mat_rank, span_contains, span_equal, span_le
 from .mfsystem import (
+    FibreValue,
     ShiftSystem,
     alt_generators,
     build_system,
@@ -247,26 +268,187 @@ def check_centralizer_containment(a: GElement, atlas: BorelAtlas) -> CheckResult
     return _result("centralizer-containment", True, f"{len(atlas.members)} members")
 
 
+def _verdict(name: str, failures: list[str], detail: str) -> CheckResult:
+    """Passed with `detail` when nothing failed, else failed with the
+    failures joined."""
+    return _result(name, not failures, "; ".join(failures) if failures else detail)
+
+
+def _weyl_orbit(L: LieAlgebraA, U: ExactMatrix, U_inv: ExactMatrix, rng: Random) -> list[GElement]:
+    """U w(D) U^-1 for every Weyl element w, for one regular traceless
+    diagonal D drawn from rng (a draw with a repeated entry is redrawn)."""
+    D = random_traceless_distinct_diag(L, rng).matrix
+    diag = [D.entries[i][i] for i in range(L.n)]
+    return [L.element(U * ExactMatrix.diagonal(permute_diagonal(w, diag)) * U_inv)
+            for w in weyl_group(L.n)]
+
+
+def _weyl_on_svars(svars: tuple[str, ...], w: tuple[int, ...]) -> dict[str, MPoly]:
+    """Action of a diagonal-slot permutation on the Cartan chart
+    sigma_k = s_k (k < n), sigma_n = -sum s_k."""
+    sigma = [MPoly.var(svars, s) for s in svars]
+    sigma.append(-sum(sigma, MPoly.zero(svars)))
+    inv = [0] * len(w)
+    for i, p in enumerate(w):
+        inv[p] = i
+    return {s: sigma[inv[k]] for k, s in enumerate(svars)}
+
+
 def check_image_bba(sys_: ShiftSystem, atlas: BorelAtlas, samples: int, seed: int) -> CheckResult:
-    rep = image_bba_check(sys_, atlas, samples=samples, seed=seed)
-    detail = f"degree {rep.expected_degree}"
-    if rep.nilpotent_form is not None:
-        detail += ", nilpotent form" if rep.nilpotent_form else ", bad nilpotent form"
-    return _result("image-bba", rep.passed, detail if rep.passed else "; ".join(rep.failures))
+    """Three exact checks on F_a restricted to b^a = h_U + u^a:
+
+      (1) the restriction is free of the u^a directions (so the image equals
+          the image of the adapted Cartan h_U),
+      (2) for nilpotent a the restriction is (f_1|_h, ..., f_r|_h, 0, ..., 0),
+      (3) restricted polynomials are invariant under the stabilizer W_s, and
+          on sampled regular diagonal points the number of distinct values on
+          the Weyl orbit is exactly |W| / |W_s|.
+    """
+    L = sys_.algebra
+    a = sys_.a
+    nilpotent = a.is_nilpotent()
+    failures: list[str] = []
+    U, U_inv = chain_frame(atlas.chains)
+    n = L.n
+    # adapted Cartan basis: U (E_kk - E_nn) U^-1
+    hcs = [
+        L.coords_of_matrix(frame_unit(U, U_inv, k, k) - frame_unit(U, U_inv, n - 1, n - 1))
+        for k in range(n - 1)
+    ]
+    ucs = [e.coords for e in atlas.u_a]
+    # certification: b^a = h_U  (+) u^a
+    if not span_equal(hcs + ucs, [e.coords for e in atlas.b_a]):
+        raise CertificationError("b^a does not split as adapted Cartan plus u^a")
+    svars = tuple(f"s{k + 1}" for k in range(n - 1))
+    tvars = tuple(f"t{k + 1}" for k in range(len(atlas.u_a)))
+    allvars = svars + tvars
+    origin = L.zero().coords
+    mapping = dict(zip(L.coord_names, affine_chart(allvars, origin, hcs + ucs)))
+    restricted = [c.subs(allvars, mapping) for c in sys_.components]
+    if any(any(e[len(svars):]) for rp in restricted for e in rp.terms):
+        failures.append("restriction to b^a depends on a u^a direction")
+    else:
+        restricted = [rp.project(svars) for rp in restricted]
+        if nilpotent:
+            # (2) nilpotent: (f_1|_h, ..., f_r|_h, 0, ..., 0)
+            h_mapping = dict(zip(L.coord_names, affine_chart(svars, origin, hcs)))
+            for idx, comp in enumerate(restricted):
+                if idx < L.rank:
+                    if comp != sys_.components[idx].subs(svars, h_mapping):
+                        failures.append("invariant part of nilpotent restriction mismatch")
+                elif not comp.is_zero():
+                    failures.append("shifted component does not vanish on b^a")
+    # (3) W_s-invariance of the restriction, symbolically
+    stab = weyl_stabilizer(L.element(ExactMatrix.diagonal(chain_diagonal(atlas.chains))))
+    for w in stab:
+        wmap = _weyl_on_svars(svars, w)
+        if any(rp.subs(svars, wmap) != rp for rp in restricted):
+            failures.append("restriction not invariant under the stabilizer")
+            break
+    # degree probe
+    expected = len(weyl_group(n)) // len(stab)
+    rng = rng_for(f"image-bba:{n}", seed)
+    for _ in range(samples):
+        distinct = len({sys_.evaluate(x) for x in _weyl_orbit(L, U, U_inv, rng)})
+        if distinct != expected:
+            failures.append(f"degree probe: {distinct} distinct values, expected {expected}")
+    detail = f"degree {expected}" + (", nilpotent form" if nilpotent else "")
+    return _verdict("image-bba", failures, detail)
 
 
 def check_critical_values(sys_: ShiftSystem, samples: int, seed: int) -> CheckResult:
-    rep = critical_value_probe(sys_, samples=samples, seed=seed)
-    detail = f"max rank {rep.max_rank} of {sys_.b}"
-    if rep.closed_form_ok is not None:
-        detail += ", closed form" if rep.closed_form_ok else ", bad closed form"
-    return _result("critical-values", rep.passed, detail if rep.passed else "; ".join(rep.failures))
+    """Sample the singular family g_sing + C a and certify every sample is a
+    critical point of F_a (Jacobian rank < b), with max sampled rank in
+    [b - 2, b - 1].  For n = 2 the image points are checked against the
+    closed forms (a parabola for semisimple a, the origin for nilpotent a)."""
+    L = sys_.algebra
+    a = sys_.a
+    n = L.n
+    rng = rng_for(f"critical:{n}", seed)
+    max_rank = -1
+    failures: list[str] = []
+    for _ in range(samples):
+        if n == 2:
+            y = L.zero()
+        else:
+            if rng.random() < 0.5:
+                # semisimple with a repeated eigenvalue, traceless
+                vals = random_distinct_rationals(rng, n - 2)
+                d = [vals[0], vals[0]] + vals[1:]
+                d.append(-sum(d))
+                base = ExactMatrix.diagonal([Scalar(v) for v in d])
+            else:
+                # nilpotent of minimal nonzero rank
+                m = [[Scalar(0)] * n for _ in range(n)]
+                m[0][n - 1] = Scalar(1)
+                base = ExactMatrix(m)
+            g = random_unimodular(L, rng)
+            y = L.element(g * base * mat_inverse(g))
+            if is_regular(y):
+                failures.append("sampler produced a regular element")
+                continue
+        lam = Scalar(random_rational(rng))
+        z = y + a.scale(lam)
+        rank = mat_rank(sys_.jacobian_at(z))
+        if rank >= sys_.b:
+            failures.append("singular sample is not a critical point")
+        max_rank = max(max_rank, rank)
+        if n == 2:
+            v = sys_.evaluate_scaled(z)
+            if a.is_nilpotent():
+                if any(not s.is_zero() for s in v):
+                    failures.append("nilpotent singular image is not the origin")
+            else:
+                a1 = a.matrix.entries[0][0]
+                if v[0] * (Scalar(4) * a1 * a1) != v[1] * v[1]:
+                    failures.append("semisimple singular image leaves the parabola")
+    if not (sys_.b - 2 <= max_rank <= sys_.b - 1):
+        failures.append(f"max sampled rank {max_rank} outside [b-2, b-1]")
+    detail = f"max rank {max_rank} of {sys_.b}" + (", closed form" if n == 2 else "")
+    return _verdict("critical-values", failures, detail)
 
 
-def check_singular_family(sys_: ShiftSystem, atlas: BorelAtlas, rng: Random) -> CheckResult:
-    x = random_combination(sys_.algebra, atlas.b_a, rng)
-    rep = singular_family_check(sys_, x, atlas)
-    return _result("singular-family", rep.passed, rep.detail)
+def check_singular_family(sys_: ShiftSystem, x: GElement, atlas: BorelAtlas) -> CheckResult:
+    """For non-nilpotent a and x in b^a: exhibit two distinct Borels whose
+    components through x both contain x + u^a.  For nilpotent a this is
+    impossible (the Borel is unique); that case is the expected failure and
+    passes when the Borel is indeed unique."""
+    if sys_.a.is_nilpotent():
+        return _result("singular-family", len(atlas.borels) == 1,
+                       "nilpotent shift element: unique Borel, no second component exists")
+    if not span_contains([e.coords for e in atlas.b_a], x.coords):
+        raise MembershipError("point is not in b^a")
+    if len(atlas.borels) < 2:
+        raise CertificationError("non-nilpotent regular element with fewer than 2 Borels")
+    b1, b2 = atlas.borels[0], atlas.borels[1]
+    u_a = [e.coords for e in atlas.u_a]
+    for b in (b1, b2):
+        if not all(b.contains(e) for e in atlas.b_a):
+            raise CertificationError("b^a is not inside an atlas Borel")
+        if not span_le(u_a, b.u_span):
+            raise CertificationError("u^a is not inside a Borel nilradical")
+    if span_equal(b1.u_span, b2.u_span):
+        raise CertificationError("the two Borels share a nilradical")
+    c1 = borel_component(sys_, x, b1)
+    c2 = borel_component(sys_, x, b2)
+    if c1.value != c2.value:
+        raise CertificationError("components through the same point disagree in value")
+    for e in atlas.u_a:
+        if not c1.contains(x + e) or not c2.contains(x + e):
+            raise CertificationError("x + u^a escapes a component")
+    return _result("singular-family", True, "x + u^a lies in two distinct Borel components")
+
+
+def check_exotic_witness(sys_: ShiftSystem, x: GElement, atlas: BorelAtlas,
+                         target: FibreValue | None = None) -> CheckResult:
+    """x has the target value (default: the zero vector) and lies outside
+    every Borel and parabolic of the atlas."""
+    if target is None:
+        target = tuple(Scalar(0) for _ in range(sys_.b))
+    value = sys_.evaluate(x)
+    failures = [] if value == tuple(target) else [f"value {tuple(str(v) for v in value)}"]
+    failures += [f"inside {member_label(m)}" for m in atlas.members if m.contains(x)]
+    return _verdict("exotic-witness", failures, f"outside all {len(atlas.members)} members")
 
 
 @dataclass
@@ -337,21 +519,71 @@ def check_tarasov_section(sys_: ShiftSystem, samples: int, seed: int) -> CheckRe
         rep = tarasov_check(sys_, sample_count=samples, seed=seed)
     except PreconditionError as exc:
         return _result("tarasov-section", True, f"skipped: {exc}")
-    if not rep.passed:
-        return _result("tarasov-section", False, "; ".join(rep.failures))
-    return _result(
+    return _verdict(
         "tarasov-section",
-        True,
+        rep.failures,
         f"jacobian constant {rep.jacobian_constant}, {rep.strong_regular_checked} points",
     )
 
 
+def check_tarasov_exotic(sys_: ShiftSystem, atlas: BorelAtlas, samples: int, seed: int) -> CheckResult:
+    """Sample section points xi + b with nonzero highest-root coordinate and
+    certify they avoid every atlas member."""
+    L = sys_.algebra
+    if not sys_.a.is_diagonal():
+        raise PreconditionError("the section probe needs a diagonal shift element")
+    rng = rng_for(f"tarasov-exotic:{L.n}", seed)
+    xi, dirs = section_chart(L)
+    chart = affine_chart(tuple(f"t{k + 1}" for k in range(len(dirs))), xi, dirs)
+    top = L.coord_names.index(f"x1{L.n}")
+    failures = [] if samples > 0 else ["no section points sampled"]
+    for _ in range(samples):
+        # a seeded point of xi + b, its chart coordinates drawn in order; a
+        # vanishing highest-root coordinate is moved from 0 to 1
+        t = [Scalar(random_rational(rng)) for _ in dirs]
+        coords = [p.eval(t) for p in chart]
+        if coords[top].is_zero():
+            coords[top] = Scalar(1)
+        x = L.element_from_coords(coords)
+        failures += [f"highest-root-nonzero point inside {member_label(m)}"
+                     for m in atlas.members if m.contains(x)]
+    return _verdict("tarasov-exotic", failures,
+                    f"{samples} points outside all {len(atlas.members)} members")
+
+
 def check_near_section(sys_: ShiftSystem, atlas: BorelAtlas, samples: int, seed: int) -> CheckResult:
-    if not sys_.a.is_nilpotent():
+    """For nilpotent a: the W-translates a + w.x_h all share one value vector
+    (provable), so fibres meet a + b^a_- in at least |W| points; the exact
+    |W|-to-one degree statement is observational and only reported.  At
+    most 6 orbits are drawn."""
+    a = sys_.a
+    if not a.is_nilpotent():
         return _result("near-section", True, "skipped: needs a nilpotent shift")
-    rep = near_section_probe(sys_, atlas, samples=min(samples, 6), seed=seed)
-    ok = rep.all_values_equal and rep.in_opposite_borel
-    return _result("near-section", ok, f"{rep.translates} equal-value translates ({rep.note})")
+    L = sys_.algebra
+    B = atlas.borels[0]
+    n = L.n
+    # opposite Borel: lower triangular in the adapted basis
+    lower = [
+        L.element(frame_unit(B.U, B.U_inv, i, j)) for i in range(n) for j in range(i)
+    ]
+    for k in range(n - 1):
+        H = frame_unit(B.U, B.U_inv, k, k) - frame_unit(B.U, B.U_inv, k + 1, k + 1)
+        lower.append(L.element(H))
+    lower_span = elements_span(lower)
+    rng = rng_for(f"near-section:{n}", seed)
+    ok = True
+    translates = 0
+    for _ in range(min(samples, 6)):
+        orbit = _weyl_orbit(L, B.U, B.U_inv, rng)
+        translates = len(orbit)
+        if (not all(span_contains(lower_span, x.coords) for x in orbit)
+                or len({sys_.evaluate(a + x) for x in orbit}) != 1):
+            ok = False
+    return _result(
+        "near-section", ok,
+        f"{translates} equal-value translates (translate count is a lower bound "
+        "for the fibre degree; exactness not asserted)",
+    )
 
 
 def run_verify_suite(sys_: ShiftSystem, samples: int = 25, seed: int = 0) -> list[CheckResult]:
@@ -375,7 +607,8 @@ def run_verify_suite(sys_: ShiftSystem, samples: int = 25, seed: int = 0) -> lis
         check_centralizer_containment(sys_.a, atlas),
         check_image_bba(sys_, atlas, min(samples, 12), seed),
         check_critical_values(sys_, min(samples, 20), seed),
-        check_singular_family(sys_, atlas, rng("singular-family")),
+        check_singular_family(
+            sys_, random_combination(sys_.algebra, atlas.b_a, rng("singular-family")), atlas),
         check_tarasov_section(sys_, min(samples, 15), seed),
         check_near_section(sys_, atlas, samples, seed),
     ]

@@ -144,9 +144,6 @@ class FractionPairScalar:
         return FractionPairScalar((self.re * other.re + self.im * other.im) / n,
                                   (self.im * other.re - self.re * other.im) / n)
 
-    def conjugate(self):
-        return FractionPairScalar(self.re, -self.im)
-
     def norm(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 

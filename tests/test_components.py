@@ -1,5 +1,6 @@
 """Affine fibre components: Borel components, Weyl translates, parabolic
-lifts, zero-fibre counting, exotic witnesses, image and singular probes."""
+lifts, zero-fibre counting; and the verify checks built on them (exotic
+witnesses, image and singular probes), by their exact (passed, detail)."""
 
 from fractions import Fraction
 
@@ -12,15 +13,9 @@ from mfatlas.components import (
     borel_component,
     certify_affine_constant,
     count_zero_fibre,
-    critical_value_probe,
     eigen_partition,
-    exotic_witness_check,
-    image_bba_check,
     levi_system,
-    near_section_probe,
     parabolic_lift,
-    singular_family_check,
-    tarasov_exotic_probe,
     weyl_components,
 )
 from mfatlas.corpus import (
@@ -41,6 +36,14 @@ from mfatlas.mfsystem import build_system
 from mfatlas.sampling import conjugate
 from mfatlas.scalar import Scalar
 from mfatlas.unipoly import uni, uni_roots_gaussian
+from mfatlas.verify import (
+    check_critical_values,
+    check_exotic_witness,
+    check_image_bba,
+    check_near_section,
+    check_singular_family,
+    check_tarasov_exotic,
+)
 
 A_N3 = sl3_nilpotent()
 SYS_N3 = build_system(A_N3)
@@ -162,7 +165,7 @@ def test_jordan_chains_computed_once_per_atlas(monkeypatch):
         sys_ = build_system(a)
         calls.clear()
         count_zero_fibre(a, atlas=atlas)
-        assert image_bba_check(sys_, atlas, samples=2).passed
+        assert check_image_bba(sys_, atlas, 2, 0).passed
         assert calls == []
 
 
@@ -262,64 +265,61 @@ def test_count_with_resolved_table():
     assert rep.total == 15 and rep.total_lower == 15
 
 
+def _pair(result):
+    return result.passed, result.detail
+
+
 def test_exotic_witnesses_verified():
     s, xs = semisimple_zero_fibre_witness(2, 2, 4)
-    sys_s = build_system(s)
-    rep = exotic_witness_check(sys_s, xs)
-    assert rep.passed and rep.value_matches
-    assert not any(inside for _, inside in rep.memberships)
-
+    assert _pair(check_exotic_witness(build_system(s), xs, enumerate_atlas(s))) == (
+        True, "outside all 12 members")
+    r = sl3_mixed(1)
     xr = mixed_zero_fibre_witness(1)
-    rep_r = exotic_witness_check(build_system(sl3_mixed(1)), xr)
-    assert rep_r.passed
-
+    assert _pair(check_exotic_witness(build_system(r), xr, enumerate_atlas(r))) == (
+        True, "outside all 7 members")
     xn = lowering_zero_fibre_witness()
-    rep_n = exotic_witness_check(SYS_N3, xn, atlas=ATLAS_N3)
-    assert rep_n.passed
+    assert _pair(check_exotic_witness(SYS_N3, xn, ATLAS_N3)) == (True, "outside all 3 members")
 
 
 def test_exotic_witness_rejects_atlas_members():
     # a point inside a Borel is not an exotic witness
-    rep = exotic_witness_check(SYS_N3, A_N3, target=SYS_N3.evaluate(A_N3), atlas=ATLAS_N3)
-    assert not rep.passed
+    rep = check_exotic_witness(SYS_N3, A_N3, ATLAS_N3, target=SYS_N3.evaluate(A_N3))
+    assert _pair(rep) == (False, "; ".join(
+        f"inside {member_label(m)}" for m in ATLAS_N3.members))
 
 
 def test_tarasov_exotic_probe():
-    rep = tarasov_exotic_probe(SYS_S3, ATLAS_S3, samples=15, seed=0)
-    assert rep.passed
-    assert rep.samples_outside >= 1
-    assert all(rep.per_member_witnessed.values())
+    assert _pair(check_tarasov_exotic(SYS_S3, ATLAS_S3, 15, 0)) == (
+        True, "15 points outside all 12 members")
 
 
 def test_singular_family_two_borels():
     x = sl(3).zero()
     for e in ATLAS_S3.b_a:
         x = x + e.scale(Scalar(3))
-    rep = singular_family_check(SYS_S3, x, ATLAS_S3)
-    assert rep.passed and not rep.expected_failure
-    rep_n = singular_family_check(SYS_N3, A_N3, ATLAS_N3)
-    assert rep_n.passed and rep_n.expected_failure
+    assert _pair(check_singular_family(SYS_S3, x, ATLAS_S3)) == (
+        True, "x + u^a lies in two distinct Borel components")
+    assert _pair(check_singular_family(SYS_N3, A_N3, ATLAS_N3)) == (
+        True, "nilpotent shift element: unique Borel, no second component exists")
+    with pytest.raises(MembershipError):
+        check_singular_family(SYS_S3, A_N3, ATLAS_S3)
 
 
 def test_image_bba_reports():
-    rep_s = image_bba_check(SYS_S3, ATLAS_S3, samples=8, seed=0)
-    assert rep_s.passed and rep_s.expected_degree == 6 and rep_s.nilpotent_form is None
-    rep_n = image_bba_check(SYS_N3, ATLAS_N3, samples=8, seed=0)
-    assert rep_n.passed and rep_n.expected_degree == 1 and rep_n.nilpotent_form is True
+    assert _pair(check_image_bba(SYS_S3, ATLAS_S3, 8, 0)) == (True, "degree 6")
+    assert _pair(check_image_bba(SYS_N3, ATLAS_N3, 8, 0)) == (True, "degree 1, nilpotent form")
 
 
 def test_critical_value_probe():
-    rep = critical_value_probe(SYS_S3, samples=10, seed=0)
-    assert rep.passed and rep.max_rank < SYS_S3.b
+    assert _pair(check_critical_values(SYS_S3, 10, 0)) == (True, "max rank 4 of 5")
     sys2 = build_system(sl2_semisimple(1))
-    rep2 = critical_value_probe(sys2, samples=10, seed=0)
-    assert rep2.passed and rep2.closed_form_ok is True
+    assert _pair(check_critical_values(sys2, 10, 0)) == (True, "max rank 1 of 2, closed form")
 
 
 def test_near_section_probe():
-    rep = near_section_probe(SYS_N3, ATLAS_N3, samples=5, seed=0)
-    assert rep.all_values_equal and rep.in_opposite_borel
-    assert rep.translates == 6
+    assert _pair(check_near_section(SYS_N3, ATLAS_N3, 5, 0)) == (
+        True, "6 equal-value translates (translate count is a lower bound for the "
+        "fibre degree; exactness not asserted)")
 
 
 def test_member_label_format():

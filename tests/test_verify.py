@@ -1,17 +1,25 @@
 """Failure paths of the verify checks: on the sl3 semisimple system, each
-check fed data that breaks its identity reports passed=False and says why."""
+check fed data that breaks its identity reports passed=False and says why.
+Also the exact pass-path reports of the fibre checks on the representatives
+the replayed references do not cover, and their Weyl-orbit draws."""
 
+import pytest
 from property_suites import representative, system_for
 
 from mfatlas.flags import enumerate_atlas
-from mfatlas.mfsystem import ShiftSystem
+from mfatlas.lie import mixed_rep, nilpotent_rep, semisimple_rep, sl
+from mfatlas.mfsystem import ShiftSystem, build_system
 from mfatlas.mpoly import MPoly
-from mfatlas.sampling import conjugate, random_unimodular, rng_for
+from mfatlas.sampling import conjugate, random_combination, random_unimodular, rng_for
 from mfatlas.verify import (
     check_borel_invariance,
     check_centralizer_containment,
+    check_critical_values,
     check_finite_lambda_membership,
     check_homogeneity,
+    check_image_bba,
+    check_near_section,
+    check_singular_family,
 )
 
 SYS = system_for("sl3-s")
@@ -42,3 +50,56 @@ def test_homogeneity_fails_on_a_tampered_component():
     comps[SYS.labels.index((1, 0))] += MPoly.var(SYS.algebra.coord_names, "x12")
     bad = ShiftSystem(SYS.a, comps, SYS.labels, SYS.certificate_point)
     _fails(check_homogeneity(bad), "component (1, 0)")
+
+
+NEAR_SECTION = ("equal-value translates (translate count is a lower bound for the "
+                "fibre degree; exactness not asserted)")
+TWO_BORELS = "x + u^a lies in two distinct Borel components"
+SKIPPED = "skipped: needs a nilpotent shift"
+
+# (passed, detail) of image-bba, critical-values, singular-family and
+# near-section as mf verify reports them at the default --samples 25, --seed 0
+PINNED = {
+    "sl3-r": (lambda: mixed_rep(sl(3), []),
+              ["degree 3", "max rank 4 of 5", TWO_BORELS, SKIPPED]),
+    "sl4-s": (lambda: semisimple_rep(sl(4), []),
+              ["degree 24", "max rank 8 of 9", TWO_BORELS, SKIPPED]),
+    "sl4-n": (lambda: nilpotent_rep(sl(4)),
+              ["degree 1, nilpotent form", "max rank 8 of 9",
+               "nilpotent shift element: unique Borel, no second component exists",
+               f"24 {NEAR_SECTION}"]),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED))
+def test_fibre_check_reports_are_pinned(key):
+    build, details = PINNED[key]
+    a = build()
+    sys_, atlas = build_system(a), enumerate_atlas(a)
+    x = random_combination(a.algebra, atlas.b_a, rng_for(f"verify-singular-family:{a.algebra.n}", 0))
+    results = [
+        check_image_bba(sys_, atlas, 12, 0),
+        check_critical_values(sys_, 20, 0),
+        check_singular_family(sys_, x, atlas),
+        check_near_section(sys_, atlas, 25, 0),
+    ]
+    assert [(r.passed, r.detail) for r in results] == [(True, d) for d in details]
+
+
+def test_near_section_redraws_a_diagonal_with_a_repeated_entry():
+    """The one draw at seed 6 repeats an entry; it is redrawn, not skipped."""
+    a = nilpotent_rep(sl(2))
+    result = check_near_section(build_system(a), enumerate_atlas(a), 1, 6)
+    assert (result.passed, result.detail) == (True, f"2 {NEAR_SECTION}")
+
+
+def test_image_bba_redraws_a_diagonal_with_a_repeated_entry(monkeypatch):
+    """The one draw at seed 18 repeats an entry; it is redrawn, so the
+    degree probe evaluates F_a on both points of the Weyl orbit."""
+    a = semisimple_rep(sl(2), [])
+    sys_ = build_system(a)
+    points = []
+    evaluate = sys_.evaluate
+    monkeypatch.setattr(sys_, "evaluate", lambda x: points.append(x) or evaluate(x))
+    result = check_image_bba(sys_, enumerate_atlas(a), 1, 18)
+    assert (result.passed, result.detail, len(points)) == (True, "degree 2", 2)

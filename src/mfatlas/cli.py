@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: build, verify, count, atlas, check-examples.  Reports are JSON
-(schema mf-atlas/1) or CSV, written atomically; identical configurations
-(including the seed) produce byte-identical output.
+Subcommands: build, verify, count, atlas, check-examples.  Each cmd_*
+returns the body of its report; main adds the schema (mf-atlas/1) and
+config header.  Reports are JSON or CSV, written atomically; identical
+configurations (including the seed) produce byte-identical output.
 
 Exit codes: 0 all checks passed, 1 verification failure, 2 invalid input.
 
@@ -72,8 +73,8 @@ def _check_n(n: int) -> None:
         raise PreconditionError(f"n must be at most {MAX_N}")
 
 
-def _config_dict(args: argparse.Namespace, command: str) -> dict:
-    cfg: dict = {"command": command}
+def _config_dict(args: argparse.Namespace) -> dict:
+    cfg: dict = {"command": args.command}
     for key in ("n", "element", "param", "matrix", "seed", "samples", "iprime"):
         if hasattr(args, key) and getattr(args, key) is not None:
             cfg[key] = getattr(args, key)
@@ -90,9 +91,7 @@ def _check_rows(results) -> list[dict]:
 def cmd_build(args: argparse.Namespace) -> tuple[dict, bool]:
     a = resolve_element(args)
     sys_ = build_system(a)
-    report = {
-        "schema": SCHEMA,
-        "config": _config_dict(args, "build"),
+    return {
         "n": sys_.algebra.n,
         "b": sys_.b,
         "degrees": sys_.degrees,
@@ -103,8 +102,7 @@ def cmd_build(args: argparse.Namespace) -> tuple[dict, bool]:
         "display_scale": [scalar_to_str(s) for s in sys_.display_scale],
         "printed_components": [str(c) for c in sys_.scaled_components()],
         "certificate_point": sys_.certificate_point.to_json_dict(),
-    }
-    return report, True
+    }, True
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[dict, bool]:
@@ -115,71 +113,29 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, bool]:
     samples = args.samples if args.samples is not None else 25
     results = run_verify_suite(sys_, samples=samples, seed=args.seed)
     ok = all(r.passed for r in results)
-    report = {
-        "schema": SCHEMA,
-        "config": _config_dict(args, "verify"),
+    return {
         "n": sys_.algebra.n,
         "shift": a.to_json_dict(),
         "checks": _check_rows(results),
         "passed": ok,
-    }
-    return report, ok
+    }, ok
 
 
 def cmd_count(args: argparse.Namespace) -> tuple[dict, bool]:
-    from .components import IPrimeTable, count_zero_fibre
+    from .components import count_zero_fibre, load_iprime
 
     a = resolve_element(args)
-    table = None
-    if args.iprime:
-        table = IPrimeTable.default()
-        table.entries.update(IPrimeTable.load(args.iprime).entries)
-    rep = count_zero_fibre(a, table=table)
-    terms = []
-    for t in rep.parabolic_terms:
-        terms.append(
-            {
-                "label": t.label,
-                "composition": list(t.composition),
-                "factors": [
-                    {
-                        "symbol": IPrimeTable.symbol(*key),
-                        "value": val,
-                        "lower": low,
-                    }
-                    for key, val, low in zip(t.factor_keys, t.factor_values, t.factor_lowers)
-                ],
-                "product": t.product,
-                "product_lower": t.product_lower,
-            }
-        )
-    report = {
-        "schema": SCHEMA,
-        "config": _config_dict(args, "count"),
-        "n": rep.n,
-        "shift": a.to_json_dict(),
-        "eigenvalue_partition": list(rep.partition),
-        "borel_count": rep.borel_count,
-        "self_term": {
-            "symbol": IPrimeTable.symbol(*rep.self_key),
-            "value": rep.self_value,
-            "lower": rep.self_lower,
-        },
-        "parabolic_terms": terms,
-        "formula": rep.formula,
-        "total": rep.total,
-        "total_lower": rep.total_lower,
-    }
-    return report, True
+    overrides = load_iprime(args.iprime) if args.iprime else None
+    return {"shift": a.to_json_dict(), **count_zero_fibre(a, overrides)}, True
 
 
-def _member_row(m, L) -> dict:
+def _member_row(m) -> dict:
     from .flags import mask_strings, member_label
 
     return {
         "label": member_label(m),
         "kind": "borel" if m.is_borel() else "parabolic",
-        "composition": list(m.composition()),
+        "composition": list(m.blocks),
         "mask": mask_strings(m.mask()),
         "dim_p": m.dim_p,
         "dim_u": m.dim_u,
@@ -192,15 +148,13 @@ def cmd_atlas(args: argparse.Namespace) -> tuple[dict, bool]:
     a = resolve_element(args)
     L = a.algebra
     atlas = enumerate_atlas(a)
-    report = {
-        "schema": SCHEMA,
-        "config": _config_dict(args, "atlas"),
+    return {
         "n": L.n,
         "shift": a.to_json_dict(),
         "borel_count": len(atlas.borels),
         "parabolic_count": len(atlas.parabolics),
-        "borels": [_member_row(m, L) for m in atlas.borels],
-        "parabolics": [_member_row(m, L) for m in atlas.parabolics],
+        "borels": [_member_row(m) for m in atlas.borels],
+        "parabolics": [_member_row(m) for m in atlas.parabolics],
         "b_a": {
             "dim": len(atlas.b_a),
             "mask": mask_strings(support_mask(L, atlas.b_a)),
@@ -209,8 +163,7 @@ def cmd_atlas(args: argparse.Namespace) -> tuple[dict, bool]:
             "dim": len(atlas.u_a),
             "mask": mask_strings(support_mask(L, atlas.u_a)),
         },
-    }
-    return report, True
+    }, True
 
 
 def cmd_check_examples(args: argparse.Namespace) -> tuple[dict, bool]:
@@ -220,8 +173,6 @@ def cmd_check_examples(args: argparse.Namespace) -> tuple[dict, bool]:
     results = run_corpus(samples=samples, seed=args.seed, self_test=args.self_test)
     ok = all(r.passed for r in results)
     report = {
-        "schema": SCHEMA,
-        "config": _config_dict(args, "check-examples"),
         "self_test": bool(args.self_test),
         "checks": _check_rows(results),
         "passed": ok,
@@ -359,7 +310,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.samples is not None and args.samples < 1:
             raise PreconditionError("--samples must be at least 1")
-        report, ok = args.func(args)
+        body, ok = args.func(args)
+        report = {"schema": SCHEMA, "config": _config_dict(args), **body}
     except PreconditionError as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return 2

@@ -14,9 +14,11 @@ the image of b^a, critical values, exotic witnesses) live in verify and
 build these components where they need them.
 
 count_zero_fibre assembles the recursive component count
-|I_a| = |I'_a| + sum over parabolics of products of Levi |I'| + |B_a|,
-keeping unknown top terms symbolic (with proven lower bounds) instead of
-inventing numbers.
+|I_a| = |I'_a| + sum over parabolics of products of Levi |I'| + |B_a|
+and returns it as the body of the mf count report.  The |I'| values come
+from the IPRIME_DEFAULTS dict, overlaid with a user table from load_iprime;
+unknown terms stay symbolic (with proven lower bounds) instead of inventing
+numbers.
 """
 
 from __future__ import annotations
@@ -225,176 +227,98 @@ def eigen_partition(chains: list[EigenChain]) -> tuple[int, ...]:
     return tuple(sorted((ch.mult for ch in chains), reverse=True))
 
 
-@dataclass(frozen=True)
-class IPrimeEntry:
-    value: int | None
-    lower: int
+# |I'| of exotic components of zero fibres, keyed by (n, eigenvalue-multiplicity
+# partition), as (value, lower).  Unknown entries carry value None and a proven
+# lower bound, and keep totals symbolic.
+IPRIME_DEFAULTS: dict[tuple[int, tuple[int, ...]], tuple[int | None, int]] = {
+    (2, (1, 1)): (0, 0),
+    (2, (2,)): (0, 0),
+    # every regular shift on sl_3 admits an exotic component, but the
+    # exact count is open: value None, lower bound 1
+    (3, (1, 1, 1)): (None, 1),
+    (3, (2, 1)): (None, 1),
+    (3, (3,)): (None, 1),
+}
 
 
-class IPrimeTable:
-    """Counts |I'| of exotic components of zero fibres, keyed by
-    (n, eigenvalue-multiplicity partition).  Unknown entries carry proven
-    lower bounds and keep totals symbolic."""
-
-    def __init__(self, entries: dict[tuple[int, tuple[int, ...]], IPrimeEntry] | None = None):
-        self.entries = dict(entries or {})
-
-    @staticmethod
-    def default() -> "IPrimeTable":
-        e: dict[tuple[int, tuple[int, ...]], IPrimeEntry] = {
-            (2, (1, 1)): IPrimeEntry(0, 0),
-            (2, (2,)): IPrimeEntry(0, 0),
-            # every regular shift on sl_3 admits an exotic component, but the
-            # exact count is open: value None, lower bound 1
-            (3, (1, 1, 1)): IPrimeEntry(None, 1),
-            (3, (2, 1)): IPrimeEntry(None, 1),
-            (3, (3,)): IPrimeEntry(None, 1),
-        }
-        return IPrimeTable(e)
-
-    def get(self, n: int, partition: tuple[int, ...]) -> IPrimeEntry:
-        key = (n, tuple(partition))
-        if key not in self.entries:
-            return IPrimeEntry(None, 0)
-        return self.entries[key]
-
-    @staticmethod
-    def symbol(n: int, partition: tuple[int, ...]) -> str:
-        return f"I'({n},[{','.join(str(k) for k in partition)}])"
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "IPrimeTable":
-        try:
-            entries = {}
-            for row in data["entries"]:
-                key = (int(row["n"]), tuple(int(k) for k in row["partition"]))
-                val = row.get("value")
-                ent = IPrimeEntry(None if val is None else int(val), int(row.get("lower", 0)))
-                if ent.lower < 0 or (ent.value is not None and ent.value < ent.lower):
-                    raise ValueError(f"entry {row} needs 0 <= lower <= value")
-                entries[key] = ent
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PreconditionError(f"malformed I' table: {exc}") from exc
-        return IPrimeTable(entries)
-
-    @staticmethod
-    def load(path: str) -> "IPrimeTable":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise PreconditionError(f"cannot read I' table: {exc}") from exc
-        return IPrimeTable.from_json_dict(data)
+def iprime_symbol(n: int, partition: tuple[int, ...]) -> str:
+    return f"I'({n},[{','.join(str(k) for k in partition)}])"
 
 
-@dataclass
-class ParabolicTerm:
-    label: str
-    composition: tuple[int, ...]
-    factor_keys: list[tuple[int, tuple[int, ...]]]
-    factor_values: list[int | None]
-    factor_lowers: list[int]
-
-    @property
-    def product(self) -> int | None:
-        prod = 1
-        for v in self.factor_values:
-            if v is None:
-                return None
-            prod *= v
-        return prod
-
-    @property
-    def product_lower(self) -> int:
-        prod = 1
-        for v, lo in zip(self.factor_values, self.factor_lowers):
-            prod *= lo if v is None else v
-        return prod
+def load_iprime(path: str) -> dict[tuple[int, tuple[int, ...]], tuple[int | None, int]]:
+    """Read an mf-iprime/1 table: rows {n, partition, value, lower}, where a
+    missing value is unknown and a missing lower is 0."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise PreconditionError(f"cannot read I' table: {exc}") from exc
+    try:
+        entries = {}
+        for row in data["entries"]:
+            key = (int(row["n"]), tuple(int(k) for k in row["partition"]))
+            value = None if row.get("value") is None else int(row["value"])
+            lower = int(row.get("lower", 0))
+            if lower < 0 or (value is not None and value < lower):
+                raise ValueError(f"entry {row} needs 0 <= lower <= value")
+            entries[key] = (value, lower)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise PreconditionError(f"malformed I' table: {exc}") from exc
+    return entries
 
 
-@dataclass
-class CountReport:
-    n: int
-    partition: tuple[int, ...]
-    borel_count: int
-    parabolic_terms: list[ParabolicTerm]
-    self_key: tuple[int, tuple[int, ...]]
-    self_value: int | None
-    self_lower: int
-    formula: str
-    total: int | None
-    total_lower: int
-
-
-def count_zero_fibre(a: GElement, table: IPrimeTable | None = None,
-                     atlas: BorelAtlas | None = None) -> CountReport:
-    """Assemble the recursive component count of F_a^{-1}(0):
-    |I_a| = |I'_a| + sum over atlas parabolics of the product of factor
-    |I'| values + number of atlas Borels."""
-    if table is None:
-        table = IPrimeTable.default()
+def count_zero_fibre(a: GElement, overrides: dict | None = None,
+                     atlas: BorelAtlas | None = None) -> dict:
+    """The body of the mf count report: the recursive component count of
+    F_a^{-1}(0), |I_a| = |I'_a| + sum over atlas parabolics of the product of
+    factor |I'| values + number of atlas Borels.  overrides (as load_iprime
+    returns them) replace entries of IPRIME_DEFAULTS."""
+    table = {**IPRIME_DEFAULTS, **(overrides or {})}
     if atlas is None:
         atlas = enumerate_atlas(a)
-    L = a.algebra
-    part = eigen_partition(atlas.chains)
-    terms: list[ParabolicTerm] = []
+
+    def term(n: int, partition: tuple[int, ...]) -> dict:
+        value, lower = table.get((n, partition), (None, 0))
+        return {"symbol": iprime_symbol(n, partition), "value": value, "lower": lower}
+
+    terms = []
     for p in atlas.parabolics:
         # block t of U^-1 a U is one Jordan block per chain, of the chain's
         # level increment, with distinct chain values
-        keys: list[tuple[int, tuple[int, ...]]] = []
-        values: list[int | None] = []
-        lowers: list[int] = []
+        factors = []
+        product, product_lower = 1, 1
         prev = (0,) * len(atlas.chains)
         for k, level in zip(p.blocks, p.flag.levels):
             if k >= 2:
                 bpart = tuple(sorted((l - q for l, q in zip(level, prev) if l > q), reverse=True))
-                ent = table.get(k, bpart)
-                keys.append((k, bpart))
-                values.append(ent.value)
-                lowers.append(ent.lower)
+                f = term(k, bpart)
+                factors.append(f)
+                product = None if product is None or f["value"] is None else product * f["value"]
+                product_lower *= f["lower"] if f["value"] is None else f["value"]
             prev = level
-        terms.append(
-            ParabolicTerm(
-                label=member_label(p),
-                composition=p.blocks,
-                factor_keys=keys,
-                factor_values=values,
-                factor_lowers=lowers,
-            )
-        )
-    self_ent = table.get(L.n, part)
-    self_key = (L.n, part)
-    para_total: int | None = 0
-    para_lower = 0
-    for t in terms:
-        prod = t.product
-        para_lower += t.product_lower
-        if para_total is not None:
-            para_total = None if prod is None else para_total + prod
+        terms.append({"label": member_label(p), "composition": list(p.blocks), "factors": factors,
+                      "product": product, "product_lower": product_lower})
+    partition = eigen_partition(atlas.chains)
+    self_term = term(a.algebra.n, partition)
     borels = len(atlas.borels)
+    products = [t["product"] for t in terms]
+    para_total = None if None in products else sum(products)
     total = None
-    if self_ent.value is not None and para_total is not None:
-        total = self_ent.value + para_total + borels
-    total_lower = self_ent.lower + para_lower + borels
-    sym = IPrimeTable.symbol(L.n, part)
+    if self_term["value"] is not None and para_total is not None:
+        total = self_term["value"] + para_total + borels
     para_str = (
         str(para_total)
         if para_total is not None
-        else "+".join(
-            "*".join(IPrimeTable.symbol(nk, pk) for nk, pk in t.factor_keys) or "1"
-            for t in terms
-        )
+        else "+".join("*".join(f["symbol"] for f in t["factors"]) or "1" for t in terms)
     )
-    formula = f"{sym if self_ent.value is None else self_ent.value} + {para_str or 0} + {borels}"
-    return CountReport(
-        n=L.n,
-        partition=part,
-        borel_count=borels,
-        parabolic_terms=terms,
-        self_key=self_key,
-        self_value=self_ent.value,
-        self_lower=self_ent.lower,
-        formula=formula,
-        total=total,
-        total_lower=total_lower,
-    )
+    self_str = self_term["symbol"] if self_term["value"] is None else self_term["value"]
+    return {
+        "n": a.algebra.n,
+        "eigenvalue_partition": list(partition),
+        "borel_count": borels,
+        "self_term": self_term,
+        "parabolic_terms": terms,
+        "formula": f"{self_str} + {para_str} + {borels}",
+        "total": total,
+        "total_lower": self_term["lower"] + sum(t["product_lower"] for t in terms) + borels,
+    }

@@ -192,9 +192,6 @@ class Flag:
     step_vectors: tuple[tuple[Vector, ...], ...]  # vectors added per step
     subspaces: tuple[tuple[Vector, ...], ...]  # canonical cumulative bases
 
-    def key(self) -> tuple:
-        return self.subspaces
-
 
 def compositions(n: int) -> list[tuple[int, ...]]:
     """All compositions of n, deterministic order."""
@@ -283,7 +280,6 @@ class FlagParabolic:
         self.u_basis = self._conjugated_basis(upper=True, include_diag_blocks=False)
         self.u_span = elements_span(self.u_basis)
         self.equations = stabilizer_equations(L, flag)
-        self.key = flag.key()
 
     # block index of a row/column position in the adapted ordering
     def _block_of(self) -> list[int]:
@@ -332,9 +328,6 @@ class FlagParabolic:
 
     def mask(self) -> list[list[int]]:
         return support_mask(self.algebra, self.p_basis)
-
-    def composition(self) -> tuple[int, ...]:
-        return self.blocks
 
     def verify(self) -> None:
         """Certify the construction against the stabilizer equations: p_basis

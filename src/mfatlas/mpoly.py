@@ -239,22 +239,6 @@ class MPoly:
             total = total + term
         return total
 
-    def extend(self, new_vars: Sequence[str]) -> "MPoly":
-        """Re-express over a superset of the variables (order given)."""
-        vt = tuple(new_vars)
-        pos = []
-        for v in self.vars:
-            if v not in vt:
-                raise ValueError(f"extend target misses variable {v}")
-            pos.append(vt.index(v))
-        out = {}
-        for e, c in self.terms.items():
-            e2 = [0] * len(vt)
-            for p, k in zip(pos, e):
-                e2[p] = k
-            out[tuple(e2)] = c
-        return MPoly(vt, out)
-
     def project(self, new_vars: Sequence[str]) -> "MPoly":
         """Restrict to a variable subset; fails if a dropped variable occurs."""
         vt = tuple(new_vars)

@@ -20,8 +20,12 @@ def rng_for(tag: str, seed: int) -> Random:
     return Random(f"{tag}:{seed}")
 
 
-def random_rational(rng: Random, num_bound: int = 9, den_choices: Sequence[int] = (1, 1, 2, 3)) -> Fraction:
-    return Fraction(rng.randint(-num_bound, num_bound), rng.choice(den_choices))
+DENOMINATORS = (1, 1, 2, 3)  # drawn uniformly, so 1 half the time
+SHEARS = 4  # shear draws per random_unimodular; a draw with i == j is skipped
+
+
+def random_rational(rng: Random, num_bound: int = 9) -> Fraction:
+    return Fraction(rng.randint(-num_bound, num_bound), rng.choice(DENOMINATORS))
 
 
 def random_scalar(rng: Random, gaussian: bool = False) -> Scalar:
@@ -101,11 +105,11 @@ def random_borel_group_element(L: LieAlgebraA, rng: Random) -> ExactMatrix:
     return random_torus(L, rng) * random_upper_unipotent(L, rng)
 
 
-def random_unimodular(L: LieAlgebraA, rng: Random, shears: int = 4) -> ExactMatrix:
+def random_unimodular(L: LieAlgebraA, rng: Random) -> ExactMatrix:
     """Product of elementary shears; always invertible with det 1."""
     n = L.n
     g = ExactMatrix.identity(n)
-    for _ in range(shears):
+    for _ in range(SHEARS):
         i = rng.randrange(n)
         j = rng.randrange(n)
         if i == j:

@@ -28,7 +28,6 @@ from .flags import (
     FlagParabolic,
     chain_diagonal,
     chain_frame,
-    elements_span,
     enumerate_atlas,
     frame_unit,
     member_label,
@@ -455,7 +454,6 @@ def check_exotic_witness(sys_: ShiftSystem, x: GElement, atlas: BorelAtlas,
 class TarasovReport:
     passed: bool
     jacobian_constant: str
-    section_dim: int
     strong_regular_checked: int
     injectivity_pairs: int
     failures: list[str] = field(default_factory=list)
@@ -507,7 +505,6 @@ def tarasov_check(sys_: ShiftSystem, sample_count: int = 50, seed: int = 0) -> T
     return TarasovReport(
         passed=not failures,
         jacobian_constant=jc,
-        section_dim=L.b,
         strong_regular_checked=checked,
         injectivity_pairs=pairs,
         failures=failures,
@@ -553,7 +550,8 @@ def check_tarasov_exotic(sys_: ShiftSystem, atlas: BorelAtlas, samples: int, see
 
 def check_near_section(sys_: ShiftSystem, atlas: BorelAtlas, samples: int, seed: int) -> CheckResult:
     """For nilpotent a: the W-translates a + w.x_h all share one value vector
-    (provable), so fibres meet a + b^a_- in at least |W| points; the exact
+    (provable), so fibres meet a + b^a_- in at least |W| points (each w.x_h is
+    diagonal in the Borel's frame, so inside b^a_- by construction); the exact
     |W|-to-one degree statement is observational and only reported.  At
     most 6 orbits are drawn."""
     a = sys_.a
@@ -561,23 +559,13 @@ def check_near_section(sys_: ShiftSystem, atlas: BorelAtlas, samples: int, seed:
         return _result("near-section", True, "skipped: needs a nilpotent shift")
     L = sys_.algebra
     B = atlas.borels[0]
-    n = L.n
-    # opposite Borel: lower triangular in the adapted basis
-    lower = [
-        L.element(frame_unit(B.U, B.U_inv, i, j)) for i in range(n) for j in range(i)
-    ]
-    for k in range(n - 1):
-        H = frame_unit(B.U, B.U_inv, k, k) - frame_unit(B.U, B.U_inv, k + 1, k + 1)
-        lower.append(L.element(H))
-    lower_span = elements_span(lower)
-    rng = rng_for(f"near-section:{n}", seed)
+    rng = rng_for(f"near-section:{L.n}", seed)
     ok = True
     translates = 0
     for _ in range(min(samples, 6)):
         orbit = _weyl_orbit(L, B.U, B.U_inv, rng)
         translates = len(orbit)
-        if (not all(span_contains(lower_span, x.coords) for x in orbit)
-                or len({sys_.evaluate(a + x) for x in orbit}) != 1):
+        if len({sys_.evaluate(a + x) for x in orbit}) != 1:
             ok = False
     return _result(
         "near-section", ok,

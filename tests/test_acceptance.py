@@ -108,15 +108,15 @@ def test_criterion_04_sl3_atlas_tables():
 def test_criterion_05_recursive_count():
     def run():
         rep = count_zero_fibre(REPS["sl2-s"])
-        assert rep.total == 2
+        assert rep["total"] == 2
         rep = count_zero_fibre(REPS["sl2-n"])
-        assert rep.total == 1
+        assert rep["total"] == 1
         rep_s = count_zero_fibre(REPS["sl3-s"], atlas=ATLASES["sl3-s"])
-        assert rep_s.formula == "I'(3,[1,1,1]) + 0 + 6"
-        assert rep_s.total_lower == 7
+        assert rep_s["formula"] == "I'(3,[1,1,1]) + 0 + 6"
+        assert rep_s["total_lower"] == 7
         rep_n = count_zero_fibre(REPS["sl3-n"], atlas=ATLASES["sl3-n"])
-        assert rep_n.formula == "I'(3,[3]) + 0 + 1"
-        assert rep_n.total_lower == 2
+        assert rep_n["formula"] == "I'(3,[3]) + 0 + 1"
+        assert rep_n["total_lower"] == 2
         return "totals 2/1 exact; structural bounds 7 and 2"
 
     _criterion(5, "recursive-count", run)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report schemas, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -218,6 +219,42 @@ def test_count_with_iprime_table(tmp_path, capsys):
     assert code == 0
     d = json.loads(out)
     assert d["total"] == 15
+
+
+# sha256 of the count reports that mfbench/references.json does not reach
+# (it holds count only on sl3 s and sl4 n); the files are written to the
+# working directory under these names, so the config block is stable
+COUNT_FILES = {
+    # U0 J U0^-1 with J of Jordan type (2, 1, 1) and U0[i][j] = min(i, j) + 1
+    "dense.json": {"n": 4, "entries": [["0", "3", "0", "-2"], ["-1", "5", "1", "-4"],
+                                       ["-1", "5", "3", "-6"], ["-1", "5", "5", "-8"]]},
+    "table.json": {"schema": "mf-iprime/1",
+                   "entries": [{"n": 3, "partition": [1, 1, 1], "value": 1, "lower": 1},
+                               {"n": 4, "partition": [1, 1, 1, 1], "lower": 2}]},
+}
+COUNT_DIGESTS = {
+    "count --n 2 --element s": "0daeb78ac39bd3f43f3e3f1d316ccb405997aa3e0a459c0776c5d5e718970c52",
+    "count --n 2 --element n": "789f6bd3a7c08dfbaac277fd21e4b371cb4fdd9090d3337025377b16fd5f0896",
+    "count --n 3 --element r": "02329eba414cc28dafd1ac1c5103b2dc2e7eb753f931a081d7801c22ea5bfee9",
+    "count --n 4 --element s": "7911ad8d75171193713a8c855cf495bed064ead0d2dd6c791387a6cd5b9265ec",
+    "count --n 4 --element s --iprime table.json":
+        "ace177bab9f837134acaf5c754d54650e05c0a46852554fee86a0ab7e7399625",
+    "count --matrix dense.json": "e0cd1b7e3af979af11051608cc5769e007451cb65dd307f7ab855d956a23d347",
+    "count --n 3 --element r --format csv":
+        "c71af9741b7d40a366d35e500e29e50737000611a1ff4bfbf0514155f736802d",
+}
+
+
+def test_count_reports_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, data in COUNT_FILES.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    got = {}
+    for command in COUNT_DIGESTS:
+        code, out, err = _run(capsys, *command.split())
+        assert (code, err) == (0, ""), command
+        got[command] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == COUNT_DIGESTS
 
 
 def test_verify_small_suite(capsys):

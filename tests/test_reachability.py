@@ -13,6 +13,10 @@ would be reported dead, and the package has none.
 The unused-import guard: every name a module imports, at module level or
 inside a function, is used in the scope that imports it (the package
 __init__, which only re-exports, and __future__ imports are exempt).
+
+The unread-field guard: every dataclass field and every attribute an
+__init__ sets on self is read by some attribute access in src/mfatlas,
+except an explicit allowlist.
 """
 
 import ast
@@ -159,3 +163,48 @@ def unused_imports() -> list[str]:
 
 def test_every_import_is_used():
     assert unused_imports() == []
+
+
+# Stored fields nothing in src/mfatlas reads, each with its reason.
+UNREAD_ALLOWLIST = {
+    # acceptance criterion 09 prints the number of injectivity pairs checked
+    "verify.TarasovReport.injectivity_pairs",
+    # names each row of the planned `mf components` report (ROADMAP item 3)
+    "components.AffineComponent.label",
+}
+
+
+def _is_dataclass(decorator) -> bool:
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return isinstance(decorator, ast.Name) and decorator.id == "dataclass"
+
+
+def unread_fields() -> set[str]:
+    """The dataclass fields and the attributes an __init__ sets on self that
+    no attribute access in src/mfatlas reads.  Like the reachability walk this
+    matches by name, so a read of a same-name attribute of another class
+    counts."""
+    stored = {}
+    reads = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reads |= {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store)}
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            qual = f"{path.stem}.{cls.name}"
+            if any(_is_dataclass(d) for d in cls.decorator_list):
+                stored.update((f"{qual}.{item.target.id}", item.target.id) for item in cls.body
+                              if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name))
+            for init in cls.body:
+                if isinstance(init, _FUNCTIONS) and init.name == "__init__":
+                    stored.update((f"{qual}.{node.attr}", node.attr) for node in ast.walk(init)
+                                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                                  and isinstance(node.value, ast.Name) and node.value.id == "self")
+    return {qual for qual, name in stored.items() if name not in reads}
+
+
+def test_every_stored_field_is_read_or_allowlisted():
+    assert sorted(unread_fields()) == sorted(UNREAD_ALLOWLIST)

@@ -7,9 +7,9 @@ configurations (including the seed) produce byte-identical output.
 
 Exit codes: 0 all checks passed, 1 verification failure, 2 invalid input.
 
-Only the build path is imported with this module; every other subcommand
-imports its own layer when it runs, so each process loads just the layers
-its subcommand uses.
+Each subcommand imports its own layer when it runs (mf build the symbolic
+system, mf atlas the flags), so each process loads just the layers its
+subcommand uses.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import sys
 
 from .errors import CertificationError, MFError, PreconditionError
 from .lie import GElement, mixed_rep, nilpotent_rep, semisimple_rep, sl
-from .mfsystem import build_system
 from .scalar import scalar_from_str, scalar_to_str
 
 SCHEMA = "mf-atlas/1"
@@ -89,6 +88,8 @@ def _check_rows(results) -> list[dict]:
 
 
 def cmd_build(args: argparse.Namespace) -> tuple[dict, bool]:
+    from .mfsystem import build_system
+
     a = resolve_element(args)
     sys_ = build_system(a)
     return {
@@ -106,6 +107,7 @@ def cmd_build(args: argparse.Namespace) -> tuple[dict, bool]:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[dict, bool]:
+    from .mfsystem import build_system
     from .verify import run_verify_suite
 
     a = resolve_element(args)

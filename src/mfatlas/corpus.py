@@ -556,7 +556,7 @@ def check_sl3_weyl_degree(samples: int, seed: int) -> CheckResult:
     L = sl(3)
     r = sl3_mixed(1)
     atlas_r = enumerate_atlas(r)
-    stab = weyl_stabilizer(L.element(semisimple_part(atlas_r.chains)))
+    stab = weyl_stabilizer(L.element(semisimple_part(atlas_r.chains, atlas_r.frame)))
     perms = sorted(stab)
     if perms != [(0, 1, 2), (1, 0, 2)]:
         return _result("sl3-weyl-degree", False, f"stabilizer {perms}")
@@ -751,7 +751,7 @@ def check_sl3_orbit_invariance(samples: int, seed: int) -> CheckResult:
         sys_ = build_system(a)
         at = enumerate_atlas(a)
         # N = a - s, the nilpotent part of a
-        nil = a.matrix - semisimple_part(at.chains)
+        nil = a.matrix - semisimple_part(at.chains, at.frame)
         for _ in range(samples):
             c = Scalar(random_nonzero_rational(rng))
             if sys_.evaluate(x.scale(c)) != zero5:

@@ -7,27 +7,34 @@ flags of a given composition are therefore lattice paths in the product of
 chains, a finite set; for non-regular a the invariant subspaces form
 infinite families and enumeration is refused.
 
-The Jordan chains of a are its only Jordan decomposition.  They are
-computed once per atlas (enumerate_atlas stores them as BorelAtlas.chains);
-every flag, b^a and the component layer read them from there.
-chain_frame(chains) is the adapted basis U (chain vectors as columns,
-eigenvalues ordered by (real, imaginary)) with its inverse; in it a is a
-direct sum of single Jordan blocks, so the semisimple part is
-semisimple_part(chains) = U diag(chain values) U^-1, and the Levi block of a
-flag step is one Jordan block per chain, of size the chain's level increment.
+The Jordan chains of a are its only Jordan decomposition, and they fix one
+frame per atlas: ChainFrame holds U0 (the chain vectors as columns,
+eigenvalues ordered by (real, imaginary)) and U0^-1, the one inverse an atlas
+computes; enumerate_atlas keeps both (BorelAtlas.chains, BorelAtlas.frame)
+and every flag, b^a, the component layer and the verify checks read them
+there.  In U0, a is a direct sum of single Jordan blocks, so its semisimple
+part is semisimple_part(chains, frame) = U0 diag(chain values) U0^-1, and the
+Levi block of a flag step is one Jordan block per chain, of size the chain's
+level increment.
 
-A parabolic enters the atlas as the stabilizer of an invariant flag, and is
-cut out of sl_n by one set of linear equations: w (Y v) = 0 for v in V_t and
-w annihilating V_t.  stabilizer_equations builds them once per member, read
-off the few nonzero entries of each coordinate basis matrix, and every
-membership decision reads them: FlagParabolic.contains is a zero test of
-equations . x, and the certificate (FlagParabolic.verify, run on every
-member) checks that a and every basis element satisfy them, that the basis
-is independent of size dim - rank(equations), and the l + u split.  The
-basis itself is the block pattern conjugated by the flag's own adapted basis
-U (the chain vectors in flag-step order); each U E_ij U^-1 is
-frame_unit(U, U^-1, i, j), the outer product of column i of U and row j of
-U^-1, never two dense matrix products.
+Members read U^-1 and their units from the frame.  A flag records order, the
+frame columns in flag-step order, so a member's adapted basis U is U0 with
+its columns permuted and U^-1 is the rows U0^-1[order].  Its p, l and u
+bases are block patterns conjugated by U; each U E_ij U^-1 is the frame unit
+U0 E_(order i)(order j) U0^-1 (frame_unit, an outer product), built once per
+atlas by ChainFrame.element and shared by the members, as are the Cartan
+differences.
+
+A parabolic enters the atlas as the stabilizer of an invariant flag, cut out
+of sl_n by the linear equations w (Y v) = 0 for v in V_t and w annihilating
+V_t.  The annihilators are rows of U0^-1 (those past the step), so each row
+is read off the chart, w E_ij v = w_i v_j and w_k v_k - w_(k+1) v_(k+1) on
+the Cartan part, with no kernel taken (ChainFrame.equation_row, once per
+atlas).  Every membership decision reads the equations: FlagParabolic.contains
+is a zero test of equations . x, and the certificate (FlagParabolic.verify,
+run on every member) checks that a and every basis element satisfy them,
+that the basis is independent of size dim - rank(equations), and the l + u
+split.
 
 b^a, the intersection of all Borels containing a, is the canonical basis of
 the kernel of all Borels' equations stacked.  Its structural route, the
@@ -157,27 +164,53 @@ def eigen_chains(a: GElement) -> list[EigenChain]:
     return chains
 
 
-def chain_frame(chains: Sequence[EigenChain]) -> tuple[ExactMatrix, ExactMatrix]:
-    """The adapted basis U (chain vectors as columns, in chain order) and U^-1."""
-    U = ExactMatrix.from_columns([v for ch in chains for v in ch.vectors])
-    return U, mat_inverse(U)
-
-
 def chain_diagonal(chains: Sequence[EigenChain]) -> list[Scalar]:
     """The diagonal of U^-1 s U: each chain value repeated mult times."""
     return [ch.value for ch in chains for _ in range(ch.mult)]
 
 
-def semisimple_part(chains: Sequence[EigenChain]) -> ExactMatrix:
-    """The semisimple part s of the element with these chains:
-    U diag(c_1, ..., c_1, c_2, ...) U^-1."""
-    U, U_inv = chain_frame(chains)
-    return U * ExactMatrix.diagonal(chain_diagonal(chains)) * U_inv
-
-
 def frame_unit(U: ExactMatrix, U_inv: ExactMatrix, i: int, j: int) -> ExactMatrix:
     """U E_ij U^-1, the outer product of column i of U and row j of U^-1."""
     return ExactMatrix([[x * y for y in U_inv.row(j)] for x in U.col(i)])
+
+
+class ChainFrame:
+    """U0 (the chain vectors as columns, in chain order) and U0^-1, with the
+    frame elements and stabilizer-equation rows the members read, each built
+    once."""
+
+    def __init__(self, L: LieAlgebraA, chains: Sequence[EigenChain]):
+        self.algebra = L
+        self.U = ExactMatrix.from_columns([v for ch in chains for v in ch.vectors])
+        self.U_inv = mat_inverse(self.U)
+        self._elements: dict[tuple[int, int, bool], GElement] = {}
+        self._rows: dict[tuple[int, int], Vector] = {}
+
+    def element(self, i: int, j: int, cartan: bool = False) -> GElement:
+        """U0 E_ij U0^-1, or U0 (E_ii - E_jj) U0^-1 with cartan."""
+        key = (i, j, cartan)
+        if key not in self._elements:
+            m = frame_unit(self.U, self.U_inv, i, i if cartan else j)
+            if cartan:
+                m = m - frame_unit(self.U, self.U_inv, j, j)
+            self._elements[key] = self.algebra.element(m)
+        return self._elements[key]
+
+    def equation_row(self, r: int, c: int) -> Vector:
+        """w (B v) over the coordinate basis B, for w row r of U0^-1 and v
+        column c of U0: w_i v_j for E_ij, w_k v_k - w_(k+1) v_(k+1) for H_k."""
+        if (r, c) not in self._rows:
+            w, v = self.U_inv.row(r), self.U.col(c)
+            L = self.algebra
+            self._rows[r, c] = tuple([w[i] * v[j] for i, j in L.offdiag_positions] + [
+                w[k] * v[k] - w[k + 1] * v[k + 1] for k in range(L.n - 1)])
+        return self._rows[r, c]
+
+
+def semisimple_part(chains: Sequence[EigenChain], frame: ChainFrame) -> ExactMatrix:
+    """The semisimple part s of the element with these chains:
+    U0 diag(c_1, ..., c_1, c_2, ...) U0^-1."""
+    return frame.U * ExactMatrix.diagonal(chain_diagonal(chains)) * frame.U_inv
 
 
 # -- flags --------------------------------------------------------------------------
@@ -189,8 +222,7 @@ class Flag:
 
     composition: tuple[int, ...]
     levels: tuple[tuple[int, ...], ...]  # after each step, per chain
-    step_vectors: tuple[tuple[Vector, ...], ...]  # vectors added per step
-    subspaces: tuple[tuple[Vector, ...], ...]  # canonical cumulative bases
+    order: tuple[int, ...]  # the frame columns, in flag-step order
 
 
 def compositions(n: int) -> list[tuple[int, ...]]:
@@ -212,27 +244,16 @@ def invariant_flags(chains: Sequence[EigenChain], composition: Sequence[int]) ->
     """All invariant flags of the given composition (lattice paths in the
     product of the Jordan chains)."""
     mults = [ch.mult for ch in chains]
-    n = sum(mults)
+    offsets = list(itertools.accumulate(mults, initial=0))
+    n = offsets[-1]
     comp = tuple(int(k) for k in composition)
     if any(k <= 0 for k in comp) or sum(comp) != n:
         raise PreconditionError(f"not a composition of {n}: {comp}")
     flags: list[Flag] = []
 
-    def rec(step: int, level: tuple[int, ...], levels_acc, steps_acc):
+    def rec(step: int, level: tuple[int, ...], levels_acc, order):
         if step == len(comp):
-            cumulative = []
-            acc_vecs: list[Vector] = []
-            for sv in steps_acc:
-                acc_vecs.extend(sv)
-                cumulative.append(canonical_basis(acc_vecs))
-            flags.append(
-                Flag(
-                    composition=comp,
-                    levels=tuple(levels_acc),
-                    step_vectors=tuple(steps_acc),
-                    subspaces=tuple(cumulative),
-                )
-            )
+            flags.append(Flag(composition=comp, levels=tuple(levels_acc), order=tuple(order)))
             return
         need = comp[step]
         ranges = [range(0, min(need, mults[c] - level[c]) + 1) for c in range(len(chains))]
@@ -240,16 +261,9 @@ def invariant_flags(chains: Sequence[EigenChain], composition: Sequence[int]) ->
             if sum(inc) != need:
                 continue
             new_level = tuple(l + i for l, i in zip(level, inc))
-            added: list[Vector] = []
-            for c, ch in enumerate(chains):
-                for j in range(level[c], new_level[c]):
-                    added.append(ch.vectors[j])
-            rec(
-                step + 1,
-                new_level,
-                levels_acc + [new_level],
-                steps_acc + [tuple(added)],
-            )
+            added = [offsets[c] + j for c in range(len(chains))
+                     for j in range(level[c], new_level[c])]
+            rec(step + 1, new_level, levels_acc + [new_level], order + added)
 
     rec(0, (0,) * len(chains), [], [])
     return flags
@@ -259,27 +273,23 @@ def invariant_flags(chains: Sequence[EigenChain], composition: Sequence[int]) ->
 
 
 class FlagParabolic:
-    """Stabilizer of an invariant flag, with adapted basis and Levi data."""
+    """Stabilizer of an invariant flag, with adapted basis and Levi data: U is
+    the frame's U0 with its columns in flag-step order, and U^-1 the rows
+    U0^-1[order] (the inverse is unique, so no inverse is computed)."""
 
-    def __init__(self, a: GElement, flag: Flag):
+    def __init__(self, a: GElement, flag: Flag, frame: ChainFrame):
         L = a.algebra
         self.algebra = L
         self.a = a
         self.flag = flag
         self.blocks = flag.composition
-        cols: list[Vector] = []
-        for sv in flag.step_vectors:
-            cols.extend(sv)
-        if len(cols) != L.n:
-            raise PreconditionError("flag does not exhaust the space")
-        U = ExactMatrix.from_columns(cols)
-        self.U = U
-        self.U_inv = mat_inverse(U)
-        self.p_basis = self._conjugated_basis(upper=True, include_diag_blocks=True)
-        self.l_basis = self._conjugated_basis(upper=False, include_diag_blocks=True)
-        self.u_basis = self._conjugated_basis(upper=True, include_diag_blocks=False)
+        self.U = ExactMatrix.from_columns([frame.U.col(c) for c in flag.order])
+        self.U_inv = ExactMatrix([frame.U_inv.row(c) for c in flag.order])
+        self.p_basis = self._conjugated_basis(frame, upper=True, include_diag_blocks=True)
+        self.l_basis = self._conjugated_basis(frame, upper=False, include_diag_blocks=True)
+        self.u_basis = self._conjugated_basis(frame, upper=True, include_diag_blocks=False)
         self.u_span = elements_span(self.u_basis)
-        self.equations = stabilizer_equations(L, flag)
+        self.equations = stabilizer_equations(frame, flag)
 
     # block index of a row/column position in the adapted ordering
     def _block_of(self) -> list[int]:
@@ -298,17 +308,14 @@ class FlagParabolic:
             out += [(k, k) for k in range(n - 1)]
         return out
 
-    def _conjugated_basis(self, upper: bool, include_diag_blocks: bool) -> list[GElement]:
-        """U E U^-1 for each element E of the block pattern: one frame unit for
-        E_ij, a difference of two for H_k."""
-        U, U_inv = self.U, self.U_inv
-        out: list[GElement] = []
-        for i, j in self.block_pattern(upper, include_diag_blocks):
-            m = frame_unit(U, U_inv, i, j)
-            if i == j:
-                m = m - frame_unit(U, U_inv, i + 1, i + 1)
-            out.append(self.algebra.element(m))
-        return out
+    def _conjugated_basis(self, frame: ChainFrame, upper: bool,
+                          include_diag_blocks: bool) -> list[GElement]:
+        """U E U^-1 for each element E of the block pattern, read from the
+        frame: E_ij is U0 E_(order i)(order j) U0^-1, H_k a Cartan difference."""
+        order = self.flag.order
+        return [frame.element(order[i], order[i + 1], cartan=True) if i == j
+                else frame.element(order[i], order[j])
+                for i, j in self.block_pattern(upper, include_diag_blocks)]
 
     # -- membership and structure -------------------------------------------------
 
@@ -347,34 +354,21 @@ class FlagParabolic:
         return f"FlagParabolic(blocks={self.blocks})"
 
 
-def stabilizer_equations(L: LieAlgebraA, flag: Flag) -> ExactMatrix:
+def stabilizer_equations(frame: ChainFrame, flag: Flag) -> ExactMatrix:
     """The linear equations of {Y in sl_n : Y V_t <= V_t for all t} in the
-    coordinates, one row per vector v added at step t and annihilator w of
-    V_t: w (B v) = sum of w_r B_rc v_c over the nonzero entries B_rc of each
-    basis matrix B.  A vector of V_(t-1) needs no row at step t, since the
-    earlier rows already put Y v in V_(t-1); so there are as many rows as
-    the codimension of the stabilizer.  The trivial flag gets one zero row
-    (its stabilizer is sl_n)."""
-    rows: list[list[Scalar]] = []
-    basis_entries = [
-        [
-            (r, c, x)
-            for r, row in enumerate(e.matrix.entries)
-            for c, x in enumerate(row)
-            if not x.is_zero()
-        ]
-        for e in L.basis()
-    ]
-    for sub, added in zip(flag.subspaces, flag.step_vectors):
-        # left annihilator rows w with w . V = 0
-        V = ExactMatrix.from_columns(list(sub))
-        ann = mat_kernel(V.transpose())
-        for v in added:
-            for w in ann:
-                rows.append(
-                    [sum((w[r] * x * v[c] for r, c, x in nz), Scalar(0)) for nz in basis_entries]
-                )
-    return ExactMatrix(rows or [[Scalar(0)] * L.dim])
+    coordinates, one row w (B v) over the coordinate basis B per frame column
+    v added at step t and annihilator w of V_t; the annihilators of V_t are
+    the rows of U0^-1 at the frame columns not yet added.  A vector of
+    V_(t-1) needs no row at step t, since the earlier rows already put Y v in
+    V_(t-1); so there are as many rows as the codimension of the stabilizer.
+    The trivial flag gets one zero row (its stabilizer is sl_n)."""
+    order = flag.order
+    rows: list[Vector] = []
+    done = 0
+    for k in flag.composition:
+        added, done = order[done:done + k], done + k
+        rows += [frame.equation_row(r, c) for c in added for r in order[done:]]
+    return ExactMatrix(rows or [(Scalar(0),) * frame.algebra.dim])
 
 
 # -- atlas ---------------------------------------------------------------------------
@@ -387,6 +381,7 @@ class BorelAtlas:
 
     a: GElement
     chains: list[EigenChain]
+    frame: ChainFrame
     borels: list[FlagParabolic]
     parabolics: list[FlagParabolic]
     b_a: list[GElement]
@@ -401,13 +396,14 @@ def enumerate_atlas(a: GElement) -> BorelAtlas:
     L = a.algebra
     n = L.n
     chains = eigen_chains(a)
-    borels = [FlagParabolic(a, fl) for fl in invariant_flags(chains, (1,) * n)]
+    frame = ChainFrame(L, chains)
+    borels = [FlagParabolic(a, fl, frame) for fl in invariant_flags(chains, (1,) * n)]
     parabolics: list[FlagParabolic] = []
     for comp in compositions(n):
         if len(comp) == n or len(comp) == 1:
             continue
         for fl in invariant_flags(chains, comp):
-            parabolics.append(FlagParabolic(a, fl))
+            parabolics.append(FlagParabolic(a, fl, frame))
     for m in borels + parabolics:
         m.verify()
     # route 1: the solutions of every Borel's stabilizer equations
@@ -415,13 +411,13 @@ def enumerate_atlas(a: GElement) -> BorelAtlas:
     b_a = span_to_elements(L, canonical_basis(mat_kernel(stacked)))
     u_a = derived_span(b_a)
     # route 2: structural, must agree exactly
-    b2, u2 = compute_b_a_structural(L, chains)
+    b2, u2 = compute_b_a_structural(chains, frame)
     if not span_equal([e.coords for e in b_a], [e.coords for e in b2]):
         raise CertificationError("b^a routes disagree")
     if not span_equal([e.coords for e in u_a], [e.coords for e in u2]):
         raise CertificationError("u^a routes disagree")
-    return BorelAtlas(a=a, chains=chains, borels=borels, parabolics=parabolics,
-                      b_a=b_a, u_a=u_a)
+    return BorelAtlas(a=a, chains=chains, frame=frame, borels=borels,
+                      parabolics=parabolics, b_a=b_a, u_a=u_a)
 
 
 def derived_span(elems: list[GElement]) -> list[GElement]:
@@ -436,15 +432,15 @@ def derived_span(elems: list[GElement]) -> list[GElement]:
     return span_to_elements(L, canonical_basis(vecs))
 
 
-def compute_b_a_structural(L: LieAlgebraA, chains: Sequence[EigenChain]
+def compute_b_a_structural(chains: Sequence[EigenChain], frame: ChainFrame
                            ) -> tuple[list[GElement], list[GElement]]:
     """b^a = z(g_s) + (unique Borel of [g_s, g_s] containing the nilpotent
-    part), built on the adapted chain basis; u^a is its derived algebra."""
-    U, U_inv = chain_frame(chains)
+    part), built on the chain frame; u^a is its derived algebra."""
+    L = frame.algebra
     n = L.n
     sizes = [ch.mult for ch in chains]
     offsets = [sum(sizes[:bi]) for bi in range(len(sizes))]
-    mats: list[ExactMatrix] = []
+    elems: list[GElement] = []
     # centre of the centralizer of the semisimple part: one scalar per block,
     # trace-free
     k = len(sizes)
@@ -454,16 +450,16 @@ def compute_b_a_structural(L: LieAlgebraA, chains: Sequence[EigenChain]
             diag[t] = Scalar(sizes[k - 1])
         for t in range(offsets[k - 1], offsets[k - 1] + sizes[k - 1]):
             diag[t] = Scalar(-sizes[bi])
-        mats.append(U * ExactMatrix.diagonal(diag) * U_inv)
+        elems.append(L.element(frame.U * ExactMatrix.diagonal(diag) * frame.U_inv))
     # upper-triangular part of each block (the unique Borel of the factor
     # sl_{m} containing the single Jordan block nilpotent)
     for o, m in zip(offsets, sizes):
         for p in range(m):
             for q in range(p + 1, m):
-                mats.append(frame_unit(U, U_inv, o + p, o + q))
+                elems.append(frame.element(o + p, o + q))
         for p in range(o, o + m - 1):
-            mats.append(frame_unit(U, U_inv, p, p) - frame_unit(U, U_inv, p + 1, p + 1))
-    b_basis = span_to_elements(L, elements_span([L.element(M) for M in mats]))
+            elems.append(frame.element(p, p + 1, cartan=True))
+    b_basis = span_to_elements(L, elements_span(elems))
     u_basis = derived_span(b_basis)
     return b_basis, u_basis
 

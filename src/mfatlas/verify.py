@@ -27,9 +27,7 @@ from .flags import (
     BorelAtlas,
     FlagParabolic,
     chain_diagonal,
-    chain_frame,
     enumerate_atlas,
-    frame_unit,
     member_label,
 )
 from .lie import (
@@ -307,13 +305,10 @@ def check_image_bba(sys_: ShiftSystem, atlas: BorelAtlas, samples: int, seed: in
     a = sys_.a
     nilpotent = a.is_nilpotent()
     failures: list[str] = []
-    U, U_inv = chain_frame(atlas.chains)
+    frame = atlas.frame
     n = L.n
     # adapted Cartan basis: U (E_kk - E_nn) U^-1
-    hcs = [
-        L.coords_of_matrix(frame_unit(U, U_inv, k, k) - frame_unit(U, U_inv, n - 1, n - 1))
-        for k in range(n - 1)
-    ]
+    hcs = [frame.element(k, n - 1, cartan=True).coords for k in range(n - 1)]
     ucs = [e.coords for e in atlas.u_a]
     # certification: b^a = h_U  (+) u^a
     if not span_equal(hcs + ucs, [e.coords for e in atlas.b_a]):
@@ -348,7 +343,7 @@ def check_image_bba(sys_: ShiftSystem, atlas: BorelAtlas, samples: int, seed: in
     expected = len(weyl_group(n)) // len(stab)
     rng = rng_for(f"image-bba:{n}", seed)
     for _ in range(samples):
-        distinct = len({sys_.evaluate(x) for x in _weyl_orbit(L, U, U_inv, rng)})
+        distinct = len({sys_.evaluate(x) for x in _weyl_orbit(L, frame.U, frame.U_inv, rng)})
         if distinct != expected:
             failures.append(f"degree probe: {distinct} distinct values, expected {expected}")
     detail = f"degree {expected}" + (", nilpotent form" if nilpotent else "")
@@ -358,53 +353,53 @@ def check_image_bba(sys_: ShiftSystem, atlas: BorelAtlas, samples: int, seed: in
 def check_critical_values(sys_: ShiftSystem, samples: int, seed: int) -> CheckResult:
     """Sample the singular family g_sing + C a and certify every sample is a
     critical point of F_a (Jacobian rank < b), with max sampled rank in
-    [b - 2, b - 1].  For n = 2 the image points are checked against the
-    closed forms (a parabola for semisimple a, the origin for nilpotent a)."""
+    [b - 2, b - 1].  For n = 2 the family is C a, and the image of lam a is
+    (lam^2 v_0, lam v_1) for (v_0, v_1) the image of a, so the one point a
+    stands for every lam != 0: its rank must be exactly b - 1 and its image
+    satisfy the closed form (the parabola v_1^2 = 2 tr(a^2) v_0 for semisimple
+    a, the origin for nilpotent a)."""
     L = sys_.algebra
     a = sys_.a
     n = L.n
+    failures: list[str] = []
+    if n == 2:
+        rank = mat_rank(sys_.jacobian_at(a))
+        if rank != sys_.b - 1:
+            failures.append(f"rank {rank} at a, expected b-1")
+        v = sys_.evaluate_scaled(a)
+        if a.is_nilpotent():
+            if any(not s.is_zero() for s in v):
+                failures.append("nilpotent singular image is not the origin")
+        elif v[0] * Scalar(2) * (a.matrix * a.matrix).trace() != v[1] * v[1]:
+            failures.append("semisimple singular image leaves the parabola")
+        return _verdict("critical-values", failures, f"max rank {rank} of {sys_.b}, closed form")
     rng = rng_for(f"critical:{n}", seed)
     max_rank = -1
-    failures: list[str] = []
     for _ in range(samples):
-        if n == 2:
-            y = L.zero()
+        if rng.random() < 0.5:
+            # semisimple with a repeated eigenvalue, traceless
+            vals = random_distinct_rationals(rng, n - 2)
+            d = [vals[0], vals[0]] + vals[1:]
+            d.append(-sum(d))
+            base = ExactMatrix.diagonal([Scalar(v) for v in d])
         else:
-            if rng.random() < 0.5:
-                # semisimple with a repeated eigenvalue, traceless
-                vals = random_distinct_rationals(rng, n - 2)
-                d = [vals[0], vals[0]] + vals[1:]
-                d.append(-sum(d))
-                base = ExactMatrix.diagonal([Scalar(v) for v in d])
-            else:
-                # nilpotent of minimal nonzero rank
-                m = [[Scalar(0)] * n for _ in range(n)]
-                m[0][n - 1] = Scalar(1)
-                base = ExactMatrix(m)
-            g = random_unimodular(L, rng)
-            y = L.element(g * base * mat_inverse(g))
-            if is_regular(y):
-                failures.append("sampler produced a regular element")
-                continue
-        lam = Scalar(random_rational(rng))
-        z = y + a.scale(lam)
+            # nilpotent of minimal nonzero rank
+            m = [[Scalar(0)] * n for _ in range(n)]
+            m[0][n - 1] = Scalar(1)
+            base = ExactMatrix(m)
+        g = random_unimodular(L, rng)
+        y = L.element(g * base * mat_inverse(g))
+        if is_regular(y):
+            failures.append("sampler produced a regular element")
+            continue
+        z = y + a.scale(Scalar(random_rational(rng)))
         rank = mat_rank(sys_.jacobian_at(z))
         if rank >= sys_.b:
             failures.append("singular sample is not a critical point")
         max_rank = max(max_rank, rank)
-        if n == 2:
-            v = sys_.evaluate_scaled(z)
-            if a.is_nilpotent():
-                if any(not s.is_zero() for s in v):
-                    failures.append("nilpotent singular image is not the origin")
-            else:
-                a1 = a.matrix.entries[0][0]
-                if v[0] * (Scalar(4) * a1 * a1) != v[1] * v[1]:
-                    failures.append("semisimple singular image leaves the parabola")
     if not (sys_.b - 2 <= max_rank <= sys_.b - 1):
         failures.append(f"max sampled rank {max_rank} outside [b-2, b-1]")
-    detail = f"max rank {max_rank} of {sys_.b}" + (", closed form" if n == 2 else "")
-    return _verdict("critical-values", failures, detail)
+    return _verdict("critical-values", failures, f"max rank {max_rank} of {sys_.b}")
 
 
 def check_singular_family(sys_: ShiftSystem, x: GElement, atlas: BorelAtlas) -> CheckResult:

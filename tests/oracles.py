@@ -13,6 +13,10 @@ in mfatlas replaced, kept here to cross-check them.
   the kernel of [A | -B] (folded pairwise over the Borels' spans, the oracle
   for b^a as the solutions of all their stabilizer equations in
   flags.enumerate_atlas).
+* stabilizer_equations_by_kernel: the stabilizer equations of a flag from the
+  kernel of V^T at each step and the nonzero entries of the coordinate basis
+  (oracle for flags.stabilizer_equations, which reads the annihilators off
+  the rows of the frame's U0^-1).
 * min_poly: the minimal polynomial from the first power of m that is a
   combination of lower powers (checked against sympy in test_linalg_oracle).
 * FractionPairScalar, dot_fraction_pairs: Gaussian rationals stored as a pair
@@ -90,6 +94,27 @@ def span_intersection(A, B) -> tuple[tuple[Scalar, ...], ...]:
             vec = [t + coef * x for t, x in zip(vec, vector)]
         inter.append(tuple(vec))
     return canonical_basis(inter)
+
+
+def stabilizer_equations_by_kernel(L, U: ExactMatrix, composition) -> ExactMatrix:
+    """One row w (B v) over the coordinate basis B per column v of U added at
+    a flag step (the steps take the columns of U in order, composition[t] at
+    step t) and per vector w of the kernel of V^T, V the columns so far."""
+    basis_entries = [
+        [(r, c, x) for r, row in enumerate(e.matrix.entries) for c, x in enumerate(row)
+         if not x.is_zero()]
+        for e in L.basis()
+    ]
+    rows = []
+    done = 0
+    for k in composition:
+        done += k
+        ann = mat_kernel(ExactMatrix([U.col(c) for c in range(done)]))
+        for v in (U.col(c) for c in range(done - k, done)):
+            for w in ann:
+                rows.append([sum((w[r] * x * v[c] for r, c, x in nz), Scalar(0))
+                             for nz in basis_entries])
+    return ExactMatrix(rows or [[Scalar(0)] * L.dim])
 
 
 def min_poly(m: ExactMatrix) -> list[Scalar]:

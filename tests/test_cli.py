@@ -180,13 +180,20 @@ def _probe_imports(*argv):
 
 
 def test_build_and_atlas_load_only_their_layers():
-    build = {f"mfatlas.{m}" for m in (
-        "cli", "errors", "lie", "linalg", "mfsystem", "mpoly", "sampling", "scalar", "unipoly")}
+    base = {f"mfatlas.{m}" for m in ("cli", "errors", "lie", "linalg", "mpoly", "scalar", "unipoly")}
     got = _probe_imports("build", "--n", "4", "--element", "s")
-    assert set(got["modules"]) == build
+    assert set(got["modules"]) == base | {"mfatlas.mfsystem", "mfatlas.sampling"}
     assert got["bare"] or not got["dataclasses"]
     got = _probe_imports("atlas", "--n", "3")
-    assert set(got["modules"]) == build | {"mfatlas.flags"}
+    assert set(got["modules"]) == base | {"mfatlas.flags"}
+
+
+def test_sl2_verify_passes_at_one_sample(capsys):
+    for element in ("s", "n"):
+        for seed in range(4):
+            code, out, _ = _run(capsys, "verify", "--n", "2", "--element", element,
+                                "--samples", "1", "--seed", str(seed))
+            assert (code, json.loads(out)["passed"]) == (0, True), (element, seed)
 
 
 def test_atlas_counts(capsys):

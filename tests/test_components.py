@@ -170,6 +170,44 @@ def test_jordan_chains_computed_once_per_atlas(monkeypatch):
         assert calls == []
 
 
+def test_chain_frame_inverted_once_per_atlas(monkeypatch):
+    """enumerate_atlas inverts one matrix, the chain frame's U0; no
+    stabilizer_equations call takes a kernel; the count and the image-of-b^a
+    check read the atlas's frame and invert nothing in flags."""
+    import mfatlas.flags
+
+    inverses, kernels, inside = [], [], [False]
+    real_inverse = mfatlas.flags.mat_inverse
+    real_kernel = mfatlas.flags.mat_kernel
+    real_equations = mfatlas.flags.stabilizer_equations
+
+    def equations(frame, flag):
+        inside[0] = True
+        try:
+            return real_equations(frame, flag)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(mfatlas.flags, "mat_inverse", lambda m: inverses.append(m) or real_inverse(m))
+    monkeypatch.setattr(mfatlas.flags, "mat_kernel", lambda m: kernels.append(inside[0]) or real_kernel(m))
+    monkeypatch.setattr(mfatlas.flags, "stabilizer_equations", equations)
+    L = sl(4)
+    shift = [[Scalar(1 if j == i + 1 else 0) for j in range(4)] for i in range(4)]
+    for a in (L.element(ExactMatrix.diagonal([Scalar(v) for v in (1, 2, 3, -6)])),
+              L.element(ExactMatrix(shift))):
+        inverses.clear()
+        kernels.clear()
+        atlas = enumerate_atlas(a)
+        assert len(inverses) == 1
+        # the wrapper saw the kernels flags does take (Jordan chains, b^a)
+        assert kernels and not any(kernels)
+        sys_ = build_system(a)
+        inverses.clear()
+        count_zero_fibre(a, atlas=atlas)
+        assert check_image_bba(sys_, atlas, 2, 0).passed
+        assert inverses == []
+
+
 def _block_partition_by_roots(p, a):
     """The eigenvalue-multiplicity partition of each Levi block of size >= 2
     of U^-1 a U, from the roots of its characteristic polynomial."""

@@ -14,6 +14,7 @@ from mfatlas.corpus import (
 )
 from mfatlas.errors import PreconditionError, UnsupportedElementError
 from mfatlas.flags import (
+    ChainFrame,
     compositions,
     compute_b_a_structural,
     eigen_chains,
@@ -117,7 +118,7 @@ def test_semisimple_part_by_defining_properties():
     for a in _decomposition_cases():
         L = a.algebra
         chains = eigen_chains(a)
-        s = L.element(semisimple_part(chains))
+        s = L.element(semisimple_part(chains, ChainFrame(L, chains)))
         assert bracket(s, a).is_zero()
         assert (a - s).is_nilpotent()
         ident = ExactMatrix.identity(L.n)
@@ -149,7 +150,7 @@ def test_b_a_routes_agree():
     for a in (sl2_semisimple(1), sl3_semisimple(1, 2), sl3_mixed(1), sl3_nilpotent()):
         atlas = enumerate_atlas(a)
         b1, u1 = atlas.b_a, atlas.u_a
-        b2, u2 = compute_b_a_structural(a.algebra, atlas.chains)
+        b2, u2 = compute_b_a_structural(atlas.chains, atlas.frame)
         assert span_equal([e.coords for e in b1], [e.coords for e in b2])
         assert span_equal([e.coords for e in u1], [e.coords for e in u2])
         # u^a = [b^a, b^a] is contained in b^a and bracket-generated

@@ -1,12 +1,15 @@
 """Independent oracle for the parabolic construction in flags.
 
-FlagParabolic builds each conjugated basis element U E U^-1 as the outer
-product of a column of U and a row of U^-1, forms the stabilizer equations
-from the nonzero entries of the coordinate basis, and reads support masks
-off the elements as given.  These tests recompute each from its definition:
-two full matrix products per basis element, the dimension of the stabilizer
-of a flag of composition k (sum over i <= j of k_i k_j, less 1 for the
-trace), and the support read off the canonical basis of the span.
+FlagParabolic reads its U^-1 off the atlas's chain frame (rows of U0^-1),
+builds each conjugated basis element U E U^-1 as the outer product of a
+column of U0 and a row of U0^-1, writes the stabilizer equations with the
+rows of U0^-1 as annihilators, and reads support masks off the elements as
+given.  These tests recompute each from its definition: mat_inverse(U), two
+full matrix products per basis element, the equations from the kernel of
+V^T at each flag step (oracles.stabilizer_equations_by_kernel), the
+dimension of the stabilizer of a flag of composition k (sum over i <= j of
+k_i k_j, less 1 for the trace), and the support read off the canonical
+basis of the span.
 components.levi_system writes its Levi chart from the same block pattern;
 its polynomials are rebuilt here from the products U^-1 l U.
 """
@@ -20,6 +23,7 @@ from mfatlas.components import levi_system
 from mfatlas.corpus import sl2_nilpotent, sl2_semisimple, sl3_mixed, sl3_nilpotent, sl3_semisimple
 from mfatlas.errors import CertificationError
 from mfatlas.flags import (
+    ChainFrame,
     FlagParabolic,
     compositions,
     eigen_chains,
@@ -31,11 +35,11 @@ from mfatlas.flags import (
     support_mask,
 )
 from mfatlas.lie import sl
-from mfatlas.linalg import ExactMatrix, mat_inverse, mat_rank, span_contains
+from mfatlas.linalg import ExactMatrix, mat_inverse, mat_rank, span_contains, span_equal
 from mfatlas.mpoly import MPoly, mpoly_mat_mul, mpoly_mat_trace
 from mfatlas.sampling import random_combination, random_element, rng_for
 from mfatlas.scalar import Scalar
-from oracles import span_intersection
+from oracles import span_intersection, stabilizer_equations_by_kernel
 
 
 def _shift(n):
@@ -109,10 +113,22 @@ def test_stabilizer_dimension_matches_composition(key):
     a = SHIFTS[key]()
     L = a.algebra
     chains = eigen_chains(a)
+    frame = ChainFrame(L, chains)
     for comp in compositions(L.n):
         expect = sum(comp[i] * comp[j] for i in range(len(comp)) for j in range(i, len(comp))) - 1
         for flag in invariant_flags(chains, comp):
-            assert L.dim - mat_rank(stabilizer_equations(L, flag)) == expect, (key, comp)
+            assert L.dim - mat_rank(stabilizer_equations(frame, flag)) == expect, (key, comp)
+
+
+@pytest.mark.parametrize("key", SHIFTS)
+def test_members_read_the_frame_like_the_kernel_route(key):
+    """Each member's U^-1 (rows of the frame's U0^-1) is mat_inverse(U), and
+    its equations (annihilators read off U0^-1) have the row space of the
+    equations built from the kernel of V^T at each flag step."""
+    for p in _atlas(key).members:
+        assert p.U_inv == mat_inverse(p.U), (key, p)
+        oracle = stabilizer_equations_by_kernel(p.algebra, p.U, p.blocks)
+        assert span_equal(p.equations.entries, oracle.entries), (key, p)
 
 
 @pytest.mark.parametrize("key", SHIFTS)
@@ -144,8 +160,9 @@ def test_contains_agrees_with_span_membership(key):
 def test_verify_rejects_a_tampered_basis(key):
     a = SHIFTS[key]()
     n = a.algebra.n
-    flag = invariant_flags(eigen_chains(a), (1,) * n)[0]
-    p = FlagParabolic(a, flag)
+    chains = eigen_chains(a)
+    flag = invariant_flags(chains, (1,) * n)[0]
+    p = FlagParabolic(a, flag, ChainFrame(a.algebra, chains))
     p.verify()
     # U E_n1 U^-1 maps the first flag line out of every proper step
     p.p_basis.append(a.algebra.element(frame_unit(p.U, p.U_inv, n - 1, 0)))

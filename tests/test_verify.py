@@ -86,6 +86,25 @@ def test_fibre_check_reports_are_pinned(key):
     assert [(r.passed, r.detail) for r in results] == [(True, d) for d in details]
 
 
+def test_critical_values_on_sl2_rank_one_point(monkeypatch):
+    """On sl_2 the family is C a and the check ranks the one point a, at
+    every sample count; the parabola holds for a dense semisimple shift."""
+    import mfatlas.verify
+
+    ranks = []
+    real = mfatlas.verify.mat_rank
+    monkeypatch.setattr(mfatlas.verify, "mat_rank", lambda m: ranks.append(real(m)) or ranks[-1])
+    s = semisimple_rep(sl(2), [])
+    dense = conjugate(random_unimodular(sl(2), rng_for("test-verify-sl2-dense", 0)), s)
+    for a in (s, nilpotent_rep(sl(2)), dense):
+        sys_ = build_system(a)
+        for samples in (1, 20):
+            ranks.clear()
+            result = check_critical_values(sys_, samples, 0)
+            assert (result.passed, result.detail) == (True, "max rank 1 of 2, closed form")
+            assert ranks == [1]
+
+
 def test_near_section_redraws_a_diagonal_with_a_repeated_entry():
     """The one draw at seed 6 repeats an entry; it is redrawn, not skipped."""
     a = nilpotent_rep(sl(2))

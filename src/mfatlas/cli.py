@@ -134,11 +134,12 @@ def cmd_count(args: argparse.Namespace) -> tuple[dict, bool]:
 def _member_row(m) -> dict:
     from .flags import mask_strings, member_label
 
+    mask = mask_strings(m.mask())
     return {
-        "label": member_label(m),
+        "label": member_label(m, mask),
         "kind": "borel" if m.is_borel() else "parabolic",
         "composition": list(m.blocks),
-        "mask": mask_strings(m.mask()),
+        "mask": mask,
         "dim_p": m.dim_p,
         "dim_u": m.dim_u,
     }

@@ -16,6 +16,7 @@ from fractions import Fraction
 from .components import certify_affine_constant, count_zero_fibre
 from .errors import CertificationError, PreconditionError
 from .flags import (
+    BorelAtlas,
     enumerate_atlas,
     mask_strings,
     semisimple_part,
@@ -168,6 +169,26 @@ def lowering_zero_fibre_witness() -> GElement:
     )
 
 
+# -- shared builds -----------------------------------------------------------------------
+
+# A system or atlas depends on its shift alone, and the checks share a fixed
+# set of shifts, so each is built once per process and the memos stay small.
+_SYSTEMS: dict[GElement, ShiftSystem] = {}
+_ATLASES: dict[GElement, BorelAtlas] = {}
+
+
+def _system(a: GElement) -> ShiftSystem:
+    if a not in _SYSTEMS:
+        _SYSTEMS[a] = build_system(a)
+    return _SYSTEMS[a]
+
+
+def _atlas(a: GElement) -> BorelAtlas:
+    if a not in _ATLASES:
+        _ATLASES[a] = enumerate_atlas(a)
+    return _ATLASES[a]
+
+
 # -- small helpers ---------------------------------------------------------------------
 
 
@@ -209,11 +230,11 @@ def check_sl2_printed_system() -> CheckResult:
     x2 = MPoly.var(vars_, "x12")
     x3 = MPoly.var(vars_, "x21")
     for a1 in (1, Fraction(3, 2), -2):
-        sys_ = build_system(sl2_semisimple(a1))
+        sys_ = _system(sl2_semisimple(a1))
         expected = [x1 * x1 + x2 * x3, x1 * (Scalar(2) * Scalar(Fraction(a1)))]
         if sys_.scaled_components() != expected:
             return _result("sl2-printed-system", False, f"semisimple a1={a1}")
-    sys_n = build_system(sl2_nilpotent())
+    sys_n = _system(sl2_nilpotent())
     if sys_n.scaled_components() != [x1 * x1 + x2 * x3, x3]:
         return _result("sl2-printed-system", False, "nilpotent")
     return _result("sl2-printed-system", True)
@@ -228,7 +249,7 @@ def check_sl2_zero_fibre() -> CheckResult:
     e21 = L.element(ExactMatrix([[Scalar(0), Scalar(0)], [Scalar(1), Scalar(0)]]))
     zero = L.zero()
     s = sl2_semisimple(1)
-    sys_s = build_system(s)
+    sys_s = _system(s)
     try:
         v_up = certify_affine_constant(sys_s, zero, [e12])
         v_dn = certify_affine_constant(sys_s, zero, [e21])
@@ -236,15 +257,15 @@ def check_sl2_zero_fibre() -> CheckResult:
         return _result("sl2-zero-fibre", False, str(exc))
     if any(not c.is_zero() for c in v_up + v_dn):
         return _result("sl2-zero-fibre", False, "line is not in the zero fibre")
-    at_s = enumerate_atlas(s)
+    at_s = _atlas(s)
     rep_s = count_zero_fibre(s, atlas=at_s)
     n2 = sl2_nilpotent()
-    sys_n = build_system(n2)
+    sys_n = _system(n2)
     try:
         v_n = certify_affine_constant(sys_n, zero, [e12])
     except CertificationError as exc:
         return _result("sl2-zero-fibre", False, str(exc))
-    rep_n = count_zero_fibre(n2, atlas=enumerate_atlas(n2))
+    rep_n = count_zero_fibre(n2, atlas=_atlas(n2))
     ok = (
         rep_s["total"] == 2
         and rep_n["total"] == 1
@@ -274,7 +295,7 @@ def check_sl2_semisimple_fibre_split(samples: int, seed: int) -> CheckResult:
     for a1 in (1, Fraction(3, 2)):
         a1s = Scalar(Fraction(a1))
         s = sl2_semisimple(a1)
-        sys_ = build_system(s)
+        sys_ = _system(s)
         zvars = ("z1", "z2", "t", "w")
         z1 = MPoly.var(zvars, "z1")
         z2 = MPoly.var(zvars, "z2")
@@ -336,7 +357,7 @@ def check_sl2_singular_images(samples: int, seed: int) -> CheckResult:
     for a1 in (1, Fraction(-5, 3)):
         a1s = Scalar(Fraction(a1))
         s = sl2_semisimple(a1)
-        sys_ = build_system(s)
+        sys_ = _system(s)
         tvar = ("t",)
         tpol = MPoly.var(tvar, "t")
         mapping = {"h1": tpol, "x12": MPoly.zero(tvar), "x21": MPoly.zero(tvar)}
@@ -356,12 +377,12 @@ def check_sl2_singular_images(samples: int, seed: int) -> CheckResult:
             if sys_.evaluate_scaled(xw) != (z2w * z2w * quarter, z2w):
                 return _result("sl2-singular-images", False, "parabola surjectivity")
         n2 = sl2_nilpotent()
-        sys_n = build_system(n2)
+        sys_n = _system(n2)
         for _ in range(samples):
             lam = Scalar(random_rational(rng))
             if any(not v.is_zero() for v in sys_n.evaluate_scaled(n2.scale(lam))):
                 return _result("sl2-singular-images", False, "nilpotent image not origin")
-    probes = [check_critical_values(build_system(a), 20, seed)
+    probes = [check_critical_values(_system(a), 20, seed)
               for a in (sl2_semisimple(1), sl2_nilpotent())]
     ok = all(r.passed and r.detail.endswith(", closed form") for r in probes)
     return _result("sl2-singular-images", ok, "" if ok else "; ".join(r.detail for r in probes))
@@ -375,7 +396,7 @@ def check_sl2_nilpotent_fibres(samples: int, seed: int) -> CheckResult:
     L = sl(2)
     rng = rng_for("corpus-sl2-nilfibre", seed)
     n2 = sl2_nilpotent()
-    sys_ = build_system(n2)
+    sys_ = _system(n2)
     zvars = ("z1", "z2", "t", "w")
     z1 = MPoly.var(zvars, "z1")
     z2 = MPoly.var(zvars, "z2")
@@ -448,7 +469,7 @@ def check_sl3_printed_system() -> CheckResult:
         sl3_nilpotent(),
     ]
     for a in shifts:
-        sys_ = build_system(a)
+        sys_ = _system(a)
         if sys_.scaled_components() != _trace_power_targets(a):
             return _result("sl3-printed-system", False, str(a.matrix.entries))
         if sys_.labels != [(1, 0), (2, 0), (1, 1), (2, 1), (2, 2)]:
@@ -465,7 +486,7 @@ def check_sl3_atlas_tables() -> CheckResult:
         ("n", sl3_nilpotent(), BOREL_MASKS_SL3_N, PARABOLIC_MASKS_SL3_N, 5, 3),
     ]
     for label, a, bmask, pmask, dim_ba, dim_ua in cases:
-        at = enumerate_atlas(a)
+        at = _atlas(a)
         if _masks(at.borels) != bmask:
             return _result("sl3-atlas-tables", False, f"{label}: Borel masks")
         if _masks(at.parabolics) != pmask:
@@ -479,7 +500,7 @@ def check_sl3_atlas_tables() -> CheckResult:
         if ua_mask != UA_MASK[label]:
             return _result("sl3-atlas-tables", False, f"{label}: u^a mask {ua_mask}")
     # a second semisimple parameter choice gives the same tables
-    at2 = enumerate_atlas(sl3_semisimple(2, 0))
+    at2 = _atlas(sl3_semisimple(2, 0))
     if _masks(at2.borels) != BOREL_MASKS_SL3_S or _masks(at2.parabolics) != PARABOLIC_MASKS_SL3_S:
         return _result("sl3-atlas-tables", False, "parameter independence")
     return _result("sl3-atlas-tables", True)
@@ -523,20 +544,20 @@ def check_sl3_bba_restrictions() -> CheckResult:
     free of x12 for the mixed case, and (f_1|_h, f_2|_h, 0, 0, 0) for the
     nilpotent case."""
     for s1, s2 in ((1, 2), (2, 0)):
-        sys_ = build_system(sl3_semisimple(s1, s2))
+        sys_ = _system(sl3_semisimple(s1, s2))
         vars_ = ("x11", "x22")
         mapping = _diag_mapping_sl3(vars_)
         got = _subs_components(sys_, vars_, mapping)
         if got != _restriction_targets_s(vars_, s1, s2):
             return _result("sl3-bba-restrictions", False, f"semisimple ({s1},{s2})")
     for rho in (1, 2):
-        sys_ = build_system(sl3_mixed(rho))
+        sys_ = _system(sl3_mixed(rho))
         vars_ = ("x11", "x22", "x12")
         mapping = _diag_mapping_sl3(vars_)
         got = _subs_components(sys_, vars_, mapping)
         if got != _restriction_targets_r(vars_, rho):
             return _result("sl3-bba-restrictions", False, f"mixed rho={rho}")
-    sys_n = build_system(sl3_nilpotent())
+    sys_n = _system(sl3_nilpotent())
     vars_ = ("x11", "x22", "x12", "x13", "x23")
     mapping = _diag_mapping_sl3(vars_)
     got = _subs_components(sys_n, vars_, mapping)
@@ -555,12 +576,12 @@ def check_sl3_weyl_degree(samples: int, seed: int) -> CheckResult:
     semisimple representative, 1 for the nilpotent one)."""
     L = sl(3)
     r = sl3_mixed(1)
-    atlas_r = enumerate_atlas(r)
+    atlas_r = _atlas(r)
     stab = weyl_stabilizer(L.element(semisimple_part(atlas_r.chains, atlas_r.frame)))
     perms = sorted(stab)
     if perms != [(0, 1, 2), (1, 0, 2)]:
         return _result("sl3-weyl-degree", False, f"stabilizer {perms}")
-    sys_r = build_system(r)
+    sys_r = _system(r)
     vars_ = ("x11", "x22")
     mapping = _diag_mapping_sl3(vars_)
     restricted = _subs_components(sys_r, vars_, mapping)
@@ -586,7 +607,7 @@ def check_sl3_weyl_degree(samples: int, seed: int) -> CheckResult:
     probe_samples = max(6, samples // 3)
     probes = [check_image_bba(sys_r, atlas_r, probe_samples, seed)]
     for a in (sl3_semisimple(1, 2), sl3_nilpotent()):
-        probes.append(check_image_bba(build_system(a), enumerate_atlas(a), probe_samples, seed))
+        probes.append(check_image_bba(_system(a), _atlas(a), probe_samples, seed))
     ok = [(r.passed, r.detail) for r in probes] == [
         (True, "degree 3"), (True, "degree 6"), (True, "degree 1, nilpotent form")]
     return _result("sl3-weyl-degree", ok, "" if ok else "image probes")
@@ -606,8 +627,8 @@ def check_sl3_exotic_semisimple() -> CheckResult:
     ]
     if [list(row) for row in x.matrix.entries] != expected:
         return _result("sl3-exotic-semisimple", False, "witness entries")
-    sys_ = build_system(s)
-    rep = check_exotic_witness(sys_, x, enumerate_atlas(s))
+    sys_ = _system(s)
+    rep = check_exotic_witness(sys_, x, _atlas(s))
     if not rep.passed:
         return _result("sl3-exotic-semisimple", False, f"witness check {rep.detail}")
     if x.matrix.matpow(2).is_zero() or not x.matrix.matpow(3).is_zero():
@@ -619,7 +640,7 @@ def check_sl3_exotic_semisimple() -> CheckResult:
     for sa_v, sb_v in ((2, 2), (1, 3)):
         sa, sb = Scalar(sa_v), Scalar(sb_v)
         sgen = sl(3).element(ExactMatrix.diagonal([sa, sb - sa, -sb]))
-        sys_g = build_system(sgen)
+        sys_g = _system(sgen)
         vars_ = ("xa", "xb", "xc", "xma", "xmb", "xmc")
         xa, xb, xc, xma, xmb, xmc = (MPoly.var(vars_, v) for v in vars_)
         mapping = {
@@ -671,7 +692,7 @@ def check_sl3_exotic_mixed() -> CheckResult:
     if not span_equal(image, target):
         return _result("sl3-exotic-mixed", False, "image of ad")
     for rho in (1, Fraction(1, 2)):
-        sys_ = build_system(sl3_mixed(rho))
+        sys_ = _system(sl3_mixed(rho))
         p = Scalar(Fraction(rho))
         vars_ = ("x11", "x12", "x13", "x23", "x31", "x32")
         x11, x12, x13, x23, x31, x32 = (MPoly.var(vars_, v) for v in vars_)
@@ -708,8 +729,8 @@ def check_sl3_exotic_mixed() -> CheckResult:
     if weq1 != MPoly.zero(rv) or weq2 != MPoly.zero(rv) or weq3 != MPoly.zero(rv):
         return _result("sl3-exotic-mixed", False, "witness does not solve the system")
     x = mixed_zero_fibre_witness(1)
-    sys_1 = build_system(r)
-    rep = check_exotic_witness(sys_1, x, enumerate_atlas(r))
+    sys_1 = _system(r)
+    rep = check_exotic_witness(sys_1, x, _atlas(r))
     if not rep.passed:
         return _result("sl3-exotic-mixed", False, "witness check")
     if x.matrix.matpow(2).is_zero() or not x.matrix.matpow(3).is_zero():
@@ -726,8 +747,8 @@ def check_sl3_exotic_nilpotent() -> CheckResult:
     outside the unique Borel and both parabolics."""
     n = sl3_nilpotent()
     x = lowering_zero_fibre_witness()
-    sys_ = build_system(n)
-    rep = check_exotic_witness(sys_, x, enumerate_atlas(n))
+    sys_ = _system(n)
+    rep = check_exotic_witness(sys_, x, _atlas(n))
     if not rep.passed:
         return _result("sl3-exotic-nilpotent", False, "witness check")
     if x.matrix.matpow(2).is_zero() or not x.matrix.matpow(3).is_zero():
@@ -748,8 +769,8 @@ def check_sl3_orbit_invariance(samples: int, seed: int) -> CheckResult:
     cases.append((sl3_mixed(1), mixed_zero_fibre_witness(1), "unipotent"))
     cases.append((sl3_nilpotent(), lowering_zero_fibre_witness(), "unipotent"))
     for a, x, kind in cases:
-        sys_ = build_system(a)
-        at = enumerate_atlas(a)
+        sys_ = _system(a)
+        at = _atlas(a)
         # N = a - s, the nilpotent part of a
         nil = a.matrix - semisimple_part(at.chains, at.frame)
         for _ in range(samples):
@@ -782,7 +803,7 @@ def check_sl3_count_formulas() -> CheckResult:
         (sl3_nilpotent(), "I'(3,[3]) + 0 + 1", 2, 1),
     ]
     for a, formula, lower, borels in cases:
-        rep = count_zero_fibre(a)
+        rep = count_zero_fibre(a, atlas=_atlas(a))
         if (rep["formula"], rep["total_lower"], rep["borel_count"]) != (formula, lower, borels):
             return _result(
                 "sl3-count-formulas", False,
@@ -802,14 +823,14 @@ def check_singular_families(samples: int, seed: int) -> CheckResult:
     rng = rng_for("corpus-singular-family", seed)
     cases = [sl2_semisimple(1), sl3_semisimple(1, 2), sl3_mixed(1)]
     for a in cases:
-        sys_ = build_system(a)
-        at = enumerate_atlas(a)
+        sys_ = _system(a)
+        at = _atlas(a)
         for _ in range(samples):
             rep = check_singular_family(sys_, random_combination(a.algebra, at.b_a, rng), at)
             if (rep.passed, rep.detail) != (True, "x + u^a lies in two distinct Borel components"):
                 return _result("singular-families", False, str(a.matrix.entries))
     for a in (sl2_nilpotent(), sl3_nilpotent()):
-        rep = check_singular_family(build_system(a), a, enumerate_atlas(a))
+        rep = check_singular_family(_system(a), a, _atlas(a))
         if (rep.passed, rep.detail) != (
                 True, "nilpotent shift element: unique Borel, no second component exists"):
             return _result("singular-families", False, "nilpotent expected failure")
@@ -846,7 +867,7 @@ def run_corpus(samples: int = 100, seed: int = 0, self_test: bool = False) -> li
 def run_tamper_self_test() -> CheckResult:
     """Perturb one frozen coefficient and confirm the comparison fails:
     guards against a harness that accepts everything."""
-    sys_ = build_system(sl2_semisimple(1))
+    sys_ = _system(sl2_semisimple(1))
     L = sl(2)
     vars_ = L.coord_names
     x1 = MPoly.var(vars_, "h1")

@@ -102,9 +102,11 @@ def mask_strings(mask: list[list[int]]) -> list[str]:
     return ["".join("*" if v else "0" for v in row) for row in mask]
 
 
-def member_label(m: FlagParabolic) -> str:
+def member_label(m: FlagParabolic, mask: list[str] | None = None) -> str:
+    """kind:composition:mask; mask, when given, is mask_strings(m.mask())."""
+    mask = mask_strings(m.mask()) if mask is None else mask
     kind = "borel" if m.is_borel() else "parabolic"
-    return f"{kind}:{'-'.join(str(k) for k in m.blocks)}:{'|'.join(mask_strings(m.mask()))}"
+    return f"{kind}:{'-'.join(str(k) for k in m.blocks)}:{'|'.join(mask)}"
 
 
 # -- eigen chains ----------------------------------------------------------------

@@ -141,7 +141,7 @@ def sl(n: int) -> LieAlgebraA:
 class GElement:
     """A trace-free n x n matrix tied to its algebra."""
 
-    __slots__ = ("algebra", "matrix")
+    __slots__ = ("algebra", "matrix", "_coords")
 
     def __init__(self, algebra: LieAlgebraA, matrix: ExactMatrix):
         object.__setattr__(self, "algebra", algebra)
@@ -152,7 +152,12 @@ class GElement:
 
     @property
     def coords(self) -> tuple[Scalar, ...]:
-        return self.algebra.coords_of_matrix(self.matrix)
+        """The chart coordinates, computed on the first read and kept."""
+        try:
+            return self._coords
+        except AttributeError:
+            object.__setattr__(self, "_coords", self.algebra.coords_of_matrix(self.matrix))
+            return self._coords
 
     def __add__(self, other: "GElement") -> "GElement":
         _same(self, other)

@@ -37,6 +37,8 @@ oracles for values and Jacobian, in tests/oracles.py.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 from .errors import (
@@ -82,6 +84,14 @@ def trace_power_coefficients(M: list[list[MPoly]], top: int) -> list[list[MPoly]
     return out
 
 
+# Diagonal factors aligning raw expansion coefficients with the conventional
+# printed normalization for n = 2, 3; every other n prints them as they are.
+DISPLAY_SCALES = {
+    2: (Scalar(Fraction(1, 2)), Scalar(Fraction(1, 2))),
+    3: (Scalar(1), Scalar(1), Scalar(1), Scalar(1), Scalar(2)),
+}
+
+
 class ShiftSystem:
     """The system F_a = (f_1, ..., f_r, f_ij) for a regular shift element."""
 
@@ -94,6 +104,7 @@ class ShiftSystem:
         self.degrees = [i + 1 for i in range(1, self.algebra.n)]
         self.b = self.algebra.b
         self.certificate_point = certificate_point
+        self.display_scale = DISPLAY_SCALES.get(self.algebra.n, (Scalar(1),) * self.b)
         self._gradients: list[list[list[MPoly]]] | None = None
 
     # -- evaluation ---------------------------------------------------------------
@@ -104,18 +115,6 @@ class ShiftSystem:
         if x.algebra != self.algebra:
             raise AlgebraMismatchError("point from a different algebra")
         return mf_values(self.a, x)
-
-    @property
-    def display_scale(self) -> tuple[Scalar, ...]:
-        """Diagonal factors aligning raw expansion coefficients with the
-        conventional printed normalization for n = 2, 3."""
-        from fractions import Fraction
-
-        if self.algebra.n == 2:
-            return (Scalar(Fraction(1, 2)), Scalar(Fraction(1, 2)))
-        if self.algebra.n == 3:
-            return (Scalar(1), Scalar(1), Scalar(1), Scalar(1), Scalar(2))
-        return tuple(Scalar(1) for _ in range(self.b))
 
     def evaluate_scaled(self, x: GElement) -> FibreValue:
         return tuple(s * v for s, v in zip(self.display_scale, self.evaluate(x)))
@@ -208,8 +207,9 @@ def _power_chain(a: GElement, x: GElement, top: int) -> list[list[ExactMatrix]]:
 
 
 def _pair(P: ExactMatrix, Q: ExactMatrix) -> Scalar:
-    """tr(P Q), without forming P Q."""
-    return sum((_dot(r, c) for r, c in zip(P.entries, zip(*Q.entries))), Scalar(0))
+    """tr(P Q), without forming P Q: one dot of P's rows laid end to end with
+    Q's columns laid end to end, so one denominator and one reduction."""
+    return _dot(chain.from_iterable(P.entries), chain.from_iterable(zip(*Q.entries)))
 
 
 def mf_values(a: GElement, x: GElement) -> FibreValue:

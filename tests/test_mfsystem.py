@@ -14,6 +14,7 @@ from mfatlas.flags import enumerate_atlas
 from mfatlas.lie import is_regular, sl
 from mfatlas.linalg import ExactMatrix, mat_rank
 from mfatlas.mfsystem import (
+    _pair,
     alt_generators,
     build_system,
     fibre_membership,
@@ -171,6 +172,27 @@ def test_finite_lambda_membership_agrees_with_values():
                 assert fibre_membership_finite_lambda(sys_, x, y) == same, key
                 seen.add(same)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pair_is_trace_of_product(n):
+    """The fused pairing equals tr(P Q) of the formed product, on Gaussian
+    rationals over coprime denominators, with a zero row in each matrix."""
+    rng = rng_for("pair-trace", n)
+
+    def part():
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7, 12)))
+
+    def matrix():
+        rows = [[Scalar(part(), part() if rng.random() < 0.5 else 0) for _ in range(n)]
+                for _ in range(n)]
+        rows[rng.randrange(n)] = [Scalar(0)] * n
+        return ExactMatrix(rows)
+
+    for _ in range(25):
+        P, Q = matrix(), matrix()
+        assert _pair(P, Q) == (P * Q).trace()
+        assert _pair(Q, P) == (Q * P).trace()
 
 
 def test_mf_values_matches_system_order():

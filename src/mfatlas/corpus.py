@@ -633,7 +633,7 @@ def check_sl3_exotic_semisimple() -> CheckResult:
         return _result("sl3-exotic-semisimple", False, f"witness check {rep.detail}")
     if x.matrix.matpow(2).is_zero() or not x.matrix.matpow(3).is_zero():
         return _result("sl3-exotic-semisimple", False, "not regular nilpotent")
-    if not is_strongly_regular(sys_, x, certify=True):
+    if not is_strongly_regular(sys_, x):
         return _result("sl3-exotic-semisimple", False, "not strongly regular")
     # reduced system on the zero-diagonal subspace, for generic s-parameters:
     # use two distinct numeric (s_a, s_b) pairs
@@ -737,7 +737,7 @@ def check_sl3_exotic_mixed() -> CheckResult:
         return _result("sl3-exotic-mixed", False, "not regular nilpotent")
     if not krylov_line_regular(x, r):
         return _result("sl3-exotic-mixed", False, "line not regular")
-    if not is_strongly_regular(sys_1, x, certify=True):
+    if not is_strongly_regular(sys_1, x):
         return _result("sl3-exotic-mixed", False, "not strongly regular")
     return _result("sl3-exotic-mixed", True)
 

@@ -11,9 +11,12 @@ everywhere is f_1, ..., f_r, then f_ij for i ascending and j = 1..d_i - 1.
 
 All constructions come with exact certificates: the assembled system is
 certified of full rank b at a witness point (so in particular the generators
-f_i are functionally independent), and strong regularity of a point is
-certified both by the Jacobian rank criterion and by a Krylov determinant
-certificate for regularity of the whole line x + C a.
+f_i are functionally independent), and every strong-regularity decision
+reads both the Jacobian rank and a certificate that the whole line x + C a
+is regular off one lambda-power chain, and requires them to agree.  The
+line certificate row-reduces I, M, ..., M^{n-1} over Q(i)[lambda]; its
+oracles, in tests/oracles.py, are the symbolic-vector Krylov determinant
+(in sympy) and regularity spot checks along the line.
 
 Every lambda-expansion of trace powers uses the same pairing of two half
 powers, <P, Q> = tr(P Q): tr(M^d) = <M^{floor(d/2)}, M^{ceil(d/2)}>, so the
@@ -24,15 +27,16 @@ coefficients: build_system calls it on the generic matrix X + lambda a, and
 components.levi_system on each Levi block.  Substituting x + lambda a into
 tr(X^d) is its oracle, in tests/oracles.py.
 
-Numerically, values, the Jacobian and tangent route (3) at a point share one
-lambda-power chain: the coefficient matrices C_0, ..., C_k of M^k,
-M = x + lambda a, each power built from the last by n x n products.  Since
-the gradient of tr(M^d) is d M^{d-1} up to a scalar matrix, the Jacobian row
-of f_ij is d C_j of M^{d-1} paired with the coordinate basis, and route (3)
-spans the [a, C_j].  The values stop the chain at M^{ceil(n/2)}; for d <= 3
-they read <C_j, x> + <C_{j-1}, a> off M^{d-1}.  The symbolic routes
-(substituting x into the components, and differentiating them) are the
-oracles for values and Jacobian, in tests/oracles.py.
+Numerically, values, the Jacobian, the line certificate and tangent route
+(3) at a point share one lambda-power chain: the coefficient matrices C_0,
+..., C_k of M^k, M = x + lambda a, each power built from the last by n x n
+products.  Since the gradient of tr(M^d) is d M^{d-1} up to a scalar matrix,
+the Jacobian row of f_ij is d C_j of M^{d-1} paired with the coordinate
+basis, the line certificate reads the entries of M^0, ..., M^{n-1}, and
+route (3) spans the [a, C_j].  The values stop the chain at M^{ceil(n/2)};
+for d <= 3 they read <C_j, x> + <C_{j-1}, a> off M^{d-1}.  The symbolic
+routes (substituting x into the components, and differentiating them) are
+the oracles for values and Jacobian, in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from .errors import (
 )
 from .lie import GElement, LieAlgebraA, bracket, is_regular
 from .linalg import ExactMatrix, Vector, _dot, canonical_basis, mat_rank
-from .mpoly import MPoly, mpoly_det, mpoly_mat_mul, mpoly_mat_trace
+from .mpoly import MPoly, mpoly_mat_mul, mpoly_mat_trace
 from .sampling import random_element, rng_for
 from .scalar import Scalar
 from . import unipoly as up
@@ -153,7 +157,7 @@ class ShiftSystem:
         return f"ShiftSystem(sl({self.algebra.n}), b={self.b})"
 
 
-def build_system(a: GElement, certify: bool = True) -> ShiftSystem:
+def build_system(a: GElement) -> ShiftSystem:
     """Assemble F_a for a regular shift element, with a full-rank certificate
     (which also certifies the generators f_i functionally independent)."""
     L = a.algebra
@@ -174,18 +178,13 @@ def build_system(a: GElement, certify: bool = True) -> ShiftSystem:
     if len(components) != L.b:
         raise CertificationError("component count is not b")
     sys_ = ShiftSystem(a, components, labels, a)
-    if certify:
-        rng = rng_for(f"build-cert:{L.n}:" + ",".join(str(c) for c in a.coords), 0)
-        point = None
-        for _ in range(40):
-            x = random_element(L, rng)
-            if mat_rank(sys_.jacobian_at(x)) == L.b:
-                point = x
-                break
-        if point is None:
-            raise CertificationError("no full-rank witness point found")
-        sys_.certificate_point = point
-    return sys_
+    rng = rng_for(f"build-cert:{L.n}:" + ",".join(str(c) for c in a.coords), 0)
+    for _ in range(40):
+        x = random_element(L, rng)
+        if mat_rank(sys_.jacobian_at(x)) == L.b:
+            sys_.certificate_point = x
+            return sys_
+    raise CertificationError("no full-rank witness point found")
 
 
 # -- the lambda-power chain: values and Jacobian ----------------------------------------
@@ -373,72 +372,47 @@ def _regular_shifts(x: GElement, a: GElement):
 
 def krylov_line_regular(x: GElement, a: GElement) -> bool:
     """Exact certificate that the whole line x + C a lies in the regular
-    locus.
-
-    K_v(lambda) = det[v | Mv | ... | M^{n-1}v] with M = x + lambda a and v a
-    symbolic vector; x + lambda0 a is regular iff K_v(lambda0) is nonzero
-    for some v.  Hence the line is regular everywhere iff the gcd of the
-    v-monomial coefficient polynomials c_mu(lambda) is a nonzero constant.
-    """
+    locus, read off the lambda-power chain of x + lambda a."""
     if x.algebra != a.algebra:
         raise AlgebraMismatchError("mixed algebras")
-    n = x.algebra.n
-    vars_ = ("lam",) + tuple(f"v{k + 1}" for k in range(n))
-    lam = MPoly.var(vars_, "lam")
-    M = [
-        [
-            MPoly.const(vars_, x.matrix.entries[i][j])
-            + lam * MPoly.const(vars_, a.matrix.entries[i][j])
-            for j in range(n)
-        ]
-        for i in range(n)
+    return _line_regular(_power_chain(a, x, x.algebra.n - 1))
+
+
+def _line_regular(chain: list[list[ExactMatrix]]) -> bool:
+    """M = x + lambda a is regular at lambda_0 iff I, M, ..., M^{n-1} are
+    independent there (the test lie.is_regular makes).  The n^2 x n matrix
+    of their entries, over Q(i)[lambda], has full rank at every lambda_0 in C
+    iff the gcd of its maximal minors is a nonzero constant, that is iff its
+    Euclidean row reduction leaves only nonzero constant pivots (a
+    nonconstant pivot has a root in C)."""
+    n = chain[0][0].rows
+    rows = [
+        [up.uni([Scalar(int(p == q))])]
+        + [up.uni([C.entries[p][q] for C in coeffs]) for coeffs in chain]
+        for p in range(n)
+        for q in range(n)
     ]
-    v = [[MPoly.var(vars_, f"v{k + 1}")] for k in range(n)]
-    cols = [v]
-    for _ in range(n - 1):
-        cols.append(mpoly_mat_mul(M, cols[-1]))
-    K = mpoly_det([[cols[c][r][0] for c in range(n)] for r in range(n)])
-    groups: dict[tuple[int, ...], dict[int, Scalar]] = {}
-    for e, cval in K.terms.items():
-        lam_exp = e[0]
-        v_exp = e[1:]
-        groups.setdefault(v_exp, {})[lam_exp] = cval
-    if not groups:
-        return False
-    g: up.Poly = ()
-    for coeffs in groups.values():
-        top = max(coeffs)
-        poly = up.uni([coeffs.get(k, Scalar(0)) for k in range(top + 1)])
-        g = up.uni_gcd(g, poly)
-        if up.uni_deg(g) == 0:
-            return True
-    return (not up.uni_is_zero(g)) and up.uni_deg(g) == 0
+    return all(up.uni_deg(piv) == 0 for piv in up.uni_echelon_pivots(rows))
 
 
-def is_strongly_regular(sys_: ShiftSystem, x: GElement, certify: bool = False) -> bool:
+def is_strongly_regular(sys_: ShiftSystem, x: GElement) -> bool:
     """Strong regularity of x for F_a: the b differentials are independent
     at x, tested as rank dF_a(x) = b.
 
-    With certify=True the Krylov line certificate is computed as well and
-    must agree (the two criteria are equivalent for regular a), and
-    regularity of x + lambda a is spot-checked at 2b + 1 rational lambdas.
+    For regular a this holds exactly when the whole line x + C a is regular
+    (Bolsinov's criterion), so the line certificate is read off the same
+    lambda-power chain as the Jacobian and must agree with its rank; a
+    disagreement raises CertificationError.  The symbolic-vector Krylov
+    determinant and regularity spot checks along the line are its oracles,
+    in tests/oracles.py.
     """
     if x.algebra != sys_.algebra:
         raise AlgebraMismatchError("point from a different algebra")
-    primary = mat_rank(sys_.jacobian_at(x)) == sys_.b
-    if certify:
-        cert = krylov_line_regular(x, sys_.a)
-        if cert != primary:
-            raise CertificationError(
-                "Jacobian rank and Krylov line certificate disagree"
-            )
-        if primary:
-            for k in range(2 * sys_.b + 1):
-                if not is_regular(x + sys_.a.scale(Scalar(k))):
-                    raise CertificationError(
-                        "sampled point on a certified-regular line is singular"
-                    )
-    return primary
+    chain = _power_chain(sys_.a, x, sys_.algebra.n - 1)
+    full_rank = mat_rank(sys_._jacobian_from_chain(chain)) == sys_.b
+    if full_rank != _line_regular(chain):
+        raise CertificationError("Jacobian rank and Krylov line certificate disagree")
+    return full_rank
 
 
 def tangent_space(sys_: ShiftSystem, x: GElement) -> list[GElement]:

@@ -2,8 +2,8 @@
 
 The zero polynomial is the empty tuple.  Two callers use them: the root
 search behind flags.eigen_chains (all roots of a characteristic polynomial
-lying in Q(i), via Gaussian-integer divisor search) and the gcd of the
-Krylov line certificate, mfsystem.krylov_line_regular.
+lying in Q(i), via Gaussian-integer divisor search) and the Euclidean row
+reduction behind the line certificate, mfsystem.krylov_line_regular.
 """
 
 from __future__ import annotations
@@ -28,10 +28,6 @@ def uni(coeffs: Iterable[Scalar]) -> Poly:
 def uni_deg(p: Poly) -> int:
     """Degree; -1 for the zero polynomial."""
     return len(p) - 1
-
-
-def uni_is_zero(p: Poly) -> bool:
-    return len(p) == 0
 
 
 def uni_is_constant(p: Poly) -> bool:
@@ -62,17 +58,41 @@ def uni_divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
     return uni(quot), uni(rem)
 
 
-def uni_monic(p: Poly) -> Poly:
-    if not p:
-        return ()
-    return uni_scale(p, Scalar(1) / p[-1])
+def _sub_mul(p: Poly, q: Poly, r: Poly) -> Poly:
+    """p - q r."""
+    out = list(p) + [Scalar(0)] * (len(q) + len(r) - 1 - len(p))
+    for i, c in enumerate(q):
+        for j, d in enumerate(r):
+            out[i + j] = out[i + j] - c * d
+    return uni(out)
 
 
-def uni_gcd(p: Poly, q: Poly) -> Poly:
-    a, b = p, q
-    while b:
-        a, b = b, uni_divmod(a, b)[1]
-    return uni_monic(a)
+def uni_echelon_pivots(rows: list[list[Poly]]) -> list[Poly]:
+    """The pivots, one per column, of a polynomial matrix brought to echelon
+    form by Euclidean row operations: in each column the remaining row of
+    least degree there is subtracted, times the quotient, from the others
+    until it is the only nonzero entry left, and is then set aside.  Each
+    pivot is the gcd of its column's remaining entries up to a unit; a column
+    with none left gives the zero polynomial.  Row operations keep the gcd of
+    the maximal minors, which is therefore the product of the pivots."""
+    live = [list(row) for row in rows]
+    pivots: list[Poly] = []
+    for c in range(len(live[0])):
+        while True:
+            nonzero = [row for row in live if row[c]]
+            if not nonzero:
+                pivots.append(())
+                break
+            piv = min(nonzero, key=lambda row: len(row[c]))
+            if len(nonzero) == 1:
+                live = [row for row in live if row is not piv]
+                pivots.append(piv[c])
+                break
+            for row in nonzero:
+                if row is not piv:
+                    q = uni_divmod(row[c], piv[c])[0]
+                    row[c:] = [_sub_mul(e, q, f) for e, f in zip(row[c:], piv[c:])]
+    return pivots
 
 
 def uni_eval(p: Poly, x: Scalar) -> Scalar:

@@ -19,6 +19,13 @@ in mfatlas replaced, kept here to cross-check them.
   the rows of the frame's U0^-1).
 * min_poly: the minimal polynomial from the first power of m that is a
   combination of lower powers (checked against sympy in test_linalg_oracle).
+* krylov_line_regular_sympy: the line x + C a is regular iff the gcd over
+  the v-monomials of the lambda-coefficients of det[v | Mv | ... |
+  M^{n-1}v], M = x + lambda a and v a symbolic vector, is a nonzero
+  constant; built entirely in sympy (oracle for
+  mfsystem.krylov_line_regular).
+* line_spot_checks: x + k a is regular for k = 0..2b, a necessary condition
+  for a regular line (the one-sided oracle for the same certificate).
 * FractionPairScalar, dot_fraction_pairs: Gaussian rationals stored as a pair
   of fractions.Fraction, each part computed by the textbook formulas (oracle
   for the integer-backed scalar.Scalar and linalg._dot).
@@ -29,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from mfatlas.lie import GElement, ad_matrix
+from mfatlas.lie import GElement, ad_matrix, is_regular
 from mfatlas.linalg import ExactMatrix, canonical_basis, mat_kernel, solve
 from mfatlas.mfsystem import ShiftSystem
 from mfatlas.mpoly import MPoly, mpoly_mat_mul, mpoly_mat_trace
@@ -38,6 +45,38 @@ from mfatlas.scalar import Scalar, scalar_to_str
 
 def is_regular_ad_kernel(x: GElement) -> bool:
     return len(mat_kernel(ad_matrix(x))) == x.algebra.rank
+
+
+def krylov_line_regular_sympy(x: GElement, a: GElement) -> bool:
+    from sympy import QQ_I, I, Rational, ring
+    from sympy.polys.matrices import DomainMatrix
+
+    n = x.algebra.n
+    R, *gens = ring([f"v{k + 1}" for k in range(n)] + ["lam"], QQ_I)
+    v, lam = gens[:n], gens[n]
+    S, t = ring("lam", QQ_I)
+
+    def sym(s: Scalar):
+        return QQ_I.from_sympy(Rational(s.re.numerator, s.re.denominator)
+                               + I * Rational(s.im.numerator, s.im.denominator))
+
+    M = [[R(sym(xe)) + lam * R(sym(ae)) for xe, ae in zip(xrow, arow)]
+         for xrow, arow in zip(x.matrix.entries, a.matrix.entries)]
+    cols = [list(v)]
+    for _ in range(n - 1):
+        cols.append([sum((m * c for m, c in zip(row, cols[-1])), R.zero) for row in M])
+    K = DomainMatrix([list(row) for row in zip(*cols)], (n, n), R.to_domain()).det()
+    by_monomial: dict[tuple[int, ...], object] = {}
+    for monom, coeff in K.terms():
+        by_monomial[monom[:n]] = by_monomial.get(monom[:n], S.zero) + coeff * t ** monom[n]
+    g = S.zero
+    for c in by_monomial.values():
+        g = g.gcd(c)
+    return g != 0 and g.degree() == 0
+
+
+def line_spot_checks(sys_: ShiftSystem, x: GElement) -> bool:
+    return all(is_regular(x + sys_.a.scale(Scalar(k))) for k in range(2 * sys_.b + 1))
 
 
 def killing_form(x: GElement, y: GElement) -> Scalar:

@@ -11,7 +11,7 @@ from property_suites import REP_KEYS, representative, system_for
 
 from mfatlas.errors import PreconditionError, RegularityError
 from mfatlas.flags import enumerate_atlas
-from mfatlas.lie import is_regular, sl
+from mfatlas.lie import is_regular, nilpotent_rep, semisimple_rep, sl
 from mfatlas.linalg import ExactMatrix, mat_rank
 from mfatlas.mfsystem import (
     _pair,
@@ -31,14 +31,22 @@ from mfatlas.mfsystem import (
 from mfatlas.sampling import (
     conjugate,
     random_combination,
+    random_distinct_rationals,
     random_element,
+    random_rational,
     random_traceless_distinct_diag,
     random_unimodular,
     rng_for,
 )
 from mfatlas.scalar import Scalar
-from mfatlas.verify import tarasov_check
-from oracles import evaluate_symbolic, jacobian_at_symbolic, shift_expansion_by_substitution
+from mfatlas.verify import check_tarasov_section
+from oracles import (
+    evaluate_symbolic,
+    jacobian_at_symbolic,
+    krylov_line_regular_sympy,
+    line_spot_checks,
+    shift_expansion_by_substitution,
+)
 
 REPS = {k: representative(k) for k in REP_KEYS}
 SYSTEMS = {k: system_for(k) for k in REP_KEYS}
@@ -214,8 +222,106 @@ def test_krylov_line_certificate():
         x = random_element(sys_.algebra, rng)
         if krylov_line_regular(x, sys_.a):
             hits += 1
-            assert is_strongly_regular(sys_, x, certify=True)
+            assert is_strongly_regular(sys_, x)
     assert hits > 0
+
+
+def _sheet_point(L, a, rng, jordan):
+    """y + lambda a for y conjugate to D (+ e_12 when jordan), D traceless
+    diagonal with a repeated first eigenvalue, lambda rational."""
+    n = L.n
+    vals = [Scalar(v) for v in random_distinct_rationals(rng, n - 1)]
+    d = [vals[0]] + vals
+    mean = sum(d, Scalar(0)) / Scalar(n)
+    m = [[(d[i] - mean if i == j else Scalar(0)) for j in range(n)] for i in range(n)]
+    m[0][1] = Scalar(int(jordan))
+    g = random_unimodular(L, rng)
+    y = conjugate(g, L.element(ExactMatrix(m)))
+    return y + a.scale(Scalar(random_rational(rng)))
+
+
+# sl_3 shift diag(1, -1, 0) and a point whose line is singular only at
+# lambda = +-i sqrt(2): the upper 2 x 2 block of x + lambda a has
+# eigenvalues +-sqrt(lambda^2 + 2), which meet the third, 0, only there.
+_IRRATIONAL_SHIFT = sl(3).element(ExactMatrix.diagonal([Scalar(1), Scalar(-1), Scalar(0)]))
+_IRRATIONAL_POINT = sl(3).element(ExactMatrix(
+    [[Scalar(0), Scalar(1), Scalar(0)], [Scalar(2), Scalar(0), Scalar(0)], [Scalar(0)] * 3]))
+LINE_SHIFTS = dict(
+    {key: REPS[key] for key in REP_KEYS},
+    **{"sl4-s": semisimple_rep(sl(4), []), "sl4-n": nilpotent_rep(sl(4)),
+       "sl3-irrational": _IRRATIONAL_SHIFT},
+)
+
+
+@pytest.mark.parametrize("key", list(LINE_SHIFTS))
+def test_line_certificate_matches_oracles(key):
+    """On the origin, a, rational, Gaussian, b^a, Tarasov-section and
+    repeated-eigenvalue sheet points: the row-reduction certificate, the
+    sympy Krylov determinant, the Jacobian rank and is_strongly_regular
+    agree, and every certified line passes the spot checks."""
+    pytest.importorskip("sympy")
+    a = LINE_SHIFTS[key]
+    L = a.algebra
+    sys_ = SYSTEMS[key] if key in SYSTEMS else build_system(a)
+    rng = rng_for(f"sys-line-cert:{key}", 0)
+    xi, dirs = section_chart(L)
+    section_dirs = [L.element_from_coords(d) for d in dirs]
+    b_a = enumerate_atlas(a).b_a
+    points = {"origin": L.zero(), "a": a}
+    for k in range(2):
+        points[f"rational {k}"] = random_element(L, rng)
+        points[f"Gaussian {k}"] = random_element(L, rng, gaussian=True)
+        points[f"b^a {k}"] = random_combination(L, b_a, rng)
+        points[f"section {k}"] = L.element_from_coords(xi) + random_combination(L, section_dirs, rng)
+    for k in range(4):
+        points[f"sheet {k}"] = _sheet_point(L, a, rng, jordan=k % 2 == 0)
+    if key == "sl3-irrational":
+        points["singular at +-i sqrt 2"] = _IRRATIONAL_POINT
+    outcomes = set()
+    for label, x in points.items():
+        cert = krylov_line_regular(x, a)
+        assert cert == krylov_line_regular_sympy(x, a), label
+        assert cert == (mat_rank(sys_.jacobian_at(x)) == sys_.b), label
+        assert cert == is_strongly_regular(sys_, x), label
+        assert not cert or line_spot_checks(sys_, x), label
+        outcomes.add(cert)
+    assert outcomes == {True, False}
+    if key == "sl3-irrational":
+        # no rational lambda sees the singular points: only the certificate does
+        assert line_spot_checks(sys_, _IRRATIONAL_POINT)
+        assert not krylov_line_regular(_IRRATIONAL_POINT, a)
+
+
+def test_strong_regularity_builds_one_chain_and_no_polynomial(monkeypatch):
+    """is_strongly_regular reads the Jacobian and the line certificate off
+    one lambda-power chain; the certificate forms no MPoly."""
+    import mfatlas.mfsystem
+    from mfatlas.mpoly import MPoly
+
+    chains = []
+    real_chain = mfatlas.mfsystem._power_chain
+
+    def counting_chain(*args):
+        chains.append(args)
+        return real_chain(*args)
+
+    polys = []
+    real_init = MPoly.__init__
+
+    def counting_init(self, *args):
+        polys.append(args)
+        real_init(self, *args)
+
+    monkeypatch.setattr(mfatlas.mfsystem, "_power_chain", counting_chain)
+    monkeypatch.setattr(MPoly, "__init__", counting_init)
+    for key, sys_ in SYSTEMS.items():
+        for x in (random_element(sys_.algebra, rng_for(f"sys-one-chain:{key}", 0)),
+                  sys_.algebra.zero()):
+            chains.clear()
+            is_strongly_regular(sys_, x)
+            assert len(chains) == 1, key
+            krylov_line_regular(x, sys_.a)
+    assert polys == []
 
 
 def test_strong_regularity_origin_fails():
@@ -259,15 +365,25 @@ def test_tangent_space_builds_one_power_chain(monkeypatch):
 
 
 def test_tarasov_reports():
-    rep2 = tarasov_check(SYSTEMS["sl2-s"], sample_count=10, seed=0)
-    assert rep2.passed
-    rep3 = tarasov_check(SYSTEMS["sl3-s"], sample_count=10, seed=0)
-    assert rep3.passed
-    assert rep3.strong_regular_checked == 10
-    with pytest.raises(PreconditionError):
-        tarasov_check(SYSTEMS["sl3-r"], sample_count=5, seed=0)
-    with pytest.raises(PreconditionError):
-        tarasov_check(SYSTEMS["sl3-n"], sample_count=5, seed=0)
+    rep2 = check_tarasov_section(SYSTEMS["sl2-s"], 10, 0)
+    assert rep2.passed and rep2.detail == "jacobian constant 8, 10 points"
+    rep3 = check_tarasov_section(SYSTEMS["sl3-s"], 10, 0)
+    assert rep3.passed and rep3.detail == "jacobian constant 8640, 10 points"
+    for key in ("sl3-r", "sl3-n"):
+        rep = check_tarasov_section(SYSTEMS[key], 5, 0)
+        assert (rep.passed, rep.detail) == (
+            True, "skipped: the section check needs a diagonal shift element"), key
+
+
+def test_tarasov_section_reports_a_shared_value(monkeypatch):
+    """With every section value one constant, the injectivity branch fails
+    the check; the Jacobian constant and strong regularity still hold."""
+    from mfatlas.mfsystem import ShiftSystem
+
+    monkeypatch.setattr(ShiftSystem, "evaluate", lambda self, x: (Scalar(0),) * self.b)
+    rep = check_tarasov_section(SYSTEMS["sl3-s"], 5, 0)
+    assert not rep.passed
+    assert set(rep.detail.split("; ")) == {"distinct section points share a value vector"}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -365,7 +481,7 @@ def test_build_system_matches_substitution_oracle(n):
     against substituting x + lambda a into tr(X^d)."""
     shifts = dict(_oracle_shifts(n), dense=_dense_shift(n))
     for kind, a in shifts.items():
-        sys_ = build_system(a, certify=False)
+        sys_ = build_system(a)
         per_gen = shift_expansion_by_substitution(a)
         expected = [coeffs[0] for coeffs in per_gen]
         expected += [c for coeffs in per_gen for c in coeffs[1:]]
@@ -396,7 +512,7 @@ def test_build_substitutes_nothing_and_tangent_space_uses_no_unipoly(monkeypatch
     tangents = 0
     for sys_ in SYSTEMS.values():
         x = random_element(sys_.algebra, rng)
-        if is_strongly_regular(sys_, x):
+        if mat_rank(sys_.jacobian_at(x)) == sys_.b:
             tangent_space(sys_, x)
             tangents += 1
     assert calls == [] and tangents >= 3

@@ -167,8 +167,6 @@ def test_every_import_is_used():
 
 # Stored fields nothing in src/mfatlas reads, each with its reason.
 UNREAD_ALLOWLIST = {
-    # acceptance criterion 09 prints the number of injectivity pairs checked
-    "verify.TarasovReport.injectivity_pairs",
     # names each row of the planned `mf components` report (ROADMAP item 3)
     "components.AffineComponent.label",
 }

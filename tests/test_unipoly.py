@@ -1,5 +1,5 @@
 """Univariate polynomial arithmetic over Q(i): what the eigenvalue root
-search and the Krylov line gcd use.  Polynomials are literal coefficient
+search and the row reduction of the line certificate use.  Polynomials are literal coefficient
 tuples, low degree first."""
 
 from mfatlas.scalar import Scalar
@@ -8,11 +8,9 @@ from mfatlas.unipoly import (
     uni,
     uni_deg,
     uni_divmod,
+    uni_echelon_pivots,
     uni_eval,
-    uni_gcd,
     uni_is_constant,
-    uni_is_zero,
-    uni_monic,
     uni_roots_gaussian,
     uni_scale,
 )
@@ -26,7 +24,7 @@ def _s(*coeffs):
 def test_normalization_drops_leading_zeros():
     assert uni(_s(1, 2, 0, 0)) == (Scalar(1), Scalar(2))
     assert uni(_s(0)) == ()
-    assert uni_is_zero(uni(_s(0, 0)))
+    assert uni(_s(0, 0)) == ()
     assert uni_deg(uni(_s(0, 0, 5))) == 2
     assert uni_is_constant(uni(_s(7, 0))) and uni_is_constant(())
     assert not uni_is_constant(uni(_s(0, 1)))
@@ -50,15 +48,27 @@ def test_divmod_with_remainder():
     assert rem == uni(_s(1))
 
 
-def test_gcd_and_monic():
+def test_echelon_pivots_are_column_gcds():
     p = uni(_s(2, -3, 1))    # (t - 1)(t - 2)
     q = uni(_s(-3, 2, 1))    # (t - 1)(t + 3)
-    assert uni_gcd(p, q) == uni(_s(-1, 1))
-    assert uni_gcd(uni(_s(4, -6, 2)), q) == uni(_s(-1, 1))
-    assert uni_gcd(p, uni(_s(3, 1))) == uni(_s(1))
-    assert uni_gcd((), q) == uni_monic(q) == q
-    assert uni_monic(uni(_s(2, 4))) == uni(_s(Scalar(1, 0) / 2, 1))
-    assert uni_monic(uni(_s(1, Scalar(0, 2)))) == uni(_s(Scalar(0, -1) / 2, 1))
+    one, t = uni(_s(1)), uni(_s(0, 1))
+    # one column: the pivot is the gcd up to a unit
+    (piv,) = uni_echelon_pivots([[p], [q]])
+    assert uni_divmod(piv, uni(_s(-1, 1))) == (uni([piv[-1]]), ())
+    (piv,) = uni_echelon_pivots([[p], [uni(_s(3, 1))]])
+    assert uni_deg(piv) == 0
+    # t and t + 1 have no common root: constant pivots, full rank everywhere
+    pivots = uni_echelon_pivots([[t, one], [uni(_s(1, 1)), t], [(), q]])
+    assert [uni_deg(v) for v in pivots] == [0, 0]
+    # rows (1, t) and (t, t^2) are dependent: the second column has no pivot
+    assert uni_echelon_pivots([[one, t], [t, uni(_s(0, 0, 1))]]) == [one, ()]
+    # det [[t, 1], [0, t]] = t^2: rank drops at t = 0 only
+    pivots = uni_echelon_pivots([[t, one], [(), t]])
+    assert sorted(uni_deg(v) for v in pivots) == [1, 1]
+    # the input is left as it was
+    rows = [[t, one], [one, t]]
+    uni_echelon_pivots(rows)
+    assert rows == [[t, one], [one, t]]
 
 
 def test_eval():

@@ -20,6 +20,7 @@ from mfatlas.verify import (
     check_image_bba,
     check_near_section,
     check_singular_family,
+    run_verify_suite,
 )
 
 SYS = system_for("sl3-s")
@@ -50,6 +51,21 @@ def test_homogeneity_fails_on_a_tampered_component():
     comps[SYS.labels.index((1, 0))] += MPoly.var(SYS.algebra.coord_names, "x12")
     bad = ShiftSystem(SYS.a, comps, SYS.labels, SYS.certificate_point)
     _fails(check_homogeneity(bad), "component (1, 0)")
+
+
+def test_certificate_disagreement_fails_its_rows(monkeypatch):
+    """A line certificate that disagrees with the Jacobian rank fails every
+    check that decides strong regularity with a report row, instead of
+    ending the suite."""
+    import mfatlas.mfsystem
+
+    monkeypatch.setattr(mfatlas.mfsystem, "_line_regular", lambda chain: False)
+    rows = {r.name: r for r in run_verify_suite(system_for("sl2-s"), samples=5, seed=0)}
+    disagree = "Jacobian rank and Krylov line certificate disagree"
+    for name in ("tangent-triple", "strong-regularity", "tarasov-section"):
+        _fails(rows[name], disagree)
+    assert [r.name for r in rows.values() if not r.passed] == [
+        "tangent-triple", "strong-regularity", "tarasov-section"]
 
 
 NEAR_SECTION = ("equal-value translates (translate count is a lower bound for the "

@@ -268,47 +268,47 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
-def make_parser() -> argparse.ArgumentParser:
+SUBCOMMANDS = {
+    "build": (cmd_build, "build F_a and print its descriptor"),
+    "verify": (cmd_verify, "run the named verification suite"),
+    "count": (cmd_count, "evaluate the recursive zero-fibre count"),
+    "atlas": (cmd_atlas, "enumerate Borels and parabolics containing a"),
+    "check-examples": (cmd_check_examples, "run the frozen regression corpus"),
+}
+
+
+def _add_options(name: str, p: argparse.ArgumentParser) -> None:
+    if name != "check-examples":
+        _add_element_flags(p)
+    _add_common_flags(p)
+    if name == "count":
+        p.add_argument("--iprime", default=None, metavar="FILE",
+                       help="JSON table of exotic-component counts")
+    if name == "check-examples":
+        p.add_argument("--self-test", action="store_true", dest="self_test",
+                       help="also run the tamper self-test harness")
+
+
+def make_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The mf parser.  Every subcommand is listed with its help, but a run
+    parses one, so only `command` gets its options (all do when None)."""
     parser = argparse.ArgumentParser(
         prog="mf",
         description="Exact construction and verification of Mishchenko-Fomenko "
         "systems on sl_n at desk scale.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_build = sub.add_parser("build", help="build F_a and print its descriptor")
-    _add_element_flags(p_build)
-    _add_common_flags(p_build)
-    p_build.set_defaults(func=cmd_build)
-
-    p_verify = sub.add_parser("verify", help="run the named verification suite")
-    _add_element_flags(p_verify)
-    _add_common_flags(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_count = sub.add_parser("count", help="evaluate the recursive zero-fibre count")
-    _add_element_flags(p_count)
-    _add_common_flags(p_count)
-    p_count.add_argument("--iprime", default=None, metavar="FILE",
-                         help="JSON table of exotic-component counts")
-    p_count.set_defaults(func=cmd_count)
-
-    p_atlas = sub.add_parser("atlas", help="enumerate Borels and parabolics containing a")
-    _add_element_flags(p_atlas)
-    _add_common_flags(p_atlas)
-    p_atlas.set_defaults(func=cmd_atlas)
-
-    p_corpus = sub.add_parser("check-examples", help="run the frozen regression corpus")
-    _add_common_flags(p_corpus)
-    p_corpus.add_argument("--self-test", action="store_true", dest="self_test",
-                          help="also run the tamper self-test harness")
-    p_corpus.set_defaults(func=cmd_check_examples)
-
+    for name, (func, help_text) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            _add_options(name, p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = make_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
     args = parser.parse_args(argv)
     try:
         if args.samples is not None and args.samples < 1:

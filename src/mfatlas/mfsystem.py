@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     AlgebraMismatchError,
@@ -53,7 +53,7 @@ from .errors import (
 )
 from .lie import GElement, LieAlgebraA, bracket, is_regular
 from .linalg import ExactMatrix, Vector, _dot, canonical_basis, mat_rank
-from .mpoly import MPoly, mpoly_mat_mul, mpoly_mat_trace
+from .mpoly import MPoly, mpoly_mat_mul, mpoly_mat_pair
 from .sampling import random_element, rng_for
 from .scalar import Scalar
 from . import unipoly as up
@@ -77,12 +77,7 @@ def trace_power_coefficients(M: list[list[MPoly]], top: int) -> list[list[MPoly]
         powers.append(mpoly_mat_mul(powers[-1], M))
     out = []
     for d in range(2, top + 1):
-        P, Q = powers[d // 2 - 1], powers[(d + 1) // 2 - 1]
-        trace = zero
-        for i, row in enumerate(P):
-            for j, p in enumerate(row):
-                if p and Q[j][i]:
-                    trace = trace + p * Q[j][i]
+        trace = mpoly_mat_pair(powers[d // 2 - 1], powers[(d + 1) // 2 - 1])
         buckets = trace.collect("lam")
         out.append([buckets.get(j, zero).project(vars_[:-1]) for j in range(d)])
     return out
@@ -286,16 +281,17 @@ def gradient_at(L: LieAlgebraA, grad: list[list[MPoly]], x: GElement) -> GElemen
     )
 
 
-def poisson_bracket_grads(L: LieAlgebraA, Gf, Gg) -> MPoly:
-    """{f, g}(x) = <x, [Gf(x), Gg(x)]> as a polynomial, from the gradient
-    matrices of f and g."""
-    C = _mat_sub(mpoly_mat_mul(Gf, Gg), mpoly_mat_mul(Gg, Gf))
+def poisson_brackets(L: LieAlgebraA, grads: Sequence[list[list[MPoly]]]) -> Iterator[MPoly]:
+    """{f, g} for every pair f before g of the gradient matrices, in
+    itertools.combinations order.  {f, g}(x) = <x, [Gf, Gg]> = tr([X, Gf] Gg)
+    for the generic matrix X, so each f forms one commutator [X, Gf] and each
+    pair is one trace pairing."""
     X = L.generic_matrix()
-    return mpoly_mat_trace(mpoly_mat_mul(X, C))
-
-
-def _mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+    for k, Gf in enumerate(grads[:-1]):
+        C = [[p - q for p, q in zip(rp, rq)]
+             for rp, rq in zip(mpoly_mat_mul(X, Gf), mpoly_mat_mul(Gf, X))]
+        for Gg in grads[k + 1:]:
+            yield mpoly_mat_pair(C, Gg)
 
 
 # -- alternative generators ----------------------------------------------------------------

@@ -331,6 +331,16 @@ def mpoly_mat_mul(A: Sequence[Sequence[MPoly]], B: Sequence[Sequence[MPoly]]) ->
     return out
 
 
+def mpoly_mat_pair(P: Sequence[Sequence[MPoly]], Q: Sequence[Sequence[MPoly]]) -> MPoly:
+    """tr(P Q) = sum_ij P_ij Q_ji, without forming the product."""
+    acc = MPoly.zero(P[0][0].vars)
+    for i, row in enumerate(P):
+        for j, p in enumerate(row):
+            if p and Q[j][i]:
+                acc = acc + p * Q[j][i]
+    return acc
+
+
 def mpoly_mat_trace(A: Sequence[Sequence[MPoly]]) -> MPoly:
     acc = MPoly.zero(A[0][0].vars)
     for i in range(len(A)):

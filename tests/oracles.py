@@ -9,6 +9,9 @@ in mfatlas replaced, kept here to cross-check them.
 * shift_expansion_by_substitution: substitute x + lambda a into tr(X^d) and
   collect by lambda (oracle for mfsystem.trace_power_coefficients).
 * killing_form: tr(ad_x ad_y) from adjoint matrices, 2n times the trace form.
+* poisson_bracket_grads: {f, g} = <X, Gf Gg - Gg Gf> from three full
+  polynomial-matrix products (oracle for mfsystem.poisson_brackets, which
+  pairs one commutator [X, Gf] per f with each later Gg).
 * span_intersection: the canonical basis of span(A) intersect span(B), from
   the kernel of [A | -B] (folded pairwise over the Borels' spans, the oracle
   for b^a as the solutions of all their stabilizer equations in
@@ -81,6 +84,14 @@ def line_spot_checks(sys_: ShiftSystem, x: GElement) -> bool:
 
 def killing_form(x: GElement, y: GElement) -> Scalar:
     return (ad_matrix(x) * ad_matrix(y)).trace()
+
+
+def poisson_bracket_grads(L, Gf, Gg) -> MPoly:
+    """{f, g}(x) = <x, [Gf(x), Gg(x)]> as a polynomial, from the gradient
+    matrices of f and g."""
+    C = [[p - q for p, q in zip(rp, rq)]
+         for rp, rq in zip(mpoly_mat_mul(Gf, Gg), mpoly_mat_mul(Gg, Gf))]
+    return mpoly_mat_trace(mpoly_mat_mul(L.generic_matrix(), C))
 
 
 def shift_expansion_by_substitution(a: GElement) -> list[list[MPoly]]:

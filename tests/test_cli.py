@@ -8,7 +8,7 @@ import sys
 import time
 from pathlib import Path
 
-from mfatlas.cli import main, render_report
+from mfatlas.cli import main, make_parser, render_report
 
 
 def _run(capsys, *argv):
@@ -262,6 +262,41 @@ def test_count_reports_are_pinned(tmp_path, monkeypatch, capsys):
         assert (code, err) == (0, ""), command
         got[command] = hashlib.sha256(out.encode()).hexdigest()
     assert got == COUNT_DIGESTS
+
+
+# sha256 of "exit code, stdout, stderr" at 80 columns for the help texts and
+# an unknown-flag usage error, recorded when make_parser still gave every
+# subcommand its options on every run
+PARSER_DIGESTS = {
+    "-h": "bf3a16beebe9344ad24276f8036a8a2a5305167e16703e40a408582a0686ba4f",
+    "build -h": "d63158302217598aea34c7e9e27d6663884bc1b7a8a64f8bec0a49cfd9774b2a",
+    "verify -h": "06e34faaa2d93c0fdcbb5ecf90b51d653f07408d6d0a5eb5ac5c5e834f89c672",
+    "count -h": "1e09c3ab4dfbe4e1c30c043bc6fff5ecaddd8cb43eb1b8026ed30ce7ec2babea",
+    "atlas -h": "c2ee1017a87dafc9168c8829f4bd6fca107c067cb49f52ee3e7675f2ab686ad7",
+    "check-examples -h": "1a87600613a20c39993b6e963dedb89d309ecd216bd1f6a8be86900d25ccbcdb",
+    "build --bogus": "ff50c0114327b9cf4df712ee70b419a99e582c8e266d8d4aa89d1048ecc723d5",
+}
+
+
+def _exit_digest(capsys, run, argv):
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return hashlib.sha256(f"{code}\n{out.out}\n{out.err}".encode()).hexdigest()
+
+
+def test_help_and_usage_errors_are_pinned(monkeypatch, capsys):
+    """main gives only the named subcommand its options; its help and usage
+    errors match the parser that builds every subcommand's options."""
+    monkeypatch.setenv("COLUMNS", "80")
+    got, full = {}, {}
+    for command in PARSER_DIGESTS:
+        argv = command.split()
+        got[command] = _exit_digest(capsys, main, argv)
+        full[command] = _exit_digest(capsys, make_parser().parse_args, argv)
+    assert got == full == PARSER_DIGESTS
 
 
 def test_verify_small_suite(capsys):

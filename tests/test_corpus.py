@@ -3,13 +3,18 @@ harness must catch a perturbed coefficient."""
 
 import time
 
+import pytest
+
 from mfatlas import corpus
 from mfatlas.corpus import (
     check_singular_families,
+    check_sl2_nilpotent_fibres,
+    check_sl2_semisimple_fibre_split,
     check_sl3_weyl_degree,
     run_corpus,
     run_tamper_self_test,
 )
+from mfatlas.mpoly import MPoly
 
 
 def test_corpus_all_pass_and_fast():
@@ -72,3 +77,61 @@ def test_corpus_builds_each_shift_once(monkeypatch):
     monkeypatch.setattr(corpus, "_SYSTEMS", {})
     monkeypatch.setattr(corpus, "_ATLASES", {})
     assert checks() == warm
+
+
+SL2_FAMILY_CHECKS = (check_sl2_semisimple_fibre_split, check_sl2_nilpotent_fibres)
+
+
+def test_sl2_line_families_certified_once(monkeypatch):
+    """The two sl_2 line families are certified symbolically in their
+    parameter: no per-sample certificate, and the same number of
+    substitutions at 1 and at 100 samples."""
+    calls = {"subs": 0, "certify_affine_constant": 0}
+    subs, certify = MPoly.subs, corpus.certify_affine_constant
+
+    def counted_subs(self, target_vars, mapping):
+        calls["subs"] += 1
+        return subs(self, target_vars, mapping)
+
+    def counted_certify(*args):
+        calls["certify_affine_constant"] += 1
+        return certify(*args)
+
+    monkeypatch.setattr(MPoly, "subs", counted_subs)
+    monkeypatch.setattr(corpus, "certify_affine_constant", counted_certify)
+    for check in SL2_FAMILY_CHECKS:
+        assert check(1, 0).passed  # warm the shared builds
+        counts = []
+        for samples in (1, 100):
+            calls["subs"] = 0
+            assert check(samples, 0).passed
+            counts.append(calls["subs"])
+        assert counts[0] == counts[1] > 0, check.__name__
+    assert calls["certify_affine_constant"] == 0
+
+
+class _TiltedSystem:
+    """A system whose scaled F1 gains h1*x12, which depends on t on the
+    x12 = t chart of each sl_2 line family."""
+
+    def __init__(self, sys_):
+        self._sys = sys_
+
+    def __getattr__(self, name):
+        return getattr(self._sys, name)
+
+    def scaled_components(self):
+        F1, *rest = self._sys.scaled_components()
+        tilt = MPoly.var(F1.vars, "h1") * MPoly.var(F1.vars, "x12")
+        return [F1 + tilt, *rest]
+
+
+@pytest.mark.parametrize("check, detail", [
+    (check_sl2_semisimple_fibre_split, "parabola components"),
+    (check_sl2_nilpotent_fibres, "parallel components"),
+])
+def test_sl2_line_identity_catches_a_tilted_component(monkeypatch, check, detail):
+    system = corpus._system
+    monkeypatch.setattr(corpus, "_system", lambda a: _TiltedSystem(system(a)))
+    res = check(100, 0)
+    assert (res.passed, res.detail) == (False, detail)

@@ -24,7 +24,7 @@ from mfatlas.mfsystem import (
     is_strongly_regular,
     krylov_line_regular,
     mf_values,
-    poisson_bracket_grads,
+    poisson_brackets,
     section_chart,
     tangent_space,
 )
@@ -45,6 +45,7 @@ from oracles import (
     jacobian_at_symbolic,
     krylov_line_regular_sympy,
     line_spot_checks,
+    poisson_bracket_grads,
     shift_expansion_by_substitution,
 )
 
@@ -129,6 +130,26 @@ def test_poisson_brackets_vanish_on_system():
         assert _poisson_bracket(f, g, sys_.algebra).is_zero()
 
 
+def test_poisson_brackets_match_three_product_oracle():
+    """The one-commutator pairing equals the three-product bracket on every
+    pair of each representative's system, on a few sl_4 pairs, and on pairs
+    with coordinate functions, whose brackets do not vanish."""
+    from mfatlas.mpoly import MPoly
+
+    cases = [(SYSTEMS[k].algebra, SYSTEMS[k].component_gradients()) for k in REP_KEYS]
+    sl4 = build_system(semisimple_rep(sl(4), []))
+    cases.append((sl4.algebra, [sl4.component_gradients()[k] for k in (0, 3, 8)]))
+    for L, grads in list(cases):
+        coords = [MPoly.var(L.coord_names, v) for v in L.coord_names[:2] + L.coord_names[-1:]]
+        cases.append((L, [gradient_matrix(L, f) for f in coords] + grads[-2:]))
+    nonzero = 0
+    for L, grads in cases:
+        want = [poisson_bracket_grads(L, Gf, Gg) for Gf, Gg in combinations(grads, 2)]
+        assert list(poisson_brackets(L, grads)) == want
+        nonzero += sum(not br.is_zero() for br in want)
+    assert nonzero > 0
+
+
 def test_poisson_bracket_nonzero_outside_system():
     L = sl(2)
     x12 = L.coord_names[0]
@@ -138,6 +159,8 @@ def test_poisson_bracket_nonzero_outside_system():
     g = MPoly.var(L.coord_names, "x21")
     br = _poisson_bracket(f, g, L)
     assert not br.is_zero()
+    grads = [gradient_matrix(L, f), gradient_matrix(L, g)]
+    assert list(poisson_brackets(L, grads)) == [br]
 
 
 def test_certificate_point_has_full_rank():

@@ -5,7 +5,8 @@ component of F_a is certified constant by exact substitution (the
 parametrized restriction must be free of the direction variables).  The
 constructors below produce the families the structure theorems describe:
 
-  - borel_component: x + u for x in a Borel containing a,
+  - borel_component: x + u for x in a Borel containing a (with a base span,
+    certified for every x of that span at once),
   - weyl_components: w.x_h + u over the Weyl orbit, for nilpotent a,
   - parabolic_lift: Y + u_p for a certified Levi-fibre family Y.
 
@@ -66,17 +67,21 @@ class AffineComponent:
         return span_contains([d.coords for d in self.dirs], (x - self.base).coords)
 
 
-def certify_affine_constant(sys_: ShiftSystem, base: GElement, dirs: list[GElement]) -> FibreValue:
-    """Substitute base + sum t_k dirs_k into every component; all direction
-    variables must cancel exactly.  Returns the certified value vector."""
+def certify_affine_constant(sys_: ShiftSystem, base: GElement, dirs: list[GElement],
+                            over: list[GElement] = ()) -> FibreValue:
+    """Substitute base + sum s_k over_k + sum t_k dirs_k into every component;
+    all direction variables t must cancel exactly, for every s, so the family
+    y + span(dirs) lies in one fibre for each y in base + span(over).
+    Returns the certified value vector at base."""
     L = sys_.algebra
+    svars = tuple(f"s{k + 1}" for k in range(len(over)))
     tvars = tuple(f"t{k + 1}" for k in range(len(dirs)))
-    chart = affine_chart(tvars, base.coords, [d.coords for d in dirs])
+    chart = affine_chart(svars + tvars, base.coords, [e.coords for e in (*over, *dirs)])
     mapping = dict(zip(L.coord_names, chart))
     values = []
     for comp in sys_.components:
-        restricted = comp.subs(tvars, mapping)
-        if not restricted.is_constant():
+        restricted = comp.subs(svars + tvars, mapping)
+        if any(any(e[len(svars):]) for e in restricted.terms):
             raise CertificationError(
                 "family is not contained in a single fibre: "
                 f"residual polynomial {restricted}"
@@ -88,16 +93,20 @@ def certify_affine_constant(sys_: ShiftSystem, base: GElement, dirs: list[GEleme
     return value
 
 
-def borel_component(sys_: ShiftSystem, x: GElement, borel: FlagParabolic) -> AffineComponent:
+def borel_component(sys_: ShiftSystem, x: GElement, borel: FlagParabolic,
+                    over: list[GElement] = ()) -> AffineComponent:
     """The component x + u of the fibre through x inside a Borel containing
-    both a and x."""
+    both a and x; with over, certified at once for every base point of
+    x + span(over), which must lie in the Borel too."""
     if not borel.is_borel():
         raise PreconditionError("member is not a Borel")
     if not borel.contains(sys_.a):
         raise MembershipError("shift element is not in the Borel")
     if not borel.contains(x):
         raise MembershipError("point is not in the Borel")
-    value = certify_affine_constant(sys_, x, borel.u_basis)
+    if not all(borel.contains(e) for e in over):
+        raise MembershipError("base span is not in the Borel")
+    value = certify_affine_constant(sys_, x, borel.u_basis, over)
     comp = AffineComponent(base=x, dirs=list(borel.u_basis), value=value,
                            label=f"{member_label(borel)}+u")
     if comp.dim != sys_.b - sys_.algebra.rank:

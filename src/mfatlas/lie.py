@@ -325,6 +325,15 @@ def permute_diagonal(perm: tuple[int, ...], values: Sequence[Scalar]) -> tuple[S
     return tuple(out)
 
 
+def permute_cartan_chart(perm: tuple[int, ...], svars: Sequence[str]) -> dict[str, MPoly]:
+    """permute_diagonal on the Cartan chart diag(s_1, ..., s_{n-1}, -sum s_k),
+    as the substitution s_k -> slot k of the permuted diagonal: composing a
+    polynomial on the chart with it evaluates the polynomial at perm(D)."""
+    sigma = [MPoly.var(svars, s) for s in svars]
+    sigma.append(-sum(sigma, MPoly.zero(svars)))
+    return dict(zip(svars, permute_diagonal(perm, sigma)))
+
+
 def weyl_group(n: int) -> list[tuple[int, ...]]:
     """All n! diagonal-slot permutations, in lexicographic order; a Weyl
     element is its permutation tuple, perm[i] = image of slot i."""

@@ -10,8 +10,10 @@ run by the corpus and the tests only.
 
 A sampled structural check takes the random generator it draws from and a
 sample count, so mf verify (one seeded generator per check) and the test
-property suites (one generator per instance) run the same code; a fibre
-check takes a seed for its own tagged generator; symbolic checks are exact
+property suites (one generator per instance) run the same code; a sampled
+fibre check (critical values, the Tarasov section and its exotic probe)
+takes a seed for its own tagged generator; symbolic checks (among them the
+image of b^a, the singular family and the near-section translates) are exact
 and take neither.
 """
 
@@ -31,14 +33,21 @@ from .flags import (
 )
 from .lie import (
     GElement,
-    LieAlgebraA,
     centralizer,
     is_regular,
-    permute_diagonal,
+    permute_cartan_chart,
     weyl_group,
     weyl_stabilizer,
 )
-from .linalg import ExactMatrix, mat_inverse, mat_rank, span_contains, span_equal, span_le
+from .linalg import (
+    ExactMatrix,
+    Vector,
+    mat_inverse,
+    mat_rank,
+    span_contains,
+    span_equal,
+    span_le,
+)
 from .mfsystem import (
     FibreValue,
     ShiftSystem,
@@ -269,44 +278,43 @@ def _verdict(name: str, failures: list[str], detail: str) -> CheckResult:
     return _result(name, not failures, "; ".join(failures) if failures else detail)
 
 
-def _weyl_orbit(L: LieAlgebraA, U: ExactMatrix, U_inv: ExactMatrix, rng: Random) -> list[GElement]:
-    """U w(D) U^-1 for every Weyl element w, for one regular traceless
-    diagonal D drawn from rng (a draw with a repeated entry is redrawn)."""
-    D = random_traceless_distinct_diag(L, rng).matrix
-    diag = [D.entries[i][i] for i in range(L.n)]
-    return [L.element(U * ExactMatrix.diagonal(permute_diagonal(w, diag)) * U_inv)
-            for w in weyl_group(L.n)]
+def _cartan_chart(atlas: BorelAtlas) -> list[Vector]:
+    """The adapted Cartan basis U0 (E_kk - E_nn) U0^-1, k < n, of the atlas
+    frame: the chart x(s) = U0 diag(s_1, ..., s_{n-1}, -sum s_k) U0^-1 on
+    which lie.permute_cartan_chart acts as the Weyl group."""
+    n = atlas.a.algebra.n
+    return [atlas.frame.element(k, n - 1, cartan=True).coords for k in range(n - 1)]
 
 
-def _weyl_on_svars(svars: tuple[str, ...], w: tuple[int, ...]) -> dict[str, MPoly]:
-    """Action of a diagonal-slot permutation on the Cartan chart
-    sigma_k = s_k (k < n), sigma_n = -sum s_k."""
-    sigma = [MPoly.var(svars, s) for s in svars]
-    sigma.append(-sum(sigma, MPoly.zero(svars)))
-    inv = [0] * len(w)
-    for i, p in enumerate(w):
-        inv[p] = i
-    return {s: sigma[inv[k]] for k, s in enumerate(svars)}
+def _weyl_translates(restricted: list[MPoly], svars: tuple[str, ...]) -> dict[tuple, tuple[MPoly, ...]]:
+    """restricted composed with each Weyl element, keyed by the element."""
+    n = len(svars) + 1
+    out = {}
+    for w in weyl_group(n):
+        wmap = permute_cartan_chart(w, svars)
+        out[w] = tuple(rp.subs(svars, wmap) for rp in restricted)
+    return out
 
 
-def check_image_bba(sys_: ShiftSystem, atlas: BorelAtlas, samples: int, seed: int) -> CheckResult:
+def check_image_bba(sys_: ShiftSystem, atlas: BorelAtlas) -> CheckResult:
     """Three exact checks on F_a restricted to b^a = h_U + u^a:
 
       (1) the restriction is free of the u^a directions (so the image equals
-          the image of the adapted Cartan h_U),
+          the image of the adapted Cartan h_U); when it is not, the row
+          fails here,
       (2) for nilpotent a the restriction is (f_1|_h, ..., f_r|_h, 0, ..., 0),
-      (3) restricted polynomials are invariant under the stabilizer W_s, and
-          on sampled regular diagonal points the number of distinct values on
-          the Weyl orbit is exactly |W| / |W_s|.
+      (3) composing the restriction with every Weyl element w (acting on the
+          Cartan chart), the compositions by the stabilizer W_s equal the
+          restriction, and there are exactly |W| / |W_s| distinct ones: the
+          degree of F_a(b^a), since two distinct polynomial tuples differ at
+          a generic point.
     """
     L = sys_.algebra
     a = sys_.a
     nilpotent = a.is_nilpotent()
     failures: list[str] = []
-    frame = atlas.frame
     n = L.n
-    # adapted Cartan basis: U (E_kk - E_nn) U^-1
-    hcs = [frame.element(k, n - 1, cartan=True).coords for k in range(n - 1)]
+    hcs = _cartan_chart(atlas)
     ucs = [e.coords for e in atlas.u_a]
     # certification: b^a = h_U  (+) u^a
     if not span_equal(hcs + ucs, [e.coords for e in atlas.b_a]):
@@ -318,32 +326,26 @@ def check_image_bba(sys_: ShiftSystem, atlas: BorelAtlas, samples: int, seed: in
     mapping = dict(zip(L.coord_names, affine_chart(allvars, origin, hcs + ucs)))
     restricted = [c.subs(allvars, mapping) for c in sys_.components]
     if any(any(e[len(svars):]) for rp in restricted for e in rp.terms):
-        failures.append("restriction to b^a depends on a u^a direction")
-    else:
-        restricted = [rp.project(svars) for rp in restricted]
-        if nilpotent:
-            # (2) nilpotent: (f_1|_h, ..., f_r|_h, 0, ..., 0)
-            h_mapping = dict(zip(L.coord_names, affine_chart(svars, origin, hcs)))
-            for idx, comp in enumerate(restricted):
-                if idx < L.rank:
-                    if comp != sys_.components[idx].subs(svars, h_mapping):
-                        failures.append("invariant part of nilpotent restriction mismatch")
-                elif not comp.is_zero():
-                    failures.append("shifted component does not vanish on b^a")
-    # (3) W_s-invariance of the restriction, symbolically
+        return _result("image-bba", False, "restriction to b^a depends on a u^a direction")
+    restricted = [rp.project(svars) for rp in restricted]
+    if nilpotent:
+        # (2) nilpotent: (f_1|_h, ..., f_r|_h, 0, ..., 0)
+        h_mapping = dict(zip(L.coord_names, affine_chart(svars, origin, hcs)))
+        for idx, comp in enumerate(restricted):
+            if idx < L.rank:
+                if comp != sys_.components[idx].subs(svars, h_mapping):
+                    failures.append("invariant part of nilpotent restriction mismatch")
+            elif not comp.is_zero():
+                failures.append("shifted component does not vanish on b^a")
+    # (3) W_s-invariance and the degree, from the Weyl compositions
+    translates = _weyl_translates(restricted, svars)
     stab = weyl_stabilizer(L.element(ExactMatrix.diagonal(chain_diagonal(atlas.chains))))
-    for w in stab:
-        wmap = _weyl_on_svars(svars, w)
-        if any(rp.subs(svars, wmap) != rp for rp in restricted):
-            failures.append("restriction not invariant under the stabilizer")
-            break
-    # degree probe
-    expected = len(weyl_group(n)) // len(stab)
-    rng = rng_for(f"image-bba:{n}", seed)
-    for _ in range(samples):
-        distinct = len({sys_.evaluate(x) for x in _weyl_orbit(L, frame.U, frame.U_inv, rng)})
-        if distinct != expected:
-            failures.append(f"degree probe: {distinct} distinct values, expected {expected}")
+    if any(translates[w] != tuple(restricted) for w in stab):
+        failures.append("restriction not invariant under the stabilizer")
+    expected = len(translates) // len(stab)
+    distinct = len(set(translates.values()))
+    if distinct != expected:
+        failures.append(f"degree: {distinct} distinct Weyl translates, expected {expected}")
     detail = f"degree {expected}" + (", nilpotent form" if nilpotent else "")
     return _verdict("image-bba", failures, detail)
 
@@ -402,33 +404,39 @@ def check_critical_values(sys_: ShiftSystem, samples: int, seed: int) -> CheckRe
 
 def check_singular_family(sys_: ShiftSystem, x: GElement, atlas: BorelAtlas) -> CheckResult:
     """For non-nilpotent a and x in b^a: exhibit two distinct Borels whose
-    components through x both contain x + u^a.  For nilpotent a this is
-    impossible (the Borel is unique); that case is the expected failure and
-    passes when the Borel is indeed unique."""
+    components through x both contain x + u^a, certified at once for every
+    point of b^a (the components' base ranges over b^a).  For nilpotent a
+    this is impossible (the Borel is unique); that case is the expected
+    failure and passes when the Borel is indeed unique.  A failed
+    certificate fails the row; x outside b^a raises MembershipError."""
+    name = "singular-family"
     if sys_.a.is_nilpotent():
-        return _result("singular-family", len(atlas.borels) == 1,
+        return _result(name, len(atlas.borels) == 1,
                        "nilpotent shift element: unique Borel, no second component exists")
     if not span_contains([e.coords for e in atlas.b_a], x.coords):
         raise MembershipError("point is not in b^a")
     if len(atlas.borels) < 2:
-        raise CertificationError("non-nilpotent regular element with fewer than 2 Borels")
+        return _result(name, False, "non-nilpotent regular element with fewer than 2 Borels")
     b1, b2 = atlas.borels[0], atlas.borels[1]
     u_a = [e.coords for e in atlas.u_a]
     for b in (b1, b2):
         if not all(b.contains(e) for e in atlas.b_a):
-            raise CertificationError("b^a is not inside an atlas Borel")
+            return _result(name, False, "b^a is not inside an atlas Borel")
         if not span_le(u_a, b.u_span):
-            raise CertificationError("u^a is not inside a Borel nilradical")
+            return _result(name, False, "u^a is not inside a Borel nilradical")
     if span_equal(b1.u_span, b2.u_span):
-        raise CertificationError("the two Borels share a nilradical")
-    c1 = borel_component(sys_, x, b1)
-    c2 = borel_component(sys_, x, b2)
+        return _result(name, False, "the two Borels share a nilradical")
+    try:
+        c1 = borel_component(sys_, x, b1, atlas.b_a)
+        c2 = borel_component(sys_, x, b2, atlas.b_a)
+    except CertificationError as exc:
+        return _result(name, False, str(exc))
     if c1.value != c2.value:
-        raise CertificationError("components through the same point disagree in value")
+        return _result(name, False, "components through the same point disagree in value")
     for e in atlas.u_a:
         if not c1.contains(x + e) or not c2.contains(x + e):
-            raise CertificationError("x + u^a escapes a component")
-    return _result("singular-family", True, "x + u^a lies in two distinct Borel components")
+            return _result(name, False, "x + u^a escapes a component")
+    return _result(name, True, "x + u^a lies in two distinct Borel components")
 
 
 def check_exotic_witness(sys_: ShiftSystem, x: GElement, atlas: BorelAtlas,
@@ -509,28 +517,26 @@ def check_tarasov_exotic(sys_: ShiftSystem, atlas: BorelAtlas, samples: int, see
                     f"{samples} points outside all {len(atlas.members)} members")
 
 
-def check_near_section(sys_: ShiftSystem, atlas: BorelAtlas, samples: int, seed: int) -> CheckResult:
+def check_near_section(sys_: ShiftSystem, atlas: BorelAtlas) -> CheckResult:
     """For nilpotent a: the W-translates a + w.x_h all share one value vector
     (provable), so fibres meet a + b^a_- in at least |W| points (each w.x_h is
     diagonal in the Borel's frame, so inside b^a_- by construction); the exact
-    |W|-to-one degree statement is observational and only reported.  At
-    most 6 orbits are drawn."""
+    |W|-to-one degree statement is observational and only reported.  Checked
+    as exact identities: F_a on a + h_U, composed with each Weyl element on the
+    Cartan chart (the Borel's: a nilpotent a has one Jordan chain), equals
+    F_a on a + h_U."""
     a = sys_.a
     if not a.is_nilpotent():
         return _result("near-section", True, "skipped: needs a nilpotent shift")
     L = sys_.algebra
-    B = atlas.borels[0]
-    rng = rng_for(f"near-section:{L.n}", seed)
-    ok = True
-    translates = 0
-    for _ in range(min(samples, 6)):
-        orbit = _weyl_orbit(L, B.U, B.U_inv, rng)
-        translates = len(orbit)
-        if len({sys_.evaluate(a + x) for x in orbit}) != 1:
-            ok = False
+    svars = tuple(f"s{k + 1}" for k in range(L.n - 1))
+    mapping = dict(zip(L.coord_names, affine_chart(svars, a.coords, _cartan_chart(atlas))))
+    restricted = [c.subs(svars, mapping) for c in sys_.components]
+    translates = _weyl_translates(restricted, svars)
+    ok = all(t == tuple(restricted) for t in translates.values())
     return _result(
         "near-section", ok,
-        f"{translates} equal-value translates (translate count is a lower bound "
+        f"{len(translates)} equal-value translates (translate count is a lower bound "
         "for the fibre degree; exactness not asserted)",
     )
 
@@ -554,10 +560,10 @@ def run_verify_suite(sys_: ShiftSystem, samples: int = 25, seed: int = 0) -> lis
         check_tangent_triple(sys_, rng("tangent"), samples),
         check_strong_regularity(sys_, rng("sreg"), min(samples, 12)),
         check_centralizer_containment(sys_.a, atlas),
-        check_image_bba(sys_, atlas, min(samples, 12), seed),
+        check_image_bba(sys_, atlas),
         check_critical_values(sys_, min(samples, 20), seed),
         check_singular_family(
             sys_, random_combination(sys_.algebra, atlas.b_a, rng("singular-family")), atlas),
         check_tarasov_section(sys_, min(samples, 15), seed),
-        check_near_section(sys_, atlas, samples, seed),
+        check_near_section(sys_, atlas),
     ]

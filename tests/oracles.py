@@ -29,6 +29,11 @@ in mfatlas replaced, kept here to cross-check them.
   mfsystem.krylov_line_regular).
 * line_spot_checks: x + k a is regular for k = 0..2b, a necessary condition
   for a regular line (the one-sided oracle for the same certificate).
+* weyl_orbit_value_count: the number of distinct F_a values on the Weyl
+  orbit U0 w(D) U0^-1 of one regular traceless diagonal D drawn from a
+  generator, in the atlas's chain frame (the sampled oracle for the degree
+  verify.check_image_bba reads off the Weyl compositions of the restriction
+  to b^a).
 * FractionPairScalar, dot_fraction_pairs: Gaussian rationals stored as a pair
   of fractions.Fraction, each part computed by the textbook formulas (oracle
   for the integer-backed scalar.Scalar and linalg._dot).
@@ -39,10 +44,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from mfatlas.lie import GElement, ad_matrix, is_regular
+from mfatlas.flags import BorelAtlas
+from mfatlas.lie import GElement, ad_matrix, is_regular, permute_diagonal, weyl_group
 from mfatlas.linalg import ExactMatrix, canonical_basis, mat_kernel, solve
 from mfatlas.mfsystem import ShiftSystem
 from mfatlas.mpoly import MPoly, mpoly_mat_mul, mpoly_mat_trace
+from mfatlas.sampling import random_traceless_distinct_diag
 from mfatlas.scalar import Scalar, scalar_to_str
 
 
@@ -126,6 +133,15 @@ def jacobian_polys(sys_: ShiftSystem) -> tuple[tuple[MPoly, ...], ...]:
 def jacobian_at_symbolic(sys_: ShiftSystem, x: GElement) -> ExactMatrix:
     point = dict(zip(sys_.algebra.coord_names, x.coords))
     return ExactMatrix([[e.eval(point) for e in row] for row in jacobian_polys(sys_)])
+
+
+def weyl_orbit_value_count(sys_: ShiftSystem, atlas: BorelAtlas, rng) -> int:
+    L = sys_.algebra
+    D = random_traceless_distinct_diag(L, rng).matrix
+    diag = [D.entries[i][i] for i in range(L.n)]
+    U, U_inv = atlas.frame.U, atlas.frame.U_inv
+    return len({sys_.evaluate(L.element(U * ExactMatrix.diagonal(permute_diagonal(w, diag)) * U_inv))
+                for w in weyl_group(L.n)})
 
 
 def span_intersection(A, B) -> tuple[tuple[Scalar, ...], ...]:

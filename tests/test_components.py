@@ -166,7 +166,7 @@ def test_jordan_chains_computed_once_per_atlas(monkeypatch):
         sys_ = build_system(a)
         calls.clear()
         count_zero_fibre(a, atlas=atlas)
-        assert check_image_bba(sys_, atlas, 2, 0).passed
+        assert check_image_bba(sys_, atlas).passed
         assert calls == []
 
 
@@ -204,7 +204,7 @@ def test_chain_frame_inverted_once_per_atlas(monkeypatch):
         sys_ = build_system(a)
         inverses.clear()
         count_zero_fibre(a, atlas=atlas)
-        assert check_image_bba(sys_, atlas, 2, 0).passed
+        assert check_image_bba(sys_, atlas).passed
         assert inverses == []
 
 
@@ -338,8 +338,8 @@ def test_singular_family_two_borels():
 
 
 def test_image_bba_reports():
-    assert _pair(check_image_bba(SYS_S3, ATLAS_S3, 8, 0)) == (True, "degree 6")
-    assert _pair(check_image_bba(SYS_N3, ATLAS_N3, 8, 0)) == (True, "degree 1, nilpotent form")
+    assert _pair(check_image_bba(SYS_S3, ATLAS_S3)) == (True, "degree 6")
+    assert _pair(check_image_bba(SYS_N3, ATLAS_N3)) == (True, "degree 1, nilpotent form")
 
 
 def test_critical_value_probe():
@@ -349,7 +349,7 @@ def test_critical_value_probe():
 
 
 def test_near_section_probe():
-    assert _pair(check_near_section(SYS_N3, ATLAS_N3, 5, 0)) == (
+    assert _pair(check_near_section(SYS_N3, ATLAS_N3)) == (
         True, "6 equal-value translates (translate count is a lower bound for the "
         "fibre degree; exactness not asserted)")
 

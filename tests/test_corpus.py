@@ -65,7 +65,7 @@ def test_corpus_builds_each_shift_once(monkeypatch):
 
     def checks():
         return [(r.passed, r.detail)
-                for r in (check_sl3_weyl_degree(10, 0), check_singular_families(5, 0))]
+                for r in (check_sl3_weyl_degree(), check_singular_families(0))]
 
     monkeypatch.setattr(corpus, "_SYSTEMS", {})
     monkeypatch.setattr(corpus, "_ATLASES", {})
@@ -108,6 +108,29 @@ def test_sl2_line_families_certified_once(monkeypatch):
             counts.append(calls["subs"])
         assert counts[0] == counts[1] > 0, check.__name__
     assert calls["certify_affine_constant"] == 0
+
+
+def test_corpus_symbolic_work_does_not_scale_with_samples(monkeypatch):
+    """The singular families are certified over all of b^a, one certificate
+    per Borel: run_corpus makes as many certify_affine_constant calls at 5
+    samples as at 200."""
+    import mfatlas.components
+
+    calls = [0]
+    certify = mfatlas.components.certify_affine_constant
+
+    def counted(*args):
+        calls[0] += 1
+        return certify(*args)
+
+    monkeypatch.setattr(mfatlas.components, "certify_affine_constant", counted)
+    monkeypatch.setattr(corpus, "certify_affine_constant", counted)
+    counts = []
+    for samples in (5, 200):
+        calls[0] = 0
+        assert all(r.passed for r in run_corpus(samples=samples, seed=0))
+        counts.append(calls[0])
+    assert counts[0] == counts[1] > 0
 
 
 class _TiltedSystem:

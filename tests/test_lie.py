@@ -13,6 +13,7 @@ from mfatlas.lie import (
     bracket,
     centralizer,
     is_regular,
+    permute_cartan_chart,
     permute_diagonal,
     sl,
     weyl_group,
@@ -23,6 +24,7 @@ from mfatlas.sampling import (
     conjugate,
     random_distinct_rationals,
     random_element,
+    random_traceless_distinct_diag,
     random_unimodular,
     rng_for,
 )
@@ -197,6 +199,20 @@ def test_weyl_group_order_and_action():
     sub = _el(L, [[2, 0, 0], [0, 2, 0], [0, 0, -4]])
     assert len(weyl_stabilizer(sub)) == 2
     assert len(weyl_stabilizer(s)) == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cartan_chart_action_agrees_with_permute_diagonal(n):
+    """Composing with permute_cartan_chart(w) evaluates at w(D): on the chart
+    D = diag(s_1, ..., s_{n-1}, -sum s_k) its images are the first n - 1
+    entries of permute_diagonal(w, D)."""
+    svars = tuple(f"s{k + 1}" for k in range(n - 1))
+    D = random_traceless_distinct_diag(sl(n), rng_for("lie-cartan-chart", n)).matrix
+    diag = [D.entries[i][i] for i in range(n)]
+    for w in weyl_group(n):
+        chart = permute_cartan_chart(w, svars)
+        assert list(chart) == list(svars)
+        assert [p.eval(diag[:-1]) for p in chart.values()] == list(permute_diagonal(w, diag)[:-1])
 
 
 def test_json_round_trip():

@@ -7,16 +7,9 @@ on one exact Gauss-Jordan elimination.  No floats anywhere.
 """
 
 from .scalar import Scalar, as_scalar
-from .mpoly import MPoly
 from .linalg import ExactMatrix, mat_rank, mat_kernel
 
-__all__ = [
-    "Scalar",
-    "as_scalar",
-    "MPoly",
-    "ExactMatrix",
-    "mat_rank",
-    "mat_kernel",
-]
+__all__ = ["Scalar", "as_scalar", "ExactMatrix", "mat_rank", "mat_kernel"]
 
 __version__ = "0.1.0"
+

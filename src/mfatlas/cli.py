@@ -8,8 +8,8 @@ configurations (including the seed) produce byte-identical output.
 Exit codes: 0 all checks passed, 1 verification failure, 2 invalid input.
 
 Each subcommand imports its own layer when it runs (mf build the symbolic
-system, mf atlas the flags), so each process loads just the layers its
-subcommand uses.
+system, mf atlas the flags, mf count the count), so each process loads just
+the layers its subcommand uses.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, bool]:
 
 
 def cmd_count(args: argparse.Namespace) -> tuple[dict, bool]:
-    from .components import count_zero_fibre, load_iprime
+    from .count import count_zero_fibre, load_iprime
 
     a = resolve_element(args)
     overrides = load_iprime(args.iprime) if args.iprime else None

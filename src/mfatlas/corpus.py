@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .components import certify_affine_constant, count_zero_fibre
+from .components import certify_affine_constant
+from .count import count_zero_fibre
 from .errors import CertificationError, PreconditionError
 from .flags import (
     BorelAtlas,
@@ -27,7 +28,6 @@ from .lie import (
     ad_matrix,
     mixed_rep,
     nilpotent_rep,
-    permute_cartan_chart,
     semisimple_rep,
     sl,
     weyl_group,
@@ -35,12 +35,12 @@ from .lie import (
 )
 from .linalg import ExactMatrix, span_equal
 from .mfsystem import ShiftSystem, build_system, is_strongly_regular, krylov_line_regular
-from .mpoly import MPoly, mpoly_mat_mul, mpoly_mat_trace
+from .mpoly import MPoly, generic_matrix, mpoly_mat_mul, mpoly_mat_trace, permute_cartan_chart
 from .sampling import (
     conjugate,
     random_combination,
     random_nonzero_rational,
-    random_rational,
+    random_rational_scalar,
     rng_for,
 )
 from .scalar import Scalar
@@ -319,8 +319,8 @@ def check_sl2_semisimple_fibre_split(samples: int, seed: int) -> CheckResult:
         if F2 - z2 != MPoly.zero(zvars):
             return _result("sl2-semisimple-fibre-split", False, "chart identity (second)")
         for _ in range(samples):
-            z1v = Scalar(random_rational(rng))
-            z2v = Scalar(random_rational(rng))
+            z1v = random_rational_scalar(rng)
+            z2v = random_rational_scalar(rng)
             c = z2v * half
             dv = z1v - c * c
             if dv.is_zero():
@@ -368,20 +368,20 @@ def check_sl2_singular_images(samples: int, seed: int) -> CheckResult:
         if Z1 - Z2 * Z2 * quarter != MPoly.zero(tvar):
             return _result("sl2-singular-images", False, "parabola identity")
         for _ in range(samples):
-            lam = Scalar(random_rational(rng))
+            lam = random_rational_scalar(rng)
             z1v, z2v = sys_.evaluate_scaled(s.scale(lam))
             if z1v != z2v * z2v * quarter:
                 return _result("sl2-singular-images", False, "sampled parabola point")
             # surjectivity onto the parabola: z2 arbitrary is achieved at
             # the diagonal point with entry z2/(2 a1)
-            z2w = Scalar(random_rational(rng))
+            z2w = random_rational_scalar(rng)
             xw = s.scale(z2w / (Scalar(2) * a1s * a1s))
             if sys_.evaluate_scaled(xw) != (z2w * z2w * quarter, z2w):
                 return _result("sl2-singular-images", False, "parabola surjectivity")
         n2 = sl2_nilpotent()
         sys_n = _system(n2)
         for _ in range(samples):
-            lam = Scalar(random_rational(rng))
+            lam = random_rational_scalar(rng)
             if any(not v.is_zero() for v in sys_n.evaluate_scaled(n2.scale(lam))):
                 return _result("sl2-singular-images", False, "nilpotent image not origin")
     probes = [check_critical_values(_system(a), 20, seed)
@@ -420,9 +420,9 @@ def check_sl2_nilpotent_fibres(samples: int, seed: int) -> CheckResult:
     if F2 - z2 != MPoly.zero(zvars):
         return _result("sl2-nilpotent-fibres", False, "chart identity (second)")
     for _ in range(samples):
-        z1v = Scalar(random_rational(rng))
+        z1v = random_rational_scalar(rng)
         z2v = Scalar(random_nonzero_rational(rng))
-        tv = Scalar(random_rational(rng))
+        tv = random_rational_scalar(rng)
         x = L.element(ExactMatrix([[tv, (z1v - tv * tv) / z2v], [z2v, -tv]]))
         if sys_.evaluate_scaled(x) != (z1v, z2v):
             return _result("sl2-nilpotent-fibres", False, "sampled chart point")
@@ -447,7 +447,7 @@ def _trace_power_targets(a: GElement) -> list[MPoly]:
     (tr x^2, tr x^3, 2 tr(a x), 3 tr(a x^2), 6 tr(a^2 x)), computed
     independently from the generic matrix."""
     L = a.algebra
-    X = L.generic_matrix()
+    X = generic_matrix(L)
     vars_ = L.coord_names
     A = [[MPoly.const(vars_, a.matrix.entries[i][j]) for j in range(3)] for i in range(3)]
     X2 = mpoly_mat_mul(X, X)
@@ -775,7 +775,7 @@ def check_sl3_orbit_invariance(samples: int, seed: int) -> CheckResult:
                 g = ExactMatrix.diagonal([t1, t2, Scalar(1) / (t1 * t2)])
             else:
                 # unipotent elements of the centralizer: 1 + c N + d N^2
-                d = Scalar(random_rational(rng))
+                d = random_rational_scalar(rng)
                 g = ExactMatrix.identity(3) + nil.scale(c) + (nil * nil).scale(d)
             y = conjugate(g, x)
             if sys_.evaluate(y) != zero5:

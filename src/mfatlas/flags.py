@@ -47,8 +47,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     CertificationError,
@@ -112,8 +111,7 @@ def member_label(m: FlagParabolic, mask: list[str] | None = None) -> str:
 # -- eigen chains ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EigenChain:
+class EigenChain(NamedTuple):
     """One generalized eigenspace of a regular element: a single Jordan
     chain w_1, ..., w_m with (a - c) w_j = w_{j-1} and w_0 = 0."""
 
@@ -218,8 +216,7 @@ def semisimple_part(chains: Sequence[EigenChain], frame: ChainFrame) -> ExactMat
 # -- flags --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(NamedTuple):
     """An a-invariant partial flag, recorded as cumulative chain levels."""
 
     composition: tuple[int, ...]
@@ -376,8 +373,7 @@ def stabilizer_equations(frame: ChainFrame, flag: Flag) -> ExactMatrix:
 # -- atlas ---------------------------------------------------------------------------
 
 
-@dataclass
-class BorelAtlas:
+class BorelAtlas(NamedTuple):
     """All Borels and proper non-Borel parabolics containing a regular
     element, plus the intersection algebra b^a and its nilradical u^a."""
 

@@ -27,7 +27,6 @@ from typing import Sequence
 
 from .errors import AlgebraMismatchError, PreconditionError, UnsupportedElementError
 from .linalg import ExactMatrix, canonical_basis, mat_kernel, mat_rank
-from .mpoly import MPoly
 from .scalar import Scalar, scalar_from_str
 
 
@@ -101,23 +100,6 @@ class LieAlgebraA:
             coords[idx] = Scalar(1)
             out.append(self.element_from_coords(coords))
         return out
-
-    def generic_matrix(self, vars: Sequence[str] | None = None) -> list[list[MPoly]]:
-        """The n x n matrix whose entries are the coordinate functions,
-        as polynomials over `vars` (default: exactly the coordinates)."""
-        vt = tuple(vars) if vars is not None else self.coord_names
-        n = self.n
-        zero = MPoly.zero(vt)
-        rows = [[zero] * n for _ in range(n)]
-        for idx, (i, j) in enumerate(self.offdiag_positions):
-            rows[i][j] = MPoly.var(vt, self.coord_names[idx])
-        hs = [MPoly.var(vt, f"h{k + 1}") for k in range(n - 1)]
-        prev = zero
-        for k in range(n):
-            cur = hs[k] if k < n - 1 else zero
-            rows[k][k] = cur - prev
-            prev = cur
-        return rows
 
     def __repr__(self):
         return f"sl({self.n})"
@@ -323,15 +305,6 @@ def permute_diagonal(perm: tuple[int, ...], values: Sequence[Scalar]) -> tuple[S
     for i, p in enumerate(perm):
         out[p] = values[i]
     return tuple(out)
-
-
-def permute_cartan_chart(perm: tuple[int, ...], svars: Sequence[str]) -> dict[str, MPoly]:
-    """permute_diagonal on the Cartan chart diag(s_1, ..., s_{n-1}, -sum s_k),
-    as the substitution s_k -> slot k of the permuted diagonal: composing a
-    polynomial on the chart with it evaluates the polynomial at perm(D)."""
-    sigma = [MPoly.var(svars, s) for s in svars]
-    sigma.append(-sum(sigma, MPoly.zero(svars)))
-    return dict(zip(svars, permute_diagonal(perm, sigma)))
 
 
 def weyl_group(n: int) -> list[tuple[int, ...]]:

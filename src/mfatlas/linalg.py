@@ -3,11 +3,13 @@
 Matrices are immutable tuples of tuples of Scalar.  The constructor and the
 functions below take Scalar entries as given and do not coerce them (the
 constructor only checks that the rows have one width), so every matrix,
-vector and basis they return holds Scalars only.  Every elimination goes
-through one Gauss-Jordan routine, rref: rank, kernels, solving, inverses,
-canonical subspace bases and span containment are all read off its output.
-Its independent oracle is a sympy cross-check in the tests, so the package
-needs no second elimination code.
+vector and basis they return holds Scalars only.  A matrix this module
+builds itself (a product, sum, difference, scaling or RREF) has tuple rows
+of known width, so the trusted matrix_from_rows stores them unchecked.
+Every elimination goes through one Gauss-Jordan routine, rref: rank,
+kernels, solving, inverses, canonical subspace bases and span containment
+are all read off its output.  Its independent oracle is a sympy cross-check
+in the tests, so the package needs no second elimination code.
 
 The matrices met here are mostly zeros, and both kernels make zeros free:
 _dot, which every matrix product and matrix-vector product goes through,
@@ -35,12 +37,9 @@ class ExactMatrix:
 
     def __init__(self, entries: Sequence[Sequence[Scalar]]):
         rows = tuple(tuple(row) for row in entries)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-        else:
-            width = 0
+        width = len(rows[0]) if rows else 0
+        if any(len(r) != width for r in rows):
+            raise ValueError("ragged rows")
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "entries", rows)
@@ -52,10 +51,7 @@ class ExactMatrix:
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
-        one, zero = Scalar(1), Scalar(0)
-        return ExactMatrix(
-            [[one if i == j else zero for j in range(n)] for i in range(n)]
-        )
+        return ExactMatrix.diagonal((Scalar(1),) * n)
 
     @staticmethod
     def zeros(r: int, c: int) -> "ExactMatrix":
@@ -64,57 +60,48 @@ class ExactMatrix:
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence[Scalar]]) -> "ExactMatrix":
-        if not cols:
-            return ExactMatrix([])
-        n = len(cols[0])
-        return ExactMatrix([[c[i] for c in cols] for i in range(n)])
+        return ExactMatrix(tuple(zip(*cols)))
 
     @staticmethod
     def diagonal(values: Sequence[Scalar]) -> "ExactMatrix":
         zero = Scalar(0)
         n = len(values)
-        return ExactMatrix(
-            [[values[i] if i == j else zero for j in range(n)] for i in range(n)]
-        )
+        return matrix_from_rows(tuple(
+            tuple([values[i] if i == j else zero for j in range(n)]) for i in range(n)
+        ), n)
 
     # -- basic ops -----------------------------------------------------------
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._shape_check(other)
-        return ExactMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
+        return matrix_from_rows(tuple(
+            tuple([a + b for a, b in zip(ra, rb)])
+            for ra, rb in zip(self.entries, other.entries)
+        ), self.cols)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._shape_check(other)
-        return ExactMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
+        return matrix_from_rows(tuple(
+            tuple([a - b for a, b in zip(ra, rb)])
+            for ra, rb in zip(self.entries, other.entries)
+        ), self.cols)
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix([[-a for a in row] for row in self.entries])
+        return self.scale(Scalar(-1))
 
     def scale(self, c: Scalar) -> "ExactMatrix":
-        return ExactMatrix([[c * a for a in row] for row in self.entries])
+        return matrix_from_rows(tuple(tuple([c * a for a in row]) for row in self.entries),
+                                self.cols)
 
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        ot = other.transpose().entries
-        return ExactMatrix(
-            [
-                [_dot(row, col) for col in ot]
-                for row in self.entries
-            ]
-        )
+        cols = list(zip(*other.entries))
+        return matrix_from_rows(tuple(
+            tuple([_dot(row, col) for col in cols]) for row in self.entries
+        ), other.cols)
 
     def matpow(self, k: int) -> "ExactMatrix":
         if self.rows != self.cols:
@@ -129,14 +116,6 @@ class ExactMatrix:
             base = base * base
             k >>= 1
         return out
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [
-                [self.entries[i][j] for i in range(self.rows)]
-                for j in range(self.cols)
-            ]
-        )
 
     def trace(self) -> Scalar:
         if self.rows != self.cols:
@@ -180,6 +159,22 @@ class ExactMatrix:
     def _shape_check(self, other: "ExactMatrix"):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
+
+
+# ExactMatrix.__setattr__ refuses every write, so fields go through the slots.
+_set_rows = ExactMatrix.rows.__set__
+_set_cols = ExactMatrix.cols.__set__
+_set_entries = ExactMatrix.entries.__set__
+
+
+def matrix_from_rows(rows: tuple[Vector, ...], cols: int) -> ExactMatrix:
+    """The matrix with these rows, stored as given: rows must be a tuple of
+    Scalar tuples, each of length cols."""
+    m = object.__new__(ExactMatrix)
+    _set_rows(m, len(rows))
+    _set_cols(m, cols)
+    _set_entries(m, rows)
+    return m
 
 
 def _dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
@@ -240,7 +235,7 @@ def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
         r += 1
         if r == rows:
             break
-    return ExactMatrix(a), tuple(pivots)
+    return matrix_from_rows(tuple(map(tuple, a)), cols), tuple(pivots)
 
 
 def mat_rank(m: ExactMatrix) -> int:
@@ -261,7 +256,7 @@ def mat_inverse(m: ExactMatrix) -> ExactMatrix:
     R, pivots = rref(aug)
     if pivots != tuple(range(n)):
         raise PreconditionError("singular change of basis")
-    return ExactMatrix([row[n:] for row in R.entries])
+    return matrix_from_rows(tuple(row[n:] for row in R.entries), n)
 
 
 def mat_kernel(m: ExactMatrix) -> list[Vector]:

@@ -52,8 +52,8 @@ from .errors import (
     RegularityError,
 )
 from .lie import GElement, LieAlgebraA, bracket, is_regular
-from .linalg import ExactMatrix, Vector, _dot, canonical_basis, mat_rank
-from .mpoly import MPoly, mpoly_mat_mul, mpoly_mat_pair
+from .linalg import ExactMatrix, Vector, _dot, canonical_basis, mat_rank, matrix_from_rows
+from .mpoly import MPoly, generic_matrix, mpoly_mat_mul, mpoly_mat_pair
 from .sampling import random_element, rng_for
 from .scalar import Scalar
 from . import unipoly as up
@@ -160,7 +160,7 @@ def build_system(a: GElement) -> ShiftSystem:
         raise RegularityError("shift element must be regular")
     ext = L.coord_names + ("lam",)
     lam = MPoly.var(ext, "lam")
-    X = L.generic_matrix(ext)
+    X = generic_matrix(L, ext)
     M = [[e + lam * c for e, c in zip(xrow, arow)] for xrow, arow in zip(X, a.matrix.entries)]
     per_gen = trace_power_coefficients(M, L.n)
     rank = len(per_gen)
@@ -188,13 +188,18 @@ def build_system(a: GElement) -> ShiftSystem:
 def _power_chain(a: GElement, x: GElement, top: int) -> list[list[ExactMatrix]]:
     """Entry k - 1 holds the lambda-coefficients [C_0, ..., C_k] of
     (x + lambda a)^k, for k = 1..top; each power is the last one times
-    x + lambda a."""
+    x + lambda a.  As in _pair, each entry of C_j X + C_(j-1) A is one dot:
+    row p of C_j laid end to end with row p of C_(j-1), against column q of
+    X laid end to end with column q of A."""
     X, A = x.matrix, a.matrix
+    cols = [cx + ca for cx, ca in zip(zip(*X.entries), zip(*A.entries))]
     chain = [[X, A]]
     while len(chain) < top:
         C = chain[-1]
         nxt = [C[0] * X]
-        nxt.extend(C[j] * X + C[j - 1] * A for j in range(1, len(C)))
+        for P, Q in zip(C[1:], C):
+            nxt.append(matrix_from_rows(tuple(tuple([_dot(p + q, col) for col in cols])
+                                              for p, q in zip(P.entries, Q.entries)), X.cols))
         nxt.append(C[-1] * A)
         chain.append(nxt)
     return chain
@@ -264,8 +269,6 @@ def gradient_matrix(L: LieAlgebraA, f: MPoly) -> list[list[MPoly]]:
     t = MPoly.zero(L.coord_names)
     for j in range(1, n):
         t = t + gs[j - 1] * Scalar(n - j)
-    from fractions import Fraction
-
     t = t * Scalar(Fraction(1, n))
     G[0][0] = t
     for k in range(1, n):
@@ -286,7 +289,7 @@ def poisson_brackets(L: LieAlgebraA, grads: Sequence[list[list[MPoly]]]) -> Iter
     itertools.combinations order.  {f, g}(x) = <x, [Gf, Gg]> = tr([X, Gf] Gg)
     for the generic matrix X, so each f forms one commutator [X, Gf] and each
     pair is one trace pairing."""
-    X = L.generic_matrix()
+    X = generic_matrix(L)
     for k, Gf in enumerate(grads[:-1]):
         C = [[p - q for p, q in zip(rp, rq)]
              for rp, rq in zip(mpoly_mat_mul(X, Gf), mpoly_mat_mul(Gf, X))]

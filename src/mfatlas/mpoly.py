@@ -15,6 +15,10 @@ dicts (a sum or product drops the coefficients that cancel, and
 affine_chart drops the zero entries of its input), so a stored zero, which
 would break equality, cannot arise.  Numbers enter through MPoly.const and
 scalar multiplication, the only places that coerce.
+
+The polynomial views of sl_n live here too, so lie needs no polynomials:
+generic_matrix (the coordinate functions as a matrix) and
+permute_cartan_chart (the Weyl group acting on the Cartan chart).
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 from operator import add
 from typing import Mapping, Sequence
 
+from .lie import LieAlgebraA, permute_diagonal
 from .scalar import Scalar, as_scalar
 
 Exponent = tuple[int, ...]
@@ -311,6 +316,34 @@ def affine_chart(vars_: Sequence[str], base: Sequence[Scalar],
 
 
 # -- polynomial matrices ------------------------------------------------------------
+
+
+def generic_matrix(L: LieAlgebraA, vars: Sequence[str] | None = None) -> list[list[MPoly]]:
+    """The n x n matrix of sl_n whose entries are the coordinate functions,
+    as polynomials over `vars` (default: exactly the coordinates)."""
+    vt = tuple(vars) if vars is not None else L.coord_names
+    n = L.n
+    zero = MPoly.zero(vt)
+    rows = [[zero] * n for _ in range(n)]
+    for idx, (i, j) in enumerate(L.offdiag_positions):
+        rows[i][j] = MPoly.var(vt, L.coord_names[idx])
+    hs = [MPoly.var(vt, f"h{k + 1}") for k in range(n - 1)]
+    prev = zero
+    for k in range(n):
+        cur = hs[k] if k < n - 1 else zero
+        rows[k][k] = cur - prev
+        prev = cur
+    return rows
+
+
+def permute_cartan_chart(perm: tuple[int, ...], svars: Sequence[str]) -> dict[str, MPoly]:
+    """lie.permute_diagonal on the Cartan chart diag(s_1, ..., s_{n-1},
+    -sum s_k), as the substitution s_k -> slot k of the permuted diagonal:
+    composing a polynomial on the chart with it evaluates the polynomial at
+    perm(D)."""
+    sigma = [MPoly.var(svars, s) for s in svars]
+    sigma.append(-sum(sigma, MPoly.zero(svars)))
+    return dict(zip(svars, permute_diagonal(perm, sigma)))
 
 
 def mpoly_mat_mul(A: Sequence[Sequence[MPoly]], B: Sequence[Sequence[MPoly]]) -> list[list[MPoly]]:

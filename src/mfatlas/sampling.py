@@ -1,18 +1,21 @@
 """Seeded exact samplers used by property checks and CLI verification.
 
 Everything draws from an explicit random.Random so runs are reproducible;
-values are small rationals to keep fraction growth in check.
+values are small rationals to keep fraction growth in check.  The Scalar
+samplers build their Scalars from the drawn numerator and denominator, with
+the same calls on the generator as Scalar(random_rational(rng)) makes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from random import Random
 from typing import Sequence
 
 from .lie import GElement, LieAlgebraA
 from .linalg import ExactMatrix, mat_inverse
-from .scalar import Scalar
+from .scalar import Scalar, scalar_from_ints
 
 
 def rng_for(tag: str, seed: int) -> Random:
@@ -28,10 +31,14 @@ def random_rational(rng: Random, num_bound: int = 9) -> Fraction:
     return Fraction(rng.randint(-num_bound, num_bound), rng.choice(DENOMINATORS))
 
 
+def random_rational_scalar(rng: Random, num_bound: int = 9) -> Scalar:
+    """Scalar(random_rational(rng, num_bound)), from the same two draws."""
+    return scalar_from_ints(rng.randint(-num_bound, num_bound), 0, rng.choice(DENOMINATORS))
+
+
 def random_scalar(rng: Random, gaussian: bool = False) -> Scalar:
-    re = random_rational(rng)
-    im = random_rational(rng) if gaussian and rng.random() < 0.5 else 0
-    return Scalar(re, im)
+    re = random_rational_scalar(rng)
+    return re + Scalar(0, 1) * random_rational_scalar(rng) if gaussian and rng.random() < 0.5 else re
 
 
 def random_nonzero_rational(rng: Random, num_bound: int = 9) -> Fraction:
@@ -51,7 +58,7 @@ def random_combination(L: LieAlgebraA, basis: Sequence[GElement], rng: Random) -
     drawn in basis order."""
     x = L.zero()
     for e in basis:
-        x = x + e.scale(Scalar(random_rational(rng)))
+        x = x + e.scale(random_rational_scalar(rng))
     return x
 
 
@@ -81,7 +88,7 @@ def random_upper_unipotent(L: LieAlgebraA, rng: Random) -> ExactMatrix:
     n = L.n
     rows = [
         [
-            Scalar(1) if i == j else (Scalar(random_rational(rng, 4)) if i < j else Scalar(0))
+            Scalar(1) if i == j else (random_rational_scalar(rng, 4) if i < j else Scalar(0))
             for j in range(n)
         ]
         for i in range(n)
@@ -93,10 +100,7 @@ def random_torus(L: LieAlgebraA, rng: Random) -> ExactMatrix:
     """Diagonal matrix with nonzero rational entries and determinant 1."""
     n = L.n
     vals = [random_nonzero_rational(rng, 4) for _ in range(n - 1)]
-    prod = Fraction(1)
-    for v in vals:
-        prod *= v
-    vals.append(1 / prod)
+    vals.append(1 / prod(vals))
     return ExactMatrix.diagonal([Scalar(v) for v in vals])
 
 
@@ -114,9 +118,8 @@ def random_unimodular(L: LieAlgebraA, rng: Random) -> ExactMatrix:
         j = rng.randrange(n)
         if i == j:
             continue
-        t = random_rational(rng, 3)
         e = [[Scalar(1) if r == c else Scalar(0) for c in range(n)] for r in range(n)]
-        e[i][j] = Scalar(t)
+        e[i][j] = random_rational_scalar(rng, 3)
         g = g * ExactMatrix(e)
     return g
 

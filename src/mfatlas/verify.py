@@ -19,8 +19,8 @@ and take neither.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
+from typing import NamedTuple
 
 from .components import borel_component
 from .errors import CertificationError, MembershipError, MFError, PreconditionError
@@ -35,7 +35,6 @@ from .lie import (
     GElement,
     centralizer,
     is_regular,
-    permute_cartan_chart,
     weyl_group,
     weyl_stabilizer,
 )
@@ -61,14 +60,14 @@ from .mfsystem import (
     section_chart,
     tangent_space,
 )
-from .mpoly import MPoly, affine_chart, mpoly_det
+from .mpoly import MPoly, affine_chart, mpoly_det, permute_cartan_chart
 from .sampling import (
     conjugate,
     random_borel_group_element,
     random_combination,
     random_distinct_rationals,
     random_element,
-    random_rational,
+    random_rational_scalar,
     random_traceless_distinct_diag,
     random_unimodular,
     rng_for,
@@ -76,8 +75,7 @@ from .sampling import (
 from .scalar import Scalar
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -112,7 +110,7 @@ def check_shift_reconstruction(sys_: ShiftSystem, rng: Random, samples: int) -> 
     r = L.rank
     for _ in range(samples):
         x = random_element(L, rng)
-        lam = Scalar(random_rational(rng))
+        lam = random_rational_scalar(rng)
         lhs = invariant_values_along(a, x, lam)
         vals = sys_.evaluate(x)
         for i in range(r):
@@ -281,7 +279,7 @@ def _verdict(name: str, failures: list[str], detail: str) -> CheckResult:
 def _cartan_chart(atlas: BorelAtlas) -> list[Vector]:
     """The adapted Cartan basis U0 (E_kk - E_nn) U0^-1, k < n, of the atlas
     frame: the chart x(s) = U0 diag(s_1, ..., s_{n-1}, -sum s_k) U0^-1 on
-    which lie.permute_cartan_chart acts as the Weyl group."""
+    which mpoly.permute_cartan_chart acts as the Weyl group."""
     n = atlas.a.algebra.n
     return [atlas.frame.element(k, n - 1, cartan=True).coords for k in range(n - 1)]
 
@@ -392,7 +390,7 @@ def check_critical_values(sys_: ShiftSystem, samples: int, seed: int) -> CheckRe
         if is_regular(y):
             failures.append("sampler produced a regular element")
             continue
-        z = y + a.scale(Scalar(random_rational(rng)))
+        z = y + a.scale(random_rational_scalar(rng))
         rank = mat_rank(sys_.jacobian_at(z))
         if rank >= sys_.b:
             failures.append("singular sample is not a critical point")
@@ -473,7 +471,7 @@ def check_tarasov_section(sys_: ShiftSystem, samples: int, seed: int) -> CheckRe
     checked = 0
     points: list[GElement] = []
     for _ in range(samples):
-        tvals = [Scalar(random_rational(rng)) for _ in tvars]
+        tvals = [random_rational_scalar(rng) for _ in tvars]
         x = L.element_from_coords([p.eval(tvals) for p in chart])
         points.append(x)
         try:
@@ -506,7 +504,7 @@ def check_tarasov_exotic(sys_: ShiftSystem, atlas: BorelAtlas, samples: int, see
     for _ in range(samples):
         # a seeded point of xi + b, its chart coordinates drawn in order; a
         # vanishing highest-root coordinate is moved from 0 to 1
-        t = [Scalar(random_rational(rng)) for _ in dirs]
+        t = [random_rational_scalar(rng) for _ in dirs]
         coords = [p.eval(t) for p in chart]
         if coords[top].is_zero():
             coords[top] = Scalar(1)

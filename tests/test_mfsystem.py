@@ -15,6 +15,7 @@ from mfatlas.lie import is_regular, nilpotent_rep, semisimple_rep, sl
 from mfatlas.linalg import ExactMatrix, mat_rank
 from mfatlas.mfsystem import (
     _pair,
+    _power_chain,
     alt_generators,
     build_system,
     fibre_membership,
@@ -545,3 +546,23 @@ def test_build_substitutes_nothing_and_tangent_space_uses_no_unipoly(monkeypatch
     })
     up.uni_deg(up.uni([Scalar(1), Scalar(2)]))
     assert calls == ["subs", "uni", "uni_deg"]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fused_chain_step_matches_the_products(n):
+    """Each C_j X + C_(j-1) A of the power chain, formed as one dot over
+    concatenated rows and columns, equals the two products summed, on seeded
+    Gaussian-rational matrices with a zero row in x."""
+    L = sl(n)
+    rng = rng_for("test-fused-chain", n)
+    a = random_element(L, rng, gaussian=True)
+    rows = [list(row) for row in random_element(L, rng, gaussian=True).matrix.entries]
+    rows[0] = [Scalar(0)] * n
+    rows[-1][-1] = -sum((rows[k][k] for k in range(n - 1)), Scalar(0))
+    x = L.element(rows)
+    X, A = x.matrix, a.matrix
+    chain = _power_chain(a, x, 4)
+    assert len(chain) == 4 and chain[0] == [X, A]
+    for C, nxt in zip(chain, chain[1:]):
+        assert nxt == [C[0] * X] + [C[j] * X + C[j - 1] * A for j in range(1, len(C))] + [C[-1] * A]
+    assert not any(chain[-1][0].entries[0])  # x^4 keeps the zero row

@@ -92,6 +92,10 @@ def cmd_build(args: argparse.Namespace) -> tuple[dict, bool]:
 
     a = resolve_element(args)
     sys_ = build_system(a)
+    texts = [str(c) for c in sys_.components]
+    # a component at display scale 1 prints as it is, so its text is reused
+    printed = [t if s == 1 else str(c * s)
+               for t, c, s in zip(texts, sys_.components, sys_.display_scale)]
     return {
         "n": sys_.algebra.n,
         "b": sys_.b,
@@ -99,9 +103,9 @@ def cmd_build(args: argparse.Namespace) -> tuple[dict, bool]:
         "shift": a.to_json_dict(),
         "coordinates": list(sys_.algebra.coord_names),
         "labels": [list(lbl) for lbl in sys_.labels],
-        "components": [str(c) for c in sys_.components],
+        "components": texts,
         "display_scale": [scalar_to_str(s) for s in sys_.display_scale],
-        "printed_components": [str(c) for c in sys_.scaled_components()],
+        "printed_components": printed,
         "certificate_point": sys_.certificate_point.to_json_dict(),
     }, True
 

@@ -1,4 +1,18 @@
-"""Irreducible components of fibres: certified affine families and counts.
+"""The fibres of F_a: Poisson structure, membership, strong regularity,
+tangent spaces, and certified affine components.
+
+The fibre machinery reads the system that mfsystem builds:
+
+  - poisson_brackets and alt_generators, the symbolic checks on F_a,
+  - fibre_membership (all component values) and its finite-lambda route,
+  - is_strongly_regular, which reads both the Jacobian rank and a
+    certificate that the whole line x + C a is regular off one lambda-power
+    chain of mfsystem.power_chain, and requires them to agree; the line
+    certificate row-reduces I, M, ..., M^{n-1} over Q(i)[lambda] with
+    unipoly, and its oracles, in tests/oracles.py, are the symbolic-vector
+    Krylov determinant (in sympy) and regularity spot checks along the line,
+  - tangent_space, computed three ways and cross-checked, and section_chart,
+    the Tarasov section in coordinates.
 
 An AffineComponent is an affine subspace base + span(dirs) on which every
 component of F_a is certified constant by exact substitution (the
@@ -18,13 +32,15 @@ of the zero fibre, which needs only the atlas, lives in count.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
+    AlgebraMismatchError,
     CertificationError,
     MembershipError,
     NotNilpotentError,
     PreconditionError,
+    RegularityError,
 )
 from .flags import (
     BorelAtlas,
@@ -33,10 +49,223 @@ from .flags import (
     enumerate_atlas,
     member_label,
 )
-from .lie import GElement, permute_diagonal, weyl_group
-from .linalg import ExactMatrix, Vector, solve, span_contains
-from .mfsystem import FibreValue, ShiftSystem, trace_power_coefficients
-from .mpoly import MPoly, affine_chart
+from .lie import GElement, LieAlgebraA, bracket, is_regular, permute_diagonal, weyl_group
+from .linalg import ExactMatrix, Vector, canonical_basis, mat_rank, solve, span_contains
+from .mfsystem import (
+    FibreValue,
+    ShiftSystem,
+    invariant_values_along,
+    power_chain,
+    trace_power_coefficients,
+)
+from .mpoly import MPoly, affine_chart, generic_matrix, mpoly_mat_mul, mpoly_mat_pair
+from .scalar import Scalar
+from . import unipoly as up
+
+
+# -- Poisson structure ------------------------------------------------------------------
+
+
+def gradient_at(L: LieAlgebraA, grad: list[list[MPoly]], x: GElement) -> GElement:
+    point = dict(zip(L.coord_names, x.coords))
+    return L.element(
+        ExactMatrix([[e.eval(point) for e in row] for row in grad])
+    )
+
+
+def poisson_brackets(L: LieAlgebraA, grads: Sequence[list[list[MPoly]]]) -> Iterator[MPoly]:
+    """{f, g} for every pair f before g of the gradient matrices, in
+    itertools.combinations order.  {f, g}(x) = <x, [Gf, Gg]> = tr([X, Gf] Gg)
+    for the generic matrix X, so each f forms one commutator [X, Gf] and each
+    pair is one trace pairing."""
+    X = generic_matrix(L)
+    for k, Gf in enumerate(grads[:-1]):
+        C = [[p - q for p, q in zip(rp, rq)]
+             for rp, rq in zip(mpoly_mat_mul(X, Gf), mpoly_mat_mul(Gf, X))]
+        for Gg in grads[k + 1:]:
+            yield mpoly_mat_pair(C, Gg)
+
+
+# -- alternative generators ----------------------------------------------------------------
+
+
+def alt_generators(sys_: ShiftSystem, lambda_table: Sequence[Sequence[Scalar]] | None = None) -> list[list[MPoly]]:
+    """g_ij(x) = f_i(x + lambda_j a) - f_i(lambda_j a) for a table of
+    pairwise-distinct lambdas per row; row i spans the same space as
+    (f_i, f_i1, ..., f_i,d-1) by Vandermonde inversion."""
+    L = sys_.algebra
+    if lambda_table is None:
+        lambda_table = [[Scalar(j) for j in range(i + 2)] for i in range(L.n - 1)]
+    if len(lambda_table) != L.n - 1:
+        raise PreconditionError("need one lambda row per generator")
+    out: list[list[MPoly]] = []
+    acoords = sys_.a.coords
+    for i, f in enumerate(sys_.components[:L.rank]):
+        d = i + 2
+        lams = lambda_table[i]
+        if len(lams) != d:
+            raise PreconditionError(f"row {i + 1} must have {d} lambdas")
+        if len(set(lams)) != d:
+            raise PreconditionError(f"row {i + 1} lambdas are not pairwise distinct")
+        fa = f.eval(acoords)
+        row = []
+        for lam in lams:
+            mapping = {
+                name: MPoly.var(L.coord_names, name)
+                + MPoly.const(L.coord_names, lam * acoords[k])
+                for k, name in enumerate(L.coord_names)
+            }
+            g = f.subs(L.coord_names, mapping) - MPoly.const(L.coord_names, fa * lam**d)
+            row.append(g)
+        out.append(row)
+    return out
+
+
+# -- fibres and strong regularity ---------------------------------------------------------------
+
+
+def fibre_membership(sys_: ShiftSystem, x: GElement, y: GElement) -> bool:
+    """Do x and y take the same value under every component of F_a?"""
+    return sys_.evaluate(x) == sys_.evaluate(y)
+
+
+def fibre_membership_finite_lambda(sys_: ShiftSystem, x: GElement, y: GElement) -> bool:
+    """Membership via invariant values at finitely many shifts: per
+    generator f_i, compare f_i(x + lambda a) and f_i(y + lambda a) at
+    lambda = 0 and the first d_i - 1 of the rationals 1, 2, ... at which
+    x + lambda a is regular.  Each shift is searched for and evaluated once,
+    for all the generators compared there."""
+    L = sys_.algebra
+    a = sys_.a
+    for k, lam in zip(range(L.n), _regular_shifts(x, a)):
+        vx = invariant_values_along(a, x, lam)
+        vy = invariant_values_along(a, y, lam)
+        # f_i, of degree i + 2, is compared at the first i + 2 shifts
+        low = max(k - 1, 0)
+        if vx[low:] != vy[low:]:
+            return False
+    return True
+
+
+def _regular_shifts(x: GElement, a: GElement):
+    """lambda = 0, then the rationals 1, 2, ... at which x + lambda a is
+    regular."""
+    yield Scalar(0)
+    for cand in range(1, 201):
+        lam = Scalar(cand)
+        if is_regular(x + a.scale(lam)):
+            yield lam
+    raise RuntimeError("could not find regular shift values")
+
+
+def krylov_line_regular(x: GElement, a: GElement) -> bool:
+    """Exact certificate that the whole line x + C a lies in the regular
+    locus, read off the lambda-power chain of x + lambda a."""
+    if x.algebra != a.algebra:
+        raise AlgebraMismatchError("mixed algebras")
+    return _line_regular(power_chain(a, x, x.algebra.n - 1))
+
+
+def _line_regular(chain: list[list[ExactMatrix]]) -> bool:
+    """M = x + lambda a is regular at lambda_0 iff I, M, ..., M^{n-1} are
+    independent there (the test lie.is_regular makes).  The n^2 x n matrix
+    of their entries, over Q(i)[lambda], has full rank at every lambda_0 in C
+    iff the gcd of its maximal minors is a nonzero constant, that is iff its
+    Euclidean row reduction leaves only nonzero constant pivots (a
+    nonconstant pivot has a root in C)."""
+    n = chain[0][0].rows
+    rows = [
+        [up.uni([Scalar(int(p == q))])]
+        + [up.uni([C.entries[p][q] for C in coeffs]) for coeffs in chain]
+        for p in range(n)
+        for q in range(n)
+    ]
+    return all(up.uni_deg(piv) == 0 for piv in up.uni_echelon_pivots(rows))
+
+
+def is_strongly_regular(sys_: ShiftSystem, x: GElement) -> bool:
+    """Strong regularity of x for F_a: the b differentials are independent
+    at x, tested as rank dF_a(x) = b.
+
+    For regular a this holds exactly when the whole line x + C a is regular
+    (Bolsinov's criterion), so the line certificate is read off the same
+    lambda-power chain as the Jacobian and must agree with its rank; a
+    disagreement raises CertificationError.  The symbolic-vector Krylov
+    determinant and regularity spot checks along the line are its oracles,
+    in tests/oracles.py.
+    """
+    if x.algebra != sys_.algebra:
+        raise AlgebraMismatchError("point from a different algebra")
+    chain = power_chain(sys_.a, x, sys_.algebra.n - 1)
+    full_rank = mat_rank(sys_.jacobian_from_chain(chain)) == sys_.b
+    if full_rank != _line_regular(chain):
+        raise CertificationError("Jacobian rank and Krylov line certificate disagree")
+    return full_rank
+
+
+def tangent_space(sys_: ShiftSystem, x: GElement) -> list[GElement]:
+    """Canonical basis of the tangent space at a strongly regular point,
+    computed three equivalent ways and cross-checked exactly:
+
+      (1) span [x, grad f_ij(x)] over the shifted components (j >= 1),
+      (2) the same span including the invariants (their gradients
+          centralize x, contributing nothing),
+      (3) span of the lambda-coefficients of [a, grad f_i(x + lambda a)].
+          The gradient of tr(y^d) is d y^{d-1} up to a scalar matrix, which
+          [a, .] kills, so these are [a, C] over the coefficients C of the
+          lambda-power chain of (x + lambda a)^k, k < n.
+    """
+    L = sys_.algebra
+    if x.algebra != L:
+        raise AlgebraMismatchError("point from a different algebra")
+    # one power chain serves the strong-regularity test and route (3)
+    chain = power_chain(sys_.a, x, L.n - 1)
+    if mat_rank(sys_.jacobian_from_chain(chain)) != sys_.b:
+        raise RegularityError("tangent_space needs a strongly regular point")
+    grads = sys_.component_gradients()
+    vec_shift: list[Vector] = []
+    vec_all: list[Vector] = []
+    for grad, (i, j) in zip(grads, sys_.labels):
+        gval = gradient_at(L, grad, x)
+        br = bracket(x, gval)
+        if j == 0:
+            if not br.is_zero():
+                raise CertificationError("invariant gradient fails to centralize")
+        else:
+            vec_shift.append(br.coords)
+        vec_all.append(br.coords)
+    T1 = canonical_basis(vec_shift)
+    T2 = canonical_basis(vec_all)
+    if T1 != T2:
+        raise CertificationError("tangent space routes (1) and (2) disagree")
+    A = sys_.a.matrix
+    T3 = canonical_basis([
+        L.coords_of_matrix(A * C - C * A)
+        for coeffs in chain
+        for C in coeffs
+    ])
+    if T3 != T1:
+        raise CertificationError("tangent space route (3) disagrees")
+    return [L.element_from_coords(v) for v in T1]
+
+
+# -- the Tarasov section -----------------------------------------------------------------------
+
+
+def section_chart(L: LieAlgebraA) -> tuple[Vector, list[Vector]]:
+    """The Tarasov section xi + b in coordinates: xi has ones exactly on the
+    subdiagonal, and the directions are the unit vectors of the upper and
+    Cartan coordinates, in chart order."""
+    xi = [Scalar(0)] * L.dim
+    slots: list[int] = []
+    for idx, (i, j) in enumerate(L.offdiag_positions):
+        if i == j + 1:
+            xi[idx] = Scalar(1)
+        elif i < j:
+            slots.append(idx)
+    slots.extend(range(len(L.offdiag_positions), L.dim))
+    dirs = [tuple(Scalar(int(c == k)) for c in range(L.dim)) for k in slots]
+    return tuple(xi), dirs
 
 
 # -- affine families -------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .components import certify_affine_constant
+from .components import certify_affine_constant, is_strongly_regular, krylov_line_regular
 from .count import count_zero_fibre
 from .errors import CertificationError, PreconditionError
 from .flags import (
@@ -34,7 +34,7 @@ from .lie import (
     weyl_stabilizer,
 )
 from .linalg import ExactMatrix, span_equal
-from .mfsystem import ShiftSystem, build_system, is_strongly_regular, krylov_line_regular
+from .mfsystem import ShiftSystem, build_system
 from .mpoly import MPoly, generic_matrix, mpoly_mat_mul, mpoly_mat_trace, permute_cartan_chart
 from .sampling import (
     conjugate,

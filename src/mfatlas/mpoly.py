@@ -276,12 +276,12 @@ class MPoly:
             )
             cs = str(c)
             if not mono:
-                term = cs if (c.is_real() or c.re == 0) else f"({cs})"
+                term = cs if not (c.x and c.y) else f"({cs})"
             elif cs == "1":
                 term = mono
             elif cs == "-1":
                 term = "-" + mono
-            elif c.is_real() or c.re == 0:
+            elif not (c.x and c.y):
                 term = f"{cs}*{mono}"
             else:
                 term = f"({cs})*{mono}"

@@ -4,9 +4,9 @@ A Scalar stores three ints (x, y, d) and means (x + y*i)/d.  The form is
 canonical: d > 0 and gcd(x, y, d) = 1, so equal values have equal fields and
 equality is a field comparison.  Each + - * / is a few int products and at
 most one math.gcd (none when the denominator is 1).  The parts re = x/d and
-im = y/d are read as fractions.Fraction.  The imaginary unit is needed
-because some of the fibre witnesses we certify have entries in Q(i) but not
-in Q.
+im = y/d are read as fractions.Fraction; the text form is formatted straight
+from the ints.  The imaginary unit is needed because some of the fibre
+witnesses we certify have entries in Q(i) but not in Q.
 
 Most entries the package multiplies are exact zeros (elementary matrices,
 Jordan-chain and canonical flag bases), so arithmetic on zero is free: a
@@ -151,9 +151,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return not (self.x or self.y)
 
-    def is_real(self) -> bool:
-        return self.y == 0
-
     def __bool__(self):
         return bool(self.x or self.y)
 
@@ -221,22 +218,26 @@ def as_scalar(v) -> Scalar:
     raise TypeError(f"cannot coerce {type(v).__name__} to Scalar")
 
 
-def _frac_str(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+def _ratio_str(num: int, den: int) -> str:
+    """num/den in lowest terms, den > 0; an integer prints bare."""
+    if den != 1:
+        g = gcd(num, den)
+        if g != den:
+            return f"{num // g}/{den // g}"
+        return str(num // den)
+    return str(num)
 
 
 def scalar_to_str(s: Scalar) -> str:
     """Canonical text form; round-trips through scalar_from_str."""
-    re, im = s.re, s.im
-    if im == 0:
-        return _frac_str(re)
-    im_abs = _frac_str(abs(im)) + "*i"
-    if re == 0:
-        return im_abs if im > 0 else "-" + im_abs
-    sign = "+" if im > 0 else "-"
-    return f"{_frac_str(re)}{sign}{im_abs}"
+    x, y, d = s.x, s.y, s.d
+    if not y:
+        return _ratio_str(x, d)
+    im_abs = _ratio_str(abs(y), d) + "*i"
+    if not x:
+        return im_abs if y > 0 else "-" + im_abs
+    sign = "+" if y > 0 else "-"
+    return f"{_ratio_str(x, d)}{sign}{im_abs}"
 
 
 _TERM_RE = _re.compile(r"[+-]?[^+-]+")

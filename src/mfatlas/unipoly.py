@@ -3,12 +3,12 @@
 The zero polynomial is the empty tuple.  Two callers use them: the root
 search behind flags.eigen_chains (all roots of a characteristic polynomial
 lying in Q(i), via Gaussian-integer divisor search) and the Euclidean row
-reduction behind the line certificate, mfsystem.krylov_line_regular.
+reduction behind the line certificate, components.krylov_line_regular.
 """
 
 from __future__ import annotations
 
-from math import gcd as _int_gcd, isqrt
+from math import gcd as _int_gcd, isqrt, prod
 from typing import Iterable
 
 from .errors import UnsupportedElementError
@@ -108,6 +108,9 @@ def uni_eval(p: Poly, x: Scalar) -> Scalar:
 # Trial division stops at this divisor.  A number whose unfactored part is
 # still above its square has a prime factor above it, and is refused.
 _TRIAL_DIVISION_LIMIT = 10**6
+# The root search tries every (divisor of the trailing coefficient, divisor
+# of the leading coefficient) pair; above this many pairs it is refused.
+_CANDIDATE_PAIR_LIMIT = 10**4
 
 
 def _factor_int(n: int) -> dict[int, int]:
@@ -156,13 +159,11 @@ def _gi_divides(d: tuple[int, int], z: tuple[int, int]) -> tuple[int, int] | Non
     return (re_num // nd, im_num // nd)
 
 
-def gaussian_divisors(z: tuple[int, int]) -> list[tuple[int, int]]:
-    """All divisors of the Gaussian integer z, up to units (one per associate
-    class), nonzero z required.  With z = unit * prod pi^e over pairwise
-    non-associate Gaussian primes pi, the divisors are the products over
-    exponent vectors, prod (e + 1) of them, each distinct up to units."""
+def gaussian_factors(z: tuple[int, int]) -> list[tuple[tuple[int, int], int]]:
+    """The pairwise non-associate Gaussian primes pi dividing the nonzero
+    Gaussian integer z, with their exponents e: z = unit * prod pi^e."""
     if z == (0, 0):
-        raise ValueError("zero has no divisor list")
+        raise ValueError("zero has no factorization")
     norm = z[0] * z[0] + z[1] * z[1]
     factors: list[tuple[tuple[int, int], int]] = []
     rest = z
@@ -181,6 +182,13 @@ def gaussian_divisors(z: tuple[int, int]) -> list[tuple[int, int]]:
                 e += 1
             if e:
                 factors.append((pi, e))
+    return factors
+
+
+def gaussian_divisors(factors: list[tuple[tuple[int, int], int]]) -> list[tuple[int, int]]:
+    """All divisors, up to units (one per associate class), of the Gaussian
+    integer with these gaussian_factors: the products over exponent vectors,
+    prod (e + 1) of them, each given by its largest associate."""
     divisors = [(1, 0)]
     for pi, e in factors:
         powers = [(1, 0)]
@@ -229,13 +237,19 @@ def uni_roots_gaussian(p: Poly) -> tuple[list[tuple[Scalar, int]], int]:
     a0 = _scalar_to_gi(qz[0])
     ad = _scalar_to_gi(qz[-1])
     assert a0 is not None and ad is not None and a0 != (0, 0)
+    num_factors, den_factors = gaussian_factors(a0), gaussian_factors(ad)
+    pairs = prod(e + 1 for _, e in num_factors + den_factors)
+    if pairs > _CANDIDATE_PAIR_LIMIT:
+        raise UnsupportedElementError(
+            f"eigenvalue search: {pairs} divisor pairs of the characteristic "
+            f"polynomial's end coefficients, past the bound {_CANDIDATE_PAIR_LIMIT}")
+    dens = [Scalar(den[0], den[1]) for den in gaussian_divisors(den_factors)]
     units = (Scalar(1), Scalar(-1), Scalar(0, 1), Scalar(0, -1))
     candidates: list[Scalar] = []
     seen: set[Scalar] = set()
-    for num in gaussian_divisors(a0):
+    for num in gaussian_divisors(num_factors):
         num_s = Scalar(num[0], num[1])
-        for den in gaussian_divisors(ad):
-            den_s = Scalar(den[0], den[1])
+        for den_s in dens:
             base = num_s / den_s
             for u in units:
                 cand = u * base

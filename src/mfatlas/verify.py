@@ -22,7 +22,16 @@ from __future__ import annotations
 from random import Random
 from typing import NamedTuple
 
-from .components import borel_component
+from .components import (
+    alt_generators,
+    borel_component,
+    fibre_membership,
+    fibre_membership_finite_lambda,
+    is_strongly_regular,
+    poisson_brackets,
+    section_chart,
+    tangent_space,
+)
 from .errors import CertificationError, MembershipError, MFError, PreconditionError
 from .flags import (
     BorelAtlas,
@@ -47,19 +56,7 @@ from .linalg import (
     span_equal,
     span_le,
 )
-from .mfsystem import (
-    FibreValue,
-    ShiftSystem,
-    alt_generators,
-    fibre_membership,
-    fibre_membership_finite_lambda,
-    invariant_values_along,
-    is_strongly_regular,
-    mf_values,
-    poisson_brackets,
-    section_chart,
-    tangent_space,
-)
+from .mfsystem import FibreValue, ShiftSystem, invariant_values_along, mf_values
 from .mpoly import MPoly, affine_chart, mpoly_det, permute_cartan_chart
 from .sampling import (
     conjugate,

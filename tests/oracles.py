@@ -10,7 +10,7 @@ in mfatlas replaced, kept here to cross-check them.
   collect by lambda (oracle for mfsystem.trace_power_coefficients).
 * killing_form: tr(ad_x ad_y) from adjoint matrices, 2n times the trace form.
 * poisson_bracket_grads: {f, g} = <X, Gf Gg - Gg Gf> from three full
-  polynomial-matrix products (oracle for mfsystem.poisson_brackets, which
+  polynomial-matrix products (oracle for components.poisson_brackets, which
   pairs one commutator [X, Gf] per f with each later Gg).
 * span_intersection: the canonical basis of span(A) intersect span(B), from
   the kernel of [A | -B] (folded pairwise over the Borels' spans, the oracle
@@ -26,7 +26,7 @@ in mfatlas replaced, kept here to cross-check them.
   the v-monomials of the lambda-coefficients of det[v | Mv | ... |
   M^{n-1}v], M = x + lambda a and v a symbolic vector, is a nonzero
   constant; built entirely in sympy (oracle for
-  mfsystem.krylov_line_regular).
+  components.krylov_line_regular).
 * line_spot_checks: x + k a is regular for k = 0..2b, a necessary condition
   for a regular line (the one-sided oracle for the same certificate).
 * weyl_orbit_value_count: the number of distinct F_a values on the Weyl
@@ -37,6 +37,8 @@ in mfatlas replaced, kept here to cross-check them.
 * FractionPairScalar, dot_fraction_pairs: Gaussian rationals stored as a pair
   of fractions.Fraction, each part computed by the textbook formulas (oracle
   for the integer-backed scalar.Scalar and linalg._dot).
+* scalar_to_str_fractions: the text form formatted from the Fraction parts
+  re and im (oracle for scalar.scalar_to_str, which formats the ints x, y, d).
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from mfatlas.linalg import ExactMatrix, canonical_basis, mat_kernel, solve
 from mfatlas.mfsystem import ShiftSystem
 from mfatlas.mpoly import MPoly, generic_matrix, mpoly_mat_mul, mpoly_mat_trace
 from mfatlas.sampling import random_traceless_distinct_diag
-from mfatlas.scalar import Scalar, scalar_to_str
+from mfatlas.scalar import Scalar
 
 
 def is_regular_ad_kernel(x: GElement) -> bool:
@@ -252,10 +254,10 @@ class FractionPairScalar:
         return (self.re, self.im)
 
     def __str__(self):
-        return scalar_to_str(self)
+        return scalar_to_str_fractions(self)
 
     def __repr__(self):
-        return f"Scalar({scalar_to_str(self)!r})"
+        return f"Scalar({scalar_to_str_fractions(self)!r})"
 
 
 def dot_fraction_pairs(u, v) -> FractionPairScalar:
@@ -264,3 +266,21 @@ def dot_fraction_pairs(u, v) -> FractionPairScalar:
     for a, b in zip(u, v):
         out = out + a * b
     return out
+
+
+def _frac_str(q: Fraction) -> str:
+    if q.denominator == 1:
+        return str(q.numerator)
+    return f"{q.numerator}/{q.denominator}"
+
+
+def scalar_to_str_fractions(s) -> str:
+    """The canonical text form of anything with Fraction parts re and im."""
+    re, im = s.re, s.im
+    if im == 0:
+        return _frac_str(re)
+    im_abs = _frac_str(abs(im)) + "*i"
+    if re == 0:
+        return im_abs if im > 0 else "-" + im_abs
+    sign = "+" if im > 0 else "-"
+    return f"{_frac_str(re)}{sign}{im_abs}"

@@ -30,13 +30,8 @@ from mfatlas.corpus import (
 from mfatlas.flags import enumerate_atlas
 from mfatlas.lie import sl
 from mfatlas.linalg import ExactMatrix, mat_inverse, solve
-from mfatlas.mfsystem import (
-    build_system,
-    invariant_values_along,
-    is_strongly_regular,
-    mf_values,
-    tangent_space,
-)
+from mfatlas.components import is_strongly_regular, tangent_space
+from mfatlas.mfsystem import build_system, invariant_values_along, mf_values
 from mfatlas.sampling import (
     conjugate,
     random_distinct_rationals,

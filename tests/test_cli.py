@@ -141,19 +141,33 @@ def test_atlas_with_a_large_power_of_two_param(capsys):
     assert json.loads(out)["borel_count"] == 2
 
 
-def test_atlas_with_a_large_prime_param_exits_2_quickly():
-    # the norm 1000000007^4 has no prime factor below the trial-division bound;
-    # a separate process with a timeout, so a hang fails instead of blocking
+def _exits_2_quickly(*argv):
+    """Run mf in a separate process with a timeout, so a hang fails instead
+    of blocking; it must refuse the input within 10 s.  Returns stderr."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     start = time.monotonic()
-    proc = subprocess.run(
-        [sys.executable, "-m", "mfatlas.cli", "atlas", "--n", "2", "--element", "s",
-         "--param", "1000000007"],
-        capture_output=True, text=True, env=env, timeout=30)
+    proc = subprocess.run([sys.executable, "-m", "mfatlas.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=30)
     assert time.monotonic() - start < 10
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: invalid input: ")
     assert "Traceback" not in proc.stderr
+    return proc.stderr
+
+
+def test_atlas_with_a_large_prime_param_exits_2_quickly():
+    # the norm 1000000007^4 has no prime factor below the trial-division bound
+    _exits_2_quickly("atlas", "--n", "2", "--element", "s", "--param", "1000000007")
+
+
+def test_a_param_with_many_divisor_pairs_exits_2_quickly():
+    # 999999999999 = 3^3 7 11 13 37 101 9901 factors by trial division, but
+    # the leading coefficient 999999999999^2 of the characteristic polynomial
+    # has 413343 Gaussian divisors up to units
+    for command in ("atlas", "verify"):
+        err = _exits_2_quickly(command, "--n", "2", "--element", "s",
+                               "--param", "1/999999999999")
+        assert "413343 divisor pairs" in err, command
 
 
 # Runs one subcommand in a fresh interpreter and prints, as the last stdout
@@ -181,10 +195,12 @@ def _probe_imports(*argv):
     return got
 
 
-_BASE = {"cli", "errors", "lie", "linalg", "scalar", "unipoly"}
-_SYSTEM = _BASE | {"mpoly", "mfsystem", "sampling"}
+_CORE = {"cli", "errors", "lie", "linalg", "scalar"}
+_BUILD = _CORE | {"mpoly", "mfsystem", "sampling"}
+_BASE = _CORE | {"unipoly"}
+_SYSTEM = _BUILD | {"unipoly"}
 _LAYERS = {
-    ("build", "--n", "4", "--element", "s"): _SYSTEM,
+    ("build", "--n", "4", "--element", "s"): _BUILD,
     ("atlas", "--n", "3"): _BASE | {"flags"},
     ("count", "--n", "3"): _BASE | {"flags", "count"},
     ("verify", "--n", "2"): _SYSTEM | {"flags", "components", "verify"},
@@ -194,9 +210,10 @@ _LAYERS = {
 
 
 def test_build_and_atlas_load_only_their_layers():
-    """Every subcommand loads exactly its own layers: atlas and count no
-    polynomial code, count none of components, mfsystem or sampling; and no
-    subcommand loads dataclasses or inspect."""
+    """Every subcommand loads exactly its own layers: build neither unipoly
+    nor components, atlas and count no polynomial code, count none of
+    components, mfsystem or sampling; and no subcommand loads dataclasses or
+    inspect."""
     for argv, layers in _LAYERS.items():
         got = _probe_imports(*argv)
         assert set(got["modules"]) == {f"mfatlas.{m}" for m in layers}, argv

@@ -9,25 +9,27 @@ from itertools import combinations
 import pytest
 from property_suites import REP_KEYS, representative, system_for
 
+from mfatlas.components import (
+    alt_generators,
+    fibre_membership,
+    fibre_membership_finite_lambda,
+    is_strongly_regular,
+    krylov_line_regular,
+    poisson_brackets,
+    section_chart,
+    tangent_space,
+)
 from mfatlas.errors import PreconditionError, RegularityError
 from mfatlas.flags import enumerate_atlas
 from mfatlas.lie import is_regular, nilpotent_rep, semisimple_rep, sl
 from mfatlas.linalg import ExactMatrix, mat_rank
 from mfatlas.mfsystem import (
     _pair,
-    _power_chain,
-    alt_generators,
     build_system,
-    fibre_membership,
-    fibre_membership_finite_lambda,
     gradient_matrix,
     invariant_values_along,
-    is_strongly_regular,
-    krylov_line_regular,
     mf_values,
-    poisson_brackets,
-    section_chart,
-    tangent_space,
+    power_chain,
 )
 from mfatlas.sampling import (
     conjugate,
@@ -319,11 +321,11 @@ def test_line_certificate_matches_oracles(key):
 def test_strong_regularity_builds_one_chain_and_no_polynomial(monkeypatch):
     """is_strongly_regular reads the Jacobian and the line certificate off
     one lambda-power chain; the certificate forms no MPoly."""
-    import mfatlas.mfsystem
+    import mfatlas.components
     from mfatlas.mpoly import MPoly
 
     chains = []
-    real_chain = mfatlas.mfsystem._power_chain
+    real_chain = mfatlas.components.power_chain
 
     def counting_chain(*args):
         chains.append(args)
@@ -336,7 +338,7 @@ def test_strong_regularity_builds_one_chain_and_no_polynomial(monkeypatch):
         polys.append(args)
         real_init(self, *args)
 
-    monkeypatch.setattr(mfatlas.mfsystem, "_power_chain", counting_chain)
+    monkeypatch.setattr(mfatlas.components, "power_chain", counting_chain)
     monkeypatch.setattr(MPoly, "__init__", counting_init)
     for key, sys_ in SYSTEMS.items():
         for x in (random_element(sys_.algebra, rng_for(f"sys-one-chain:{key}", 0)),
@@ -368,16 +370,16 @@ def test_tangent_space_dimension():
 
 def test_tangent_space_builds_one_power_chain(monkeypatch):
     """The strong-regularity guard and route (3) share one lambda-power chain."""
-    import mfatlas.mfsystem
+    import mfatlas.components
 
     calls = []
-    real = mfatlas.mfsystem._power_chain
+    real = mfatlas.components.power_chain
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(mfatlas.mfsystem, "_power_chain", counting)
+    monkeypatch.setattr(mfatlas.components, "power_chain", counting)
     sys_ = SYSTEMS["sl3-s"]
     rng = rng_for("sys-tangent-chain", 0)
     x = random_element(sys_.algebra, rng)
@@ -561,7 +563,7 @@ def test_fused_chain_step_matches_the_products(n):
     rows[-1][-1] = -sum((rows[k][k] for k in range(n - 1)), Scalar(0))
     x = L.element(rows)
     X, A = x.matrix, a.matrix
-    chain = _power_chain(a, x, 4)
+    chain = power_chain(a, x, 4)
     assert len(chain) == 4 and chain[0] == [X, A]
     for C, nxt in zip(chain, chain[1:]):
         assert nxt == [C[0] * X] + [C[j] * X + C[j - 1] * A for j in range(1, len(C))] + [C[-1] * A]

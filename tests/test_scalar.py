@@ -9,7 +9,7 @@ import pytest
 
 from mfatlas.linalg import _dot
 from mfatlas.scalar import Scalar, as_scalar, scalar_from_ints, scalar_from_str, scalar_to_str
-from oracles import FractionPairScalar, dot_fraction_pairs
+from oracles import FractionPairScalar, dot_fraction_pairs, scalar_to_str_fractions
 
 
 def test_field_arithmetic_is_exact():
@@ -44,6 +44,9 @@ def test_pow_small_exponents():
 
 
 def test_str_round_trip():
+    """The text form, formatted from the ints, is the one the Fraction parts
+    give, and parses back: on fixed cases and on 600 seeded draws with zero
+    and negative parts and denominators 1 to 12."""
     cases = [
         Scalar(0),
         Scalar(Fraction(-7, 3)),
@@ -52,8 +55,16 @@ def test_str_round_trip():
         Scalar(2, -3),
         Scalar(Fraction(1, 2), Fraction(-5, 4)),
     ]
+    rng = Random(20261019)
+    for _ in range(600):
+        parts = [Fraction(rng.choice((0, rng.randint(-30, 30))), rng.randint(1, 12))
+                 for _ in range(2)]
+        cases.append(Scalar(*parts))
     for z in cases:
+        assert scalar_to_str(z) == scalar_to_str_fractions(z)
         assert scalar_from_str(scalar_to_str(z)) == z
+    kinds = Counter((z.x > 0) - (z.x < 0) + 3 * ((z.y > 0) - (z.y < 0)) for z in cases)
+    assert len(kinds) == 9 and {z.d for z in cases} >= set(range(1, 13)), kinds
 
 
 def test_parse_variants():

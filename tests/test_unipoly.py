@@ -5,6 +5,7 @@ tuples, low degree first."""
 from mfatlas.scalar import Scalar
 from mfatlas.unipoly import (
     gaussian_divisors,
+    gaussian_factors,
     uni,
     uni_deg,
     uni_divmod,
@@ -96,12 +97,12 @@ def test_gaussian_divisors_one_per_associate_class():
     # -30i is (1 + i)^2 * 3 * (2 + i)(2 - i) up to a unit: 3 * 2 * 2 * 2 classes
     for z, count in (((2**12, 0), 25), ((5, 0), 4), ((3, 0), 2), ((12, 5), 3),
                      ((1, 0), 1), ((0, -30), 3 * 2 * 2 * 2)):
-        divs = gaussian_divisors(z)
+        divs = gaussian_divisors(gaussian_factors(z))
         assert len(divs) == count, z
         assert all(_divides(d, z) for d in divs), z
         classes = [frozenset(_associates(d)) for d in divs]
         assert len(set(classes)) == len(divs), z
-    assert len(gaussian_divisors((2**64, 0))) == 129
+    assert len(gaussian_divisors(gaussian_factors((2**64, 0)))) == 129
 
 
 def test_gaussian_roots():

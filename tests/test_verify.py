@@ -76,9 +76,9 @@ def test_certificate_disagreement_fails_its_rows(monkeypatch):
     """A line certificate that disagrees with the Jacobian rank fails every
     check that decides strong regularity with a report row, instead of
     ending the suite."""
-    import mfatlas.mfsystem
+    import mfatlas.components
 
-    monkeypatch.setattr(mfatlas.mfsystem, "_line_regular", lambda chain: False)
+    monkeypatch.setattr(mfatlas.components, "_line_regular", lambda chain: False)
     rows = {r.name: r for r in run_verify_suite(system_for("sl2-s"), samples=5, seed=0)}
     disagree = "Jacobian rank and Krylov line certificate disagree"
     for name in ("tangent-triple", "strong-regularity", "tarasov-section"):

@@ -93,9 +93,9 @@ def cmd_build(args: argparse.Namespace) -> tuple[dict, bool]:
     a = resolve_element(args)
     sys_ = build_system(a)
     texts = [str(c) for c in sys_.components]
-    # a component at display scale 1 prints as it is, so its text is reused
-    printed = [t if s == 1 else str(c * s)
-               for t, c, s in zip(texts, sys_.components, sys_.display_scale)]
+    # a component at display scale 1 is printed as it is, so its text is reused
+    printed = [t if p is c else str(p)
+               for t, c, p in zip(texts, sys_.components, sys_.scaled_components())]
     return {
         "n": sys_.algebra.n,
         "b": sys_.b,

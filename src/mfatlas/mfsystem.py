@@ -114,7 +114,9 @@ class ShiftSystem:
         return tuple(s * v for s, v in zip(self.display_scale, self.evaluate(x)))
 
     def scaled_components(self) -> list[MPoly]:
-        return [c * s for s, c in zip(self.display_scale, self.components)]
+        """The components at their display scale; one at scale 1 is returned
+        as it is."""
+        return [c if s == 1 else c * s for s, c in zip(self.display_scale, self.components)]
 
     # -- derivatives -------------------------------------------------------------------
 

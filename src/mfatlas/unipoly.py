@@ -110,7 +110,7 @@ def uni_eval(p: Poly, x: Scalar) -> Scalar:
 _TRIAL_DIVISION_LIMIT = 10**6
 # The root search tries every (divisor of the trailing coefficient, divisor
 # of the leading coefficient) pair; above this many pairs it is refused.
-_CANDIDATE_PAIR_LIMIT = 10**4
+_CANDIDATE_PAIR_LIMIT = 10**5
 
 
 def _factor_int(n: int) -> dict[int, int]:

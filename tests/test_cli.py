@@ -141,6 +141,14 @@ def test_atlas_with_a_large_power_of_two_param(capsys):
     assert json.loads(out)["borel_count"] == 2
 
 
+def test_atlas_with_a_param_of_many_divisor_pairs_below_the_bound(capsys):
+    # 10^18 = (1 + i)^36 (2 + i)^18 (2 - i)^18 up to a unit: 13357 pairs
+    code, out, _ = _run(capsys, "atlas", "--n", "2", "--element", "s",
+                        "--param", "1000000000")
+    assert code == 0
+    assert json.loads(out)["borel_count"] == 2
+
+
 def _exits_2_quickly(*argv):
     """Run mf in a separate process with a timeout, so a hang fails instead
     of blocking; it must refuse the input within 10 s.  Returns stderr."""

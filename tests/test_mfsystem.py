@@ -318,19 +318,31 @@ def test_line_certificate_matches_oracles(key):
         assert not krylov_line_regular(_IRRATIONAL_POINT, a)
 
 
+def _count_power_chains(monkeypatch):
+    """Count every lambda-power chain built from here on, in either module
+    that names power_chain, so a chain built through ShiftSystem.jacobian_at
+    counts as well as one built in the fibre layer."""
+    import mfatlas.components
+    import mfatlas.mfsystem
+
+    calls = []
+    real = mfatlas.mfsystem.power_chain
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (mfatlas.mfsystem, mfatlas.components):
+        monkeypatch.setattr(module, "power_chain", counting)
+    return calls
+
+
 def test_strong_regularity_builds_one_chain_and_no_polynomial(monkeypatch):
     """is_strongly_regular reads the Jacobian and the line certificate off
     one lambda-power chain; the certificate forms no MPoly."""
-    import mfatlas.components
     from mfatlas.mpoly import MPoly
 
-    chains = []
-    real_chain = mfatlas.components.power_chain
-
-    def counting_chain(*args):
-        chains.append(args)
-        return real_chain(*args)
-
+    chains = _count_power_chains(monkeypatch)
     polys = []
     real_init = MPoly.__init__
 
@@ -338,7 +350,6 @@ def test_strong_regularity_builds_one_chain_and_no_polynomial(monkeypatch):
         polys.append(args)
         real_init(self, *args)
 
-    monkeypatch.setattr(mfatlas.components, "power_chain", counting_chain)
     monkeypatch.setattr(MPoly, "__init__", counting_init)
     for key, sys_ in SYSTEMS.items():
         for x in (random_element(sys_.algebra, rng_for(f"sys-one-chain:{key}", 0)),
@@ -370,16 +381,7 @@ def test_tangent_space_dimension():
 
 def test_tangent_space_builds_one_power_chain(monkeypatch):
     """The strong-regularity guard and route (3) share one lambda-power chain."""
-    import mfatlas.components
-
-    calls = []
-    real = mfatlas.components.power_chain
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(mfatlas.components, "power_chain", counting)
+    calls = _count_power_chains(monkeypatch)
     sys_ = SYSTEMS["sl3-s"]
     rng = rng_for("sys-tangent-chain", 0)
     x = random_element(sys_.algebra, rng)

@@ -142,10 +142,6 @@ class Scalar:
             k >>= 1
         return out
 
-    def norm(self) -> Fraction:
-        """re^2 + im^2, a nonnegative rational."""
-        return Fraction(self.x * self.x + self.y * self.y, self.d * self.d)
-
     # -- predicates and ordering helpers ------------------------------------
 
     def is_zero(self) -> bool:

@@ -2,16 +2,38 @@
 
 The zero polynomial is the empty tuple.  Two callers use them: the root
 search behind flags.eigen_chains (all roots of a characteristic polynomial
-lying in Q(i), via Gaussian-integer divisor search) and the Euclidean row
-reduction behind the line certificate, components.krylov_line_regular.
+lying in Q(i)) and the Euclidean row reduction behind the line certificate,
+components.krylov_line_regular.
+
+The root search lifts roots modulo a prime power and enumerates no divisors
+(Loos, Computing rational zeros of integral polynomials by p-adic expansion,
+SIAM J. Comput. 12, 1983):
+
+1. s = q / gcd(q, q') is the square-free part of q, with its denominators
+   cleared to Z[i]; c is its leading coefficient and e its degree.  S(y) =
+   c^(e-1) s(y/c) is monic over Z[i], so each root of s in Q(i) is y/c with
+   y in Z[i], and |y| < B = |c| + max |s_k| (Cauchy's bound on s).
+2. For odd p and z^2 = -1 (mod p), i -> z is a ring map Z[i] -> Z/p.  p runs
+   through 5, 9, 13, ... and stops at the first one with such a z at which
+   every root of S modulo p, found by trying all p residues, is simple (S' a
+   unit there).  Every prime p = 1 (mod 4) that does not divide the norm of
+   S's discriminant stops it, so p stays small.  Nothing below needs p prime.
+3. Newton's iteration lifts z, and each root, to modulo m = p^k > 4 B^2; the
+   lift of a simple root is unique, so each y maps to one lifted root r.
+4. The kernel of Z[i] -> Z/m, i -> z_k, is generated by g = gcd(m, z_k - i)
+   = gcd(p, z - i)^k, with |g|^2 = m.  As |y| < B < |g|/2, y is the
+   representative of r modulo g in the square g [-1/2, 1/2)^2: the balanced
+   remainder, each part of r/g rounded by floor(x + 1/2).
+5. A lifted root that comes from no y still gives a candidate; exact
+   division of q confirms each candidate, so a wrong one is discarded and
+   never returned.
 """
 
 from __future__ import annotations
 
-from math import gcd as _int_gcd, isqrt, prod
+from math import gcd, isqrt, lcm
 from typing import Iterable
 
-from .errors import UnsupportedElementError
 from .scalar import Scalar
 
 Poly = tuple[Scalar, ...]
@@ -32,12 +54,6 @@ def uni_deg(p: Poly) -> int:
 
 def uni_is_constant(p: Poly) -> bool:
     return len(p) <= 1
-
-
-def uni_scale(p: Poly, c: Scalar) -> Poly:
-    if c.is_zero():
-        return ()
-    return tuple(c * a for a in p)
 
 
 def uni_divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
@@ -102,117 +118,95 @@ def uni_eval(p: Poly, x: Scalar) -> Scalar:
     return acc
 
 
-# -- Gaussian-integer machinery for exact root extraction ----------------------
+# -- roots in Q(i), lifted modulo a prime power ----------------------------------
 
 
-# Trial division stops at this divisor.  A number whose unfactored part is
-# still above its square has a prime factor above it, and is refused.
-_TRIAL_DIVISION_LIMIT = 10**6
-# The root search tries every (divisor of the trailing coefficient, divisor
-# of the leading coefficient) pair; above this many pairs it is refused.
-_CANDIDATE_PAIR_LIMIT = 10**5
+def _derivative(cs: list) -> list:
+    return [c * j for j, c in enumerate(cs)][1:]
 
 
-def _factor_int(n: int) -> dict[int, int]:
-    n = abs(n)
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        if d > _TRIAL_DIVISION_LIMIT:
-            raise UnsupportedElementError(
-                "eigenvalue search: a coefficient norm has a prime factor above "
-                f"{_TRIAL_DIVISION_LIMIT}, past the trial-division bound")
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+def _mod_eval(cs: list[int], x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc * x + c) % m
+    return acc
 
 
-def _gaussian_prime_over(p: int) -> tuple[int, int]:
-    """A Gaussian prime a+bi with a^2 + b^2 = p, for p = 2 or p = 1 mod 4."""
-    if p == 2:
-        return (1, 1)
-    for a in range(1, isqrt(p) + 1):
-        b2 = p - a * a
-        b = isqrt(b2)
-        if b * b == b2:
-            return (a, b)
-    raise ArithmeticError(f"no two-square split of {p}")
+def _lift(cs: list[int], x: int, p: int, k: int) -> int:
+    """Newton's iteration from x, a root modulo p of the integer polynomial cs
+    at which its derivative is a unit, to the one root modulo p^k that lifts
+    it.  Each step doubles the power of p, and lifts the inverse u of the
+    derivative along by Newton's iteration for 1/t, so only the first
+    inverse is a modular inversion."""
+    ds = _derivative(cs)
+    u = pow(_mod_eval(ds, x, p), -1, p)
+    j = 1
+    while j < k:
+        j = min(2 * j, k)
+        m = p**j
+        x = (x - _mod_eval(cs, x, m) * u) % m
+        u = u * (2 - _mod_eval(ds, x, m) * u) % m
+    return x
 
 
-def _gi_mul(z: tuple[int, int], w: tuple[int, int]) -> tuple[int, int]:
-    return (z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0])
+def _gi_rem(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """a - q b in Z[i], each part of q = a/b rounded by floor(x + 1/2): the
+    representative of a modulo b in the square b [-1/2, 1/2)^2."""
+    (ax, ay), (bx, by) = a, b
+    n = bx * bx + by * by
+    qx = (2 * (ax * bx + ay * by) + n) // (2 * n)
+    qy = (2 * (ay * bx - ax * by) + n) // (2 * n)
+    return (ax - qx * bx + qy * by, ay - qx * by - qy * bx)
 
 
-def _gi_divides(d: tuple[int, int], z: tuple[int, int]) -> tuple[int, int] | None:
-    """z / d if exact, else None."""
-    nd = d[0] * d[0] + d[1] * d[1]
-    if nd == 0:
-        return None
-    re_num = z[0] * d[0] + z[1] * d[1]
-    im_num = z[1] * d[0] - z[0] * d[1]
-    if re_num % nd or im_num % nd:
-        return None
-    return (re_num // nd, im_num // nd)
-
-
-def gaussian_factors(z: tuple[int, int]) -> list[tuple[tuple[int, int], int]]:
-    """The pairwise non-associate Gaussian primes pi dividing the nonzero
-    Gaussian integer z, with their exponents e: z = unit * prod pi^e."""
-    if z == (0, 0):
-        raise ValueError("zero has no factorization")
-    norm = z[0] * z[0] + z[1] * z[1]
-    factors: list[tuple[tuple[int, int], int]] = []
-    rest = z
-    for p in sorted(_factor_int(norm)):
-        if p == 2:
-            over = [(1, 1)]
-        elif p % 4 == 3:
-            over = [(p, 0)]  # inert: divides with even norm-exponent
-        else:
-            a, b = _gaussian_prime_over(p)
-            over = [(a, b), (a, -b)]
-        for pi in over:
-            e = 0
-            while (q := _gi_divides(pi, rest)) is not None:
-                rest = q
-                e += 1
-            if e:
-                factors.append((pi, e))
-    return factors
-
-
-def gaussian_divisors(factors: list[tuple[tuple[int, int], int]]) -> list[tuple[int, int]]:
-    """All divisors, up to units (one per associate class), of the Gaussian
-    integer with these gaussian_factors: the products over exponent vectors,
-    prod (e + 1) of them, each given by its largest associate."""
-    divisors = [(1, 0)]
-    for pi, e in factors:
-        powers = [(1, 0)]
-        for _ in range(e):
-            powers.append(_gi_mul(powers[-1], pi))
-        divisors = [_gi_mul(d, w) for d in divisors for w in powers]
-    return [max(d, (-d[0], -d[1]), (-d[1], d[0]), (d[1], -d[0])) for d in divisors]
-
-
-def _scalar_to_gi(s: Scalar) -> tuple[int, int] | None:
-    if s.d != 1:
-        return None
-    return (s.x, s.y)
+def _candidates(q: Poly) -> list[Scalar]:
+    """Every root in Q(i) of the nonconstant q, possibly with a few numbers
+    that are not roots; at most one per root of q's square-free part.  The
+    steps are those of the module docstring."""
+    # 1. the square-free part over Z[i], the monic S and the bound B
+    f, h = q, uni(_derivative(q))
+    while h:
+        f, h = h, uni_divmod(f, h)[1]
+    s = uni_divmod(q, f)[0]
+    den = lcm(*(c.d for c in s))
+    s = [c * den for c in s]
+    c, e = s[-1], len(s) - 1
+    S = [s[j] * c ** (e - 1 - j) for j in range(e)]
+    norms = [a.x * a.x + a.y * a.y for a in s]
+    bound = 2 + isqrt(norms[-1]) + isqrt(max(norms[:-1]))
+    # 2. the first modulus p at which every root of S is simple
+    p = 1
+    while True:
+        p += 4
+        z = next((r for r in range(p) if (r * r + 1) % p == 0), None)
+        if z is None:
+            continue
+        Sp = [(a.x + a.y * z) % p for a in S] + [1]
+        rho = [r for r in range(p) if not _mod_eval(Sp, r, p)]
+        if all(gcd(_mod_eval(_derivative(Sp), r, p), p) == 1 for r in rho):
+            break
+    # 3. lift to m = p^k > 4 B^2
+    k = (4 * bound * bound).bit_length() // (p.bit_length() - 1) + 1
+    zk = _lift([1, 0, 1], z, p, k)
+    m = p**k
+    Sm = [(a.x + a.y * zk) % m for a in S] + [1]
+    # 4. the kernel generator g and the balanced remainders
+    g, h = (p, 0), (z, -1)
+    while h != (0, 0):
+        g, h = h, _gi_rem(g, h)
+    g = Scalar(*g) ** k
+    return [Scalar(*_gi_rem((_lift(Sm, r, p, k), 0), (g.x, g.y))) / c for r in rho]
 
 
 def uni_roots_gaussian(p: Poly) -> tuple[list[tuple[Scalar, int]], int]:
     """All roots of p lying in Q(i), with multiplicities, plus the degree of
     the rootless remainder.
 
-    Roots are found by rational-root search over Z[i]: clear denominators,
-    then candidates are unit multiples of (divisor of trailing coefficient) /
-    (divisor of leading coefficient).  Returned roots are sorted by
-    (real part, imaginary part); the remainder degree is nonzero exactly when
-    p has an irreducible factor of degree >= 2 over Q(i).
+    Each candidate of the lifting search (module docstring) is confirmed by
+    exact division, and the repeated divisions give its multiplicity.
+    Returned roots are sorted by (real part, imaginary part); the remainder
+    degree is nonzero exactly when p has an irreducible factor of degree >= 2
+    over Q(i).
     """
     if not p:
         raise ValueError("zero polynomial has every root")
@@ -225,48 +219,14 @@ def uni_roots_gaussian(p: Poly) -> tuple[list[tuple[Scalar, int]], int]:
         k0 += 1
     if k0:
         roots.append((Scalar(0), k0))
-    q = uni(work)
-    if uni_is_constant(q):
-        roots.sort(key=lambda rc: rc[0].sort_key())
-        return roots, 0
-    # clear denominators to Z[i]
-    lcm = 1
-    for c in q:
-        lcm = lcm * c.d // _int_gcd(lcm, c.d)
-    qz = uni_scale(q, Scalar(lcm))
-    a0 = _scalar_to_gi(qz[0])
-    ad = _scalar_to_gi(qz[-1])
-    assert a0 is not None and ad is not None and a0 != (0, 0)
-    num_factors, den_factors = gaussian_factors(a0), gaussian_factors(ad)
-    pairs = prod(e + 1 for _, e in num_factors + den_factors)
-    if pairs > _CANDIDATE_PAIR_LIMIT:
-        raise UnsupportedElementError(
-            f"eigenvalue search: {pairs} divisor pairs of the characteristic "
-            f"polynomial's end coefficients, past the bound {_CANDIDATE_PAIR_LIMIT}")
-    dens = [Scalar(den[0], den[1]) for den in gaussian_divisors(den_factors)]
-    units = (Scalar(1), Scalar(-1), Scalar(0, 1), Scalar(0, -1))
-    candidates: list[Scalar] = []
-    seen: set[Scalar] = set()
-    for num in gaussian_divisors(num_factors):
-        num_s = Scalar(num[0], num[1])
-        for den_s in dens:
-            base = num_s / den_s
-            for u in units:
-                cand = u * base
-                if cand not in seen:
-                    seen.add(cand)
-                    candidates.append(cand)
-    candidates.sort(key=lambda s: (s.norm(), s.sort_key()))
-    cur = q
-    for cand in candidates:
+    cur = uni(work)
+    for cand in [] if uni_is_constant(cur) else _candidates(cur):
         mult = 0
         while not uni_is_constant(cur) and uni_eval(cur, cand).is_zero():
-            cur, rem = uni_divmod(cur, uni([-cand, Scalar(1)]))
+            cur, rem = uni_divmod(cur, (-cand, Scalar(1)))
             assert not rem
             mult += 1
         if mult:
             roots.append((cand, mult))
-        if uni_is_constant(cur):
-            break
     roots.sort(key=lambda rc: rc[0].sort_key())
     return roots, uni_deg(cur) if not uni_is_constant(cur) else 0

@@ -135,47 +135,78 @@ def test_contradictory_iprime_entries_exit_2(tmp_path, capsys):
 
 
 def test_atlas_with_a_large_power_of_two_param(capsys):
-    # the eigenvalue search divides 2^12 = (1 + i)^24: 25 divisors, not 2^24
+    # the characteristic polynomial t^2 - 2^12 has the roots ±64
     code, out, _ = _run(capsys, "atlas", "--n", "2", "--element", "s", "--param", "64")
     assert code == 0
     assert json.loads(out)["borel_count"] == 2
 
 
 def test_atlas_with_a_param_of_many_divisor_pairs_below_the_bound(capsys):
-    # 10^18 = (1 + i)^36 (2 + i)^18 (2 - i)^18 up to a unit: 13357 pairs
+    # t^2 - 10^18: 10^18 = (1 + i)^36 (2 + i)^18 (2 - i)^18 up to a unit
     code, out, _ = _run(capsys, "atlas", "--n", "2", "--element", "s",
                         "--param", "1000000000")
     assert code == 0
     assert json.loads(out)["borel_count"] == 2
 
 
-def _exits_2_quickly(*argv):
+def _exits_quickly(code, *argv):
     """Run mf in a separate process with a timeout, so a hang fails instead
-    of blocking; it must refuse the input within 10 s.  Returns stderr."""
+    of blocking; it must exit with code within 10 s.  Returns stdout and
+    stderr."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     start = time.monotonic()
     proc = subprocess.run([sys.executable, "-m", "mfatlas.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=30)
     assert time.monotonic() - start < 10
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith("error: invalid input: ")
+    assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
-    return proc.stderr
+    return proc.stdout, proc.stderr
 
 
-def test_atlas_with_a_large_prime_param_exits_2_quickly():
-    # the norm 1000000007^4 has no prime factor below the trial-division bound
-    _exits_2_quickly("atlas", "--n", "2", "--element", "s", "--param", "1000000007")
+def _atlas_quickly(*argv):
+    """mf atlas in a separate process: exit 0 within 10 s and nothing on
+    stderr.  Returns the report."""
+    out, err = _exits_quickly(0, "atlas", *argv)
+    assert err == ""
+    return json.loads(out)
 
 
-def test_a_param_with_many_divisor_pairs_exits_2_quickly():
-    # 999999999999 = 3^3 7 11 13 37 101 9901 factors by trial division, but
-    # the leading coefficient 999999999999^2 of the characteristic polynomial
-    # has 413343 Gaussian divisors up to units
-    for command in ("atlas", "verify"):
-        err = _exits_2_quickly(command, "--n", "2", "--element", "s",
-                               "--param", "1/999999999999")
-        assert "413343 divisor pairs" in err, command
+def test_atlas_with_a_large_prime_param_exits_0_quickly():
+    # the eigenvalues ±1000000007 are a prime above 10^9 and its negative
+    assert _atlas_quickly("--n", "2", "--element", "s", "--param", "1000000007")["borel_count"] == 2
+
+
+def test_a_param_with_many_divisor_pairs_exits_0_quickly():
+    # 999999999999 = 3^3 7 11 13 37 101 9901, so the leading coefficient
+    # 999999999999^2 of the characteristic polynomial has 413343 Gaussian
+    # divisors up to units
+    argv = ("--n", "2", "--element", "s", "--param", "1/999999999999")
+    assert _atlas_quickly(*argv)["borel_count"] == 2
+    out, err = _exits_quickly(0, "verify", *argv)
+    assert err == "" and json.loads(out)["passed"] is True
+
+
+def test_a_param_of_98441_divisor_pairs_exits_0_quickly():
+    # 281216000 = 2^10 5^3 13^3, so the trailing coefficient 281216000^2 of
+    # the characteristic polynomial is (1 + i)^40 (2 ± i)^6 (3 ± 2i)^6 up to
+    # a unit, with 41 * 7^4 = 98441 Gaussian divisors up to units
+    assert _atlas_quickly("--n", "2", "--element", "s", "--param", "281216000")["borel_count"] == 2
+
+
+def test_atlas_of_a_tall_diagonal_matrix_and_its_dense_conjugate(tmp_path):
+    # every entry of diag(720720, 360360, -1081080) has many small prime
+    # factors; U0 = (min(i, j) + 1) is unimodular, so U0 D U0^-1 is integral
+    diagonal = (720720, 360360, -1081080)
+    u0 = [[min(i, j) + 1 for j in range(3)] for i in range(3)]
+    u0_inv = [[2, -1, 0], [-1, 2, -1], [0, -1, 1]]
+    dense = [[sum(u0[i][k] * diagonal[k] * u0_inv[k][j] for k in range(3)) for j in range(3)]
+             for i in range(3)]
+    for name, entries in (("diag", [[diagonal[i] if i == j else 0 for j in range(3)]
+                                    for i in range(3)]), ("dense", dense)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"n": 3, "entries": [[str(v) for v in row] for row in entries]}))
+        report = _atlas_quickly("--matrix", str(path))
+        assert (report["borel_count"], report["parabolic_count"]) == (6, 6), name
 
 
 # Runs one subcommand in a fresh interpreter and prints, as the last stdout

@@ -1,11 +1,15 @@
 """Univariate polynomial arithmetic over Q(i): what the eigenvalue root
 search and the row reduction of the line certificate use.  Polynomials are literal coefficient
-tuples, low degree first."""
+tuples, low degree first.  sympy's factorization over Q(i) is the oracle of
+the root search."""
+
+from fractions import Fraction
+from random import Random
+
+import pytest
 
 from mfatlas.scalar import Scalar
 from mfatlas.unipoly import (
-    gaussian_divisors,
-    gaussian_factors,
     uni,
     uni_deg,
     uni_divmod,
@@ -13,7 +17,6 @@ from mfatlas.unipoly import (
     uni_eval,
     uni_is_constant,
     uni_roots_gaussian,
-    uni_scale,
 )
 
 
@@ -37,8 +40,6 @@ def test_ring_identities():
     pq = uni(_s(-2, 1, -2, 1))     # (1 + t^2)(t - 2)
     assert uni_divmod(pq, q) == (p, ())
     assert uni_divmod(pq, p) == (q, ())
-    assert uni_scale(p, Scalar(3)) == uni(_s(3, 0, 3))
-    assert uni_scale(p, Scalar(0)) == ()
 
 
 def test_divmod_with_remainder():
@@ -79,32 +80,6 @@ def test_eval():
     assert uni_eval((), Scalar(3)) == Scalar(0)
 
 
-def _associates(z):
-    return {z, (-z[0], -z[1]), (-z[1], z[0]), (z[1], -z[0])}
-
-
-def _divides(d, z):
-    nd = d[0] * d[0] + d[1] * d[1]
-    re_num = z[0] * d[0] + z[1] * d[1]
-    im_num = z[1] * d[0] - z[0] * d[1]
-    return re_num % nd == 0 and im_num % nd == 0
-
-
-def test_gaussian_divisors_one_per_associate_class():
-    # 2^12 = (1 + i)^24: 25 divisor classes
-    # 5 = (2 + i)(2 - i): 1, 2 + i, 2 - i, 5; 3 is inert: 1, 3
-    # 12 + 5i = i (3 - 2i)^2: 1, 3 - 2i, 12 + 5i
-    # -30i is (1 + i)^2 * 3 * (2 + i)(2 - i) up to a unit: 3 * 2 * 2 * 2 classes
-    for z, count in (((2**12, 0), 25), ((5, 0), 4), ((3, 0), 2), ((12, 5), 3),
-                     ((1, 0), 1), ((0, -30), 3 * 2 * 2 * 2)):
-        divs = gaussian_divisors(gaussian_factors(z))
-        assert len(divs) == count, z
-        assert all(_divides(d, z) for d in divs), z
-        classes = [frozenset(_associates(d)) for d in divs]
-        assert len(set(classes)) == len(divs), z
-    assert len(gaussian_divisors(gaussian_factors((2**64, 0)))) == 129
-
-
 def test_gaussian_roots():
     # (t - 2)(t - i)(t + i) = t^3 - 2t^2 + t - 2
     roots, rest = uni_roots_gaussian(uni(_s(-2, 1, -2, 1)))
@@ -114,3 +89,70 @@ def test_gaussian_roots():
     roots, rest = uni_roots_gaussian(uni(_s(0, -2, 4, -1, -2, 1)))
     assert [(r, mult) for r, mult in roots] == [(Scalar(0), 1), (Scalar(1), 2)]
     assert rest == 2
+
+
+def test_gaussian_roots_pass_over_a_prime_where_roots_meet():
+    # (t - 1)(t - 6): the roots meet modulo 5, so the search must pass over 5
+    roots, rest = uni_roots_gaussian(uni(_s(6, -7, 1)))
+    assert roots == [(Scalar(1), 1), (Scalar(6), 1)] and rest == 0
+
+
+def _mul(p, q):
+    out = [Scalar(0)] * (len(p) + len(q) - 1)
+    for i, c in enumerate(p):
+        for j, d in enumerate(q):
+            out[i + j] = out[i + j] + c * d
+    return out
+
+
+def _draw(rng, height):
+    """A Gaussian rational whose parts have numerators and denominators up
+    to height; the imaginary part is zero half the time."""
+    def part():
+        return Fraction(rng.randint(-height, height), rng.randint(1, height))
+    return Scalar(part(), part() if rng.random() < 0.5 else 0)
+
+
+def _sympy_roots(p):
+    """Roots in Q(i) with multiplicities, and the remaining degree, read off
+    sympy's factorization over QQ_I."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    coeffs = [sympy.Rational(c.x, c.d) + sympy.I * sympy.Rational(c.y, c.d) for c in reversed(p)]
+    roots, rest = [], 0
+    for f, mult in sympy.Poly(coeffs, t, domain=sympy.QQ_I).factor_list()[1]:
+        if f.degree() > 1:
+            rest += f.degree() * mult
+            continue
+        a, b = f.all_coeffs()
+        re, im = (-b / a).as_real_imag()
+        roots.append((Scalar(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q))), mult))
+    return sorted(roots, key=lambda rc: rc[0].sort_key()), rest
+
+
+def test_gaussian_roots_match_sympy():
+    # seeded polynomials of degree 1-4: roots with parts of height up to
+    # 10^30, repeated roots, Gaussian roots, quadratic factors that are
+    # irreducible over Q(i) unless the oracle says otherwise
+    rng = Random("unipoly-roots")
+    seen = set()
+    for _ in range(16):
+        height = rng.choice((3, 1000, 10**12, 10**30))
+        degree = rng.randint(1, 4)
+        p = [_draw(rng, height) or Scalar(1)]
+        while len(p) <= degree:
+            if len(p) < degree and rng.random() < 0.3:
+                big = max(height, 10)
+                p = _mul(p, [Scalar(rng.randint(-big, big), rng.randint(-big, big)),
+                             Scalar(rng.randint(-big, big)), Scalar(1)])
+                continue
+            root = _draw(rng, height)
+            for _ in range(rng.randint(1, degree + 1 - len(p))):
+                p = _mul(p, [-root, Scalar(1)])
+        got = uni_roots_gaussian(uni(p))
+        assert got == _sympy_roots(p), [str(c) for c in p]
+        roots, rest = got
+        seen.update(kind for kind, hit in (
+            ("rest", rest), ("repeated", any(mult > 1 for _, mult in roots)),
+            ("gaussian", any(r.y for r, _ in roots)), ("tall", height == 10**30)) if hit)
+    assert seen == {"rest", "repeated", "gaussian", "tall"}

@@ -58,7 +58,7 @@ from .mfsystem import (
     power_chain,
     trace_power_coefficients,
 )
-from .mpoly import MPoly, affine_chart, generic_matrix, mpoly_mat_mul, mpoly_mat_pair
+from .mpoly import MPoly, generic_matrix, mpoly_mat_mul, mpoly_mat_pair, restrict_to_chart
 from .scalar import Scalar
 from . import unipoly as up
 
@@ -293,14 +293,11 @@ def certify_affine_constant(sys_: ShiftSystem, base: GElement, dirs: list[GEleme
     all direction variables t must cancel exactly, for every s, so the family
     y + span(dirs) lies in one fibre for each y in base + span(over).
     Returns the certified value vector at base."""
-    L = sys_.algebra
     svars = tuple(f"s{k + 1}" for k in range(len(over)))
     tvars = tuple(f"t{k + 1}" for k in range(len(dirs)))
-    chart = affine_chart(svars + tvars, base.coords, [e.coords for e in (*over, *dirs)])
-    mapping = dict(zip(L.coord_names, chart))
     values = []
-    for comp in sys_.components:
-        restricted = comp.subs(svars + tvars, mapping)
+    for restricted in restrict_to_chart(sys_.components, svars + tvars, base.coords,
+                                        [e.coords for e in (*over, *dirs)]):
         if any(any(e[len(svars):]) for e in restricted.terms):
             raise CertificationError(
                 "family is not contained in a single fibre: "
@@ -429,13 +426,12 @@ def parabolic_lift(sys_: ShiftSystem, p: FlagParabolic, y_component: AffineCompo
     nilradical directions.
     """
     a = sys_.a
-    svars, lpolys = levi_system(p, a)
+    _, lpolys = levi_system(p, a)
     base_s = _coords_in_basis(p.l_basis, y_component.base)
     dir_s = [_coords_in_basis(p.l_basis, d) for d in y_component.dirs]
     tvars = tuple(f"t{k + 1}" for k in range(len(dir_s)))
-    mapping = dict(zip(svars, affine_chart(tvars, base_s, dir_s)))
-    for q in lpolys:
-        if not q.subs(tvars, mapping).is_constant():
+    for q in restrict_to_chart(lpolys, tvars, base_s, dir_s):
+        if not q.is_constant():
             raise CertificationError("family is not inside a single Levi fibre")
     dirs = list(y_component.dirs) + list(p.u_basis)
     value = certify_affine_constant(sys_, y_component.base, dirs)

@@ -326,13 +326,13 @@ def check_sl2_semisimple_fibre_split(samples: int, seed: int) -> CheckResult:
             if dv.is_zero():
                 z1v = z1v + Scalar(1)
                 dv = z1v - c * c
-            tv = Scalar(random_nonzero_rational(rng))
+            tv = random_nonzero_rational(rng)
             x = L.element(ExactMatrix([[c, tv], [dv / tv, -c]]))
             if sys_.evaluate_scaled(x) != (z1v, z2v):
                 return _result("sl2-semisimple-fibre-split", False, "sampled chart point")
             # the base point of the printed torus orbit, conjugated
             x0 = L.element(ExactMatrix([[c, Scalar(1)], [dv, -c]]))
-            u = Scalar(random_nonzero_rational(rng))
+            u = random_nonzero_rational(rng)
             g = ExactMatrix.diagonal([u, Scalar(1) / u])
             moved = conjugate(g, x0)
             expected = L.element(
@@ -421,12 +421,12 @@ def check_sl2_nilpotent_fibres(samples: int, seed: int) -> CheckResult:
         return _result("sl2-nilpotent-fibres", False, "chart identity (second)")
     for _ in range(samples):
         z1v = random_rational_scalar(rng)
-        z2v = Scalar(random_nonzero_rational(rng))
+        z2v = random_nonzero_rational(rng)
         tv = random_rational_scalar(rng)
         x = L.element(ExactMatrix([[tv, (z1v - tv * tv) / z2v], [z2v, -tv]]))
         if sys_.evaluate_scaled(x) != (z1v, z2v):
             return _result("sl2-nilpotent-fibres", False, "sampled chart point")
-        cv = Scalar(random_nonzero_rational(rng))
+        cv = random_nonzero_rational(rng)
         base_p = L.element(ExactMatrix.diagonal([cv, -cv]))
         if sys_.evaluate_scaled(base_p) != (cv * cv, Scalar(0)):
             return _result("sl2-nilpotent-fibres", False, "parallel components")
@@ -766,12 +766,12 @@ def check_sl3_orbit_invariance(samples: int, seed: int) -> CheckResult:
         # N = a - s, the nilpotent part of a
         nil = a.matrix - semisimple_part(at.chains, at.frame)
         for _ in range(samples):
-            c = Scalar(random_nonzero_rational(rng))
+            c = random_nonzero_rational(rng)
             if sys_.evaluate(x.scale(c)) != zero5:
                 return _result("sl3-orbit-invariance", False, "dilation")
             if kind == "torus":
-                t1 = Scalar(random_nonzero_rational(rng))
-                t2 = Scalar(random_nonzero_rational(rng))
+                t1 = random_nonzero_rational(rng)
+                t2 = random_nonzero_rational(rng)
                 g = ExactMatrix.diagonal([t1, t2, Scalar(1) / (t1 * t2)])
             else:
                 # unipotent elements of the centralizer: 1 + c N + d N^2

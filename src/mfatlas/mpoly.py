@@ -10,11 +10,15 @@ byte-stable across runs.
 
 The constructor stores what it is given and checks nothing.  Every MPoly
 keeps one invariant: each value in terms is a nonzero Scalar, keyed by a
-tuple of len(vars) nonnegative ints.  The operations below build only such
-dicts (a sum or product drops the coefficients that cancel, and
-affine_chart drops the zero entries of its input), so a stored zero, which
-would break equality, cannot arise.  Numbers enter through MPoly.const and
-scalar multiplication, the only places that coerce.
+tuple of len(vars) nonnegative ints.  Like terms are added in one routine,
+_merge: sums, products, substitution, and the matrix product, pairing,
+trace and determinant hand it all the (exponent, coefficient) terms of a
+result at once, so no partial polynomial is built per term, and it drops
+the coefficients that cancel, so a stored zero, which would break equality,
+cannot arise.  The other operations keep distinct exponents distinct
+(differentiation, scaling, negation, projection) or drop zeros themselves
+(affine_chart).  Numbers enter through MPoly.const and scalar
+multiplication, the only places that coerce.
 
 The polynomial views of sl_n live here too, so lie needs no polynomials:
 generic_matrix (the coordinate functions as a matrix) and
@@ -23,8 +27,9 @@ permute_cartan_chart (the Weyl group acting on the Cartan chart).
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import add
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .lie import LieAlgebraA, permute_diagonal
 from .scalar import Scalar, as_scalar
@@ -76,15 +81,7 @@ class MPoly:
         if isinstance(other, (int, Scalar)):
             other = MPoly.const(self.vars, other)
         self._check_vars(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = out.get(e)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return MPoly(self.vars, out)
+        return _merge(self.vars, chain(self.terms.items(), other.terms.items()))
 
     __radd__ = __add__
 
@@ -106,18 +103,7 @@ class MPoly:
                 return MPoly.zero(self.vars)
             return MPoly(self.vars, {e: c * v for e, v in self.terms.items()})
         self._check_vars(other)
-        out: dict[Exponent, Scalar] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                c = c1 * c2
-                acc = out.get(e)
-                s = c if acc is None else acc + c
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return MPoly(self.vars, out)
+        return _merge(self.vars, _products(self, other))
 
     __rmul__ = __mul__
 
@@ -179,23 +165,12 @@ class MPoly:
     # -- calculus and evaluation ----------------------------------------------------
 
     def diff(self, name: str) -> "MPoly":
+        """d/d name.  Distinct terms keep distinct exponents, so nothing merges."""
         idx = self.vars.index(name)
-        out = {}
-        for e, c in self.terms.items():
-            k = e[idx]
-            if k == 0:
-                continue
-            e2 = list(e)
-            e2[idx] = k - 1
-            key = tuple(e2)
-            add = Scalar(k) * c
-            acc = out.get(key)
-            s = add if acc is None else acc + add
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return MPoly(self.vars, out)
+        return MPoly(self.vars, {
+            (*e[:idx], e[idx] - 1, *e[idx + 1:]): Scalar(e[idx]) * c
+            for e, c in self.terms.items() if e[idx]
+        })
 
     def eval(self, point) -> Scalar:
         """Evaluate at a full point: mapping var->value or a value sequence."""
@@ -211,7 +186,7 @@ class MPoly:
             for val, k in zip(vals, e):
                 if k:
                     term = term * val**k
-            total = total + term
+            total += term
         return total
 
     def subs(self, target_vars: Sequence[str], mapping: Mapping[str, "MPoly"]) -> "MPoly":
@@ -225,9 +200,8 @@ class MPoly:
             if img.vars != vt:
                 raise ValueError("mapping image over wrong variables")
             images.append(img)
-        pow_cache: list[dict[int, MPoly]] = [
-            {0: MPoly.const(vt, 1), 1: img} for img in images
-        ]
+        pow_cache: list[dict[int, MPoly]] = [{1: img} for img in images]
+        one = MPoly.const(vt, 1)
 
         def img_pow(idx: int, k: int) -> MPoly:
             cache = pow_cache[idx]
@@ -235,14 +209,16 @@ class MPoly:
                 cache[k] = img_pow(idx, k - 1) * cache[1]
             return cache[k]
 
-        total = MPoly.zero(vt)
-        for e, c in self.terms.items():
-            term = MPoly.const(vt, c)
-            for idx, k in enumerate(e):
-                if k:
-                    term = term * img_pow(idx, k)
-            total = total + term
-        return total
+        def image(e: Exponent, c: Scalar):
+            """The terms of c times the image of the monomial e, the last
+            product left unmerged."""
+            head, *rest = [img_pow(idx, k) for idx, k in enumerate(e) if k] or [one]
+            head = head * c
+            for f in rest[:-1]:
+                head = head * f
+            return _products(head, rest[-1]) if rest else head.terms.items()
+
+        return _merge(vt, chain.from_iterable(image(e, c) for e, c in self.terms.items()))
 
     def project(self, new_vars: Sequence[str]) -> "MPoly":
         """Restrict to a variable subset; fails if a dropped variable occurs."""
@@ -298,6 +274,25 @@ class MPoly:
         return f"MPoly({str(self)})"
 
 
+def _merge(vars_: tuple[str, ...], terms: Iterable[tuple[Exponent, Scalar]]) -> MPoly:
+    """The one place like terms are added: the polynomial whose coefficient at
+    each exponent is the sum of the given terms with that exponent, without
+    the sums that cancel."""
+    out: dict[Exponent, Scalar] = {}
+    get = out.get
+    for e, c in terms:
+        acc = get(e)
+        out[e] = c if acc is None else acc + c
+    return MPoly(vars_, {e: c for e, c in out.items() if c})
+
+
+def _products(p: MPoly, q: MPoly) -> Iterable[tuple[Exponent, Scalar]]:
+    """The terms of p * q, one per pair of terms, unmerged."""
+    qterms = q.terms.items()
+    return ((tuple(map(add, e1, e2)), c1 * c2)
+            for e1, c1 in p.terms.items() for e2, c2 in qterms)
+
+
 def affine_chart(vars_: Sequence[str], base: Sequence[Scalar],
                  dirs: Sequence[Sequence[Scalar]]) -> list[MPoly]:
     """One polynomial per coordinate of base + sum_k vars_[k] * dirs[k]."""
@@ -313,6 +308,16 @@ def affine_chart(vars_: Sequence[str], base: Sequence[Scalar],
             terms[e] = d[idx]
         out.append(MPoly(vt, {e: v for e, v in terms.items() if v}))
     return out
+
+
+def restrict_to_chart(polys: Sequence[MPoly], vars_: Sequence[str], base: Sequence[Scalar],
+                      dirs: Sequence[Sequence[Scalar]]) -> list[MPoly]:
+    """Each polynomial, a function of the coordinates base and dirs are given
+    in, composed with the affine_chart base + sum_k vars_[k] * dirs[k]: the
+    restriction to that affine family, over vars_."""
+    vt = tuple(vars_)
+    chart = affine_chart(vt, base, dirs)
+    return [p.subs(vt, dict(zip(p.vars, chart))) for p in polys]
 
 
 # -- polynomial matrices ------------------------------------------------------------
@@ -351,34 +356,22 @@ def mpoly_mat_mul(A: Sequence[Sequence[MPoly]], B: Sequence[Sequence[MPoly]]) ->
     m = len(B[0]) if B else 0
     if any(len(row) != k for row in A):
         raise ValueError("shape mismatch")
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = MPoly.zero(A[0][0].vars)
-            for t in range(k):
-                if A[i][t] and B[t][j]:
-                    acc = acc + A[i][t] * B[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    vars_ = A[0][0].vars
+    return [
+        [_merge(vars_, chain.from_iterable(_products(A[i][t], B[t][j]) for t in range(k)))
+         for j in range(m)]
+        for i in range(n)
+    ]
 
 
 def mpoly_mat_pair(P: Sequence[Sequence[MPoly]], Q: Sequence[Sequence[MPoly]]) -> MPoly:
     """tr(P Q) = sum_ij P_ij Q_ji, without forming the product."""
-    acc = MPoly.zero(P[0][0].vars)
-    for i, row in enumerate(P):
-        for j, p in enumerate(row):
-            if p and Q[j][i]:
-                acc = acc + p * Q[j][i]
-    return acc
+    return _merge(P[0][0].vars, chain.from_iterable(
+        _products(p, Q[j][i]) for i, row in enumerate(P) for j, p in enumerate(row)))
 
 
 def mpoly_mat_trace(A: Sequence[Sequence[MPoly]]) -> MPoly:
-    acc = MPoly.zero(A[0][0].vars)
-    for i in range(len(A)):
-        acc = acc + A[i][i]
-    return acc
+    return _merge(A[0][0].vars, chain.from_iterable(A[i][i].terms.items() for i in range(len(A))))
 
 
 def mpoly_det(A: Sequence[Sequence[MPoly]]) -> MPoly:
@@ -389,29 +382,18 @@ def mpoly_det(A: Sequence[Sequence[MPoly]]) -> MPoly:
     if any(len(row) != n for row in A):
         raise ValueError("non-square matrix")
     vars_ = A[0][0].vars
-    full_mask = (1 << n) - 1
     cache: dict[tuple[int, int], MPoly] = {}
 
     def minor(row: int, mask: int) -> MPoly:
+        """The minor on rows row.. and the columns in mask, expanded along row."""
         if row == n:
             return MPoly.const(vars_, 1)
         key = (row, mask)
-        got = cache.get(key)
-        if got is not None:
-            return got
-        acc = MPoly.zero(vars_)
-        idx = 0
-        for j in range(n):
-            bit = 1 << j
-            if not (mask & bit):
-                continue
-            entry = A[row][j]
-            if entry:
-                sub = minor(row + 1, mask & ~bit)
-                contrib = entry * sub
-                acc = acc + (contrib if idx % 2 == 0 else -contrib)
-            idx += 1
-        cache[key] = acc
-        return acc
+        if key not in cache:
+            cols = [j for j in range(n) if mask >> j & 1]
+            cache[key] = _merge(vars_, chain.from_iterable(
+                _products(-A[row][j] if idx % 2 else A[row][j], minor(row + 1, mask & ~(1 << j)))
+                for idx, j in enumerate(cols) if A[row][j]))
+        return cache[key]
 
-    return minor(0, full_mask)
+    return minor(0, (1 << n) - 1)

@@ -1,14 +1,13 @@
 """Seeded exact samplers used by property checks and CLI verification.
 
 Everything draws from an explicit random.Random so runs are reproducible;
-values are small rationals to keep fraction growth in check.  The Scalar
-samplers build their Scalars from the drawn numerator and denominator, with
-the same calls on the generator as Scalar(random_rational(rng)) makes.
+values are small rationals to keep fraction growth in check.  Every sampler
+returns Scalars, each rational built from one drawn numerator and one drawn
+denominator (random_rational_scalar).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import prod
 from random import Random
 from typing import Sequence
@@ -27,12 +26,9 @@ DENOMINATORS = (1, 1, 2, 3)  # drawn uniformly, so 1 half the time
 SHEARS = 4  # shear draws per random_unimodular; a draw with i == j is skipped
 
 
-def random_rational(rng: Random, num_bound: int = 9) -> Fraction:
-    return Fraction(rng.randint(-num_bound, num_bound), rng.choice(DENOMINATORS))
-
-
 def random_rational_scalar(rng: Random, num_bound: int = 9) -> Scalar:
-    """Scalar(random_rational(rng, num_bound)), from the same two draws."""
+    """A numerator in [-num_bound, num_bound] over a denominator drawn from
+    DENOMINATORS."""
     return scalar_from_ints(rng.randint(-num_bound, num_bound), 0, rng.choice(DENOMINATORS))
 
 
@@ -41,10 +37,10 @@ def random_scalar(rng: Random, gaussian: bool = False) -> Scalar:
     return re + Scalar(0, 1) * random_rational_scalar(rng) if gaussian and rng.random() < 0.5 else re
 
 
-def random_nonzero_rational(rng: Random, num_bound: int = 9) -> Fraction:
+def random_nonzero_rational(rng: Random, num_bound: int = 9) -> Scalar:
     while True:
-        q = random_rational(rng, num_bound)
-        if q != 0:
+        q = random_rational_scalar(rng, num_bound)
+        if q:
             return q
 
 
@@ -62,11 +58,11 @@ def random_combination(L: LieAlgebraA, basis: Sequence[GElement], rng: Random) -
     return x
 
 
-def random_distinct_rationals(rng: Random, k: int, num_bound: int = 9) -> list[Fraction]:
-    seen: set[Fraction] = set()
-    out: list[Fraction] = []
+def random_distinct_rationals(rng: Random, k: int, num_bound: int = 9) -> list[Scalar]:
+    seen: set[Scalar] = set()
+    out: list[Scalar] = []
     while len(out) < k:
-        q = random_rational(rng, num_bound)
+        q = random_rational_scalar(rng, num_bound)
         if q not in seen:
             seen.add(q)
             out.append(q)
@@ -78,10 +74,10 @@ def random_traceless_distinct_diag(L: LieAlgebraA, rng: Random) -> GElement:
     n = L.n
     while True:
         vals = random_distinct_rationals(rng, n - 1)
-        last = -sum(vals)
+        last = -sum(vals, Scalar(0))
         if last not in vals:
             vals.append(last)
-            return L.element(ExactMatrix.diagonal([Scalar(v) for v in vals]))
+            return L.element(ExactMatrix.diagonal(vals))
 
 
 def random_upper_unipotent(L: LieAlgebraA, rng: Random) -> ExactMatrix:
@@ -101,7 +97,7 @@ def random_torus(L: LieAlgebraA, rng: Random) -> ExactMatrix:
     n = L.n
     vals = [random_nonzero_rational(rng, 4) for _ in range(n - 1)]
     vals.append(1 / prod(vals))
-    return ExactMatrix.diagonal([Scalar(v) for v in vals])
+    return ExactMatrix.diagonal(vals)
 
 
 def random_borel_group_element(L: LieAlgebraA, rng: Random) -> ExactMatrix:

@@ -57,7 +57,7 @@ from .linalg import (
     span_le,
 )
 from .mfsystem import FibreValue, ShiftSystem, invariant_values_along, mf_values
-from .mpoly import MPoly, affine_chart, mpoly_det, permute_cartan_chart
+from .mpoly import MPoly, affine_chart, mpoly_det, permute_cartan_chart, restrict_to_chart
 from .sampling import (
     conjugate,
     random_borel_group_element,
@@ -169,10 +169,7 @@ def check_vandermonde_generators(sys_: ShiftSystem, rng: Random, samples: int) -
     by_label = dict(zip(sys_.labels, sys_.components))
     tables = [None]
     for _ in range(min(samples, 3)):
-        tables.append(
-            [[Scalar(v) for v in random_distinct_rationals(rng, i + 2)]
-             for i in range(L.n - 1)]
-        )
+        tables.append([random_distinct_rationals(rng, i + 2) for i in range(L.n - 1)])
     for table in tables:
         try:
             rows = alt_generators(sys_, table)
@@ -316,22 +313,18 @@ def check_image_bba(sys_: ShiftSystem, atlas: BorelAtlas) -> CheckResult:
         raise CertificationError("b^a does not split as adapted Cartan plus u^a")
     svars = tuple(f"s{k + 1}" for k in range(n - 1))
     tvars = tuple(f"t{k + 1}" for k in range(len(atlas.u_a)))
-    allvars = svars + tvars
     origin = L.zero().coords
-    mapping = dict(zip(L.coord_names, affine_chart(allvars, origin, hcs + ucs)))
-    restricted = [c.subs(allvars, mapping) for c in sys_.components]
+    restricted = restrict_to_chart(sys_.components, svars + tvars, origin, hcs + ucs)
     if any(any(e[len(svars):]) for rp in restricted for e in rp.terms):
         return _result("image-bba", False, "restriction to b^a depends on a u^a direction")
     restricted = [rp.project(svars) for rp in restricted]
     if nilpotent:
         # (2) nilpotent: (f_1|_h, ..., f_r|_h, 0, ..., 0)
-        h_mapping = dict(zip(L.coord_names, affine_chart(svars, origin, hcs)))
-        for idx, comp in enumerate(restricted):
-            if idx < L.rank:
-                if comp != sys_.components[idx].subs(svars, h_mapping):
-                    failures.append("invariant part of nilpotent restriction mismatch")
-            elif not comp.is_zero():
-                failures.append("shifted component does not vanish on b^a")
+        invariants = restrict_to_chart(sys_.components[:L.rank], svars, origin, hcs)
+        failures += ["invariant part of nilpotent restriction mismatch"
+                     for comp, inv in zip(restricted, invariants) if comp != inv]
+        failures += ["shifted component does not vanish on b^a"
+                     for comp in restricted[L.rank:] if comp]
     # (3) W_s-invariance and the degree, from the Weyl compositions
     translates = _weyl_translates(restricted, svars)
     stab = weyl_stabilizer(L.element(ExactMatrix.diagonal(chain_diagonal(atlas.chains))))
@@ -376,14 +369,14 @@ def check_critical_values(sys_: ShiftSystem, samples: int, seed: int) -> CheckRe
             vals = random_distinct_rationals(rng, n - 2)
             d = [vals[0], vals[0]] + vals[1:]
             d.append(-sum(d))
-            base = ExactMatrix.diagonal([Scalar(v) for v in d])
+            base = ExactMatrix.diagonal(d)
         else:
             # nilpotent of minimal nonzero rank
             m = [[Scalar(0)] * n for _ in range(n)]
             m[0][n - 1] = Scalar(1)
             base = ExactMatrix(m)
         g = random_unimodular(L, rng)
-        y = L.element(g * base * mat_inverse(g))
+        y = conjugate(g, L.element(base))
         if is_regular(y):
             failures.append("sampler produced a regular element")
             continue
@@ -456,9 +449,9 @@ def check_tarasov_section(sys_: ShiftSystem, samples: int, seed: int) -> CheckRe
         return _result("tarasov-section", True,
                        "skipped: the section check needs a diagonal shift element")
     tvars = tuple(f"t{k + 1}" for k in range(L.b))
-    chart = affine_chart(tvars, *section_chart(L))
-    mapping = dict(zip(L.coord_names, chart))
-    restricted = [c.subs(tvars, mapping) for c in sys_.components]
+    xi, dirs = section_chart(L)
+    chart = affine_chart(tvars, xi, dirs)
+    restricted = restrict_to_chart(sys_.components, tvars, xi, dirs)
     det = mpoly_det([[rc.diff(tv) for tv in tvars] for rc in restricted])
     failures: list[str] = []
     if not det.is_constant() or det.is_zero():
@@ -525,8 +518,7 @@ def check_near_section(sys_: ShiftSystem, atlas: BorelAtlas) -> CheckResult:
         return _result("near-section", True, "skipped: needs a nilpotent shift")
     L = sys_.algebra
     svars = tuple(f"s{k + 1}" for k in range(L.n - 1))
-    mapping = dict(zip(L.coord_names, affine_chart(svars, a.coords, _cartan_chart(atlas))))
-    restricted = [c.subs(svars, mapping) for c in sys_.components]
+    restricted = restrict_to_chart(sys_.components, svars, a.coords, _cartan_chart(atlas))
     translates = _weyl_translates(restricted, svars)
     ok = all(t == tuple(restricted) for t in translates.values())
     return _result(

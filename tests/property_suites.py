@@ -36,7 +36,7 @@ from mfatlas.sampling import (
     conjugate,
     random_distinct_rationals,
     random_element,
-    random_rational,
+    random_rational_scalar,
     random_traceless_distinct_diag,
     random_unimodular,
     rng_for,
@@ -105,7 +105,7 @@ def suite_homogeneity(instances: int = 100, seed: int = 0) -> int:
         L = sys_.algebra
         rng = rng_for(f"prop-homogeneity:{key}:{checked}", seed)
         x = random_element(L, rng)
-        t = Scalar(random_rational(rng))
+        t = random_rational_scalar(rng)
         vx = sys_.evaluate(x)
         vt = sys_.evaluate(x.scale(t))
         for (i, j), v, w in zip(sys_.labels, vx, vt):
@@ -165,7 +165,7 @@ def suite_vandermonde(instances: int = 100, seed: int = 0) -> int:
             d = sys_.degrees[i]
             idx = r + sum(sys_.degrees[k] - 1 for k in range(i))
             coeffs = [vals[i]] + [vals[idx + j - 1] for j in range(1, d)]
-            lams = [Scalar(v) for v in random_distinct_rationals(rng, d)]
+            lams = random_distinct_rationals(rng, d)
             V = ExactMatrix([[lam**k for k in range(d)] for lam in lams])
             g = [
                 invariant_values_along(a, x, lam)[i] - fa[i] * lam**d

@@ -140,7 +140,7 @@ def _regularity_cases(n):
             vals = random_distinct_rationals(rng, n - 2)
             d = [vals[0], vals[0]] + vals[1:]
             d.append(-sum(d))
-            diag = L.element(ExactMatrix.diagonal([Scalar(v) for v in d]))
+            diag = L.element(ExactMatrix.diagonal(d))
             bases.append(("repeated-eigenvalue diagonal", diag, False))
             bases.append(("repeated eigenvalue, Jordan block", diag + L.element(units({(0, 1)})), None))
     cases = []

@@ -36,7 +36,7 @@ from mfatlas.sampling import (
     random_combination,
     random_distinct_rationals,
     random_element,
-    random_rational,
+    random_rational_scalar,
     random_traceless_distinct_diag,
     random_unimodular,
     rng_for,
@@ -256,14 +256,14 @@ def _sheet_point(L, a, rng, jordan):
     """y + lambda a for y conjugate to D (+ e_12 when jordan), D traceless
     diagonal with a repeated first eigenvalue, lambda rational."""
     n = L.n
-    vals = [Scalar(v) for v in random_distinct_rationals(rng, n - 1)]
+    vals = random_distinct_rationals(rng, n - 1)
     d = [vals[0]] + vals
     mean = sum(d, Scalar(0)) / Scalar(n)
     m = [[(d[i] - mean if i == j else Scalar(0)) for j in range(n)] for i in range(n)]
     m[0][1] = Scalar(int(jordan))
     g = random_unimodular(L, rng)
     y = conjugate(g, L.element(ExactMatrix(m)))
-    return y + a.scale(Scalar(random_rational(rng)))
+    return y + a.scale(random_rational_scalar(rng))
 
 
 # sl_3 shift diag(1, -1, 0) and a point whose line is singular only at

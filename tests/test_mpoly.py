@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from mfatlas.mpoly import MPoly, affine_chart, mpoly_det, mpoly_mat_mul, mpoly_mat_trace
+from mfatlas.mpoly import (
+    MPoly,
+    affine_chart,
+    mpoly_det,
+    mpoly_mat_mul,
+    mpoly_mat_pair,
+    mpoly_mat_trace,
+    restrict_to_chart,
+)
 from mfatlas.scalar import Scalar
 
 V = ("x", "y", "z")
@@ -143,11 +151,22 @@ def test_results_keep_the_term_invariant(seed):
     m = [[_small_poly(rng, V, 2) for _ in range(3)] for _ in range(3)]
     results.append(mpoly_det(m))
     results.append(mpoly_mat_trace(mpoly_mat_mul(m, m)))
+    m2 = [[_small_poly(rng, V, 2) for _ in range(3)] for _ in range(3)]
+    pair = mpoly_mat_pair(m, m2)
+    assert pair == mpoly_mat_trace(mpoly_mat_mul(m, m2))
+    # tr([[p, q]] [[q], [-p]]) = pq - qp: every term cancels
+    cancelled = mpoly_mat_pair([[p, q]], [[q], [-p]])
+    assert cancelled == MPoly.zero(V)
+    results += [pair, cancelled]
     # zeros in base and dirs; the last coordinate is zero throughout
-    chart = affine_chart(("s", "t"), [Scalar(0), Scalar(1), Scalar(0)],
-                         [[Scalar(0), Scalar(2), Scalar(0)], [Scalar(1), Scalar(0), Scalar(0)]])
+    base = [Scalar(0), Scalar(1), Scalar(0)]
+    dirs = [[Scalar(0), Scalar(2), Scalar(0)], [Scalar(1), Scalar(0), Scalar(0)]]
+    chart = affine_chart(("s", "t"), base, dirs)
     assert chart[2] == MPoly.zero(("s", "t"))
     results += chart
+    restricted = restrict_to_chart([p, q, p * q], ("s", "t"), base, dirs)
+    assert restricted == [r.subs(("s", "t"), dict(zip(V, chart))) for r in (p, q, p * q)]
+    results += restricted
     for r in results:
         assert _well_formed(r), r.terms
 

@@ -176,8 +176,7 @@ def cmd_atlas(args: argparse.Namespace) -> tuple[dict, bool]:
 def cmd_check_examples(args: argparse.Namespace) -> tuple[dict, bool]:
     from .corpus import run_corpus
 
-    samples = args.samples if args.samples is not None else 100
-    results = run_corpus(samples=samples, seed=args.seed, self_test=args.self_test)
+    results = run_corpus(seed=args.seed, self_test=args.self_test)
     ok = all(r.passed for r in results)
     report = {
         "self_test": bool(args.self_test),
@@ -267,7 +266,7 @@ def _add_element_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
-    p.add_argument("--samples", type=int, default=None, help="sample count override")
+    p.add_argument("--samples", type=int, default=None, help="sample count (read by mf verify only)")
     p.add_argument("--out", default=None, metavar="FILE", help="write the report here")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 

@@ -3,10 +3,13 @@
 Each check re-derives a published-style closed form inside the library and
 compares bit-exactly against the frozen expectation recorded here: printed
 system components, fibre parametrization identities, atlas shape tables,
-restrictions to b^a, exotic zero-fibre witnesses, degree counts, and the
-component-count formula instantiations.  run_corpus returns one CheckResult
-per named check; self_test mode deliberately tampers with a frozen constant
-and verifies the harness notices.
+restrictions to b^a, exotic zero-fibre witnesses and their orbit invariance,
+degree counts, and the component-count formula instantiations.  Every
+statement about a family of points is certified as a polynomial identity, so
+no verdict depends on a sample; the only drawn point is the base of each
+singular family, which its certificate covers for all of b^a.  run_corpus
+returns one CheckResult per named check; self_test mode deliberately tampers
+with a frozen constant and verifies the harness notices.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .flags import (
 from .lie import (
     GElement,
     ad_matrix,
+    centralizer,
     mixed_rep,
     nilpotent_rep,
     semisimple_rep,
@@ -35,18 +39,20 @@ from .lie import (
 )
 from .linalg import ExactMatrix, span_equal
 from .mfsystem import ShiftSystem, build_system
-from .mpoly import MPoly, generic_matrix, mpoly_mat_mul, mpoly_mat_trace, permute_cartan_chart
-from .sampling import (
-    conjugate,
-    random_combination,
-    random_nonzero_rational,
-    random_rational_scalar,
-    rng_for,
+from .mpoly import (
+    MPoly,
+    generic_matrix,
+    mpoly_mat_mul,
+    mpoly_mat_pair,
+    mpoly_mat_trace,
+    permute_cartan_chart,
 )
+from .sampling import random_combination, rng_for
 from .scalar import Scalar
 from .verify import (
     CheckResult,
     _result,
+    check_centralizer_containment,
     check_critical_values,
     check_exotic_witness,
     check_image_bba,
@@ -277,129 +283,99 @@ def check_sl2_zero_fibre() -> CheckResult:
     return _result("sl2-zero-fibre", ok, f"totals {rep_s['total']}, {rep_n['total']}")
 
 
-def check_sl2_semisimple_fibre_split(samples: int, seed: int) -> CheckResult:
-    """Fibre case split over z = (z1, z2), semisimple shift with parameter a1:
+def _sl2_diagonal_line(sys_: ShiftSystem) -> list[MPoly]:
+    """The scaled components on the diagonal line h1 = t, over ("t",)."""
+    tvar = ("t",)
+    zero = MPoly.zero(tvar)
+    return _subs_components(sys_, tvar, {"h1": MPoly.var(tvar, "t"), "x12": zero, "x21": zero})
 
-      off the parabola (z1 - z2^2/(4 a1^2) != 0): the fibre is the single
-      torus orbit of ((z2/2a1, 1), (z1 - z2^2/4a1^2, -z2/2a1)); verified by
-      the symbolic identity F1 - z1 = (t w - 1)(z1 - z2^2/4a1^2) on the chart
-      x2 = t, x3 = (z1 - z2^2/4a1^2) w, plus exact sampled points and torus
-      conjugations;
+
+def check_sl2_semisimple_fibre_split() -> CheckResult:
+    """Fibre case split over z = (z1, z2), semisimple shift with parameter a1,
+    each statement one identity per shift:
+
+      the diagonal line maps into the parabola z1 = z2^2/(4 a1^2), so off the
+      parabola (d = z1 - z2^2/(4 a1^2) != 0) the fibre misses the diagonal;
 
       on the parabola: the two components x + u_+ and x + u_- through
       x = (z2/2a1^2) s, certified once for the whole parabola by the
-      identities F(x + t e_12) = F(x + t e_21) = (z2^2/4a1^2, z2) in (z2, t).
+      identities F(x + t e_12) = F(x + t e_21) = (z2^2/4a1^2, z2) in (z2, t);
+
+      off the parabola the fibre is the single torus orbit of
+      ((z2/2a1, 1), (d, -z2/2a1)): F1 - z1 = (u^2 v^2 - 1) d, F2 = z2 on
+      x12 = u^2, x21 = d v^2 puts Ad(diag(u, v)) of that point in the fibre
+      for every uv = 1, and the chart identity F1 - z1 = (t w - 1) d,
+      F2 = z2 on x12 = t, x21 = d w shows the fibre meets the chart in
+      tw = 1 alone.
     """
-    L = sl(2)
-    rng = rng_for("corpus-sl2-split", seed)
     for a1 in (1, Fraction(3, 2)):
         a1s = Scalar(Fraction(a1))
-        s = sl2_semisimple(a1)
-        sys_ = _system(s)
+        sys_ = _system(sl2_semisimple(a1))
         half = Scalar(1) / (Scalar(2) * a1s)
+        quarter = half * half
+        Z1, Z2 = _sl2_diagonal_line(sys_)
+        if Z1 != Z2 * Z2 * quarter:
+            return _result("sl2-semisimple-fibre-split", False, "parabola escape")
         lvars = ("z2", "t")
         lz2 = MPoly.var(lvars, "z2")
         lt = MPoly.var(lvars, "t")
         lzero = MPoly.zero(lvars)
-        on_parabola = [lz2 * lz2 * (half * half), lz2]
+        on_parabola = [lz2 * lz2 * quarter, lz2]
         for up, down in ((lt, lzero), (lzero, lt)):
             mapping = {"h1": lz2 * half, "x12": up, "x21": down}
             if _subs_components(sys_, lvars, mapping) != on_parabola:
                 return _result("sl2-semisimple-fibre-split", False, "parabola components")
+        ovars = ("z1", "z2", "u", "v")
+        z1, z2, u, v = (MPoly.var(ovars, name) for name in ovars)
+        d = z1 - z2 * z2 * quarter
+        mapping = {"h1": z2 * half, "x12": u * u, "x21": d * v * v}
+        F1, F2 = _subs_components(sys_, ovars, mapping)
+        if F1 - z1 != (u * u * v * v - Scalar(1)) * d or F2 != z2:
+            return _result("sl2-semisimple-fibre-split", False, "torus orbit")
         zvars = ("z1", "z2", "t", "w")
-        z1 = MPoly.var(zvars, "z1")
-        z2 = MPoly.var(zvars, "z2")
-        t = MPoly.var(zvars, "t")
-        w = MPoly.var(zvars, "w")
-        d = z1 - z2 * z2 * (half * half)
+        z1, z2, t, w = (MPoly.var(zvars, name) for name in zvars)
+        d = z1 - z2 * z2 * quarter
         mapping = {"h1": z2 * half, "x12": t, "x21": d * w}
         F1, F2 = _subs_components(sys_, zvars, mapping)
         if F1 - z1 != (t * w - Scalar(1)) * d:
             return _result("sl2-semisimple-fibre-split", False, "chart identity (first)")
         if F2 - z2 != MPoly.zero(zvars):
             return _result("sl2-semisimple-fibre-split", False, "chart identity (second)")
-        for _ in range(samples):
-            z1v = random_rational_scalar(rng)
-            z2v = random_rational_scalar(rng)
-            c = z2v * half
-            dv = z1v - c * c
-            if dv.is_zero():
-                z1v = z1v + Scalar(1)
-                dv = z1v - c * c
-            tv = random_nonzero_rational(rng)
-            x = L.element(ExactMatrix([[c, tv], [dv / tv, -c]]))
-            if sys_.evaluate_scaled(x) != (z1v, z2v):
-                return _result("sl2-semisimple-fibre-split", False, "sampled chart point")
-            # the base point of the printed torus orbit, conjugated
-            x0 = L.element(ExactMatrix([[c, Scalar(1)], [dv, -c]]))
-            u = random_nonzero_rational(rng)
-            g = ExactMatrix.diagonal([u, Scalar(1) / u])
-            moved = conjugate(g, x0)
-            expected = L.element(
-                ExactMatrix([[c, u * u], [dv / (u * u), -c]])
-            )
-            if moved.matrix.entries != expected.matrix.entries:
-                return _result("sl2-semisimple-fibre-split", False, "torus orbit")
-            # off the parabola the fibre misses the diagonal: its unique
-            # diagonal candidate has first value c^2 != z1
-            if c * c == z1v:
-                return _result("sl2-semisimple-fibre-split", False, "parabola escape")
-            # the base point of the two line components, on the parabola
-            base = s.scale(z2v * half / a1s)
-            if sys_.evaluate_scaled(base) != (c * c, z2v):
-                return _result("sl2-semisimple-fibre-split", False, "parabola components")
     return _result("sl2-semisimple-fibre-split", True)
 
 
-def check_sl2_singular_images(samples: int, seed: int) -> CheckResult:
-    """Images of the singular family: the parabola z1 = z2^2/(4 a1^2) for the
-    semisimple representative (symbolically and on sampled multiples of a),
-    and the origin for the nilpotent one."""
-    rng = rng_for("corpus-sl2-singular", seed)
+def check_sl2_singular_images() -> CheckResult:
+    """Images of the singular family C a, by identities on lines: for the
+    semisimple representative the diagonal line h1 = t maps onto the parabola
+    z1 = z2^2/(4 a1^2) (Z2 is linear and nonzero in t, so every z2 is
+    reached), and for the nilpotent one the line x12 = t maps to the origin."""
     for a1 in (1, Fraction(-5, 3)):
         a1s = Scalar(Fraction(a1))
-        s = sl2_semisimple(a1)
-        sys_ = _system(s)
-        tvar = ("t",)
-        tpol = MPoly.var(tvar, "t")
-        mapping = {"h1": tpol, "x12": MPoly.zero(tvar), "x21": MPoly.zero(tvar)}
-        Z1, Z2 = _subs_components(sys_, tvar, mapping)
-        quarter = (Scalar(1) / (Scalar(4) * a1s * a1s))
-        if Z1 - Z2 * Z2 * quarter != MPoly.zero(tvar):
+        Z1, Z2 = _sl2_diagonal_line(_system(sl2_semisimple(a1)))
+        if Z1 != Z2 * Z2 * (Scalar(1) / (Scalar(4) * a1s * a1s)):
             return _result("sl2-singular-images", False, "parabola identity")
-        for _ in range(samples):
-            lam = random_rational_scalar(rng)
-            z1v, z2v = sys_.evaluate_scaled(s.scale(lam))
-            if z1v != z2v * z2v * quarter:
-                return _result("sl2-singular-images", False, "sampled parabola point")
-            # surjectivity onto the parabola: z2 arbitrary is achieved at
-            # the diagonal point with entry z2/(2 a1)
-            z2w = random_rational_scalar(rng)
-            xw = s.scale(z2w / (Scalar(2) * a1s * a1s))
-            if sys_.evaluate_scaled(xw) != (z2w * z2w * quarter, z2w):
-                return _result("sl2-singular-images", False, "parabola surjectivity")
-        n2 = sl2_nilpotent()
-        sys_n = _system(n2)
-        for _ in range(samples):
-            lam = random_rational_scalar(rng)
-            if any(not v.is_zero() for v in sys_n.evaluate_scaled(n2.scale(lam))):
-                return _result("sl2-singular-images", False, "nilpotent image not origin")
-    probes = [check_critical_values(_system(a), 20, seed)
+        if Z2.homogeneous_degree() != 1:
+            return _result("sl2-singular-images", False, "parabola surjectivity")
+    tvar = ("t",)
+    zero = MPoly.zero(tvar)
+    mapping = {"h1": zero, "x12": MPoly.var(tvar, "t"), "x21": zero}
+    if any(_subs_components(_system(sl2_nilpotent()), tvar, mapping)):
+        return _result("sl2-singular-images", False, "nilpotent image not origin")
+    # on sl_2 the critical-values closed form reads neither samples nor seed
+    probes = [check_critical_values(_system(a), 1, 0)
               for a in (sl2_semisimple(1), sl2_nilpotent())]
     ok = all(r.passed and r.detail.endswith(", closed form") for r in probes)
     return _result("sl2-singular-images", ok, "" if ok else "; ".join(r.detail for r in probes))
 
 
-def check_sl2_nilpotent_fibres(samples: int, seed: int) -> CheckResult:
-    """Nilpotent fibre description {x1^2 + x2 z2 = z1, x3 = z2} (chart
-    identity F1 - z1 = (z2 w - 1)(z1 - t^2) on x2 = (z1 - t^2) w), one
-    component when z2 != 0, and the two parallel components
-    diag(+-c, -+c) + u_+ over z = (c^2, 0), certified once for every c by
-    the identities F(diag(+-c, -+c) + t e_12) = (c^2, 0) in (c, t)."""
-    L = sl(2)
-    rng = rng_for("corpus-sl2-nilfibre", seed)
-    n2 = sl2_nilpotent()
-    sys_ = _system(n2)
+def check_sl2_nilpotent_fibres() -> CheckResult:
+    """Nilpotent fibre description {x1^2 + x2 z2 = z1, x3 = z2}: the chart
+    identity F1 - z1 = (z2 w - 1)(z1 - t^2) on x2 = (z1 - t^2) w puts every
+    point with w = 1/z2 in the fibre, one component when z2 != 0, and the two
+    parallel components diag(+-c, -+c) + u_+ over z = (c^2, 0), certified
+    once for every c by the identities F(diag(+-c, -+c) + t e_12) = (c^2, 0)
+    in (c, t)."""
+    sys_ = _system(sl2_nilpotent())
     lvars = ("c", "t")
     lc = MPoly.var(lvars, "c")
     lt = MPoly.var(lvars, "t")
@@ -419,17 +395,6 @@ def check_sl2_nilpotent_fibres(samples: int, seed: int) -> CheckResult:
         return _result("sl2-nilpotent-fibres", False, "chart identity (first)")
     if F2 - z2 != MPoly.zero(zvars):
         return _result("sl2-nilpotent-fibres", False, "chart identity (second)")
-    for _ in range(samples):
-        z1v = random_rational_scalar(rng)
-        z2v = random_nonzero_rational(rng)
-        tv = random_rational_scalar(rng)
-        x = L.element(ExactMatrix([[tv, (z1v - tv * tv) / z2v], [z2v, -tv]]))
-        if sys_.evaluate_scaled(x) != (z1v, z2v):
-            return _result("sl2-nilpotent-fibres", False, "sampled chart point")
-        cv = random_nonzero_rational(rng)
-        base_p = L.element(ExactMatrix.diagonal([cv, -cv]))
-        if sys_.evaluate_scaled(base_p) != (cv * cv, Scalar(0)):
-            return _result("sl2-nilpotent-fibres", False, "parallel components")
     # restriction to the Borel: (x1^2, 0)
     bvars = ("x1", "x2")
     x1 = MPoly.var(bvars, "x1")
@@ -748,40 +713,37 @@ def check_sl3_exotic_nilpotent() -> CheckResult:
     return _result("sl3-exotic-nilpotent", True)
 
 
-def check_sl3_orbit_invariance(samples: int, seed: int) -> CheckResult:
+def check_sl3_orbit_invariance() -> CheckResult:
     """The zero fibre is stable under dilations and under conjugation by the
-    centralizer of a; sampled orbit points of each witness stay in the zero
-    fibre and outside every atlas member."""
-    rng = rng_for("corpus-orbit", seed)
+    centralizer group of a, and each witness orbit stays outside every atlas
+    member, by identities: F(x) = 0 with every component homogeneous of
+    positive degree gives F(c x) = 0; tr(G_f [e, X]) = 0 for every gradient
+    G_f and every e in g^a makes F invariant under the group exp(g^a)
+    generates (it holds the torus of a semisimple a and every 1 + cN + dN^2
+    for the nilpotent part N); and g^a inside every member makes that group
+    fix each member, so the orbit meets a member exactly when x does."""
     L = sl(3)
-    zero5 = tuple(Scalar(0) for _ in range(5))
-    cases = []
+    X = generic_matrix(L)
     s, xs = semisimple_zero_fibre_witness(2, 2, 4)
-    cases.append((s, xs, "torus"))
-    cases.append((sl3_mixed(1), mixed_zero_fibre_witness(1), "unipotent"))
-    cases.append((sl3_nilpotent(), lowering_zero_fibre_witness(), "unipotent"))
-    for a, x, kind in cases:
+    cases = [
+        (s, xs),
+        (sl3_mixed(1), mixed_zero_fibre_witness(1)),
+        (sl3_nilpotent(), lowering_zero_fibre_witness()),
+    ]
+    for a, x in cases:
         sys_ = _system(a)
         at = _atlas(a)
-        # N = a - s, the nilpotent part of a
-        nil = a.matrix - semisimple_part(at.chains, at.frame)
-        for _ in range(samples):
-            c = random_nonzero_rational(rng)
-            if sys_.evaluate(x.scale(c)) != zero5:
-                return _result("sl3-orbit-invariance", False, "dilation")
-            if kind == "torus":
-                t1 = random_nonzero_rational(rng)
-                t2 = random_nonzero_rational(rng)
-                g = ExactMatrix.diagonal([t1, t2, Scalar(1) / (t1 * t2)])
-            else:
-                # unipotent elements of the centralizer: 1 + c N + d N^2
-                d = random_rational_scalar(rng)
-                g = ExactMatrix.identity(3) + nil.scale(c) + (nil * nil).scale(d)
-            y = conjugate(g, x)
-            if sys_.evaluate(y) != zero5:
+        if any(not v.is_zero() for v in sys_.evaluate(x)) or any(
+                c.homogeneous_degree() in (None, 0) for c in sys_.components):
+            return _result("sl3-orbit-invariance", False, "dilation")
+        for e in centralizer(a):
+            E = [[MPoly.const(L.coord_names, c) for c in row] for row in e.matrix.entries]
+            ad_e = [[p - q for p, q in zip(rp, rq)]
+                    for rp, rq in zip(mpoly_mat_mul(E, X), mpoly_mat_mul(X, E))]
+            if any(mpoly_mat_pair(G, ad_e) for G in sys_.component_gradients()):
                 return _result("sl3-orbit-invariance", False, "centralizer conjugation")
-            if any(m.contains(y) for m in at.members):
-                return _result("sl3-orbit-invariance", False, "orbit met a member")
+        if not check_centralizer_containment(a, at).passed or any(m.contains(x) for m in at.members):
+            return _result("sl3-orbit-invariance", False, "orbit met a member")
     return _result("sl3-orbit-invariance", True)
 
 
@@ -828,22 +790,22 @@ def check_singular_families(seed: int) -> CheckResult:
     return _result("singular-families", True)
 
 
-def run_corpus(samples: int = 100, seed: int = 0, self_test: bool = False) -> list[CheckResult]:
-    """Run every frozen check.  samples scales the sampled (non-symbolic)
-    portions; the symbolic work does not depend on it: the identities always
-    run, the sl_2 line families (over the critical parabola and the nilpotent
-    parallel lines) are certified once, symbolically in their parameter, the
-    Weyl degrees come from compositions of the restrictions to b^a, and the
-    singular families are certified over all of b^a with one certificate per
-    Borel.  self_test appends a harness check that tampers with a frozen
-    constant and must detect the change."""
-    small = max(10, samples // 5)
+def run_corpus(seed: int = 0, self_test: bool = False) -> list[CheckResult]:
+    """Run every frozen check.  Every check is exact and decides on identities
+    or on fixed points: the sl_2 fibre split, singular images and nilpotent
+    fibres are polynomial identities in the fibre value and the line or chart
+    parameters, the sl_3 orbit invariance is the infinitesimal invariance of
+    F_a under the centralizer of a, the Weyl degrees come from compositions
+    of the restrictions to b^a, and the singular families are certified over
+    all of b^a with one certificate per Borel.  seed picks the one drawn point,
+    the base of each singular family.  self_test appends a harness check that
+    tampers with a frozen constant and must detect the change."""
     results = [
         check_sl2_printed_system(),
         check_sl2_zero_fibre(),
-        check_sl2_semisimple_fibre_split(samples, seed),
-        check_sl2_singular_images(samples, seed),
-        check_sl2_nilpotent_fibres(samples, seed),
+        check_sl2_semisimple_fibre_split(),
+        check_sl2_singular_images(),
+        check_sl2_nilpotent_fibres(),
         check_sl3_printed_system(),
         check_sl3_atlas_tables(),
         check_sl3_bba_restrictions(),
@@ -851,7 +813,7 @@ def run_corpus(samples: int = 100, seed: int = 0, self_test: bool = False) -> li
         check_sl3_exotic_semisimple(),
         check_sl3_exotic_mixed(),
         check_sl3_exotic_nilpotent(),
-        check_sl3_orbit_invariance(max(5, small // 2), seed),
+        check_sl3_orbit_invariance(),
         check_sl3_count_formulas(),
         check_singular_families(seed),
     ]

@@ -363,6 +363,7 @@ def check_critical_values(sys_: ShiftSystem, samples: int, seed: int) -> CheckRe
         return _verdict("critical-values", failures, f"max rank {rank} of {sys_.b}, closed form")
     rng = rng_for(f"critical:{n}", seed)
     max_rank = -1
+    regular = not_critical = 0
     for _ in range(samples):
         if rng.random() < 0.5:
             # semisimple with a repeated eigenvalue, traceless
@@ -378,13 +379,16 @@ def check_critical_values(sys_: ShiftSystem, samples: int, seed: int) -> CheckRe
         g = random_unimodular(L, rng)
         y = conjugate(g, L.element(base))
         if is_regular(y):
-            failures.append("sampler produced a regular element")
+            regular += 1
             continue
         z = y + a.scale(random_rational_scalar(rng))
         rank = mat_rank(sys_.jacobian_at(z))
-        if rank >= sys_.b:
-            failures.append("singular sample is not a critical point")
+        not_critical += rank >= sys_.b
         max_rank = max(max_rank, rank)
+    if regular:
+        failures.append(f"sampler produced a regular element ({regular} samples)")
+    if not_critical:
+        failures.append(f"singular sample is not a critical point ({not_critical} samples)")
     if not (sys_.b - 2 <= max_rank <= sys_.b - 1):
         failures.append(f"max sampled rank {max_rank} outside [b-2, b-1]")
     return _verdict("critical-values", failures, f"max rank {max_rank} of {sys_.b}")
@@ -473,10 +477,11 @@ def check_tarasov_section(sys_: ShiftSystem, samples: int, seed: int) -> CheckRe
             break
         checked += 1
     values = [sys_.evaluate(x) for x in points]
-    for idx in range(len(points)):
-        for jdx in range(idx + 1, min(idx + 4, len(points))):
-            if points[idx] != points[jdx] and values[idx] == values[jdx]:
-                failures.append("distinct section points share a value vector")
+    shared = sum(points[idx] != points[jdx] and values[idx] == values[jdx]
+                 for idx in range(len(points))
+                 for jdx in range(idx + 1, min(idx + 4, len(points))))
+    if shared:
+        failures.append(f"distinct section points share a value vector ({shared} pairs)")
     return _verdict("tarasov-section", failures, f"jacobian constant {jc}, {checked} points")
 
 

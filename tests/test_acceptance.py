@@ -80,12 +80,12 @@ def test_criterion_03_sl2_closed_forms():
         for r in (
             check_sl2_printed_system(),
             check_sl2_zero_fibre(),
-            check_sl2_semisimple_fibre_split(100, 0),
-            check_sl2_singular_images(100, 0),
-            check_sl2_nilpotent_fibres(100, 0),
+            check_sl2_semisimple_fibre_split(),
+            check_sl2_singular_images(),
+            check_sl2_nilpotent_fibres(),
         ):
             _require(r, "sl2")
-        return "printed systems, case-split identities, 100-sample images"
+        return "printed systems, case-split identities, singular-image identities"
 
     _criterion(3, "sl2-closed-forms", run)
 

@@ -10,16 +10,20 @@ from mfatlas.corpus import (
     check_singular_families,
     check_sl2_nilpotent_fibres,
     check_sl2_semisimple_fibre_split,
+    check_sl2_singular_images,
+    check_sl3_orbit_invariance,
     check_sl3_weyl_degree,
     run_corpus,
     run_tamper_self_test,
 )
+from mfatlas.linalg import ExactMatrix
 from mfatlas.mpoly import MPoly
+from mfatlas.scalar import Scalar
 
 
 def test_corpus_all_pass_and_fast():
     t0 = time.time()
-    results = run_corpus(samples=100, seed=0)
+    results = run_corpus(seed=0)
     elapsed = time.time() - t0
     failed = [r for r in results if not r.passed]
     assert not failed, failed
@@ -28,8 +32,8 @@ def test_corpus_all_pass_and_fast():
 
 
 def test_corpus_deterministic_details():
-    r1 = run_corpus(samples=30, seed=3)
-    r2 = run_corpus(samples=30, seed=3)
+    r1 = run_corpus(seed=3)
+    r2 = run_corpus(seed=3)
     assert [(r.name, r.passed, r.detail) for r in r1] == [
         (r.name, r.passed, r.detail) for r in r2
     ]
@@ -42,7 +46,7 @@ def test_tamper_self_test_catches_perturbation():
 
 
 def test_self_test_included_when_requested():
-    names = [r.name for r in run_corpus(samples=5, seed=0, self_test=True)]
+    names = [r.name for r in run_corpus(seed=0, self_test=True)]
     assert any("tamper" in n for n in names)
 
 
@@ -69,7 +73,7 @@ def test_corpus_builds_each_shift_once(monkeypatch):
 
     monkeypatch.setattr(corpus, "_SYSTEMS", {})
     monkeypatch.setattr(corpus, "_ATLASES", {})
-    assert all(r.passed for r in run_corpus(samples=5, seed=0, self_test=True))
+    assert all(r.passed for r in run_corpus(seed=0, self_test=True))
     assert calls == {"build_system": 11, "enumerate_atlas": 6}
     warm = checks()
     assert all(passed for passed, _ in warm)
@@ -80,12 +84,16 @@ def test_corpus_builds_each_shift_once(monkeypatch):
 
 
 SL2_FAMILY_CHECKS = (check_sl2_semisimple_fibre_split, check_sl2_nilpotent_fibres)
+# the checks whose sampled loops became identities
+IDENTITY_CHECKS = (check_sl2_semisimple_fibre_split, check_sl2_singular_images,
+                   check_sl2_nilpotent_fibres, check_sl3_orbit_invariance)
 
 
 def test_sl2_line_families_certified_once(monkeypatch):
     """The two sl_2 line families are certified symbolically in their
-    parameter: no per-sample certificate, and the same number of
-    substitutions at 1 and at 100 samples."""
+    parameter: no certificate per point, and one substitution per component,
+    identity and shift (five identities on each of two semisimple shifts,
+    four on the nilpotent shift)."""
     calls = {"subs": 0, "certify_affine_constant": 0}
     subs, certify = MPoly.subs, corpus.certify_affine_constant
 
@@ -99,62 +107,140 @@ def test_sl2_line_families_certified_once(monkeypatch):
 
     monkeypatch.setattr(MPoly, "subs", counted_subs)
     monkeypatch.setattr(corpus, "certify_affine_constant", counted_certify)
+    counts = []
     for check in SL2_FAMILY_CHECKS:
-        assert check(1, 0).passed  # warm the shared builds
-        counts = []
-        for samples in (1, 100):
-            calls["subs"] = 0
-            assert check(samples, 0).passed
-            counts.append(calls["subs"])
-        assert counts[0] == counts[1] > 0, check.__name__
+        assert check().passed  # warm the shared builds
+        calls["subs"] = 0
+        assert check().passed
+        counts.append(calls["subs"])
+    assert counts == [2 * 5 * 2, 4 * 2]
     assert calls["certify_affine_constant"] == 0
 
 
+def _sampler_functions(module):
+    return [name for name, obj in vars(module).items()
+            if callable(obj) and getattr(obj, "__module__", None) == "mfatlas.sampling"
+            and (name == "rng_for" or name.startswith("random_"))]
+
+
+def test_identity_checks_draw_nothing(monkeypatch):
+    """The fibre split, singular images, nilpotent fibres and orbit
+    invariance decide without a sample: with every sampler raising they
+    pass as before."""
+    import mfatlas.sampling
+    import mfatlas.verify
+
+    warm = [(r.passed, r.detail) for r in (check() for check in IDENTITY_CHECKS)]
+    assert warm == [(True, "")] * len(IDENTITY_CHECKS)
+
+    def raising(*args, **kwargs):
+        raise AssertionError("drew from the sampler")
+
+    for module in (mfatlas.sampling, corpus, mfatlas.verify):
+        for name in _sampler_functions(module):
+            monkeypatch.setattr(module, name, raising)
+    assert [(r.passed, r.detail) for r in (check() for check in IDENTITY_CHECKS)] == warm
+
+
 def test_corpus_symbolic_work_does_not_scale_with_samples(monkeypatch):
-    """The singular families are certified over all of b^a, one certificate
-    per Borel: run_corpus makes as many certify_affine_constant calls at 5
-    samples as at 200."""
+    """No corpus row reads a sample count: a whole run draws only the base
+    point of each singular family, from one tagged generator, and certifies
+    each singular family over all of b^a with one certificate per Borel
+    (2 Borels for each of 3 shifts), besides the 3 lines of sl2-zero-fibre."""
     import mfatlas.components
 
-    calls = [0]
+    assert sorted(_sampler_functions(corpus)) == ["random_combination", "rng_for"]
+    tags, bases, certified = [], [], [0]
+    rng_for, combination = corpus.rng_for, corpus.random_combination
     certify = mfatlas.components.certify_affine_constant
 
-    def counted(*args):
-        calls[0] += 1
+    def counted_rng(tag, seed):
+        tags.append(tag)
+        return rng_for(tag, seed)
+
+    def counted_combination(L, basis, rng):
+        bases.append(len(basis))
+        return combination(L, basis, rng)
+
+    def counted_certify(*args):
+        certified[0] += 1
         return certify(*args)
 
-    monkeypatch.setattr(mfatlas.components, "certify_affine_constant", counted)
-    monkeypatch.setattr(corpus, "certify_affine_constant", counted)
-    counts = []
-    for samples in (5, 200):
-        calls[0] = 0
-        assert all(r.passed for r in run_corpus(samples=samples, seed=0))
-        counts.append(calls[0])
-    assert counts[0] == counts[1] > 0
+    monkeypatch.setattr(corpus, "rng_for", counted_rng)
+    monkeypatch.setattr(corpus, "random_combination", counted_combination)
+    monkeypatch.setattr(mfatlas.components, "certify_affine_constant", counted_certify)
+    monkeypatch.setattr(corpus, "certify_affine_constant", counted_certify)
+    assert all(r.passed for r in run_corpus(seed=0, self_test=True))
+    assert tags == ["corpus-singular-family"]
+    assert bases == [1, 2, 3]  # one point of b^a for sl2 s, sl3 s and sl3 r
+    assert certified[0] == 3 + 3 * 2
 
 
-class _TiltedSystem:
-    """A system whose scaled F1 gains h1*x12, which depends on t on the
-    x12 = t chart of each sl_2 line family."""
+class _TamperedSystem:
+    """A system whose scaled component `index` gains the polynomial
+    extra(coordinate names)."""
 
-    def __init__(self, sys_):
+    def __init__(self, sys_, index, extra):
         self._sys = sys_
+        self._index = index
+        self._extra = extra
 
     def __getattr__(self, name):
         return getattr(self._sys, name)
 
     def scaled_components(self):
-        F1, *rest = self._sys.scaled_components()
-        tilt = MPoly.var(F1.vars, "h1") * MPoly.var(F1.vars, "x12")
-        return [F1 + tilt, *rest]
+        comps = list(self._sys.scaled_components())
+        comps[self._index] = comps[self._index] + self._extra(comps[self._index].vars)
+        return comps
 
 
-@pytest.mark.parametrize("check, detail", [
-    (check_sl2_semisimple_fibre_split, "parabola components"),
-    (check_sl2_nilpotent_fibres, "parallel components"),
+def _tilt(v):
+    # h1*x12 depends on t on the x12 = t chart of each sl_2 line family
+    return MPoly.var(v, "h1") * MPoly.var(v, "x12")
+
+
+def _cross(v):
+    # x12*x21 vanishes on both lines through the diagonal but not on the orbit
+    return MPoly.var(v, "x12") * MPoly.var(v, "x21")
+
+
+def _upper(v):
+    # x12 vanishes on the diagonal line but not on the nilpotent line C n
+    return MPoly.var(v, "x12")
+
+
+@pytest.mark.parametrize("check, index, extra, detail", [
+    pytest.param(check, index, extra, detail, id=f"{check.__name__}-{detail}")
+    for check, index, extra, detail in [
+        (check_sl2_semisimple_fibre_split, 0, _tilt, "parabola components"),
+        (check_sl2_nilpotent_fibres, 0, _tilt, "parallel components"),
+        (check_sl2_semisimple_fibre_split, 1, _cross, "torus orbit"),
+        (check_sl2_singular_images, 1, _upper, "nilpotent image not origin"),
+    ]
 ])
-def test_sl2_line_identity_catches_a_tilted_component(monkeypatch, check, detail):
+def test_sl2_line_identity_catches_a_tilted_component(monkeypatch, check, index, extra, detail):
     system = corpus._system
-    monkeypatch.setattr(corpus, "_system", lambda a: _TiltedSystem(system(a)))
-    res = check(100, 0)
+    monkeypatch.setattr(corpus, "_system", lambda a: _TamperedSystem(system(a), index, extra))
+    res = check()
     assert (res.passed, res.detail) == (False, detail)
+
+
+def test_orbit_invariance_fails_off_the_centralizer(monkeypatch):
+    """E21 centralizes none of the three sl_3 shifts: the invariance identity
+    along it fails."""
+    z = Scalar(0)
+    e21 = ExactMatrix([[z, z, z], [Scalar(1), z, z], [z, z, z]])
+    monkeypatch.setattr(corpus, "centralizer", lambda a: [a.algebra.element(e21)])
+    res = check_sl3_orbit_invariance()
+    assert (res.passed, res.detail) == (False, "centralizer conjugation")
+
+
+def test_orbit_invariance_fails_for_a_witness_in_a_borel(monkeypatch):
+    """e12 - e23 lies in the zero fibre of the sl_3 nilpotent shift, inside
+    its Borel: its orbit meets a member."""
+    z, one = Scalar(0), Scalar(1)
+    upper = corpus.sl3_nilpotent().algebra.element(
+        ExactMatrix([[z, one, z], [z, z, -one], [z, z, z]]))
+    monkeypatch.setattr(corpus, "lowering_zero_fibre_witness", lambda: upper)
+    res = check_sl3_orbit_invariance()
+    assert (res.passed, res.detail) == (False, "orbit met a member")

@@ -140,6 +140,18 @@ def test_critical_values_on_sl2_rank_one_point(monkeypatch):
             assert ranks == [1]
 
 
+def test_critical_values_reports_each_failure_once(monkeypatch):
+    """A failure that every sample repeats is reported once, with its count."""
+    import mfatlas.verify
+
+    sys_ = system_for("sl3-s")
+    monkeypatch.setattr(mfatlas.verify, "mat_rank", lambda m: sys_.b)
+    result = check_critical_values(sys_, 20, 0)
+    assert (result.passed, result.detail) == (
+        False, "singular sample is not a critical point (20 samples); "
+        "max sampled rank 5 outside [b-2, b-1]")
+
+
 def test_image_bba_fails_when_the_restriction_depends_on_u_a():
     """x12 spans a direction of u^a for the sl3 nilpotent shift; the row
     fails there instead of going on to the Weyl compositions."""

@@ -4,17 +4,20 @@ Each check re-derives a published-style closed form inside the library and
 compares bit-exactly against the frozen expectation recorded here: printed
 system components, fibre parametrization identities, atlas shape tables,
 restrictions to b^a, exotic zero-fibre witnesses and their orbit invariance,
-degree counts, and the component-count formula instantiations.  Every
-statement about a family of points is certified as a polynomial identity, so
-no verdict depends on a sample; the only drawn point is the base of each
-singular family, which its certificate covers for all of b^a.  run_corpus
-returns one CheckResult per named check; self_test mode deliberately tampers
-with a frozen constant and verifies the harness notices.
+degree counts, and the component-count formula instantiations.  What is
+frozen for each named sl_3 shift (s, r, n) is one row of _sl3_shifts, which
+the generic sl_3 checks loop over.  Every statement about a family of points
+is certified as a polynomial identity, so no verdict depends on a sample;
+the only drawn point is the base of each singular family, which its
+certificate covers for all of b^a.  run_corpus returns one CheckResult per
+named check; self_test mode deliberately tampers with a frozen constant and
+verifies the harness notices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from .components import certify_affine_constant, is_strongly_regular, krylov_line_regular
 from .count import count_zero_fibre
@@ -34,7 +37,6 @@ from .lie import (
     nilpotent_rep,
     semisimple_rep,
     sl,
-    weyl_group,
     weyl_stabilizer,
 )
 from .linalg import ExactMatrix, span_equal
@@ -45,7 +47,6 @@ from .mpoly import (
     mpoly_mat_mul,
     mpoly_mat_pair,
     mpoly_mat_trace,
-    permute_cartan_chart,
 )
 from .sampling import random_combination, rng_for
 from .scalar import Scalar
@@ -58,39 +59,6 @@ from .verify import (
     check_image_bba,
     check_singular_family,
 )
-
-
-# -- frozen shape tables (matrix support patterns, rows joined by "|") ---------------
-
-BOREL_MASKS_SL3_S = frozenset(
-    [
-        "***|0**|00*",
-        "*00|**0|***",
-        "**0|0*0|***",
-        "*0*|***|00*",
-        "*00|***|*0*",
-        "***|0*0|0**",
-    ]
-)
-PARABOLIC_MASKS_SL3_S = frozenset(
-    [
-        "***|***|00*",
-        "**0|**0|***",
-        "***|0**|0**",
-        "*00|***|***",
-        "***|0*0|***",
-        "*0*|***|*0*",
-    ]
-)
-BOREL_MASKS_SL3_R = frozenset(["***|0**|00*", "**0|0*0|***", "***|0*0|0**"])
-PARABOLIC_MASKS_SL3_R = frozenset(
-    ["***|***|00*", "**0|**0|***", "***|0**|0**", "***|0*0|***"]
-)
-BOREL_MASKS_SL3_N = frozenset(["***|0**|00*"])
-PARABOLIC_MASKS_SL3_N = frozenset(["***|***|00*", "***|0**|0**"])
-
-BBA_MASK = {"s": "*00|0*0|00*", "r": "**0|0*0|00*", "n": "***|0**|00*"}
-UA_MASK = {"s": "000|000|000", "r": "0*0|000|000", "n": "0**|00*|000"}
 
 
 # -- element builders ------------------------------------------------------------------
@@ -172,6 +140,60 @@ def lowering_zero_fibre_witness() -> GElement:
     return L.element(
         ExactMatrix([[z, z, z], [Scalar(1), z, z], [z, Scalar(-1), z]])
     )
+
+
+# -- the named sl_3 shifts ---------------------------------------------------------------
+
+
+class NamedShift(NamedTuple):
+    """One named sl_3 shift and the values the corpus freezes for it; a mask
+    is a matrix support pattern, rows joined by "|"."""
+
+    rep: GElement  # the representative
+    second: GElement | None  # a second parameter choice
+    borel_masks: frozenset[str]
+    parabolic_masks: frozenset[str]  # the proper parabolics
+    ba_mask: str
+    ua_mask: str
+    dims: tuple[int, int]  # dim b^a, dim u^a
+    image_bba: str  # the check_image_bba pass detail
+    formula: str  # the count formula, with its lower bound
+    lower: int
+    witness: tuple[GElement, GElement]  # a shift and an exotic element of its zero fibre
+
+
+def _sl3_shifts() -> dict[str, NamedShift]:
+    """The table the generic sl_3 checks loop over, keyed by the names
+    mf --element gives the shifts.  It is built when a check runs, so a check
+    sees the builders as they are then."""
+    return {
+        "s": NamedShift(
+            sl3_semisimple(1, 2), sl3_semisimple(2, 0),
+            frozenset(["***|0**|00*", "*00|**0|***", "**0|0*0|***",
+                       "*0*|***|00*", "*00|***|*0*", "***|0*0|0**"]),
+            frozenset(["***|***|00*", "**0|**0|***", "***|0**|0**",
+                       "*00|***|***", "***|0*0|***", "*0*|***|*0*"]),
+            "*00|0*0|00*", "000|000|000", (2, 0),
+            "degree 6", "I'(3,[1,1,1]) + 0 + 6", 7,
+            semisimple_zero_fibre_witness(2, 2, 4),  # its shift is diag(2, 0, -2)
+        ),
+        "r": NamedShift(
+            sl3_mixed(1), sl3_mixed(2),
+            frozenset(["***|0**|00*", "**0|0*0|***", "***|0*0|0**"]),
+            frozenset(["***|***|00*", "**0|**0|***", "***|0**|0**", "***|0*0|***"]),
+            "**0|0*0|00*", "0*0|000|000", (3, 1),
+            "degree 3", "I'(3,[2,1]) + 0 + 3", 4,
+            (sl3_mixed(1), mixed_zero_fibre_witness(1)),
+        ),
+        "n": NamedShift(
+            sl3_nilpotent(), None,
+            frozenset(["***|0**|00*"]),
+            frozenset(["***|***|00*", "***|0**|0**"]),
+            "***|0**|00*", "0**|00*|000", (5, 3),
+            "degree 1, nilpotent form", "I'(3,[3]) + 0 + 1", 2,
+            (sl3_nilpotent(), lowering_zero_fibre_witness()),
+        ),
+    }
 
 
 # -- shared builds -----------------------------------------------------------------------
@@ -304,9 +326,9 @@ def check_sl2_semisimple_fibre_split() -> CheckResult:
       off the parabola the fibre is the single torus orbit of
       ((z2/2a1, 1), (d, -z2/2a1)): F1 - z1 = (u^2 v^2 - 1) d, F2 = z2 on
       x12 = u^2, x21 = d v^2 puts Ad(diag(u, v)) of that point in the fibre
-      for every uv = 1, and the chart identity F1 - z1 = (t w - 1) d,
-      F2 = z2 on x12 = t, x21 = d w shows the fibre meets the chart in
-      tw = 1 alone.
+      for every uv = 1.  Under the injective substitution t = u^2, w = v^2
+      it is the chart identity F1 - z1 = (t w - 1) d, F2 = z2 on x12 = t,
+      x21 = d w, so the fibre meets that chart in tw = 1 alone.
     """
     for a1 in (1, Fraction(3, 2)):
         a1s = Scalar(Fraction(a1))
@@ -332,15 +354,6 @@ def check_sl2_semisimple_fibre_split() -> CheckResult:
         F1, F2 = _subs_components(sys_, ovars, mapping)
         if F1 - z1 != (u * u * v * v - Scalar(1)) * d or F2 != z2:
             return _result("sl2-semisimple-fibre-split", False, "torus orbit")
-        zvars = ("z1", "z2", "t", "w")
-        z1, z2, t, w = (MPoly.var(zvars, name) for name in zvars)
-        d = z1 - z2 * z2 * quarter
-        mapping = {"h1": z2 * half, "x12": t, "x21": d * w}
-        F1, F2 = _subs_components(sys_, zvars, mapping)
-        if F1 - z1 != (t * w - Scalar(1)) * d:
-            return _result("sl2-semisimple-fibre-split", False, "chart identity (first)")
-        if F2 - z2 != MPoly.zero(zvars):
-            return _result("sl2-semisimple-fibre-split", False, "chart identity (second)")
     return _result("sl2-semisimple-fibre-split", True)
 
 
@@ -428,15 +441,9 @@ def _trace_power_targets(a: GElement) -> list[MPoly]:
 
 
 def check_sl3_printed_system() -> CheckResult:
-    """All five representatives produce exactly the displayed component
-    vector after the recorded rescaling."""
-    shifts = [
-        sl3_semisimple(1, 2),
-        sl3_semisimple(2, 0),
-        sl3_mixed(1),
-        sl3_mixed(2),
-        sl3_nilpotent(),
-    ]
+    """Both parameter choices of each named shift produce exactly the
+    displayed component vector after the recorded rescaling."""
+    shifts = [a for row in _sl3_shifts().values() for a in (row.rep, row.second) if a is not None]
     for a in shifts:
         sys_ = _system(a)
         if sys_.scaled_components() != _trace_power_targets(a):
@@ -447,30 +454,25 @@ def check_sl3_printed_system() -> CheckResult:
 
 
 def check_sl3_atlas_tables() -> CheckResult:
-    """Borel/parabolic counts and support masks for the three conjugacy
-    representatives, plus the shapes of b^a and u^a."""
-    cases = [
-        ("s", sl3_semisimple(1, 2), BOREL_MASKS_SL3_S, PARABOLIC_MASKS_SL3_S, 2, 0),
-        ("r", sl3_mixed(1), BOREL_MASKS_SL3_R, PARABOLIC_MASKS_SL3_R, 3, 1),
-        ("n", sl3_nilpotent(), BOREL_MASKS_SL3_N, PARABOLIC_MASKS_SL3_N, 5, 3),
-    ]
-    for label, a, bmask, pmask, dim_ba, dim_ua in cases:
-        at = _atlas(a)
-        if _masks(at.borels) != bmask:
-            return _result("sl3-atlas-tables", False, f"{label}: Borel masks")
-        if _masks(at.parabolics) != pmask:
-            return _result("sl3-atlas-tables", False, f"{label}: parabolic masks")
-        if len(at.b_a) != dim_ba or len(at.u_a) != dim_ua:
-            return _result("sl3-atlas-tables", False, f"{label}: b^a/u^a dimension")
-        ba_mask = "|".join(mask_strings(support_mask(a.algebra, at.b_a)))
-        if ba_mask != BBA_MASK[label]:
-            return _result("sl3-atlas-tables", False, f"{label}: b^a mask {ba_mask}")
-        ua_mask = "|".join(mask_strings(support_mask(a.algebra, at.u_a)))
-        if ua_mask != UA_MASK[label]:
-            return _result("sl3-atlas-tables", False, f"{label}: u^a mask {ua_mask}")
-    # a second semisimple parameter choice gives the same tables
-    at2 = _atlas(sl3_semisimple(2, 0))
-    if _masks(at2.borels) != BOREL_MASKS_SL3_S or _masks(at2.parabolics) != PARABOLIC_MASKS_SL3_S:
+    """Borel/parabolic masks and the masks and dimensions of b^a and u^a for
+    each named shift, and the same Borel/parabolic masks at the second
+    parameter choice of the semisimple shift."""
+    shifts = _sl3_shifts()
+    for name, row in shifts.items():
+        at = _atlas(row.rep)
+        if _masks(at.borels) != row.borel_masks:
+            return _result("sl3-atlas-tables", False, f"{name}: Borel masks")
+        if _masks(at.parabolics) != row.parabolic_masks:
+            return _result("sl3-atlas-tables", False, f"{name}: parabolic masks")
+        if (len(at.b_a), len(at.u_a)) != row.dims:
+            return _result("sl3-atlas-tables", False, f"{name}: b^a/u^a dimension")
+        for space, basis, frozen in (("b^a", at.b_a, row.ba_mask), ("u^a", at.u_a, row.ua_mask)):
+            mask = "|".join(mask_strings(support_mask(row.rep.algebra, basis)))
+            if mask != frozen:
+                return _result("sl3-atlas-tables", False, f"{name}: {space} mask {mask}")
+    s = shifts["s"]
+    at2 = _atlas(s.second)
+    if (_masks(at2.borels), _masks(at2.parabolics)) != (s.borel_masks, s.parabolic_masks):
         return _result("sl3-atlas-tables", False, "parameter independence")
     return _result("sl3-atlas-tables", True)
 
@@ -539,34 +541,18 @@ def check_sl3_bba_restrictions() -> CheckResult:
 
 def check_sl3_weyl_degree() -> CheckResult:
     """Degree of the projection of F_a(b^a) onto the invariant coordinates:
-    the stabilizer of diag(rho, rho, -2 rho) is {id, swap(1,2)}; the diagonal
-    restriction composed with a Weyl element sigma equals the restriction
-    exactly when sigma is in that stabilizer, and the compositions are
-    |W / W_s| = 3 distinct tuples (check_image_bba gives 6 for the
-    semisimple representative, 1 for the nilpotent one)."""
-    L = sl(3)
-    r = sl3_mixed(1)
-    atlas_r = _atlas(r)
-    stab = weyl_stabilizer(L.element(semisimple_part(atlas_r.chains, atlas_r.frame)))
-    perms = sorted(stab)
+    the stabilizer W_s of diag(rho, rho, -2 rho) is {id, swap(1,2)}, and the
+    image-bba probe of each named shift shows that W_s fixes the restriction
+    to the Cartan chart and that the Weyl translates take exactly |W|/|W_s|
+    distinct values, so a translate equals the restriction exactly when sigma
+    is in W_s; the degrees are 6, 3 and 1 (the last in the nilpotent form)."""
+    shifts = _sl3_shifts()
+    at = _atlas(shifts["r"].rep)
+    perms = sorted(weyl_stabilizer(sl(3).element(semisimple_part(at.chains, at.frame))))
     if perms != [(0, 1, 2), (1, 0, 2)]:
         return _result("sl3-weyl-degree", False, f"stabilizer {perms}")
-    sys_r = _system(r)
-    vars_ = ("x11", "x22")
-    restricted = _subs_components(sys_r, vars_, _diag_mapping_sl3(vars_))
-    translates = set()
-    for sigma in weyl_group(3):
-        moved = [p.subs(vars_, permute_cartan_chart(sigma, vars_)) for p in restricted]
-        if (sigma in stab) != (moved == restricted):
-            return _result("sl3-weyl-degree", False, f"translate {sigma}")
-        translates.add(tuple(moved))
-    if len(translates) != 3:
-        return _result("sl3-weyl-degree", False, f"{len(translates)} orbit values")
-    probes = [check_image_bba(sys_r, atlas_r)]
-    for a in (sl3_semisimple(1, 2), sl3_nilpotent()):
-        probes.append(check_image_bba(_system(a), _atlas(a)))
-    ok = [(r.passed, r.detail) for r in probes] == [
-        (True, "degree 3"), (True, "degree 6"), (True, "degree 1, nilpotent form")]
+    probes = [check_image_bba(_system(row.rep), _atlas(row.rep)) for row in shifts.values()]
+    ok = [(r.passed, r.detail) for r in probes] == [(True, s.image_bba) for s in shifts.values()]
     return _result("sl3-weyl-degree", ok, "" if ok else "image probes")
 
 
@@ -576,7 +562,7 @@ def check_sl3_exotic_semisimple() -> CheckResult:
     subspace (as exact polynomial identities), the multiply-through identity
     that solves the cubic equation, value zero, exclusion from every atlas
     member, and x^2 != 0 = x^3 with strong regularity."""
-    s, x = semisimple_zero_fibre_witness(2, 2, 4)
+    s, x = _sl3_shifts()["s"].witness
     expected = [
         [Scalar(0), Scalar(1), Scalar(-1)],
         [Scalar(2), Scalar(0), Scalar(1)],
@@ -634,7 +620,7 @@ def check_sl3_exotic_mixed() -> CheckResult:
     value zero with atlas exclusion at rho = 1, regular nilpotency, and
     line regularity."""
     L = sl(3)
-    r = sl3_mixed(1)
+    r, x = _sl3_shifts()["r"].witness
     # image(ad_r) = {x11 + x22 = 0 = x33 = x21}
     ad = ad_matrix(r)
     image = [ad.col(j) for j in range(len(ad.entries[0]))]
@@ -685,7 +671,6 @@ def check_sl3_exotic_mixed() -> CheckResult:
     weq3 = (w11 * w11 * Scalar(2) - w13 * w31 - w23 * w32) * rpol + w23 * w31
     if weq1 != MPoly.zero(rv) or weq2 != MPoly.zero(rv) or weq3 != MPoly.zero(rv):
         return _result("sl3-exotic-mixed", False, "witness does not solve the system")
-    x = mixed_zero_fibre_witness(1)
     sys_1 = _system(r)
     rep = check_exotic_witness(sys_1, x, _atlas(r))
     if not rep.passed:
@@ -702,8 +687,7 @@ def check_sl3_exotic_mixed() -> CheckResult:
 def check_sl3_exotic_nilpotent() -> CheckResult:
     """The classical witness e_21 - e_32 lies in the nilpotent zero fibre,
     outside the unique Borel and both parabolics."""
-    n = sl3_nilpotent()
-    x = lowering_zero_fibre_witness()
+    n, x = _sl3_shifts()["n"].witness
     sys_ = _system(n)
     rep = check_exotic_witness(sys_, x, _atlas(n))
     if not rep.passed:
@@ -724,13 +708,7 @@ def check_sl3_orbit_invariance() -> CheckResult:
     fix each member, so the orbit meets a member exactly when x does."""
     L = sl(3)
     X = generic_matrix(L)
-    s, xs = semisimple_zero_fibre_witness(2, 2, 4)
-    cases = [
-        (s, xs),
-        (sl3_mixed(1), mixed_zero_fibre_witness(1)),
-        (sl3_nilpotent(), lowering_zero_fibre_witness()),
-    ]
-    for a, x in cases:
+    for a, x in (row.witness for row in _sl3_shifts().values()):
         sys_ = _system(a)
         at = _atlas(a)
         if any(not v.is_zero() for v in sys_.evaluate(x)) or any(
@@ -748,17 +726,13 @@ def check_sl3_orbit_invariance() -> CheckResult:
 
 
 def check_sl3_count_formulas() -> CheckResult:
-    """Formula instantiations: semisimple |I'| + 0 + 6 with lower bound 7,
-    mixed |I'| + 0 + 3 with lower bound 4, nilpotent |I'| + 0 + 1 with lower
-    bound 2; all Levi factors are rank-one with vanishing exotic counts."""
-    cases = [
-        (sl3_semisimple(1, 2), "I'(3,[1,1,1]) + 0 + 6", 7, 6),
-        (sl3_mixed(1), "I'(3,[2,1]) + 0 + 3", 4, 3),
-        (sl3_nilpotent(), "I'(3,[3]) + 0 + 1", 2, 1),
-    ]
-    for a, formula, lower, borels in cases:
-        rep = count_zero_fibre(a, atlas=_atlas(a))
-        if (rep["formula"], rep["total_lower"], rep["borel_count"]) != (formula, lower, borels):
+    """Formula instantiations |I'| + 0 + (Borel count) of each named shift,
+    with its lower bound and as many Borels as it has frozen Borel masks; all
+    Levi factors are rank-one with vanishing exotic counts."""
+    for row in _sl3_shifts().values():
+        rep = count_zero_fibre(row.rep, atlas=_atlas(row.rep))
+        frozen = (row.formula, row.lower, len(row.borel_masks))
+        if (rep["formula"], rep["total_lower"], rep["borel_count"]) != frozen:
             return _result(
                 "sl3-count-formulas", False,
                 f"{rep['formula']} lower {rep['total_lower']}",
@@ -776,17 +750,17 @@ def check_singular_families(seed: int) -> CheckResult:
     non-nilpotent cases (one certificate per Borel, based at one drawn point
     of b^a), and the expected-failure path for nilpotent a."""
     rng = rng_for("corpus-singular-family", seed)
-    cases = [sl2_semisimple(1), sl3_semisimple(1, 2), sl3_mixed(1)]
-    for a in cases:
+    for a in [sl2_semisimple(1), sl2_nilpotent()] + [row.rep for row in _sl3_shifts().values()]:
         at = _atlas(a)
-        rep = check_singular_family(_system(a), random_combination(a.algebra, at.b_a, rng), at)
-        if (rep.passed, rep.detail) != (True, "x + u^a lies in two distinct Borel components"):
-            return _result("singular-families", False, str(a.matrix.entries))
-    for a in (sl2_nilpotent(), sl3_nilpotent()):
-        rep = check_singular_family(_system(a), a, _atlas(a))
-        if (rep.passed, rep.detail) != (
-                True, "nilpotent shift element: unique Borel, no second component exists"):
-            return _result("singular-families", False, "nilpotent expected failure")
+        if a.is_nilpotent():
+            x, failure = a, "nilpotent expected failure"
+            expected = "nilpotent shift element: unique Borel, no second component exists"
+        else:
+            x, failure = random_combination(a.algebra, at.b_a, rng), str(a.matrix.entries)
+            expected = "x + u^a lies in two distinct Borel components"
+        rep = check_singular_family(_system(a), x, at)
+        if (rep.passed, rep.detail) != (True, expected):
+            return _result("singular-families", False, failure)
     return _result("singular-families", True)
 
 
@@ -795,11 +769,11 @@ def run_corpus(seed: int = 0, self_test: bool = False) -> list[CheckResult]:
     or on fixed points: the sl_2 fibre split, singular images and nilpotent
     fibres are polynomial identities in the fibre value and the line or chart
     parameters, the sl_3 orbit invariance is the infinitesimal invariance of
-    F_a under the centralizer of a, the Weyl degrees come from compositions
-    of the restrictions to b^a, and the singular families are certified over
-    all of b^a with one certificate per Borel.  seed picks the one drawn point,
-    the base of each singular family.  self_test appends a harness check that
-    tampers with a frozen constant and must detect the change."""
+    F_a under the centralizer of a, the Weyl degrees are read from the
+    image-bba probes, and the singular families are certified over all of b^a
+    with one certificate per Borel.  seed picks the one drawn point, the base
+    of each singular family.  self_test appends a harness check that tampers
+    with a frozen constant and must detect the change."""
     results = [
         check_sl2_printed_system(),
         check_sl2_zero_fibre(),

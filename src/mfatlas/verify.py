@@ -293,7 +293,11 @@ def check_image_bba(sys_: ShiftSystem, atlas: BorelAtlas) -> CheckResult:
 
       (1) the restriction is free of the u^a directions (so the image equals
           the image of the adapted Cartan h_U); when it is not, the row
-          fails here,
+          fails here.  Its first rank(g) components then have Jacobian rank
+          rank(g) at s = (1, ..., n - 1), a point with distinct eigenvalues,
+          so F_a(b^a), at most (n - 1)-dimensional as the image of h_U, has
+          dimension rank(g): the fibres through b^a form a rank(g)-dimensional
+          family,
       (2) for nilpotent a the restriction is (f_1|_h, ..., f_r|_h, 0, ..., 0),
       (3) composing the restriction with every Weyl element w (acting on the
           Cartan chart), the compositions by the stabilizer W_s equal the
@@ -318,6 +322,11 @@ def check_image_bba(sys_: ShiftSystem, atlas: BorelAtlas) -> CheckResult:
     if any(any(e[len(svars):]) for rp in restricted for e in rp.terms):
         return _result("image-bba", False, "restriction to b^a depends on a u^a direction")
     restricted = [rp.project(svars) for rp in restricted]
+    point = [Scalar(k + 1) for k in range(n - 1)]
+    jacobian = [[p.diff(v).eval(point) for v in svars] for p in restricted[:L.rank]]
+    rank = mat_rank(ExactMatrix(jacobian))
+    if rank != L.rank:
+        failures.append(f"image dimension: Jacobian rank {rank} of the first {L.rank} components")
     if nilpotent:
         # (2) nilpotent: (f_1|_h, ..., f_r|_h, 0, ..., 0)
         invariants = restrict_to_chart(sys_.components[:L.rank], svars, origin, hcs)

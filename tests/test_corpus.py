@@ -2,6 +2,8 @@
 harness must catch a perturbed coefficient."""
 
 import time
+from itertools import product
+from math import factorial, prod
 
 import pytest
 
@@ -17,6 +19,7 @@ from mfatlas.corpus import (
     run_tamper_self_test,
 )
 from mfatlas.linalg import ExactMatrix
+from mfatlas.mfsystem import ShiftSystem
 from mfatlas.mpoly import MPoly
 from mfatlas.scalar import Scalar
 
@@ -92,7 +95,7 @@ IDENTITY_CHECKS = (check_sl2_semisimple_fibre_split, check_sl2_singular_images,
 def test_sl2_line_families_certified_once(monkeypatch):
     """The two sl_2 line families are certified symbolically in their
     parameter: no certificate per point, and one substitution per component,
-    identity and shift (five identities on each of two semisimple shifts,
+    identity and shift (four identities on each of two semisimple shifts,
     four on the nilpotent shift)."""
     calls = {"subs": 0, "certify_affine_constant": 0}
     subs, certify = MPoly.subs, corpus.certify_affine_constant
@@ -113,7 +116,7 @@ def test_sl2_line_families_certified_once(monkeypatch):
         calls["subs"] = 0
         assert check().passed
         counts.append(calls["subs"])
-    assert counts == [2 * 5 * 2, 4 * 2]
+    assert counts == [2 * 4 * 2, 4 * 2]
     assert calls["certify_affine_constant"] == 0
 
 
@@ -244,3 +247,74 @@ def test_orbit_invariance_fails_for_a_witness_in_a_borel(monkeypatch):
     monkeypatch.setattr(corpus, "lowering_zero_fibre_witness", lambda: upper)
     res = check_sl3_orbit_invariance()
     assert (res.passed, res.detail) == (False, "orbit met a member")
+
+
+# Each named sl_3 shift by its Jordan chains over e1, e2, e3: one chain per
+# eigenvalue, listing its vectors in chain order.
+JORDAN_CHAINS_SL3 = {"s": [[0], [1], [2]], "r": [[0, 1], [2]], "n": [[0, 1, 2]]}
+
+
+def _derived_row(chains, n=3):
+    """The values frozen for a named shift, derived from its Jordan chains
+    without mfatlas.  A flag of k blocks is an ordered set partition of
+    {e1, ..., en} that keeps each chain in non-decreasing blocks, with * at
+    (i, j) iff block(i) <= block(j): n blocks give the Borels, two the
+    proper parabolics.  u^a is supported where e_i precedes e_j in a chain,
+    and b^a on that and the diagonal.  With multiplicities m_k there are
+    n!/prod m_k! Borels, which is also the image-bba degree,
+    dim u^a = sum m_k(m_k - 1)/2, dim b^a = (n - 1) + dim u^a, and the count's
+    lower bound is the Borel count plus one."""
+    def mask(star):
+        return "|".join("".join("*" if star(i, j) else "0" for j in range(n)) for i in range(n))
+
+    def flags(k):
+        return frozenset(
+            mask(lambda i, j: block[i] <= block[j])
+            for block in product(range(k), repeat=n)
+            if set(block) == set(range(k))
+            and all(block[c[t]] <= block[c[t + 1]] for c in chains for t in range(len(c) - 1)))
+
+    mults = sorted((len(c) for c in chains), reverse=True)
+    borels = factorial(n) // prod(factorial(m) for m in mults)
+    before = {(c[s], c[t]) for c in chains for s in range(len(c)) for t in range(s + 1, len(c))}
+    dim_ua = sum(m * (m - 1) // 2 for m in mults)
+    return {
+        "borel_masks": flags(n),
+        "parabolic_masks": flags(2),
+        "ba_mask": mask(lambda i, j: i == j or (i, j) in before),
+        "ua_mask": mask(lambda i, j: (i, j) in before),
+        "dims": (n - 1 + dim_ua, dim_ua),
+        "image_bba": f"degree {borels}" + (", nilpotent form" if len(chains) == 1 else ""),
+        "formula": f"I'({n},[{','.join(map(str, mults))}]) + 0 + {borels}",
+        "lower": borels + 1,
+    }
+
+
+def test_named_shift_table_matches_its_derivation():
+    """Every frozen value of the sl_3 table, re-derived from the Jordan
+    chains of its shift."""
+    table = corpus._sl3_shifts()
+    assert sorted(table) == sorted(JORDAN_CHAINS_SL3)
+    for name, chains in JORDAN_CHAINS_SL3.items():
+        derived = _derived_row(chains)
+        assert {field: getattr(table[name], field) for field in derived} == derived, name
+
+
+def test_weyl_degree_fails_on_a_tampered_mixed_system(monkeypatch):
+    """h1 added to the component 2 tr(a x) of sl3_mixed(1) breaks the
+    W_s-invariance of its restriction to b^a, which the image-bba probe
+    reports."""
+    r = corpus.sl3_mixed(1)
+    system = corpus._system
+
+    def tampered(a):
+        sys_ = system(a)
+        if a != r:
+            return sys_
+        comps = list(sys_.components)
+        comps[2] = comps[2] + MPoly.var(sys_.algebra.coord_names, "h1")
+        return ShiftSystem(sys_.a, comps, sys_.labels, sys_.certificate_point)
+
+    monkeypatch.setattr(corpus, "_system", tampered)
+    res = check_sl3_weyl_degree()
+    assert (res.passed, res.detail) == (False, "image probes")

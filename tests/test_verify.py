@@ -236,3 +236,25 @@ def test_image_bba_degree_of_sl4_jordan_types(tmp_path, jordan):
     assert (rows["image-bba"]["passed"], rows["image-bba"]["detail"]) == (True, f"degree {degree}")
     a = GElement.from_json_dict(data)
     assert _oracle_counts(build_system(a), enumerate_atlas(a), jordan) == [degree] * ORACLE_DRAWS
+
+
+
+@pytest.mark.parametrize("key", ["sl3-s", "sl3-r", "sl3-n", "sl4-s", "sl4-n", *sorted(JORDAN_SL4)])
+def test_image_bba_certifies_a_rank_g_dimensional_image(key):
+    """image-bba passes on each shift of rank(g) >= 2 (the rank-one sl_2
+    shifts pass in the oracle test above), and once the second component is
+    replaced by the first it fails with exactly the image dimension: the
+    invariants restricted to the Cartan chart lose a rank."""
+    if key in JORDAN_SL4:
+        entries = JORDAN_SL4[key][0]
+        a = GElement.from_json_dict({"n": 4, "entries": [[str(v) for v in row] for row in entries]})
+    else:
+        a = PINNED[key][0]() if key in PINNED else representative(key)
+    sys_, atlas = build_system(a), enumerate_atlas(a)
+    assert check_image_bba(sys_, atlas).passed
+    rank = sys_.algebra.rank
+    comps = list(sys_.components)
+    comps[1] = comps[0]
+    mutant = ShiftSystem(sys_.a, comps, sys_.labels, sys_.certificate_point)
+    _fails(check_image_bba(mutant, atlas),
+           f"image dimension: Jacobian rank {rank - 1} of the first {rank} components")

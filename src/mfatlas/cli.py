@@ -272,12 +272,19 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 
 SUBCOMMANDS = {
-    "build": (cmd_build, "build F_a and print its descriptor"),
-    "verify": (cmd_verify, "run the named verification suite"),
-    "count": (cmd_count, "evaluate the recursive zero-fibre count"),
-    "atlas": (cmd_atlas, "enumerate Borels and parabolics containing a"),
-    "check-examples": (cmd_check_examples, "run the frozen regression corpus"),
+    "build": "build F_a and print its descriptor",
+    "verify": "run the named verification suite",
+    "count": "evaluate the recursive zero-fibre count",
+    "atlas": "enumerate Borels and parabolics containing a",
+    "check-examples": "run the frozen regression corpus",
 }
+
+
+def _handlers() -> dict:
+    """Each subcommand's cmd_* function, looked up in the module globals when
+    main runs, so a rebound global (a tracer's wrapper) is the one called."""
+    return {"build": cmd_build, "verify": cmd_verify, "count": cmd_count,
+            "atlas": cmd_atlas, "check-examples": cmd_check_examples}
 
 
 def _add_options(name: str, p: argparse.ArgumentParser) -> None:
@@ -301,11 +308,10 @@ def make_parser(command: str | None = None) -> argparse.ArgumentParser:
         "systems on sl_n at desk scale.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_text) in SUBCOMMANDS.items():
+    for name, help_text in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if command in (None, name):
             _add_options(name, p)
-        p.set_defaults(func=func)
     return parser
 
 
@@ -316,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.samples is not None and args.samples < 1:
             raise PreconditionError("--samples must be at least 1")
-        body, ok = args.func(args)
+        body, ok = _handlers()[args.command](args)
         report = {"schema": SCHEMA, "config": _config_dict(args), **body}
     except PreconditionError as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)

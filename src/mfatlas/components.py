@@ -11,8 +11,9 @@ The fibre machinery reads the system that mfsystem builds:
     certificate row-reduces I, M, ..., M^{n-1} over Q(i)[lambda] with
     unipoly, and its oracles, in tests/oracles.py, are the symbolic-vector
     Krylov determinant (in sympy) and regularity spot checks along the line,
-  - tangent_space, computed three ways and cross-checked, and section_chart,
-    the Tarasov section in coordinates.
+  - tangent_space, computed two ways and cross-checked, with the invariant
+    gradients tested to centralize the point, and section_chart, the Tarasov
+    section in coordinates.
 
 An AffineComponent is an affine subspace base + span(dirs) on which every
 component of F_a is certified constant by exact substitution (the
@@ -205,15 +206,17 @@ def is_strongly_regular(sys_: ShiftSystem, x: GElement) -> bool:
 
 def tangent_space(sys_: ShiftSystem, x: GElement) -> list[GElement]:
     """Canonical basis of the tangent space at a strongly regular point,
-    computed three equivalent ways and cross-checked exactly:
+    computed two equivalent ways and cross-checked exactly:
 
       (1) span [x, grad f_ij(x)] over the shifted components (j >= 1),
-      (2) the same span including the invariants (their gradients
-          centralize x, contributing nothing),
       (3) span of the lambda-coefficients of [a, grad f_i(x + lambda a)].
           The gradient of tr(y^d) is d y^{d-1} up to a scalar matrix, which
           [a, .] kills, so these are [a, C] over the coefficients C of the
           lambda-power chain of (x + lambda a)^k, k < n.
+
+    The invariants' gradients are tested to centralize x ([x, grad f_i0(x)]
+    = 0), so the span over every component, invariants included, is route
+    (1) itself and is not taken again.
     """
     L = sys_.algebra
     if x.algebra != L:
@@ -222,22 +225,11 @@ def tangent_space(sys_: ShiftSystem, x: GElement) -> list[GElement]:
     chain = power_chain(sys_.a, x, L.n - 1)
     if mat_rank(sys_.jacobian_from_chain(chain)) != sys_.b:
         raise RegularityError("tangent_space needs a strongly regular point")
-    grads = sys_.component_gradients()
-    vec_shift: list[Vector] = []
-    vec_all: list[Vector] = []
-    for grad, (i, j) in zip(grads, sys_.labels):
-        gval = gradient_at(L, grad, x)
-        br = bracket(x, gval)
-        if j == 0:
-            if not br.is_zero():
-                raise CertificationError("invariant gradient fails to centralize")
-        else:
-            vec_shift.append(br.coords)
-        vec_all.append(br.coords)
-    T1 = canonical_basis(vec_shift)
-    T2 = canonical_basis(vec_all)
-    if T1 != T2:
-        raise CertificationError("tangent space routes (1) and (2) disagree")
+    brackets = [(j, bracket(x, gradient_at(L, grad, x)))
+                for grad, (_, j) in zip(sys_.component_gradients(), sys_.labels)]
+    if any(not br.is_zero() for j, br in brackets if j == 0):
+        raise CertificationError("invariant gradient fails to centralize")
+    T1 = canonical_basis([br.coords for j, br in brackets if j])
     A = sys_.a.matrix
     T3 = canonical_basis([
         L.coords_of_matrix(A * C - C * A)

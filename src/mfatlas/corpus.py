@@ -17,7 +17,7 @@ verifies the harness notices.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .components import certify_affine_constant, is_strongly_regular, krylov_line_regular
 from .count import count_zero_fibre
@@ -157,6 +157,7 @@ class NamedShift(NamedTuple):
     ua_mask: str
     dims: tuple[int, int]  # dim b^a, dim u^a
     image_bba: str  # the check_image_bba pass detail
+    bba_targets: Callable[[GElement], tuple[str, list[MPoly]]]  # detail, restriction to b^a
     formula: str  # the count formula, with its lower bound
     lower: int
     witness: tuple[GElement, GElement]  # a shift and an exotic element of its zero fibre
@@ -174,7 +175,7 @@ def _sl3_shifts() -> dict[str, NamedShift]:
             frozenset(["***|***|00*", "**0|**0|***", "***|0**|0**",
                        "*00|***|***", "***|0*0|***", "*0*|***|*0*"]),
             "*00|0*0|00*", "000|000|000", (2, 0),
-            "degree 6", "I'(3,[1,1,1]) + 0 + 6", 7,
+            "degree 6", _bba_targets_s, "I'(3,[1,1,1]) + 0 + 6", 7,
             semisimple_zero_fibre_witness(2, 2, 4),  # its shift is diag(2, 0, -2)
         ),
         "r": NamedShift(
@@ -182,7 +183,7 @@ def _sl3_shifts() -> dict[str, NamedShift]:
             frozenset(["***|0**|00*", "**0|0*0|***", "***|0*0|0**"]),
             frozenset(["***|***|00*", "**0|**0|***", "***|0**|0**", "***|0*0|***"]),
             "**0|0*0|00*", "0*0|000|000", (3, 1),
-            "degree 3", "I'(3,[2,1]) + 0 + 3", 4,
+            "degree 3", _bba_targets_r, "I'(3,[2,1]) + 0 + 3", 4,
             (sl3_mixed(1), mixed_zero_fibre_witness(1)),
         ),
         "n": NamedShift(
@@ -190,7 +191,7 @@ def _sl3_shifts() -> dict[str, NamedShift]:
             frozenset(["***|0**|00*"]),
             frozenset(["***|***|00*", "***|0**|0**"]),
             "***|0**|00*", "0**|00*|000", (5, 3),
-            "degree 1, nilpotent form", "I'(3,[3]) + 0 + 1", 2,
+            "degree 1, nilpotent form", _bba_targets_n, "I'(3,[3]) + 0 + 1", 2,
             (sl3_nilpotent(), lowering_zero_fibre_witness()),
         ),
     }
@@ -477,10 +478,13 @@ def check_sl3_atlas_tables() -> CheckResult:
     return _result("sl3-atlas-tables", True)
 
 
-def _restriction_targets_s(vars_: tuple[str, ...], s1, s2) -> list[MPoly]:
+def _restriction_targets(vars_: tuple[str, ...], a: GElement) -> list[MPoly]:
+    """The five components of an upper-triangular a on the upper-triangular
+    chart vars_ (x33 = -x11 - x22): there tr((x + lambda a)^k) is the sum of
+    (x_ii + lambda a_ii)^k, so only the diagonals s1 = a_11, s2 = a_22 enter."""
     x11 = MPoly.var(vars_, "x11")
     x22 = MPoly.var(vars_, "x22")
-    s1s, s2s = Scalar(Fraction(s1)), Scalar(Fraction(s2))
+    s1s, s2s = a.matrix.entries[0][0], a.matrix.entries[1][1]
     two = Scalar(2)
     three = Scalar(3)
     six = Scalar(6)
@@ -494,49 +498,35 @@ def _restriction_targets_s(vars_: tuple[str, ...], s1, s2) -> list[MPoly]:
     ]
 
 
-def _restriction_targets_r(vars_: tuple[str, ...], rho) -> list[MPoly]:
-    x11 = MPoly.var(vars_, "x11")
-    x22 = MPoly.var(vars_, "x22")
-    p = Scalar(Fraction(rho))
-    two = Scalar(2)
-    three = Scalar(3)
-    return [
-        (x11 * x11 + x22 * x22 + x11 * x22) * two,
-        (x11 * x11 * x22 + x11 * x22 * x22) * (-three),
-        (x11 + x22) * (Scalar(6) * p),
-        (x11 * x11 + x11 * x22 * Scalar(4) + x22 * x22) * (-three * p),
-        (x11 + x22) * (Scalar(-18) * p * p),
-    ]
+def _bba_targets_s(a: GElement) -> tuple[str, list[MPoly]]:
+    """a = diag(s1, s2, -s1 - s2): the restriction to b^a is fully diagonal."""
+    s1, s2 = a.matrix.entries[0][0], a.matrix.entries[1][1]
+    return f"semisimple ({s1},{s2})", _restriction_targets(("x11", "x22"), a)
+
+
+def _bba_targets_r(a: GElement) -> tuple[str, list[MPoly]]:
+    """sl3_mixed(rho), of diagonal (rho, rho, -2 rho): free of x12."""
+    return f"mixed rho={a.matrix.entries[0][0]}", _restriction_targets(("x11", "x22", "x12"), a)
+
+
+def _bba_targets_n(a: GElement) -> tuple[str, list[MPoly]]:
+    """The nilpotent shift, of zero diagonal: (f_1|_h, f_2|_h, 0, 0, 0)."""
+    return "nilpotent", _restriction_targets(("x11", "x22", "x12", "x13", "x23"), a)
 
 
 def check_sl3_bba_restrictions() -> CheckResult:
-    """The displayed restrictions of the five-component map to b^a for the
-    three representatives, bit-exact: fully diagonal for the semisimple case,
-    free of x12 for the mixed case, and (f_1|_h, f_2|_h, 0, 0, 0) for the
-    nilpotent case."""
-    for s1, s2 in ((1, 2), (2, 0)):
-        sys_ = _system(sl3_semisimple(s1, s2))
-        vars_ = ("x11", "x22")
-        mapping = _diag_mapping_sl3(vars_)
-        got = _subs_components(sys_, vars_, mapping)
-        if got != _restriction_targets_s(vars_, s1, s2):
-            return _result("sl3-bba-restrictions", False, f"semisimple ({s1},{s2})")
-    for rho in (1, 2):
-        sys_ = _system(sl3_mixed(rho))
-        vars_ = ("x11", "x22", "x12")
-        mapping = _diag_mapping_sl3(vars_)
-        got = _subs_components(sys_, vars_, mapping)
-        if got != _restriction_targets_r(vars_, rho):
-            return _result("sl3-bba-restrictions", False, f"mixed rho={rho}")
-    sys_n = _system(sl3_nilpotent())
-    vars_ = ("x11", "x22", "x12", "x13", "x23")
-    mapping = _diag_mapping_sl3(vars_)
-    got = _subs_components(sys_n, vars_, mapping)
-    f1 = _restriction_targets_s(vars_, 0, 0)[0]
-    f2 = _restriction_targets_s(vars_, 0, 0)[1]
-    zero = MPoly.zero(vars_)
-    ok = got == [f1, f2, zero, zero, zero]
-    return _result("sl3-bba-restrictions", ok, "" if ok else "nilpotent")
+    """The displayed restrictions of the five-component map to b^a for each
+    parameter choice of each named shift, bit-exact, on the chart of b^a
+    whose variables the row's targets name."""
+    for row in _sl3_shifts().values():
+        for a in (row.rep, row.second):
+            if a is None:
+                continue
+            detail, targets = row.bba_targets(a)
+            vars_ = targets[0].vars
+            if _subs_components(_system(a), vars_, _diag_mapping_sl3(vars_)) != targets:
+                return _result("sl3-bba-restrictions", False, detail)
+    return _result("sl3-bba-restrictions", True, "")
 
 
 def check_sl3_weyl_degree() -> CheckResult:

@@ -32,15 +32,18 @@ is read off the chart, w E_ij v = w_i v_j and w_k v_k - w_(k+1) v_(k+1) on
 the Cartan part, with no kernel taken (ChainFrame.equation_row, once per
 atlas).  Every membership decision reads the equations: FlagParabolic.contains
 is a zero test of equations . x, and the certificate (FlagParabolic.verify,
-run on every member) checks that a and every basis element satisfy them,
-that the basis is independent of size dim - rank(equations), and the l + u
-split.
+run on every member) checks that a and every basis element satisfy them and
+that the basis is independent of size dim - rank(equations).  block_pattern
+keeps a position for p exactly when it keeps it for l or for u, each read from
+the same frame element, so p_basis is l_basis and u_basis together and the
+l + u split needs no check of its own (dim_u is len(u_basis)).
 
 b^a, the intersection of all Borels containing a, is the canonical basis of
 the kernel of all Borels' equations stacked.  Its structural route, the
 centre of the centralizer of the semisimple part plus the unique Borel of
 the centralizer containing the nilpotent part, is the cross-check: the two
-must agree exactly.
+must agree exactly; agreeing, they are one canonical basis, so u^a = [b^a, b^a]
+is derived once.
 """
 
 from __future__ import annotations
@@ -287,7 +290,6 @@ class FlagParabolic:
         self.p_basis = self._conjugated_basis(frame, upper=True, include_diag_blocks=True)
         self.l_basis = self._conjugated_basis(frame, upper=False, include_diag_blocks=True)
         self.u_basis = self._conjugated_basis(frame, upper=True, include_diag_blocks=False)
-        self.u_span = elements_span(self.u_basis)
         self.equations = stabilizer_equations(frame, flag)
 
     # block index of a row/column position in the adapted ordering
@@ -330,7 +332,7 @@ class FlagParabolic:
 
     @property
     def dim_u(self) -> int:
-        return len(self.u_span)
+        return len(self.u_basis)
 
     def mask(self) -> list[list[int]]:
         return support_mask(self.algebra, self.p_basis)
@@ -346,8 +348,6 @@ class FlagParabolic:
         if not (len(elements_span(self.p_basis)) == self.dim_p
                 == self.algebra.dim - mat_rank(self.equations)):
             raise CertificationError("stabilizer dimension mismatch")
-        if len(elements_span(self.l_basis)) + self.dim_u != self.dim_p:
-            raise CertificationError("p != l + u dimension split")
 
     def __repr__(self):
         return f"FlagParabolic(blocks={self.blocks})"
@@ -409,11 +409,9 @@ def enumerate_atlas(a: GElement) -> BorelAtlas:
     b_a = span_to_elements(L, canonical_basis(mat_kernel(stacked)))
     u_a = derived_span(b_a)
     # route 2: structural, must agree exactly
-    b2, u2 = compute_b_a_structural(chains, frame)
+    b2 = compute_b_a_structural(chains, frame)
     if not span_equal([e.coords for e in b_a], [e.coords for e in b2]):
         raise CertificationError("b^a routes disagree")
-    if not span_equal([e.coords for e in u_a], [e.coords for e in u2]):
-        raise CertificationError("u^a routes disagree")
     return BorelAtlas(a=a, chains=chains, frame=frame, borels=borels,
                       parabolics=parabolics, b_a=b_a, u_a=u_a)
 
@@ -430,10 +428,9 @@ def derived_span(elems: list[GElement]) -> list[GElement]:
     return span_to_elements(L, canonical_basis(vecs))
 
 
-def compute_b_a_structural(chains: Sequence[EigenChain], frame: ChainFrame
-                           ) -> tuple[list[GElement], list[GElement]]:
+def compute_b_a_structural(chains: Sequence[EigenChain], frame: ChainFrame) -> list[GElement]:
     """b^a = z(g_s) + (unique Borel of [g_s, g_s] containing the nilpotent
-    part), built on the chain frame; u^a is its derived algebra."""
+    part), built on the chain frame."""
     L = frame.algebra
     n = L.n
     sizes = [ch.mult for ch in chains]
@@ -457,9 +454,7 @@ def compute_b_a_structural(chains: Sequence[EigenChain], frame: ChainFrame
                 elems.append(frame.element(o + p, o + q))
         for p in range(o, o + m - 1):
             elems.append(frame.element(p, p + 1, cartan=True))
-    b_basis = span_to_elements(L, elements_span(elems))
-    u_basis = derived_span(b_basis)
-    return b_basis, u_basis
+    return span_to_elements(L, elements_span(elems))
 
 
 def levi_projection(p: FlagParabolic, x: GElement) -> GElement:

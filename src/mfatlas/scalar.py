@@ -237,11 +237,28 @@ def scalar_to_str(s: Scalar) -> str:
 
 
 _TERM_RE = _re.compile(r"[+-]?[^+-]+")
+MAX_DIGITS = 100  # the most digits a numeral's numerator or denominator may have
+
+
+def _bounded_fraction(numeral: str) -> Fraction:
+    """Fraction(numeral), refusing a numerator or denominator of more than
+    MAX_DIGITS digits; an exponent above MAX_DIGITS plus the mantissa's
+    length is refused before its power is formed."""
+    mantissa, _, exponent = numeral.upper().partition("E")
+    exponent = exponent.replace("_", "")
+    if not exponent.isdecimal() or (len(exponent) < 10
+                                    and int(exponent) <= MAX_DIGITS + len(mantissa)):
+        value = Fraction(numeral)
+        if max(abs(value.numerator), value.denominator) < 10 ** MAX_DIGITS:
+            return value
+    raise ValueError(f"numeral {numeral!r} has more than {MAX_DIGITS} digits "
+                     "in its numerator or denominator")
 
 
 def scalar_from_str(text: str) -> Scalar:
     """Parse 'p/q', 'p/q+r/s*i', '2-3i', 'i', '-i' and friends; ValueError
-    for anything else, a zero denominator and a non-string included."""
+    for anything else, a zero denominator, a non-string and too long a numeral
+    (_bounded_fraction) included."""
     if not isinstance(text, str):
         raise ValueError(f"scalar must be a string, got {text!r}")
     s = text.replace(" ", "")
@@ -263,9 +280,9 @@ def scalar_from_str(text: str) -> Scalar:
                 elif coef == "-":
                     im_part -= 1
                 else:
-                    im_part += Fraction(coef)
+                    im_part += _bounded_fraction(coef)
             else:
-                re_part += Fraction(term)
+                re_part += _bounded_fraction(term)
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in scalar string: {text!r}") from exc
     return Scalar(re_part, im_part)

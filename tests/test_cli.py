@@ -149,15 +149,15 @@ def test_atlas_with_a_param_of_many_divisor_pairs_below_the_bound(capsys):
     assert json.loads(out)["borel_count"] == 2
 
 
-def _exits_quickly(code, *argv):
+def _exits_quickly(code, *argv, within=10):
     """Run mf in a separate process with a timeout, so a hang fails instead
-    of blocking; it must exit with code within 10 s.  Returns stdout and
-    stderr."""
+    of blocking; it must exit with code within `within` seconds.  Returns
+    stdout and stderr."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     start = time.monotonic()
     proc = subprocess.run([sys.executable, "-m", "mfatlas.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=30)
-    assert time.monotonic() - start < 10
+    assert time.monotonic() - start < within
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     return proc.stdout, proc.stderr
@@ -207,6 +207,26 @@ def test_atlas_of_a_tall_diagonal_matrix_and_its_dense_conjugate(tmp_path):
         path.write_text(json.dumps({"n": 3, "entries": [[str(v) for v in row] for row in entries]}))
         report = _atlas_quickly("--matrix", str(path))
         assert (report["borel_count"], report["parabolic_count"]) == (6, 6), name
+
+
+def test_oversized_numerals_exit_2_quickly(tmp_path):
+    """A numeral whose numerator or denominator would have more than 100
+    digits is refused, an exponent before its power is formed, through
+    --param and --matrix alike."""
+    for k, numeral in enumerate(("1e5000", "1E100000000", "1" * 101)):
+        for sub in ("build", "atlas"):
+            _, err = _exits_quickly(2, sub, "--n", "2", "--element", "s", "--param", numeral,
+                                    within=2)
+            assert err.startswith("error: invalid input: bad --param value: "), numeral
+        path = tmp_path / f"oversized-{k}.json"
+        path.write_text(json.dumps({"n": 2, "entries": [[numeral, "0"], ["0", "-" + numeral]]}))
+        _, err = _exits_quickly(2, "build", "--matrix", str(path), within=2)
+        assert err.startswith("error: invalid input: cannot read matrix file: "), numeral
+
+
+def test_a_100_digit_param_builds():
+    out, err = _exits_quickly(0, "build", "--n", "2", "--element", "s", "--param", "9" * 100)
+    assert err == "" and json.loads(out)["shift"]["entries"][0][0] == "9" * 100
 
 
 # Runs one subcommand in a fresh interpreter and prints, as the last stdout

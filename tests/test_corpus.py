@@ -318,3 +318,28 @@ def test_weyl_degree_fails_on_a_tampered_mixed_system(monkeypatch):
     monkeypatch.setattr(corpus, "_system", tampered)
     res = check_sl3_weyl_degree()
     assert (res.passed, res.detail) == (False, "image probes")
+
+
+@pytest.mark.parametrize("shift, detail", [
+    (corpus.sl3_semisimple(1, 2), "semisimple (1,2)"),
+    (corpus.sl3_semisimple(2, 0), "semisimple (2,0)"),
+    (corpus.sl3_mixed(1), "mixed rho=1"),
+    (corpus.sl3_mixed(2), "mixed rho=2"),
+    (corpus.sl3_nilpotent(), "nilpotent"),
+])
+def test_bba_restrictions_name_each_tampered_shift(monkeypatch, shift, detail):
+    """Every parameter choice of every table row is checked: h1 added to the
+    component 2 tr(a x) of one shift fails the check with that shift's detail."""
+    system = corpus._system
+
+    def tampered(a):
+        sys_ = system(a)
+        if a != shift:
+            return sys_
+        comps = list(sys_.components)
+        comps[2] = comps[2] + MPoly.var(sys_.algebra.coord_names, "h1")
+        return ShiftSystem(sys_.a, comps, sys_.labels, sys_.certificate_point)
+
+    monkeypatch.setattr(corpus, "_system", tampered)
+    res = corpus.check_sl3_bba_restrictions()
+    assert (res.passed, res.detail) == (False, detail)

@@ -1,5 +1,6 @@
 """Invariant flags, parabolic stabilizers, atlas enumeration, b^a."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,8 +16,10 @@ from mfatlas.corpus import (
 from mfatlas.errors import PreconditionError, UnsupportedElementError
 from mfatlas.flags import (
     ChainFrame,
+    FlagParabolic,
     compositions,
     compute_b_a_structural,
+    derived_span,
     eigen_chains,
     elements_span,
     enumerate_atlas,
@@ -27,7 +30,7 @@ from mfatlas.flags import (
     span_to_elements,
     support_mask,
 )
-from mfatlas.lie import bracket, sl
+from mfatlas.lie import GElement, bracket, nilpotent_rep, semisimple_rep, sl
 from mfatlas.linalg import ExactMatrix, span_equal
 from mfatlas.sampling import conjugate, random_unimodular, rng_for
 from mfatlas.scalar import Scalar
@@ -150,9 +153,9 @@ def test_b_a_routes_agree():
     for a in (sl2_semisimple(1), sl3_semisimple(1, 2), sl3_mixed(1), sl3_nilpotent()):
         atlas = enumerate_atlas(a)
         b1, u1 = atlas.b_a, atlas.u_a
-        b2, u2 = compute_b_a_structural(atlas.chains, atlas.frame)
+        b2 = compute_b_a_structural(atlas.chains, atlas.frame)
         assert span_equal([e.coords for e in b1], [e.coords for e in b2])
-        assert span_equal([e.coords for e in u1], [e.coords for e in u2])
+        assert span_equal([e.coords for e in u1], [e.coords for e in derived_span(b2)])
         # u^a = [b^a, b^a] is contained in b^a and bracket-generated
         span_b = elements_span(b1)
         for x in b1:
@@ -213,3 +216,52 @@ def test_span_to_elements_round_trip():
     span = elements_span(atlas.b_a)
     back = span_to_elements(a.algebra, span)
     assert span_equal(elements_span(back), span)
+
+
+# the sl_4 Jordan types (2,1,1), (2,2) and (3,1), as mf --matrix reads them
+JORDAN_SL4_FILES = [
+    {"n": 4, "entries": [["1", "1", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "2", "0"],
+                         ["0", "0", "0", "-4"]]},
+    {"n": 4, "entries": [["1", "1", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "-1", "1"],
+                         ["0", "0", "0", "-1"]]},
+    {"n": 4, "entries": [["1", "1", "0", "0"], ["0", "1", "1", "0"], ["0", "0", "1", "0"],
+                         ["0", "0", "0", "-3"]]},
+]
+
+
+def _partition_violations(a):
+    """Members of the atlas of a breaking a premise that FlagParabolic.verify
+    relies on: p_basis is l_basis and u_basis together, with no frame element
+    in both; dim_u is len(u_basis); and l_basis is independent."""
+    bad = []
+    for m in enumerate_atlas(a).members:
+        p, l, u = ([e.coords for e in basis] for basis in (m.p_basis, m.l_basis, m.u_basis))
+        if Counter(p) != Counter(l + u) or set(l) & set(u):
+            bad.append((m.blocks, "p is not l and u"))
+        if m.dim_u != len(m.u_basis):
+            bad.append((m.blocks, "dim_u"))
+        if len(elements_span(m.l_basis)) != len(m.l_basis):
+            bad.append((m.blocks, "l dependent"))
+    return bad
+
+
+def _partition_shifts():
+    return [representative(key) for key in ("sl2-s", "sl2-n", "sl3-s", "sl3-r", "sl3-n")] + [
+        semisimple_rep(sl(4), []), nilpotent_rep(sl(4)),
+        *(GElement.from_json_dict(data) for data in JORDAN_SL4_FILES)]
+
+
+def test_p_basis_is_l_basis_and_u_basis(monkeypatch):
+    """The premise that lets the atlas skip an l + u dimension check, on the
+    sl2-sl4 representatives and the mixed sl_4 Jordan types; a block pattern
+    that drops one position of u breaks it."""
+    for a in _partition_shifts():
+        assert _partition_violations(a) == [], a
+    pattern = FlagParabolic.block_pattern
+
+    def drop_one_u_position(self, upper, include_diag_blocks):
+        out = pattern(self, upper, include_diag_blocks)
+        return out if include_diag_blocks else out[1:]
+
+    monkeypatch.setattr(FlagParabolic, "block_pattern", drop_one_u_position)
+    assert _partition_violations(sl3_semisimple(1, 2))

@@ -3,6 +3,7 @@ membership criteria, strong regularity, tangent spaces, sections.  Values
 and Jacobians are cross-checked against the symbolic oracles of
 oracles.py."""
 
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,7 +20,7 @@ from mfatlas.components import (
     section_chart,
     tangent_space,
 )
-from mfatlas.errors import PreconditionError, RegularityError
+from mfatlas.errors import CertificationError, PreconditionError, RegularityError
 from mfatlas.flags import enumerate_atlas
 from mfatlas.lie import is_regular, nilpotent_rep, semisimple_rep, sl
 from mfatlas.linalg import ExactMatrix, mat_rank
@@ -570,3 +571,34 @@ def test_fused_chain_step_matches_the_products(n):
     for C, nxt in zip(chain, chain[1:]):
         assert nxt == [C[0] * X] + [C[j] * X + C[j - 1] * A for j in range(1, len(C))] + [C[-1] * A]
     assert not any(chain[-1][0].entries[0])  # x^4 keeps the zero row
+
+
+@pytest.mark.parametrize("tamper, detail", [
+    ("invariant", "invariant gradient fails to centralize"),
+    ("shifted", "tangent space route (3) disagrees"),
+])
+def test_tangent_space_checks_can_fail(monkeypatch, tamper, detail):
+    """The centralizer test and the route cross-check each fire: the first
+    invariant given a shifted component's gradient, or a shifted component's
+    gradient zeroed so route (1) loses a direction."""
+    from mfatlas.mfsystem import ShiftSystem
+
+    sys_ = SYSTEMS["sl3-s"]
+    rng = rng_for("sys-tangent-tamper", 0)
+    x = random_element(sys_.algebra, rng)
+    while not is_strongly_regular(sys_, x):
+        x = random_element(sys_.algebra, rng)
+    gradients = ShiftSystem.component_gradients
+
+    def tampered(self):
+        grads = list(gradients(self))
+        rank = self.algebra.rank
+        if tamper == "invariant":
+            grads[0] = grads[rank]
+        else:
+            grads[rank] = [[p - p for p in row] for row in grads[rank]]
+        return grads
+
+    monkeypatch.setattr(ShiftSystem, "component_gradients", tampered)
+    with pytest.raises(CertificationError, match=re.escape(detail)):
+        tangent_space(sys_, x)

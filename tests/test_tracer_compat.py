@@ -34,3 +34,5 @@ def test_subcommand_runs_fully_wrapped(tmp_path, subcommand):
     trace = json.loads(out.read_text())
     assert trace["unwrapped"] == []
     assert trace["calls"]["cli.main"] == 1
+    # the subcommand's own function runs wrapped, once
+    assert trace["calls"][f"cli.cmd_{subcommand.replace('-', '_')}"] == 1

@@ -176,7 +176,7 @@ def cmd_atlas(args: argparse.Namespace) -> tuple[dict, bool]:
 def cmd_check_examples(args: argparse.Namespace) -> tuple[dict, bool]:
     from .corpus import run_corpus
 
-    results = run_corpus(seed=args.seed, self_test=args.self_test)
+    results = run_corpus(self_test=args.self_test)
     ok = all(r.passed for r in results)
     report = {
         "self_test": bool(args.self_test),

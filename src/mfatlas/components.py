@@ -51,7 +51,7 @@ from .flags import (
     member_label,
 )
 from .lie import GElement, LieAlgebraA, bracket, is_regular, permute_diagonal, weyl_group
-from .linalg import ExactMatrix, Vector, canonical_basis, mat_rank, solve, span_contains
+from .linalg import ExactMatrix, Vector, canonical_basis, mat_rank, solve
 from .mfsystem import (
     FibreValue,
     ShiftSystem,
@@ -274,9 +274,6 @@ class AffineComponent(NamedTuple):
     @property
     def dim(self) -> int:
         return len(elements_span(self.dirs))
-
-    def contains(self, x: GElement) -> bool:
-        return span_contains([d.coords for d in self.dirs], (x - self.base).coords)
 
 
 def certify_affine_constant(sys_: ShiftSystem, base: GElement, dirs: list[GElement],

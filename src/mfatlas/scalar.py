@@ -237,17 +237,23 @@ def scalar_to_str(s: Scalar) -> str:
 
 
 _TERM_RE = _re.compile(r"[+-]?[^+-]+")
+_DIGIT_RUN_RE = _re.compile(r"[\d_]+")
 MAX_DIGITS = 100  # the most digits a numeral's numerator or denominator may have
+_MAX_RUN = 4300  # the most digits int() reads from one string by default
 
 
 def _bounded_fraction(numeral: str) -> Fraction:
     """Fraction(numeral), refusing a numerator or denominator of more than
-    MAX_DIGITS digits; an exponent above MAX_DIGITS plus the mantissa's
-    length is refused before its power is formed."""
+    MAX_DIGITS digits.  Two numerals are refused with the same message before
+    Fraction reads them: one with a run of more than _MAX_RUN digits, which
+    int() would not read, and one whose exponent is above MAX_DIGITS plus the
+    mantissa's length, so its power is never formed."""
     mantissa, _, exponent = numeral.upper().partition("E")
     exponent = exponent.replace("_", "")
-    if not exponent.isdecimal() or (len(exponent) < 10
-                                    and int(exponent) <= MAX_DIGITS + len(mantissa)):
+    runs = _DIGIT_RUN_RE.findall(numeral)
+    if all(len(run.replace("_", "")) <= _MAX_RUN for run in runs) and (
+            not exponent.isdecimal()
+            or (len(exponent) < 10 and int(exponent) <= MAX_DIGITS + len(mantissa))):
         value = Fraction(numeral)
         if max(abs(value.numerator), value.denominator) < 10 ** MAX_DIGITS:
             return value

@@ -154,7 +154,7 @@ def test_criterion_07_image_of_bba():
 
 def test_criterion_08_singular_family():
     def run():
-        _require(check_singular_families(0), "sl2 s, sl3 s/r, sl2 n, sl3 n")
+        _require(check_singular_families(), "sl2 s, sl3 s/r, sl2 n, sl3 n")
         return "two-Borel certificates over all of b^a; nilpotent expected-failure"
 
     _criterion(8, "singular-family", run)

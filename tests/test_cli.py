@@ -224,6 +224,20 @@ def test_oversized_numerals_exit_2_quickly(tmp_path):
         assert err.startswith("error: invalid input: cannot read matrix file: "), numeral
 
 
+def test_numerals_past_the_int_string_limit_get_the_digit_bound_message(tmp_path):
+    """A numeral int() would not read (a run of more than 4300 digits) is
+    refused with the same 100-digit message as any other long numeral, not
+    with the interpreter's own."""
+    for k, numeral in enumerate(("1" * 5000, "1/" + "1" * 5000, "0." + "0" * 5000 + "1")):
+        path = tmp_path / f"long-{k}.json"
+        path.write_text(json.dumps({"n": 2, "entries": [[numeral, "0"], ["0", "-" + numeral]]}))
+        for argv in (("build", "--n", "2", "--element", "s", "--param", numeral),
+                     ("build", "--matrix", str(path))):
+            _, err = _exits_quickly(2, *argv, within=2)
+            assert "has more than 100 digits in its numerator or denominator" in err, argv[-2]
+            assert "set_int_max_str_digits" not in err
+
+
 def test_a_100_digit_param_builds():
     out, err = _exits_quickly(0, "build", "--n", "2", "--element", "s", "--param", "9" * 100)
     assert err == "" and json.loads(out)["shift"]["entries"][0][0] == "9" * 100

@@ -26,7 +26,7 @@ from mfatlas.scalar import Scalar
 
 def test_corpus_all_pass_and_fast():
     t0 = time.time()
-    results = run_corpus(seed=0)
+    results = run_corpus()
     elapsed = time.time() - t0
     failed = [r for r in results if not r.passed]
     assert not failed, failed
@@ -35,8 +35,8 @@ def test_corpus_all_pass_and_fast():
 
 
 def test_corpus_deterministic_details():
-    r1 = run_corpus(seed=3)
-    r2 = run_corpus(seed=3)
+    r1 = run_corpus()
+    r2 = run_corpus()
     assert [(r.name, r.passed, r.detail) for r in r1] == [
         (r.name, r.passed, r.detail) for r in r2
     ]
@@ -49,12 +49,12 @@ def test_tamper_self_test_catches_perturbation():
 
 
 def test_self_test_included_when_requested():
-    names = [r.name for r in run_corpus(seed=0, self_test=True)]
+    names = [r.name for r in run_corpus(self_test=True)]
     assert any("tamper" in n for n in names)
 
 
 def test_corpus_builds_each_shift_once(monkeypatch):
-    """A self-test run builds 11 systems and 6 atlases, one per distinct
+    """A self-test run builds 10 systems and 6 atlases, one per distinct
     shift, and a check reads the same from cold and from warm memos."""
     calls = {"build_system": 0, "enumerate_atlas": 0}
 
@@ -72,24 +72,21 @@ def test_corpus_builds_each_shift_once(monkeypatch):
 
     def checks():
         return [(r.passed, r.detail)
-                for r in (check_sl3_weyl_degree(), check_singular_families(0))]
+                for r in (check_sl3_weyl_degree(), check_singular_families())]
 
     monkeypatch.setattr(corpus, "_SYSTEMS", {})
     monkeypatch.setattr(corpus, "_ATLASES", {})
-    assert all(r.passed for r in run_corpus(seed=0, self_test=True))
-    assert calls == {"build_system": 11, "enumerate_atlas": 6}
+    assert all(r.passed for r in run_corpus(self_test=True))
+    assert calls == {"build_system": 10, "enumerate_atlas": 6}
     warm = checks()
     assert all(passed for passed, _ in warm)
-    assert calls == {"build_system": 11, "enumerate_atlas": 6}
+    assert calls == {"build_system": 10, "enumerate_atlas": 6}
     monkeypatch.setattr(corpus, "_SYSTEMS", {})
     monkeypatch.setattr(corpus, "_ATLASES", {})
     assert checks() == warm
 
 
 SL2_FAMILY_CHECKS = (check_sl2_semisimple_fibre_split, check_sl2_nilpotent_fibres)
-# the checks whose sampled loops became identities
-IDENTITY_CHECKS = (check_sl2_semisimple_fibre_split, check_sl2_singular_images,
-                   check_sl2_nilpotent_fibres, check_sl3_orbit_invariance)
 
 
 def test_sl2_line_families_certified_once(monkeypatch):
@@ -127,14 +124,13 @@ def _sampler_functions(module):
 
 
 def test_identity_checks_draw_nothing(monkeypatch):
-    """The fibre split, singular images, nilpotent fibres and orbit
-    invariance decide without a sample: with every sampler raising they
-    pass as before."""
+    """Every corpus row decides on identities or fixed points: with every
+    sampler raising, a whole self-test run passes as before."""
     import mfatlas.sampling
     import mfatlas.verify
 
-    warm = [(r.passed, r.detail) for r in (check() for check in IDENTITY_CHECKS)]
-    assert warm == [(True, "")] * len(IDENTITY_CHECKS)
+    warm = [(r.name, r.passed, r.detail) for r in run_corpus(self_test=True)]
+    assert all(passed for _, passed, _ in warm)
 
     def raising(*args, **kwargs):
         raise AssertionError("drew from the sampler")
@@ -142,41 +138,48 @@ def test_identity_checks_draw_nothing(monkeypatch):
     for module in (mfatlas.sampling, corpus, mfatlas.verify):
         for name in _sampler_functions(module):
             monkeypatch.setattr(module, name, raising)
-    assert [(r.passed, r.detail) for r in (check() for check in IDENTITY_CHECKS)] == warm
+    assert [(r.name, r.passed, r.detail) for r in run_corpus(self_test=True)] == warm
 
 
 def test_corpus_symbolic_work_does_not_scale_with_samples(monkeypatch):
-    """No corpus row reads a sample count: a whole run draws only the base
-    point of each singular family, from one tagged generator, and certifies
-    each singular family over all of b^a with one certificate per Borel
-    (2 Borels for each of 3 shifts), besides the 3 lines of sl2-zero-fibre."""
+    """No corpus row reads a sample count or binds a sampler: each singular
+    family is based at its shift and certified over all of b^a with one
+    certificate per Borel (2 Borels for each of 3 shifts), besides the 3
+    lines of sl2-zero-fibre."""
     import mfatlas.components
 
-    assert sorted(_sampler_functions(corpus)) == ["random_combination", "rng_for"]
-    tags, bases, certified = [], [], [0]
-    rng_for, combination = corpus.rng_for, corpus.random_combination
+    assert _sampler_functions(corpus) == []
+    certified = [0]
     certify = mfatlas.components.certify_affine_constant
-
-    def counted_rng(tag, seed):
-        tags.append(tag)
-        return rng_for(tag, seed)
-
-    def counted_combination(L, basis, rng):
-        bases.append(len(basis))
-        return combination(L, basis, rng)
 
     def counted_certify(*args):
         certified[0] += 1
         return certify(*args)
 
-    monkeypatch.setattr(corpus, "rng_for", counted_rng)
-    monkeypatch.setattr(corpus, "random_combination", counted_combination)
     monkeypatch.setattr(mfatlas.components, "certify_affine_constant", counted_certify)
     monkeypatch.setattr(corpus, "certify_affine_constant", counted_certify)
-    assert all(r.passed for r in run_corpus(seed=0, self_test=True))
-    assert tags == ["corpus-singular-family"]
-    assert bases == [1, 2, 3]  # one point of b^a for sl2 s, sl3 s and sl3 r
+    assert all(r.passed for r in run_corpus(self_test=True))
     assert certified[0] == 3 + 3 * 2
+
+
+def test_verify_singular_family_row_draws_nothing(monkeypatch):
+    """mf verify bases its singular family at the shift: with the row's
+    generator raising, the row passes on each non-nilpotent named sl_3
+    shift."""
+    import mfatlas.verify
+
+    rng_for = mfatlas.verify.rng_for
+
+    def guarded(tag, seed):
+        assert "singular-family" not in tag, "drew from the sampler"
+        return rng_for(tag, seed)
+
+    monkeypatch.setattr(mfatlas.verify, "rng_for", guarded)
+    for name in ("s", "r"):
+        results = mfatlas.verify.run_verify_suite(corpus._system(corpus._sl3_shifts()[name].rep),
+                                                  samples=1)
+        row = next(r for r in results if r.name == "singular-family")
+        assert (row.passed, row.detail) == (True, "x + u^a lies in two distinct Borel components")
 
 
 class _TamperedSystem:
@@ -343,3 +346,40 @@ def test_bba_restrictions_name_each_tampered_shift(monkeypatch, shift, detail):
     monkeypatch.setattr(corpus, "_system", tampered)
     res = corpus.check_sl3_bba_restrictions()
     assert (res.passed, res.detail) == (False, detail)
+
+
+def _without_reduced_identity(sys_):
+    # x12 is a variable of both reduced charts; only scaled_components changes
+    return _TamperedSystem(sys_, 2, lambda v: MPoly.var(v, "x12"))
+
+
+@pytest.mark.parametrize("check, shift, detail", [
+    (corpus.check_sl3_exotic_semisimple, corpus.sl3_semisimple(1, 2), "semisimple (1,2)"),
+    (corpus.check_sl3_exotic_semisimple, corpus.sl3_semisimple(2, 0), "semisimple (2,0)"),
+    (corpus.check_sl3_exotic_mixed, corpus.sl3_mixed(1), "mixed rho=1"),
+    (corpus.check_sl3_exotic_mixed, corpus.sl3_mixed(2), "mixed rho=2"),
+])
+def test_exotic_reduced_system_names_each_tampered_shift(monkeypatch, check, shift, detail):
+    """The reduced system is checked at both parameter choices of its row: a
+    system tampered on the reduced chart of one shift, and nowhere the
+    witness steps look, fails the row with that shift's detail."""
+    system = corpus._system
+    monkeypatch.setattr(corpus, "_system",
+                        lambda a: _without_reduced_identity(system(a)) if a == shift else system(a))
+    res = check()
+    assert (res.passed, res.detail) == (False, f"reduced system, {detail}")
+
+
+EXOTIC_CHECKS = (corpus.check_sl3_exotic_semisimple, corpus.check_sl3_exotic_mixed,
+                 corpus.check_sl3_exotic_nilpotent)
+
+
+@pytest.mark.parametrize("step, detail", [
+    ("krylov_line_regular", "line not regular"),
+    ("is_strongly_regular", "not strongly regular"),
+])
+def test_every_exotic_row_runs_every_witness_step(monkeypatch, step, detail):
+    """All three exotic rows run the same witness steps: a step that rejects
+    every witness fails each row with the same detail."""
+    monkeypatch.setattr(corpus, step, lambda *args: False)
+    assert [(r.passed, r.detail) for r in (check() for check in EXOTIC_CHECKS)] == [(False, detail)] * 3

@@ -159,14 +159,6 @@ def _regular_shifts(x: GElement, a: GElement):
     raise RuntimeError("could not find regular shift values")
 
 
-def krylov_line_regular(x: GElement, a: GElement) -> bool:
-    """Exact certificate that the whole line x + C a lies in the regular
-    locus, read off the lambda-power chain of x + lambda a."""
-    if x.algebra != a.algebra:
-        raise AlgebraMismatchError("mixed algebras")
-    return _line_regular(power_chain(a, x, x.algebra.n - 1))
-
-
 def _line_regular(chain: list[list[ExactMatrix]]) -> bool:
     """M = x + lambda a is regular at lambda_0 iff I, M, ..., M^{n-1} are
     independent there (the test lie.is_regular makes).  The n^2 x n matrix

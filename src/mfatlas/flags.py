@@ -27,15 +27,17 @@ differences.
 
 A parabolic enters the atlas as the stabilizer of an invariant flag, cut out
 of sl_n by the linear equations w (Y v) = 0 for v in V_t and w annihilating
-V_t.  The annihilators are rows of U0^-1 (those past the step), so each row
-is read off the chart, w E_ij v = w_i v_j and w_k v_k - w_(k+1) v_(k+1) on
-the Cartan part, with no kernel taken (ChainFrame.equation_row, once per
-atlas).  Every membership decision reads the equations: FlagParabolic.contains
-is a zero test of equations . x, and the certificate (FlagParabolic.verify,
-run on every member) checks that a and every basis element satisfy them and
-that the basis is independent of size dim - rank(equations).  block_pattern
-keeps a position for p exactly when it keeps it for l or for u, each read from
-the same frame element, so p_basis is l_basis and u_basis together and the
+V_t.  The annihilators are rows of U0^-1 (those past the step), and
+w (Y v) = tr(Y v w) with v w a frame unit, so each row is the trace-form dual
+(LieAlgebraA.trace_dual) of a frame element, with no kernel taken.  The rows
+are indexed by the flag's order and composition, not read off u_basis, so
+the certificate checks block_pattern against the flag.  Every membership
+decision reads the equations: FlagParabolic.contains is a zero test of
+equations . x, and the certificate (FlagParabolic.verify, run on every
+member) checks that a and every basis element satisfy them and that the
+basis is independent of size dim - rank(equations).  block_pattern keeps a
+position for p exactly when it keeps it for l or for u, each read from the
+same frame element, so p_basis is l_basis and u_basis together and the
 l + u split needs no check of its own (dim_u is len(u_basis)).
 
 b^a, the intersection of all Borels containing a, is the canonical basis of
@@ -179,15 +181,13 @@ def frame_unit(U: ExactMatrix, U_inv: ExactMatrix, i: int, j: int) -> ExactMatri
 
 class ChainFrame:
     """U0 (the chain vectors as columns, in chain order) and U0^-1, with the
-    frame elements and stabilizer-equation rows the members read, each built
-    once."""
+    frame elements the members read, each built once."""
 
     def __init__(self, L: LieAlgebraA, chains: Sequence[EigenChain]):
         self.algebra = L
         self.U = ExactMatrix.from_columns([v for ch in chains for v in ch.vectors])
         self.U_inv = mat_inverse(self.U)
         self._elements: dict[tuple[int, int, bool], GElement] = {}
-        self._rows: dict[tuple[int, int], Vector] = {}
 
     def element(self, i: int, j: int, cartan: bool = False) -> GElement:
         """U0 E_ij U0^-1, or U0 (E_ii - E_jj) U0^-1 with cartan."""
@@ -198,16 +198,6 @@ class ChainFrame:
                 m = m - frame_unit(self.U, self.U_inv, j, j)
             self._elements[key] = self.algebra.element(m)
         return self._elements[key]
-
-    def equation_row(self, r: int, c: int) -> Vector:
-        """w (B v) over the coordinate basis B, for w row r of U0^-1 and v
-        column c of U0: w_i v_j for E_ij, w_k v_k - w_(k+1) v_(k+1) for H_k."""
-        if (r, c) not in self._rows:
-            w, v = self.U_inv.row(r), self.U.col(c)
-            L = self.algebra
-            self._rows[r, c] = tuple([w[i] * v[j] for i, j in L.offdiag_positions] + [
-                w[k] * v[k] - w[k + 1] * v[k + 1] for k in range(L.n - 1)])
-        return self._rows[r, c]
 
 
 def semisimple_part(chains: Sequence[EigenChain], frame: ChainFrame) -> ExactMatrix:
@@ -355,19 +345,23 @@ class FlagParabolic:
 
 def stabilizer_equations(frame: ChainFrame, flag: Flag) -> ExactMatrix:
     """The linear equations of {Y in sl_n : Y V_t <= V_t for all t} in the
-    coordinates, one row w (B v) over the coordinate basis B per frame column
-    v added at step t and annihilator w of V_t; the annihilators of V_t are
-    the rows of U0^-1 at the frame columns not yet added.  A vector of
-    V_(t-1) needs no row at step t, since the earlier rows already put Y v in
-    V_(t-1); so there are as many rows as the codimension of the stabilizer.
-    The trivial flag gets one zero row (its stabilizer is sl_n)."""
+    coordinates, one row w (Y v) = 0 per frame column v added at step t and
+    annihilator w of V_t; the annihilators of V_t are the rows of U0^-1 at
+    the frame columns not yet added.  With v column c of U0 and w row r of
+    U0^-1, w (Y v) = tr(Y v w), and v w is the frame unit U0 E_cr U0^-1, so
+    the row is that unit's trace-form dual.  A vector of V_(t-1) needs no row
+    at step t, since the earlier rows already put Y v in V_(t-1); so there
+    are as many rows as the codimension of the stabilizer.  The trivial flag
+    gets one zero row (its stabilizer is sl_n)."""
+    L = frame.algebra
     order = flag.order
     rows: list[Vector] = []
     done = 0
     for k in flag.composition:
         added, done = order[done:done + k], done + k
-        rows += [frame.equation_row(r, c) for c in added for r in order[done:]]
-    return ExactMatrix(rows or [(Scalar(0),) * frame.algebra.dim])
+        rows += [L.trace_dual(frame.element(c, r).matrix.entries)
+                 for c in added for r in order[done:]]
+    return ExactMatrix(rows or [(Scalar(0),) * L.dim])
 
 
 # -- atlas ---------------------------------------------------------------------------

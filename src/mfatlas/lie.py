@@ -10,6 +10,13 @@ polynomial in the package is written in these variables, in this order.
 The invariant form used everywhere is the trace form <x, y> = tr(xy); it is
 proportional to the Killing form (factor 2n), its oracle in tests/oracles.py.
 
+Four maps of LieAlgebraA are the only definition of the chart and its
+trace-form dual.  Each takes rows of entries from any ring (Scalar or MPoly),
+and that ring's zero where it builds a matrix: chart (rows -> coordinates),
+chart_inverse (coordinates -> the trace-free matrix), trace_dual (any C ->
+the coordinates of the form y -> tr(C y)) and trace_dual_inverse (a form ->
+the trace-free G with tr(G y) equal to it).
+
 Regularity costs n - 2 products of n x n matrices and one rank of an
 n x n^2 matrix: x in sl_n is regular iff it is nonderogatory (Kostant 1963),
 i.e. iff I, x, ..., x^{n-1} are linearly independent.  The textbook test,
@@ -23,6 +30,7 @@ is not computed here: flags.eigen_chains owns it.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Sequence
 
 from .errors import AlgebraMismatchError, PreconditionError, UnsupportedElementError
@@ -52,30 +60,58 @@ class LieAlgebraA:
         names += [f"h{k + 1}" for k in range(n - 1)]
         self.coord_names: tuple[str, ...] = tuple(names)
 
-    # -- coordinates ------------------------------------------------------------
+    # -- the chart ----------------------------------------------------------------
 
-    def coords_of_matrix(self, m: ExactMatrix) -> tuple[Scalar, ...]:
-        coords = [m.entries[i][j] for (i, j) in self.offdiag_positions]
-        partial = Scalar(0)
-        for k in range(self.n - 1):
-            partial = partial + m.entries[k][k]
-            coords.append(partial)
+    def chart(self, rows) -> tuple:
+        """Coordinates of the matrix with these rows: its off-diagonal entries,
+        then the partial sums of its diagonal (the last entry is never read)."""
+        coords = [rows[i][j] for i, j in self.offdiag_positions]
+        coords += itertools.accumulate([rows[k][k] for k in range(self.n - 1)])
         return tuple(coords)
 
-    def matrix_of_coords(self, coords: Sequence[Scalar]) -> ExactMatrix:
+    def chart_inverse(self, coords: Sequence, zero) -> list[list]:
+        """Rows of the trace-free matrix with these coordinates."""
         if len(coords) != self.dim:
             raise ValueError("coordinate length mismatch")
         n = self.n
-        rows = [[Scalar(0)] * n for _ in range(n)]
-        for idx, (i, j) in enumerate(self.offdiag_positions):
-            rows[i][j] = coords[idx]
-        h = coords[len(self.offdiag_positions):]
-        prev = Scalar(0)
+        rows = [[zero] * n for _ in range(n)]
+        for (i, j), v in zip(self.offdiag_positions, coords):
+            rows[i][j] = v
+        h = [zero, *coords[len(self.offdiag_positions):], zero]
         for k in range(n):
-            cur = h[k] if k < n - 1 else Scalar(0)
-            rows[k][k] = cur - prev
-            prev = cur
-        return ExactMatrix(rows)
+            rows[k][k] = h[k + 1] - h[k]
+        return rows
+
+    def trace_dual(self, C) -> tuple:
+        """Coordinates of the linear form y -> tr(C y) on sl_n, for C any n x n
+        rows: C[j][i] at x_ij and C[k][k] - C[k+1][k+1] at h_k."""
+        return tuple([C[j][i] for i, j in self.offdiag_positions]
+                     + [C[k][k] - C[k + 1][k + 1] for k in range(self.n - 1)])
+
+    def trace_dual_inverse(self, form: Sequence, zero) -> list[list]:
+        """Rows of the unique trace-free G with tr(G y) = form . coords(y):
+        G[j][i] is the x_ij entry, and the diagonal t solves t_k - t_(k+1) =
+        g_k (the h_k entry) with sum t_k = 0, so t_1 = (1/n) sum_j (n - j) g_j."""
+        n = self.n
+        G = [[zero] * n for _ in range(n)]
+        for (i, j), v in zip(self.offdiag_positions, form):
+            G[j][i] = v
+        gs = form[len(self.offdiag_positions):]
+        t = zero
+        for j in range(1, n):
+            t = t + gs[j - 1] * Scalar(n - j)
+        t = t * Scalar(Fraction(1, n))
+        G[0][0] = t
+        for k in range(1, n):
+            t = t - gs[k - 1]
+            G[k][k] = t
+        return G
+
+    def coords_of_matrix(self, m: ExactMatrix) -> tuple[Scalar, ...]:
+        return self.chart(m.entries)
+
+    def matrix_of_coords(self, coords: Sequence[Scalar]) -> ExactMatrix:
+        return ExactMatrix(self.chart_inverse(coords, Scalar(0)))
 
     def element(self, entries) -> "GElement":
         m = entries if isinstance(entries, ExactMatrix) else ExactMatrix(entries)
@@ -204,7 +240,7 @@ class GElement:
             entries = data["entries"]
             if len(entries) != n or any(len(r) != n for r in entries):
                 raise PreconditionError("element JSON has wrong shape")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise PreconditionError(f"malformed element JSON: {exc}") from exc
         mat = ExactMatrix([[scalar_from_str(v) for v in row] for row in entries])
         return sl(n).element(mat)

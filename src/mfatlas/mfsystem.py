@@ -30,11 +30,13 @@ Numerically, values, the Jacobian, the line certificate and tangent route
 (3) at a point share one lambda-power chain (power_chain): the coefficient
 matrices C_0, ..., C_k of M^k, M = x + lambda a, each power built from the
 last by n x n products.  Since the gradient of tr(M^d) is d M^{d-1} up to a
-scalar matrix, the Jacobian row of f_ij is d C_j of M^{d-1} paired with the
-coordinate basis.  The values stop the chain at M^{ceil(n/2)}; for d <= 3
-they read <C_j, x> + <C_{j-1}, a> off M^{d-1}.  The symbolic routes
-(substituting x into the components, and differentiating them) are the
-oracles for values and Jacobian, in tests/oracles.py.
+scalar matrix, the Jacobian row of f_ij is the trace-form dual
+(LieAlgebraA.trace_dual) of d C_j of M^{d-1}; symbolically, the trace-form
+gradient of a component is the inverse dual of its partial derivatives.
+The values stop the chain at M^{ceil(n/2)}; for d <= 3 they read
+<C_j, x> + <C_{j-1}, a> off M^{d-1}.  The symbolic routes (substituting x
+into the components, and differentiating them) are the oracles for values
+and Jacobian, in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -127,17 +129,12 @@ class ShiftSystem:
 
     def jacobian_from_chain(self, chain: list[list[ExactMatrix]]) -> ExactMatrix:
         """dF_a(x) read off the lambda-power chain of x + lambda a, up to the
-        power n - 1.  Row (i, j) is d C_j, with d = i + 1 and C_j the lambda^j
-        coefficient of (x + lambda a)^{d-1}, read at x_pq as C_j[q][p] and at
-        h_k as C_j[k][k] - C_j[k+1][k+1]."""
-        L = self.algebra
+        power n - 1.  Row (i, j) is d times the trace-form dual of C_j, with
+        d = i + 1 and C_j the lambda^j coefficient of (x + lambda a)^{d-1}."""
         rows = []
         for i, j in self.labels:
-            C = chain[i - 1][j].entries
             d = Scalar(i + 1)
-            row = [C[q][p] for (p, q) in L.offdiag_positions]
-            row += [C[k][k] - C[k + 1][k + 1] for k in range(L.n - 1)]
-            rows.append([d * v for v in row])
+            rows.append([d * v for v in self.algebra.trace_dual(chain[i - 1][j].entries)])
         return ExactMatrix(rows)
 
     def component_gradients(self) -> list[list[list[MPoly]]]:
@@ -247,27 +244,8 @@ def invariant_values_along(a: GElement, x: GElement, lam: Scalar) -> tuple[Scala
 
 def gradient_matrix(L: LieAlgebraA, f: MPoly) -> list[list[MPoly]]:
     """Trace-form gradient of f as an n x n polynomial matrix: the unique
-    trace-free G(x) with df_x(y) = tr(G(x) y).
-
-    Off-diagonal: G[j][i] = df/dx_ij.  Diagonal: solved from the Cartan
-    directional derivatives g_k = df/dh_k via t_k - t_{k+1} = g_k and
-    sum t_k = 0.
-    """
+    trace-free G(x) with df_x(y) = tr(G(x) y), the inverse trace-form dual of
+    the partial derivatives."""
     if f.vars != L.coord_names:
         raise PreconditionError("polynomial is not over the algebra coordinates")
-    n = L.n
-    zero = MPoly.zero(L.coord_names)
-    G = [[zero for _ in range(n)] for _ in range(n)]
-    for idx, (i, j) in enumerate(L.offdiag_positions):
-        G[j][i] = f.diff(L.coord_names[idx])
-    gs = [f.diff(f"h{k + 1}") for k in range(n - 1)]
-    # t_1 = (1/n) sum (n - j) g_j, then t_{k+1} = t_k - g_k
-    t = MPoly.zero(L.coord_names)
-    for j in range(1, n):
-        t = t + gs[j - 1] * Scalar(n - j)
-    t = t * Scalar(Fraction(1, n))
-    G[0][0] = t
-    for k in range(1, n):
-        t = t - gs[k - 1]
-        G[k][k] = t
-    return G
+    return L.trace_dual_inverse([f.diff(v) for v in L.coord_names], MPoly.zero(L.coord_names))

@@ -325,20 +325,10 @@ def restrict_to_chart(polys: Sequence[MPoly], vars_: Sequence[str], base: Sequen
 
 def generic_matrix(L: LieAlgebraA, vars: Sequence[str] | None = None) -> list[list[MPoly]]:
     """The n x n matrix of sl_n whose entries are the coordinate functions,
-    as polynomials over `vars` (default: exactly the coordinates)."""
+    as polynomials over `vars` (default: exactly the coordinates): the
+    inverse chart at the coordinate variables."""
     vt = tuple(vars) if vars is not None else L.coord_names
-    n = L.n
-    zero = MPoly.zero(vt)
-    rows = [[zero] * n for _ in range(n)]
-    for idx, (i, j) in enumerate(L.offdiag_positions):
-        rows[i][j] = MPoly.var(vt, L.coord_names[idx])
-    hs = [MPoly.var(vt, f"h{k + 1}") for k in range(n - 1)]
-    prev = zero
-    for k in range(n):
-        cur = hs[k] if k < n - 1 else zero
-        rows[k][k] = cur - prev
-        prev = cur
-    return rows
+    return L.chart_inverse([MPoly.var(vt, name) for name in L.coord_names], MPoly.zero(vt))
 
 
 def permute_cartan_chart(perm: tuple[int, ...], svars: Sequence[str]) -> dict[str, MPoly]:

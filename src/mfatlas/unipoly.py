@@ -2,8 +2,8 @@
 
 The zero polynomial is the empty tuple.  Two callers use them: the root
 search behind flags.eigen_chains (all roots of a characteristic polynomial
-lying in Q(i)) and the Euclidean row reduction behind the line certificate,
-components.krylov_line_regular.
+lying in Q(i)) and the Euclidean row reduction behind the line certificate
+that components.is_strongly_regular reads.
 
 The root search lifts roots modulo a prime power and enumerates no divisors
 (Loos, Computing rational zeros of integral polynomials by p-adic expansion,

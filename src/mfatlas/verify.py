@@ -7,8 +7,8 @@ fibres: the image of b^a, critical values on the singular family, the family
 x + [b^a, b^a] inside two Borel components (at one value, both read off
 earlier tests), the Tarasov section and the near-section translates.  The
 singular family is based at the shift itself, a point of b^a, so that row
-draws nothing.  check_exotic_witness and check_tarasov_exotic are run by the
-corpus and the tests only.
+draws nothing.  check_exotic_witness is run by the corpus and the tests
+only, and check_tarasov_exotic by the tests only.
 
 A sampled structural check takes the random generator it draws from and a
 sample count, so mf verify (one seeded generator per check) and the test

@@ -25,8 +25,8 @@ in mfatlas replaced, kept here to cross-check them.
 * krylov_line_regular_sympy: the line x + C a is regular iff the gcd over
   the v-monomials of the lambda-coefficients of det[v | Mv | ... |
   M^{n-1}v], M = x + lambda a and v a symbolic vector, is a nonzero
-  constant; built entirely in sympy (oracle for
-  components.krylov_line_regular).
+  constant; built entirely in sympy (oracle for the line certificate
+  components.is_strongly_regular reads, components._line_regular).
 * line_spot_checks: x + k a is regular for k = 0..2b, a necessary condition
   for a regular line (the one-sided oracle for the same certificate).
 * weyl_orbit_value_count: the number of distinct F_a values on the Weyl

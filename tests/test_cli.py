@@ -88,6 +88,8 @@ def test_bad_numbers_exit_2(tmp_path, capsys):
 
     not_json = tmp_path / "table.txt"
     not_json.write_text("not json")
+    huge_n = tmp_path / "huge-n.json"
+    huge_n.write_text('{"n": 1e400, "entries": [["1", "0"], ["0", "-1"]]}')
     for argv in (
         ("build", "--n", "2", "--element", "s", "--param", "1/0"),
         ("atlas", "--n", "3", "--element", "r", "--param", "2/0*i"),
@@ -95,6 +97,7 @@ def test_bad_numbers_exit_2(tmp_path, capsys):
         ("build", "--matrix", matrix_file("bare-number.json", [[1, "0"], ["0", "-1"]])),
         ("build", "--matrix", matrix_file("no-rows.json", [1, 2])),
         ("build", "--matrix", matrix_file("no-list.json", 5)),
+        ("build", "--matrix", str(huge_n)),
         ("count", "--n", "2", "--iprime", str(tmp_path / "missing.json")),
         ("count", "--n", "2", "--iprime", str(not_json)),
     ):
@@ -227,15 +230,24 @@ def test_oversized_numerals_exit_2_quickly(tmp_path):
 def test_numerals_past_the_int_string_limit_get_the_digit_bound_message(tmp_path):
     """A numeral int() would not read (a run of more than 4300 digits) is
     refused with the same 100-digit message as any other long numeral, not
-    with the interpreter's own."""
+    with the interpreter's own: as a --param, as a matrix entry, and as a
+    bare JSON number in a matrix file, for an entry or for n."""
+    argvs = []
     for k, numeral in enumerate(("1" * 5000, "1/" + "1" * 5000, "0." + "0" * 5000 + "1")):
         path = tmp_path / f"long-{k}.json"
         path.write_text(json.dumps({"n": 2, "entries": [[numeral, "0"], ["0", "-" + numeral]]}))
-        for argv in (("build", "--n", "2", "--element", "s", "--param", numeral),
-                     ("build", "--matrix", str(path))):
-            _, err = _exits_quickly(2, *argv, within=2)
-            assert "has more than 100 digits in its numerator or denominator" in err, argv[-2]
-            assert "set_int_max_str_digits" not in err
+        argvs += [("build", "--n", "2", "--element", "s", "--param", numeral),
+                  ("build", "--matrix", str(path))]
+    bare = "1" * 5000
+    for k, text in enumerate((f'{{"n": 2, "entries": [[{bare}, "0"], ["0", "-1"]]}}',
+                              f'{{"n": {bare}, "entries": [["1", "0"], ["0", "-1"]]}}')):
+        path = tmp_path / f"bare-{k}.json"
+        path.write_text(text)
+        argvs.append(("build", "--matrix", str(path)))
+    for argv in argvs:
+        _, err = _exits_quickly(2, *argv, within=2)
+        assert "has more than 100 digits in its numerator or denominator" in err, argv[-1]
+        assert "set_int_max_str_digits" not in err
 
 
 def test_a_100_digit_param_builds():

@@ -19,11 +19,12 @@ from mfatlas.lie import (
     weyl_stabilizer,
 )
 from mfatlas.linalg import ExactMatrix
-from mfatlas.mpoly import permute_cartan_chart
+from mfatlas.mpoly import MPoly, permute_cartan_chart
 from mfatlas.sampling import (
     conjugate,
     random_distinct_rationals,
     random_element,
+    random_scalar,
     random_traceless_distinct_diag,
     random_unimodular,
     rng_for,
@@ -44,6 +45,94 @@ def test_coordinates_round_trip():
         assert L.element_from_coords(x.coords) == x
     assert L.coord_names[:2] == ("x12", "x13")
     assert L.coord_names[-2:] == ("h1", "h2")
+
+
+def _chart_case(n, ring):
+    """(zero, C, Y, k) on sl_n with entries in ring: C an n x n matrix of
+    trace 1, Y a trace-free one and k a coordinate vector.  The Scalar case
+    is drawn; the MPoly case is generic, one variable per free entry."""
+    if ring is Scalar:
+        rng = rng_for(f"lie-chart:{n}", 0)
+        C = [[random_scalar(rng, gaussian=True) for _ in range(n)] for _ in range(n)]
+        Y = [list(row) for row in random_element(sl(n), rng).matrix.entries]
+        k = [random_scalar(rng) for _ in range(sl(n).dim)]
+        zero, one = Scalar(0), Scalar(1)
+    else:
+        cells = [(i, j) for i in range(n) for j in range(n)]
+        vars_ = tuple(f"c{i}{j}" for i, j in cells) + tuple(f"y{i}{j}" for i, j in cells[:-1])
+        vars_ += sl(n).coord_names
+        zero, one = MPoly.zero(vars_), MPoly.const(vars_, 1)
+        C = [[MPoly.var(vars_, f"c{i}{j}") for j in range(n)] for i in range(n)]
+        Y = [[MPoly.var(vars_, f"y{i}{j}") if (i, j) in cells[:-1] else zero for j in range(n)]
+             for i in range(n)]
+        Y[-1][-1] = -sum((Y[i][i] for i in range(n - 1)), zero)
+        k = [MPoly.var(vars_, name) for name in sl(n).coord_names]
+    trace = sum((C[i][i] for i in range(n)), zero)
+    C[-1][-1] = C[-1][-1] - trace + one
+    return zero, C, Y, k
+
+
+RINGS = pytest.mark.parametrize("ring", [Scalar, MPoly])
+SIZES = pytest.mark.parametrize("n", [2, 3, 4])
+
+
+@SIZES
+@RINGS
+def test_chart_inverse_inverts_the_chart(n, ring):
+    L = sl(n)
+    zero, _, Y, k = _chart_case(n, ring)
+    assert L.chart_inverse(L.chart(Y), zero) == Y
+    assert L.chart(L.chart_inverse(k, zero)) == tuple(k)
+
+
+def _trace_dual_inverse_faults(L, inverse, zero, C, Y) -> list[str]:
+    """The properties of an inverse trace-form dual that fail: on C it must
+    give a trace-free G with C's dual, and on the trace-free Y, Y itself."""
+    G = inverse(L.trace_dual(C), zero)
+    faults = []
+    if sum((G[k][k] for k in range(L.n)), zero) != zero:
+        faults.append("trace")
+    if L.trace_dual(G) != L.trace_dual(C):
+        faults.append("dual")
+    if inverse(L.trace_dual(Y), zero) != Y:
+        faults.append("round trip")
+    return faults
+
+
+@SIZES
+@RINGS
+def test_trace_dual_inverse_gives_the_trace_free_gradient(n, ring):
+    L = sl(n)
+    zero, C, Y, _ = _chart_case(n, ring)
+    assert _trace_dual_inverse_faults(L, L.trace_dual_inverse, zero, C, Y) == []
+
+
+@SIZES
+@RINGS
+def test_trace_dual_pairs_with_the_chart_as_the_trace_form(n, ring):
+    """sum_m dual(C)_m coords(Y)_m = tr(C Y), for C not trace-free."""
+    L = sl(n)
+    zero, C, Y, _ = _chart_case(n, ring)
+    pairing = sum((d * y for d, y in zip(L.trace_dual(C), L.chart(Y))), zero)
+    assert pairing == sum((C[i][j] * Y[j][i] for i in range(n) for j in range(n)), zero)
+    assert pairing != zero
+
+
+@SIZES
+@RINGS
+def test_a_trace_dual_inverse_without_its_normalisation_fails(n, ring):
+    """The diagonal solve without its 1/n, t_1 = sum_j (n - j) g_j, adds
+    (n - 1) t_1 to every diagonal entry: the differences, and so the dual,
+    are unchanged, but G is no longer trace-free."""
+    L = sl(n)
+
+    def unnormalised(form, zero):
+        G = L.trace_dual_inverse(form, zero)
+        shift = G[0][0] * Scalar(n - 1)
+        return [[v + shift if i == j else v for j, v in enumerate(row)] for i, row in enumerate(G)]
+
+    zero, C, Y, _ = _chart_case(n, ring)
+    assert _trace_dual_inverse_faults(L, unnormalised, zero, C, Y) == ["trace", "round trip"]
 
 
 def test_traceless_enforced():

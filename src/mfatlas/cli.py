@@ -21,7 +21,7 @@ import sys
 
 from .errors import CertificationError, MFError, PreconditionError
 from .lie import GElement, mixed_rep, nilpotent_rep, semisimple_rep, sl
-from .scalar import _bounded_fraction, scalar_from_str, scalar_to_str
+from .scalar import bounded_int, scalar_from_str, scalar_to_str
 
 SCHEMA = "mf-atlas/1"
 MAX_N = 4  # desk scale: sl_2 to sl_4
@@ -36,9 +36,7 @@ def resolve_element(args: argparse.Namespace) -> GElement:
             raise PreconditionError("--matrix takes no --element or --param")
         try:
             with open(args.matrix) as f:
-                # a bare number too long for a scalar gets the digit-bound
-                # message before int() would refuse it with its own
-                data = json.load(f, parse_int=lambda s: int(_bounded_fraction(s)))
+                data = json.load(f, parse_int=bounded_int)
             a = GElement.from_json_dict(data)
         except (OSError, ValueError, KeyError) as exc:
             raise PreconditionError(f"cannot read matrix file: {exc}") from exc

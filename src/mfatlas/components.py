@@ -11,9 +11,12 @@ The fibre machinery reads the system that mfsystem builds:
     certificate row-reduces I, M, ..., M^{n-1} over Q(i)[lambda] with
     unipoly, and its oracles, in tests/oracles.py, are the symbolic-vector
     Krylov determinant (in sympy) and regularity spot checks along the line,
-  - tangent_space, computed two ways and cross-checked, with the invariant
-    gradients tested to centralize the point, and section_chart, the Tarasov
-    section in coordinates.
+  - tangent_space, which decides strong regularity the same way off the
+    same chain and then computes the tangent space two ways and cross-checks
+    them, with the invariant gradients tested to centralize the point, and
+    section_chart, the Tarasov section in coordinates,
+  - levi_system, the shifted system of each Levi factor: the same
+    lambda-expansion as F_a (mfsystem.trace_coefficients) on each block.
 
 An AffineComponent is an affine subspace base + span(dirs) on which every
 component of F_a is certified constant by exact substitution (the
@@ -51,15 +54,15 @@ from .flags import (
     member_label,
 )
 from .lie import GElement, LieAlgebraA, bracket, is_regular, permute_diagonal, weyl_group
-from .linalg import ExactMatrix, Vector, canonical_basis, mat_rank, solve
+from .linalg import ExactMatrix, Vector, _dot, canonical_basis, mat_rank, matrix_from_rows, solve
 from .mfsystem import (
     FibreValue,
     ShiftSystem,
     invariant_values_along,
     power_chain,
-    trace_power_coefficients,
+    trace_coefficients,
 )
-from .mpoly import MPoly, generic_matrix, mpoly_mat_mul, mpoly_mat_pair, restrict_to_chart
+from .mpoly import MPoly, generic_matrix, mpoly_dot, mpoly_mat_mul, mpoly_mat_pair, restrict_to_chart
 from .scalar import Scalar
 from . import unipoly as up
 
@@ -159,21 +162,35 @@ def _regular_shifts(x: GElement, a: GElement):
     raise RuntimeError("could not find regular shift values")
 
 
-def _line_regular(chain: list[list[ExactMatrix]]) -> bool:
+def _line_regular(chain: list[list[tuple]]) -> bool:
     """M = x + lambda a is regular at lambda_0 iff I, M, ..., M^{n-1} are
     independent there (the test lie.is_regular makes).  The n^2 x n matrix
     of their entries, over Q(i)[lambda], has full rank at every lambda_0 in C
     iff the gcd of its maximal minors is a nonzero constant, that is iff its
     Euclidean row reduction leaves only nonzero constant pivots (a
     nonconstant pivot has a root in C)."""
-    n = chain[0][0].rows
+    n = len(chain[0][0])
     rows = [
         [up.uni([Scalar(int(p == q))])]
-        + [up.uni([C.entries[p][q] for C in coeffs]) for coeffs in chain]
+        + [up.uni([C[p][q] for C in coeffs]) for coeffs in chain]
         for p in range(n)
         for q in range(n)
     ]
     return all(up.uni_deg(piv) == 0 for piv in up.uni_echelon_pivots(rows))
+
+
+def _strong_regularity(sys_: ShiftSystem, x: GElement) -> tuple[bool, list[list[tuple]]]:
+    """Whether rank dF_a(x) = b, with the lambda-power chain of x + lambda a
+    (up to the power n - 1) it was read off.  The line certificate is read
+    off the same chain and must agree with the rank; a disagreement raises
+    CertificationError."""
+    if x.algebra != sys_.algebra:
+        raise AlgebraMismatchError("point from a different algebra")
+    chain = power_chain(x.matrix.entries, sys_.a.matrix.entries, sys_.algebra.n - 1, _dot)
+    full_rank = mat_rank(sys_.jacobian_from_chain(chain)) == sys_.b
+    if full_rank != _line_regular(chain):
+        raise CertificationError("Jacobian rank and Krylov line certificate disagree")
+    return full_rank, chain
 
 
 def is_strongly_regular(sys_: ShiftSystem, x: GElement) -> bool:
@@ -187,13 +204,7 @@ def is_strongly_regular(sys_: ShiftSystem, x: GElement) -> bool:
     determinant and regularity spot checks along the line are its oracles,
     in tests/oracles.py.
     """
-    if x.algebra != sys_.algebra:
-        raise AlgebraMismatchError("point from a different algebra")
-    chain = power_chain(sys_.a, x, sys_.algebra.n - 1)
-    full_rank = mat_rank(sys_.jacobian_from_chain(chain)) == sys_.b
-    if full_rank != _line_regular(chain):
-        raise CertificationError("Jacobian rank and Krylov line certificate disagree")
-    return full_rank
+    return _strong_regularity(sys_, x)[0]
 
 
 def tangent_space(sys_: ShiftSystem, x: GElement) -> list[GElement]:
@@ -206,16 +217,17 @@ def tangent_space(sys_: ShiftSystem, x: GElement) -> list[GElement]:
           [a, .] kills, so these are [a, C] over the coefficients C of the
           lambda-power chain of (x + lambda a)^k, k < n.
 
-    The invariants' gradients are tested to centralize x ([x, grad f_i0(x)]
-    = 0), so the span over every component, invariants included, is route
-    (1) itself and is not taken again.
+    Strong regularity is decided as is_strongly_regular decides it, off the
+    chain route (3) reads: a point that is not strongly regular raises
+    RegularityError, and a line certificate that disagrees with the Jacobian
+    rank raises CertificationError.  The invariants' gradients are tested
+    to centralize x ([x, grad f_i0(x)] = 0), so the span over every
+    component, invariants included, is route (1) itself and is not taken
+    again.
     """
     L = sys_.algebra
-    if x.algebra != L:
-        raise AlgebraMismatchError("point from a different algebra")
-    # one power chain serves the strong-regularity test and route (3)
-    chain = power_chain(sys_.a, x, L.n - 1)
-    if mat_rank(sys_.jacobian_from_chain(chain)) != sys_.b:
+    strongly_regular, chain = _strong_regularity(sys_, x)
+    if not strongly_regular:
         raise RegularityError("tangent_space needs a strongly regular point")
     brackets = [(j, bracket(x, gradient_at(L, grad, x)))
                 for grad, (_, j) in zip(sys_.component_gradients(), sys_.labels)]
@@ -226,7 +238,7 @@ def tangent_space(sys_: ShiftSystem, x: GElement) -> list[GElement]:
     T3 = canonical_basis([
         L.coords_of_matrix(A * C - C * A)
         for coeffs in chain
-        for C in coeffs
+        for C in (matrix_from_rows(rows, L.n) for rows in coeffs)
     ])
     if T3 != T1:
         raise CertificationError("tangent space route (3) disagrees")
@@ -365,27 +377,23 @@ def levi_system(p: FlagParabolic, a: GElement) -> tuple[tuple[str, ...], list[MP
     pattern = p.block_pattern(upper=False, include_diag_blocks=True)
     svars = tuple(f"s{k + 1}" for k in range(len(pattern)))
     n = L.n
-    ext = svars + ("lam",)
+    zero = MPoly.zero(svars)
     # the generic Levi element sum_m s_m l_m written in the adapted basis,
     # where U^-1 l_m U is E_ij, or H_i = E_ii - E_(i+1)(i+1) when i == j
-    E = [[MPoly.zero(ext)] * n for _ in range(n)]
+    E = [[zero] * n for _ in range(n)]
     for s, (i, j) in zip(svars, pattern):
-        E[i][j] = E[i][j] + MPoly.var(ext, s)
+        E[i][j] = E[i][j] + MPoly.var(svars, s)
         if i == j:
-            E[i + 1][i + 1] = E[i + 1][i + 1] - MPoly.var(ext, s)
+            E[i + 1][i + 1] = E[i + 1][i + 1] - MPoly.var(svars, s)
     Ap = p.U_inv * a.matrix * p.U
-    lam = MPoly.var(ext, "lam")
     offsets = [sum(p.blocks[:b]) for b in range(len(p.blocks))]
     # centre coordinates: block traces (last one is determined, kept anyway)
-    polys = [sum((E[t][t] for t in range(o, o + k)), MPoly.zero(ext)).project(svars)
-             for o, k in zip(offsets, p.blocks)]
+    polys = [sum((E[t][t] for t in range(o, o + k)), zero) for o, k in zip(offsets, p.blocks)]
     # per-factor shifted trace powers
     for o, k in zip(offsets, p.blocks):
-        M = [
-            [E[o + i][o + j] + lam * Ap.entries[o + i][o + j] for j in range(k)]
-            for i in range(k)
-        ]
-        for coeffs in trace_power_coefficients(M, k):
+        block = slice(o, o + k)
+        A = [[MPoly.const(svars, c) for c in row[block]] for row in Ap.entries[block]]
+        for coeffs in trace_coefficients([row[block] for row in E[block]], A, k, mpoly_dot):
             polys.extend(coeffs)
     return svars, polys
 

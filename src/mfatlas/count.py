@@ -14,6 +14,7 @@ import json
 from .errors import PreconditionError
 from .flags import BorelAtlas, EigenChain, enumerate_atlas, member_label
 from .lie import GElement
+from .scalar import bounded_int
 
 
 def eigen_partition(chains: list[EigenChain]) -> tuple[int, ...]:
@@ -41,25 +42,32 @@ def iprime_symbol(n: int, partition: tuple[int, ...]) -> str:
 
 
 def load_iprime(path: str) -> dict[tuple[int, tuple[int, ...]], tuple[int | None, int]]:
-    """Read an mf-iprime/1 table: rows {n, partition, value, lower}, where a
-    missing value is unknown and a missing lower is 0."""
+    """Read an mf-iprime/1 table: rows {n, partition, value, lower} of JSON
+    integers, where a missing value is unknown and a missing lower is 0."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            data = json.load(fh, parse_int=bounded_int)
+    except (OSError, ValueError) as exc:
         raise PreconditionError(f"cannot read I' table: {exc}") from exc
     try:
         entries = {}
         for row in data["entries"]:
-            key = (int(row["n"]), tuple(int(k) for k in row["partition"]))
-            value = None if row.get("value") is None else int(row["value"])
-            lower = int(row.get("lower", 0))
+            key = (_integer(row["n"]), tuple(_integer(k) for k in row["partition"]))
+            value = None if row.get("value") is None else _integer(row["value"])
+            lower = _integer(row.get("lower", 0))
             if lower < 0 or (value is not None and value < lower):
                 raise ValueError(f"entry {row} needs 0 <= lower <= value")
             entries[key] = (value, lower)
     except (KeyError, TypeError, ValueError) as exc:
         raise PreconditionError(f"malformed I' table: {exc}") from exc
     return entries
+
+
+def _integer(v) -> int:
+    """v itself if it is an int, which a bool or a float is not."""
+    if type(v) is not int:
+        raise TypeError(f"{v!r} is not an integer")
+    return v
 
 
 def count_zero_fibre(a: GElement, overrides: dict | None = None,

@@ -236,11 +236,13 @@ class GElement:
     @staticmethod
     def from_json_dict(data: dict) -> "GElement":
         try:
-            n = int(data["n"])
+            n = data["n"]
+            if type(n) is not int:  # a bool or a float is not read as an int
+                raise TypeError(f"n must be an integer, got {n!r}")
             entries = data["entries"]
             if len(entries) != n or any(len(r) != n for r in entries):
                 raise PreconditionError("element JSON has wrong shape")
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError) as exc:
             raise PreconditionError(f"malformed element JSON: {exc}") from exc
         mat = ExactMatrix([[scalar_from_str(v) for v in row] for row in entries])
         return sl(n).element(mat)

@@ -8,7 +8,8 @@ of degree d_i = i + 1) expands along the line x + lambda a as
 and the system F_a collects the f_i together with all proper coefficients
 f_ij (j >= 1): rank + sum_{d=2..n} (d - 1) = b = (dim + rank) / 2 polynomials,
 by arithmetic, so the count is not checked.  The component order everywhere
-is f_1, ..., f_r, then f_ij for i ascending and j = 1..d_i - 1.
+is component_labels: f_1, ..., f_r, then f_ij for i ascending and
+j = 1..d_i - 1.
 
 The assembled system is certified of full rank b at a witness point (so in
 particular the generators f_i are functionally independent).  This module is
@@ -17,32 +18,31 @@ gradients.  The fibre machinery built on them (Poisson brackets, fibre
 membership, the line certificate, strong regularity, tangent spaces and the
 section chart) lives in components.
 
-Every lambda-expansion of trace powers uses the same pairing of two half
+The lambda-expansion is written once, over rows of entries from one ring and
+that ring's dot product (linalg._dot for Scalar, mpoly.mpoly_dot for MPoly).
+power_chain holds the coefficient rows C_0, ..., C_k of (X + lambda A)^k,
+each power built from the last, and trace_coefficients pairs two half
 powers, <P, Q> = tr(P Q): tr(M^d) = <M^{floor(d/2)}, M^{ceil(d/2)}>, so the
-power M^d itself is never formed and on n <= 4 only M^2 is.
-
-Symbolically, trace_power_coefficients is the one builder of the
-coefficients: build_system calls it on the generic matrix X + lambda a, and
-components.levi_system on each Levi block.  Substituting x + lambda a into
+power M^d itself is never formed and on n <= 4 only M^2 is.  build_system
+runs it on the generic matrix X and the constants of a, so the components
+are its coefficients; components.levi_system runs it on each Levi block;
+mf_values runs it on the entries of x and a.  Substituting x + lambda a into
 tr(X^d) is its oracle, in tests/oracles.py.
 
-Numerically, values, the Jacobian, the line certificate and tangent route
-(3) at a point share one lambda-power chain (power_chain): the coefficient
-matrices C_0, ..., C_k of M^k, M = x + lambda a, each power built from the
-last by n x n products.  Since the gradient of tr(M^d) is d M^{d-1} up to a
-scalar matrix, the Jacobian row of f_ij is the trace-form dual
+At a point, the Jacobian, the line certificate and tangent route (3) share
+one chain up to the power n - 1.  Since the gradient of tr(M^d) is d M^{d-1}
+up to a scalar matrix, the Jacobian row of f_ij is the trace-form dual
 (LieAlgebraA.trace_dual) of d C_j of M^{d-1}; symbolically, the trace-form
 gradient of a component is the inverse dual of its partial derivatives.
-The values stop the chain at M^{ceil(n/2)}; for d <= 3 they read
-<C_j, x> + <C_{j-1}, a> off M^{d-1}.  The symbolic routes (substituting x
-into the components, and differentiating them) are the oracles for values
-and Jacobian, in tests/oracles.py.
+The symbolic routes (substituting x into the components, and differentiating
+them) are the oracles for values and Jacobian, in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
+from typing import Callable, Sequence
 
 from .errors import (
     AlgebraMismatchError,
@@ -51,34 +51,69 @@ from .errors import (
     RegularityError,
 )
 from .lie import GElement, LieAlgebraA, is_regular
-from .linalg import ExactMatrix, _dot, mat_rank, matrix_from_rows
-from .mpoly import MPoly, generic_matrix, mpoly_mat_mul, mpoly_mat_pair
+from .linalg import ExactMatrix, _dot, mat_rank
+from .mpoly import MPoly, generic_matrix, mpoly_dot
 from .sampling import random_element, rng_for
 from .scalar import Scalar
 
 FibreValue = tuple[Scalar, ...]
 
 
-# -- the symbolic builder ---------------------------------------------------------
+# -- the lambda-expansion, over either ring ------------------------------------------
 
 
-def trace_power_coefficients(M: list[list[MPoly]], top: int) -> list[list[MPoly]]:
+def power_chain(X: Sequence[Sequence], A: Sequence[Sequence], top: int,
+                dot: Callable) -> list[list[tuple]]:
+    """Entry k - 1 holds the lambda-coefficients [C_0, ..., C_k] of
+    (X + lambda A)^k, for k = 1..top, each as a tuple of rows; each power is
+    the last one times X + lambda A.  Each entry of C_j X + C_(j-1) A is one
+    dot: row p of C_j laid end to end with row p of C_(j-1), against column
+    q of X laid end to end with column q of A."""
+    def times(rows, cols):
+        return tuple(tuple([dot(row, col) for col in cols]) for row in rows)
+
+    X, A = tuple(map(tuple, X)), tuple(map(tuple, A))
+    xcols, acols = list(zip(*X)), list(zip(*A))
+    cols = [cx + ca for cx, ca in zip(xcols, acols)]
+    powers = [[X, A]]
+    while len(powers) < top:
+        C = powers[-1]
+        powers.append([times(C[0], xcols)]
+                      + [times([p + q for p, q in zip(P, Q)], cols) for P, Q in zip(C[1:], C)]
+                      + [times(C[-1], acols)])
+    return powers
+
+
+def trace_coefficients(X: Sequence[Sequence], A: Sequence[Sequence], top: int,
+                       dot: Callable) -> list[list]:
     """For d = 2..top, the lambda-coefficients [c_0, ..., c_{d-1}] of
-    tr(M^d), for a polynomial matrix M over vars + ("lam",); the c_j are
-    returned over vars.  As in mf_values, tr(M^d) pairs two half powers,
-    sum_ij (M^floor(d/2))_ij (M^ceil(d/2))_ji, so the highest power formed is
-    M^ceil(top/2).  The dropped lambda^d coefficient is a constant."""
-    vars_ = M[0][0].vars
-    zero = MPoly.zero(vars_)
-    powers = [M]
-    while len(powers) < (top + 1) // 2:
-        powers.append(mpoly_mat_mul(powers[-1], M))
+    tr((X + lambda A)^d); the dropped lambda^d coefficient is tr(A^d).  With
+    P and Q the chain's coefficients of the half powers (X + lambda A)^floor(d/2)
+    and (X + lambda A)^ceil(d/2), c_k = sum_{s + t = k} tr(P_s Q_t), taken as
+    one dot: the rows of every P_s laid end to end, against the columns of
+    the matching Q_t laid end to end.  So the chain stops at the power
+    ceil(top/2)."""
+    powers = power_chain(X, A, (top + 1) // 2, dot)
     out = []
     for d in range(2, top + 1):
-        trace = mpoly_mat_pair(powers[d // 2 - 1], powers[(d + 1) // 2 - 1])
-        buckets = trace.collect("lam")
-        out.append([buckets.get(j, zero).project(vars_[:-1]) for j in range(d)])
+        rows = [list(chain.from_iterable(P)) for P in powers[d // 2 - 1]]
+        cols = [list(chain.from_iterable(zip(*Q))) for Q in powers[(d + 1) // 2 - 1]]
+        left, right = [[] for _ in range(d)], [[] for _ in range(d)]
+        for s, u in enumerate(rows):
+            for t, v in enumerate(cols):
+                if s + t < d:
+                    left[s + t] += u
+                    right[s + t] += v
+        out.append([dot(u, v) for u, v in zip(left, right)])
     return out
+
+
+def component_labels(n: int) -> list[tuple[int, int]]:
+    """The label (i, j) of each component of F_a on sl_n, in order: the
+    invariants f_i = (i, 0), then f_ij for i ascending and j = 1..i.  The
+    component (i, j) is the lambda^j coefficient of tr((x + lambda a)^(i+1))."""
+    return ([(i, 0) for i in range(1, n)]
+            + [(i, j) for i in range(1, n) for j in range(1, i + 1)])
 
 
 # Diagonal factors aligning raw expansion coefficients with the conventional
@@ -125,16 +160,17 @@ class ShiftSystem:
 
     def jacobian_at(self, x: GElement) -> ExactMatrix:
         """dF_a(x) in the coordinate chart."""
-        return self.jacobian_from_chain(power_chain(self.a, x, self.algebra.n - 1))
+        return self.jacobian_from_chain(
+            power_chain(x.matrix.entries, self.a.matrix.entries, self.algebra.n - 1, _dot))
 
-    def jacobian_from_chain(self, chain: list[list[ExactMatrix]]) -> ExactMatrix:
+    def jacobian_from_chain(self, chain: list[list[tuple]]) -> ExactMatrix:
         """dF_a(x) read off the lambda-power chain of x + lambda a, up to the
         power n - 1.  Row (i, j) is d times the trace-form dual of C_j, with
         d = i + 1 and C_j the lambda^j coefficient of (x + lambda a)^{d-1}."""
         rows = []
         for i, j in self.labels:
             d = Scalar(i + 1)
-            rows.append([d * v for v in self.algebra.trace_dual(chain[i - 1][j].entries)])
+            rows.append([d * v for v in self.algebra.trace_dual(chain[i - 1][j])])
         return ExactMatrix(rows)
 
     def component_gradients(self) -> list[list[list[MPoly]]]:
@@ -153,19 +189,11 @@ def build_system(a: GElement) -> ShiftSystem:
     L = a.algebra
     if not is_regular(a):
         raise RegularityError("shift element must be regular")
-    ext = L.coord_names + ("lam",)
-    lam = MPoly.var(ext, "lam")
-    X = generic_matrix(L, ext)
-    M = [[e + lam * c for e, c in zip(xrow, arow)] for xrow, arow in zip(X, a.matrix.entries)]
-    per_gen = trace_power_coefficients(M, L.n)
-    rank = len(per_gen)
-    components: list[MPoly] = [per_gen[i][0] for i in range(rank)]
-    labels: list[tuple[int, int]] = [(i + 1, 0) for i in range(rank)]
-    for i in range(rank):
-        for j in range(1, i + 2):
-            components.append(per_gen[i][j])
-            labels.append((i + 1, j))
-    sys_ = ShiftSystem(a, components, labels, a)
+    vt = L.coord_names
+    A = [[MPoly.const(vt, c) for c in row] for row in a.matrix.entries]
+    coeffs = trace_coefficients(generic_matrix(L), A, L.n, mpoly_dot)
+    labels = component_labels(L.n)
+    sys_ = ShiftSystem(a, [coeffs[i - 1][j] for i, j in labels], labels, a)
     rng = rng_for(f"build-cert:{L.n}:" + ",".join(str(c) for c in a.coords), 0)
     for _ in range(40):
         x = random_element(L, rng)
@@ -175,57 +203,18 @@ def build_system(a: GElement) -> ShiftSystem:
     raise CertificationError("no full-rank witness point found")
 
 
-# -- the lambda-power chain: values and Jacobian ----------------------------------------
-
-
-def power_chain(a: GElement, x: GElement, top: int) -> list[list[ExactMatrix]]:
-    """Entry k - 1 holds the lambda-coefficients [C_0, ..., C_k] of
-    (x + lambda a)^k, for k = 1..top; each power is the last one times
-    x + lambda a.  As in _pair, each entry of C_j X + C_(j-1) A is one dot:
-    row p of C_j laid end to end with row p of C_(j-1), against column q of
-    X laid end to end with column q of A."""
-    X, A = x.matrix, a.matrix
-    cols = [cx + ca for cx, ca in zip(zip(*X.entries), zip(*A.entries))]
-    chain = [[X, A]]
-    while len(chain) < top:
-        C = chain[-1]
-        nxt = [C[0] * X]
-        for P, Q in zip(C[1:], C):
-            nxt.append(matrix_from_rows(tuple(tuple([_dot(p + q, col) for col in cols])
-                                              for p, q in zip(P.entries, Q.entries)), X.cols))
-        nxt.append(C[-1] * A)
-        chain.append(nxt)
-    return chain
-
-
-def _pair(P: ExactMatrix, Q: ExactMatrix) -> Scalar:
-    """tr(P Q), without forming P Q: one dot of P's rows laid end to end with
-    Q's columns laid end to end, so one denominator and one reduction."""
-    return _dot(chain.from_iterable(P.entries), chain.from_iterable(zip(*Q.entries)))
+# -- values -------------------------------------------------------------------------------
 
 
 def mf_values(a: GElement, x: GElement) -> FibreValue:
-    """All component values of F_a at x.  With P and Q the power chain's
-    coefficients of (x + lambda a)^{floor(d/2)} and (x + lambda a)^{ceil(d/2)},
-    the lambda^j coefficient of tr((x + lambda a)^d) is sum_s <P_s, Q_{j-s}>,
-    so the chain stops at the power ceil(n/2).  Works for any a (regularity
-    not needed to evaluate); order matches ShiftSystem.components."""
+    """All component values of F_a at x, the trace coefficients of
+    x + lambda a in component order.  Works for any a (regularity not needed
+    to evaluate)."""
     if a.algebra != x.algebra:
         raise AlgebraMismatchError("mixed algebras")
     n = a.algebra.n
-    chain = power_chain(a, x, (n + 1) // 2)
-    heads: list[Scalar] = []
-    tails: list[Scalar] = []
-    for d in range(2, n + 1):
-        P, Q = chain[d // 2 - 1], chain[(d + 1) // 2 - 1]
-        coeffs = [Scalar(0)] * d
-        for s, left in enumerate(P):
-            for t, right in enumerate(Q):
-                if s + t < d:
-                    coeffs[s + t] = coeffs[s + t] + _pair(left, right)
-        heads.append(coeffs[0])
-        tails.extend(coeffs[1:])
-    return tuple(heads + tails)
+    coeffs = trace_coefficients(x.matrix.entries, a.matrix.entries, n, _dot)
+    return tuple(coeffs[i - 1][j] for i, j in component_labels(n))
 
 
 def invariant_values_along(a: GElement, x: GElement, lam: Scalar) -> tuple[Scalar, ...]:

@@ -11,11 +11,14 @@ byte-stable across runs.
 The constructor stores what it is given and checks nothing.  Every MPoly
 keeps one invariant: each value in terms is a nonzero Scalar, keyed by a
 tuple of len(vars) nonnegative ints.  Like terms are added in one routine,
-_merge: sums, products, substitution, and the matrix product, pairing,
-trace and determinant hand it all the (exponent, coefficient) terms of a
-result at once, so no partial polynomial is built per term, and it drops
-the coefficients that cancel, so a stored zero, which would break equality,
-cannot arise.  The other operations keep distinct exponents distinct
+_merge: sums, products, substitution, the dot product, trace and
+determinant hand it all the (exponent, coefficient) terms of a result at
+once, so no partial polynomial is built per term, and it drops the
+coefficients that cancel, so a stored zero, which would break equality,
+cannot arise.  mpoly_dot, sum u_k v_k over rows of polynomials, is the
+counterpart of linalg._dot: the lambda-expansion in mfsystem takes either
+one as its ring's dot, and the matrix product and trace pairing are rows
+against columns of it.  The other operations keep distinct exponents distinct
 (differentiation, scaling, negation, projection) or drop zeros themselves
 (affine_chart).  Numbers enter through MPoly.const and scalar
 multiplication, the only places that coerce.
@@ -150,17 +153,6 @@ class MPoly:
 
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
-
-    def collect(self, name: str) -> dict[int, "MPoly"]:
-        """Split into {exponent of name: coefficient polynomial}."""
-        idx = self.vars.index(name)
-        buckets: dict[int, dict[Exponent, Scalar]] = {}
-        for e, c in self.terms.items():
-            k = e[idx]
-            e2 = list(e)
-            e2[idx] = 0
-            buckets.setdefault(k, {})[tuple(e2)] = c
-        return {k: MPoly(self.vars, d) for k, d in sorted(buckets.items())}
 
     # -- calculus and evaluation ----------------------------------------------------
 
@@ -323,12 +315,11 @@ def restrict_to_chart(polys: Sequence[MPoly], vars_: Sequence[str], base: Sequen
 # -- polynomial matrices ------------------------------------------------------------
 
 
-def generic_matrix(L: LieAlgebraA, vars: Sequence[str] | None = None) -> list[list[MPoly]]:
-    """The n x n matrix of sl_n whose entries are the coordinate functions,
-    as polynomials over `vars` (default: exactly the coordinates): the
-    inverse chart at the coordinate variables."""
-    vt = tuple(vars) if vars is not None else L.coord_names
-    return L.chart_inverse([MPoly.var(vt, name) for name in L.coord_names], MPoly.zero(vt))
+def generic_matrix(L: LieAlgebraA) -> list[list[MPoly]]:
+    """The n x n matrix of sl_n whose entries are the coordinate functions:
+    the inverse chart at the coordinate variables."""
+    vt = L.coord_names
+    return L.chart_inverse([MPoly.var(vt, name) for name in vt], MPoly.zero(vt))
 
 
 def permute_cartan_chart(perm: tuple[int, ...], svars: Sequence[str]) -> dict[str, MPoly]:
@@ -341,23 +332,21 @@ def permute_cartan_chart(perm: tuple[int, ...], svars: Sequence[str]) -> dict[st
     return dict(zip(svars, permute_diagonal(perm, sigma)))
 
 
+def mpoly_dot(u: Sequence[MPoly], v: Sequence[MPoly]) -> MPoly:
+    """sum u_k v_k, the terms of all the products merged at once: the
+    counterpart of linalg._dot, for a nonempty u."""
+    return _merge(u[0].vars, chain.from_iterable(_products(p, q) for p, q in zip(u, v)))
+
+
 def mpoly_mat_mul(A: Sequence[Sequence[MPoly]], B: Sequence[Sequence[MPoly]]) -> list[list[MPoly]]:
-    n, k = len(A), len(B)
-    m = len(B[0]) if B else 0
-    if any(len(row) != k for row in A):
-        raise ValueError("shape mismatch")
-    vars_ = A[0][0].vars
-    return [
-        [_merge(vars_, chain.from_iterable(_products(A[i][t], B[t][j]) for t in range(k)))
-         for j in range(m)]
-        for i in range(n)
-    ]
+    cols = list(zip(*B))
+    return [[mpoly_dot(row, col) for col in cols] for row in A]
 
 
 def mpoly_mat_pair(P: Sequence[Sequence[MPoly]], Q: Sequence[Sequence[MPoly]]) -> MPoly:
-    """tr(P Q) = sum_ij P_ij Q_ji, without forming the product."""
-    return _merge(P[0][0].vars, chain.from_iterable(
-        _products(p, Q[j][i]) for i, row in enumerate(P) for j, p in enumerate(row)))
+    """tr(P Q) = sum_ij P_ij Q_ji, without forming the product: one dot of
+    P's rows laid end to end with Q's columns laid end to end."""
+    return mpoly_dot([p for row in P for p in row], [q for col in zip(*Q) for q in col])
 
 
 def mpoly_mat_trace(A: Sequence[Sequence[MPoly]]) -> MPoly:

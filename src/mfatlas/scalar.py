@@ -261,6 +261,12 @@ def _bounded_fraction(numeral: str) -> Fraction:
                      "in its numerator or denominator")
 
 
+def bounded_int(numeral: str) -> int:
+    """int(numeral), refusing too long a numeral as _bounded_fraction does:
+    the parse_int hook of the JSON input files."""
+    return int(_bounded_fraction(numeral))
+
+
 def scalar_from_str(text: str) -> Scalar:
     """Parse 'p/q', 'p/q+r/s*i', '2-3i', 'i', '-i' and friends; ValueError
     for anything else, a zero denominator, a non-string and too long a numeral

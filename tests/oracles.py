@@ -6,8 +6,11 @@ in mfatlas replaced, kept here to cross-check them.
 * evaluate_symbolic, jacobian_polys, jacobian_at_symbolic: substitute x into
   the symbolic components of F_a and into their partial derivatives (oracles
   for mfsystem.mf_values and ShiftSystem.jacobian_at).
-* shift_expansion_by_substitution: substitute x + lambda a into tr(X^d) and
-  collect by lambda (oracle for mfsystem.trace_power_coefficients).
+* shift_expansion_by_substitution: substitute x + lambda a into tr(X^d),
+  formed by full polynomial-matrix products, and read its lambda-coefficients
+  off the exponents with lambda_coefficients (oracle for
+  mfsystem.trace_coefficients over MPoly, which build_system and
+  components.levi_system run and which never forms a lambda variable).
 * killing_form: tr(ad_x ad_y) from adjoint matrices, 2n times the trace form.
 * poisson_bracket_grads: {f, g} = <X, Gf Gg - Gg Gf> from three full
   polynomial-matrix products (oracle for components.poisson_brackets, which
@@ -103,6 +106,13 @@ def poisson_bracket_grads(L, Gf, Gg) -> MPoly:
     return mpoly_mat_trace(mpoly_mat_mul(generic_matrix(L), C))
 
 
+def lambda_coefficients(p: MPoly, count: int) -> list[MPoly]:
+    """[c_0, ..., c_{count-1}] of p = sum_j c_j lambda^j, for p over vars
+    with lambda the last variable; the c_j are over the other variables."""
+    return [MPoly(p.vars[:-1], {e[:-1]: c for e, c in p.terms.items() if e[-1] == j})
+            for j in range(count)]
+
+
 def shift_expansion_by_substitution(a: GElement) -> list[list[MPoly]]:
     """For d = 2..n, the lambda-coefficients [c_0, ..., c_{d-1}] of
     tr((x + lambda a)^d), as polynomials in x."""
@@ -115,8 +125,7 @@ def shift_expansion_by_substitution(a: GElement) -> list[list[MPoly]]:
     P = X
     for d in range(2, L.n + 1):
         P = mpoly_mat_mul(P, X)
-        buckets = mpoly_mat_trace(P).subs(ext, mapping).collect("lam")
-        out.append([buckets.get(j, MPoly.zero(ext)).project(L.coord_names) for j in range(d)])
+        out.append(lambda_coefficients(mpoly_mat_trace(P).subs(ext, mapping), d))
     return out
 
 

@@ -90,6 +90,14 @@ def test_bad_numbers_exit_2(tmp_path, capsys):
     not_json.write_text("not json")
     huge_n = tmp_path / "huge-n.json"
     huge_n.write_text('{"n": 1e400, "entries": [["1", "0"], ["0", "-1"]]}')
+    float_n = tmp_path / "float-n.json"
+    float_n.write_text('{"n": 2.9, "entries": [["1", "0"], ["0", "-1"]]}')
+
+    def iprime_file(name, value):
+        path = tmp_path / name
+        path.write_text('{"schema": "mf-iprime/1", "entries": '
+                        f'[{{"n": 2, "partition": [1, 1], "value": {value}}}]}}')
+        return str(path)
     for argv in (
         ("build", "--n", "2", "--element", "s", "--param", "1/0"),
         ("atlas", "--n", "3", "--element", "r", "--param", "2/0*i"),
@@ -100,6 +108,9 @@ def test_bad_numbers_exit_2(tmp_path, capsys):
         ("build", "--matrix", str(huge_n)),
         ("count", "--n", "2", "--iprime", str(tmp_path / "missing.json")),
         ("count", "--n", "2", "--iprime", str(not_json)),
+        ("atlas", "--matrix", str(float_n)),
+        ("count", "--n", "2", "--iprime", iprime_file("long-value.json", "1" * 5000)),
+        ("count", "--n", "2", "--iprime", iprime_file("infinite-value.json", "Infinity")),
     ):
         code, out, err = _run(capsys, *argv)
         assert (code, out) == (2, ""), argv

@@ -39,7 +39,7 @@ from mfatlas.linalg import ExactMatrix, mat_inverse, mat_rank, span_contains, sp
 from mfatlas.mpoly import MPoly, mpoly_mat_mul, mpoly_mat_trace
 from mfatlas.sampling import random_combination, random_element, rng_for
 from mfatlas.scalar import Scalar
-from oracles import span_intersection, stabilizer_equations_by_kernel
+from oracles import lambda_coefficients, span_intersection, stabilizer_equations_by_kernel
 
 
 def _shift(n):
@@ -197,11 +197,10 @@ def test_levi_system_matches_conjugation_products(key):
               + MPoly.var(ext, "lam") * shift.entries[i][j] for j in range(n)] for i in range(n)]
         offsets = [sum(p.blocks[:b]) for b in range(len(p.blocks))]
         blocks = [[row[o:o + k] for row in X[o:o + k]] for o, k in zip(offsets, p.blocks)]
-        want = [mpoly_mat_trace(M).collect("lam")[0].project(svars) for M in blocks]
+        want = [lambda_coefficients(mpoly_mat_trace(M), 1)[0] for M in blocks]
         for M in blocks:
             P = M
             for d in range(2, len(M) + 1):
                 P = mpoly_mat_mul(P, M)
-                tr = mpoly_mat_trace(P).collect("lam")
-                want += [tr.get(j, zero).project(svars) for j in range(d)]
+                want += lambda_coefficients(mpoly_mat_trace(P), d)
         assert polys == want, (key, p)

@@ -23,15 +23,16 @@ from mfatlas.components import (
 from mfatlas.errors import CertificationError, PreconditionError, RegularityError
 from mfatlas.flags import enumerate_atlas
 from mfatlas.lie import is_regular, nilpotent_rep, semisimple_rep, sl
-from mfatlas.linalg import ExactMatrix, mat_rank
+from mfatlas.linalg import ExactMatrix, _dot, mat_rank
 from mfatlas.mfsystem import (
-    _pair,
     build_system,
     gradient_matrix,
     invariant_values_along,
     mf_values,
     power_chain,
+    trace_coefficients,
 )
+from mfatlas.mpoly import MPoly, generic_matrix, mpoly_dot
 from mfatlas.sampling import (
     conjugate,
     random_combination,
@@ -211,8 +212,10 @@ def test_finite_lambda_membership_agrees_with_values():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_pair_is_trace_of_product(n):
-    """The fused pairing equals tr(P Q) of the formed product, on Gaussian
-    rationals over coprime denominators, with a zero row in each matrix."""
+    """The lambda-coefficients of tr((P + lambda Q)^d), each paired as one
+    dot over half powers laid end to end, equal the traces of the formed
+    products summed, for d <= 4, on Gaussian rationals over coprime
+    denominators, with a zero row in each matrix."""
     rng = rng_for("pair-trace", n)
 
     def part():
@@ -226,8 +229,12 @@ def test_pair_is_trace_of_product(n):
 
     for _ in range(25):
         P, Q = matrix(), matrix()
-        assert _pair(P, Q) == (P * Q).trace()
-        assert _pair(Q, P) == (Q * P).trace()
+        coeffs, want = [P, Q], []
+        for d in range(2, 5):
+            coeffs = ([coeffs[0] * P] + [C * P + D * Q for C, D in zip(coeffs[1:], coeffs)]
+                      + [coeffs[-1] * Q])
+            want.append([C.trace() for C in coeffs[:-1]])
+        assert trace_coefficients(P.entries, Q.entries, 4, _dot) == want
 
 
 def test_mf_values_matches_system_order():
@@ -240,7 +247,7 @@ def test_mf_values_matches_system_order():
 def _line_certificate(x, a):
     """The certificate is_strongly_regular reads: the line x + C a is
     regular, read off the lambda-power chain of x + lambda a."""
-    return _line_regular(power_chain(a, x, a.algebra.n - 1))
+    return _line_regular(power_chain(x.matrix.entries, a.matrix.entries, a.algebra.n - 1, _dot))
 
 
 def test_krylov_line_certificate():
@@ -399,6 +406,29 @@ def test_tangent_space_builds_one_power_chain(monkeypatch):
     assert len(calls) == 1
 
 
+def test_tangent_triple_builds_one_chain_per_point(monkeypatch):
+    """The tangent-triple row decides strong regularity and computes the
+    tangent space off one lambda-power chain per point it draws, the points
+    it skips included."""
+    import mfatlas.verify
+    from mfatlas.verify import check_tangent_triple
+
+    calls = _count_power_chains(monkeypatch)
+    draws = []
+    real = mfatlas.verify.random_element
+
+    def drawing(*args):
+        draws.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(mfatlas.verify, "random_element", drawing)
+    for key, sys_ in SYSTEMS.items():
+        calls.clear()
+        draws.clear()
+        assert check_tangent_triple(sys_, rng_for(f"sys-triple-chain:{key}", 0), 6).passed, key
+        assert len(calls) == len(draws) > 0, key
+
+
 def test_tarasov_reports():
     rep2 = check_tarasov_section(SYSTEMS["sl2-s"], 10, 0)
     assert rep2.passed and rep2.detail == "jacobian constant 8, 10 points"
@@ -523,7 +553,10 @@ def test_build_system_matches_substitution_oracle(n):
         assert sys_.components == expected, kind
 
 
-def test_build_substitutes_nothing_and_tangent_space_uses_no_unipoly(monkeypatch):
+def test_build_substitutes_nothing_and_tangent_space_runs_one_line_certificate(monkeypatch):
+    """build_system neither substitutes nor touches unipoly; tangent_space
+    substitutes nothing and row-reduces one line certificate, the one
+    deciding strong regularity, per point."""
     import mfatlas.unipoly as up
     from mfatlas.mpoly import MPoly
 
@@ -550,7 +583,8 @@ def test_build_substitutes_nothing_and_tangent_space_uses_no_unipoly(monkeypatch
         if mat_rank(sys_.jacobian_at(x)) == sys_.b:
             tangent_space(sys_, x)
             tangents += 1
-    assert calls == [] and tangents >= 3
+    assert "subs" not in calls and calls.count("uni_echelon_pivots") == tangents >= 3
+    calls.clear()
     sys_ = SYSTEMS["sl3-s"]
     sys_.components[0].subs(sys_.algebra.coord_names, {
         v: MPoly.var(sys_.algebra.coord_names, v) for v in sys_.algebra.coord_names
@@ -572,11 +606,35 @@ def test_fused_chain_step_matches_the_products(n):
     rows[-1][-1] = -sum((rows[k][k] for k in range(n - 1)), Scalar(0))
     x = L.element(rows)
     X, A = x.matrix, a.matrix
-    chain = power_chain(a, x, 4)
+    chain = [[ExactMatrix(C) for C in coeffs]
+             for coeffs in power_chain(X.entries, A.entries, 4, _dot)]
     assert len(chain) == 4 and chain[0] == [X, A]
     for C, nxt in zip(chain, chain[1:]):
         assert nxt == [C[0] * X] + [C[j] * X + C[j - 1] * A for j in range(1, len(C))] + [C[-1] * A]
     assert not any(chain[-1][0].entries[0])  # x^4 keeps the zero row
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_expansion_over_mpoly_evaluates_to_the_scalar_run(n):
+    """power_chain and trace_coefficients run on the generic matrix and the
+    constants of a, with mpoly_dot, and evaluated at seeded Gaussian points
+    x, equal the same routines run on x and a with linalg._dot."""
+    L = sl(n)
+    rng = rng_for("test-ring-expansion", n)
+    a = random_element(L, rng, gaussian=True)
+    A = [[MPoly.const(L.coord_names, c) for c in row] for row in a.matrix.entries]
+    chain = power_chain(generic_matrix(L), A, n, mpoly_dot)
+    coeffs = trace_coefficients(generic_matrix(L), A, n, mpoly_dot)
+    for _ in range(3):
+        x = random_element(L, rng, gaussian=True)
+
+        def at(polys):
+            return [p.eval(x.coords) for p in polys]
+
+        assert [[tuple(map(tuple, map(at, C))) for C in step] for step in chain] == \
+            power_chain(x.matrix.entries, a.matrix.entries, n, _dot)
+        assert [at(c) for c in coeffs] == \
+            trace_coefficients(x.matrix.entries, a.matrix.entries, n, _dot)
 
 
 @pytest.mark.parametrize("tamper, detail", [

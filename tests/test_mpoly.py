@@ -76,16 +76,12 @@ def test_homogeneous_degree():
     assert MPoly.zero(V).homogeneous_degree() is None
 
 
-def test_project_and_collect():
+def test_project():
     p = _x() * _y() * 0 + _x() ** 2  # y-free after normalization
     q = p.project(("x",))
     assert q.vars == ("x",)
     with pytest.raises(ValueError):
         (_x() * _y()).project(("x",))
-    # collect keeps the variables, with the collected one at exponent zero
-    r = _x() ** 2 * _y() + _x() * _z() + _y()
-    assert r.collect("x") == {0: _y(), 1: _z(), 2: _y()}
-    assert list(r.collect("x")) == [0, 1, 2]
 
 
 def test_canonical_str_ordering():
@@ -146,7 +142,6 @@ def test_results_keep_the_term_invariant(seed):
                p * 3, p * 0, p * Scalar(Fraction(-1, 2), 1), 2 * p, p - 1,
                p.diff("x"), (p * q).diff("z"),
                p.subs(V, {"x": q, "y": p - q, "z": MPoly.const(V, Scalar(-1))})]
-    results += p.collect("y").values()
     results.append(p.subs(V, {"x": _x(), "y": _y(), "z": MPoly.zero(V)}).project(("x", "y")))
     m = [[_small_poly(rng, V, 2) for _ in range(3)] for _ in range(3)]
     results.append(mpoly_det(m))

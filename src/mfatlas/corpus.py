@@ -17,6 +17,7 @@ frozen constant and verifies the harness notices.
 from __future__ import annotations
 
 from fractions import Fraction
+from random import Random
 from typing import Callable, NamedTuple
 
 from .components import certify_affine_constant, is_strongly_regular
@@ -380,8 +381,8 @@ def check_sl2_singular_images() -> CheckResult:
     mapping = {"h1": zero, "x12": MPoly.var(tvar, "t"), "x21": zero}
     if any(_subs_components(_system(sl2_nilpotent()), tvar, mapping)):
         return _result("sl2-singular-images", False, "nilpotent image not origin")
-    # on sl_2 the critical-values closed form reads neither samples nor seed
-    probes = [check_critical_values(_system(a), 1, 0)
+    # on sl_2 the critical-values closed form draws nothing from its generator
+    probes = [check_critical_values(_system(a), Random(0), 1)
               for a in (sl2_semisimple(1), sl2_nilpotent())]
     ok = all(r.passed and r.detail.endswith(", closed form") for r in probes)
     return _result("sl2-singular-images", ok, "" if ok else "; ".join(r.detail for r in probes))

@@ -13,7 +13,7 @@ from random import Random
 from typing import Sequence
 
 from .lie import GElement, LieAlgebraA
-from .linalg import ExactMatrix, mat_inverse
+from .linalg import ExactMatrix
 from .scalar import Scalar, scalar_from_ints
 
 
@@ -118,7 +118,3 @@ def random_unimodular(L: LieAlgebraA, rng: Random) -> ExactMatrix:
         e[i][j] = random_rational_scalar(rng, 3)
         g = g * ExactMatrix(e)
     return g
-
-
-def conjugate(g: ExactMatrix, x: GElement) -> GElement:
-    return x.algebra.element(g * x.matrix * mat_inverse(g))

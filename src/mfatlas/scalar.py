@@ -236,7 +236,7 @@ def scalar_to_str(s: Scalar) -> str:
     return f"{_ratio_str(x, d)}{sign}{im_abs}"
 
 
-_TERM_RE = _re.compile(r"[+-]?[^+-]+")
+_TERM_RE = _re.compile(r"[+-]?(?:[eE][+-]|[^+-])+")  # a sign right after e/E is the exponent's
 _DIGIT_RUN_RE = _re.compile(r"[\d_]+")
 MAX_DIGITS = 100  # the most digits a numeral's numerator or denominator may have
 _MAX_RUN = 4300  # the most digits int() reads from one string by default
@@ -246,18 +246,21 @@ def _bounded_fraction(numeral: str) -> Fraction:
     """Fraction(numeral), refusing a numerator or denominator of more than
     MAX_DIGITS digits.  Two numerals are refused with the same message before
     Fraction reads them: one with a run of more than _MAX_RUN digits, which
-    int() would not read, and one whose exponent is above MAX_DIGITS plus the
-    mantissa's length, so its power is never formed."""
+    int() would not read, and one whose exponent's magnitude is above
+    MAX_DIGITS plus the mantissa's length, so its power is never formed; the
+    message quotes a long numeral by its first 20 characters and length."""
     mantissa, _, exponent = numeral.upper().partition("E")
-    exponent = exponent.replace("_", "")
+    magnitude = exponent.replace("_", "").lstrip("+-")
     runs = _DIGIT_RUN_RE.findall(numeral)
     if all(len(run.replace("_", "")) <= _MAX_RUN for run in runs) and (
-            not exponent.isdecimal()
-            or (len(exponent) < 10 and int(exponent) <= MAX_DIGITS + len(mantissa))):
+            not magnitude.isdecimal()
+            or (len(magnitude) < 10 and int(magnitude) <= MAX_DIGITS + len(mantissa))):
         value = Fraction(numeral)
         if max(abs(value.numerator), value.denominator) < 10 ** MAX_DIGITS:
             return value
-    raise ValueError(f"numeral {numeral!r} has more than {MAX_DIGITS} digits "
+    quoted = repr(numeral) if len(numeral) <= 20 else (
+        f"{numeral[:20]!r}... ({len(numeral)} characters)")
+    raise ValueError(f"numeral {quoted} has more than {MAX_DIGITS} digits "
                      "in its numerator or denominator")
 
 

@@ -29,11 +29,10 @@ from mfatlas.corpus import (
 )
 from mfatlas.flags import enumerate_atlas
 from mfatlas.lie import sl
-from mfatlas.linalg import ExactMatrix, solve
+from mfatlas.linalg import ExactMatrix, mat_inverse, solve
 from mfatlas.components import is_strongly_regular, tangent_space
 from mfatlas.mfsystem import build_system, invariant_values_along
 from mfatlas.sampling import (
-    conjugate,
     random_distinct_rationals,
     random_element,
     random_rational_scalar,
@@ -74,6 +73,10 @@ def system_for(key: str):
 @lru_cache(maxsize=None)
 def atlas_for(key: str):
     return enumerate_atlas(representative(key))
+
+
+def conjugate(g: ExactMatrix, x):
+    return x.algebra.element(g * x.matrix * mat_inverse(g))
 
 
 def _require(result, where: str) -> None:

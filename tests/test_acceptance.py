@@ -31,6 +31,7 @@ from mfatlas.corpus import (
     check_sl3_printed_system,
     check_singular_families,
 )
+from mfatlas.sampling import rng_for
 from mfatlas.verify import (
     check_image_bba,
     check_jacobian_certificate,
@@ -162,8 +163,8 @@ def test_criterion_08_singular_family():
 
 def test_criterion_09_tarasov_section():
     def run():
-        rep2 = check_tarasov_section(SYSTEMS["sl2-s"], 50, 0)
-        rep3 = check_tarasov_section(SYSTEMS["sl3-s"], 50, 0)
+        rep2 = check_tarasov_section(SYSTEMS["sl2-s"], rng_for("tarasov:2", 0), 50)
+        rep3 = check_tarasov_section(SYSTEMS["sl3-s"], rng_for("tarasov:3", 0), 50)
         assert (rep2.passed, rep2.detail) == (True, "jacobian constant 8, 50 points"), rep2.detail
         assert (rep3.passed, rep3.detail) == (True, "jacobian constant 8640, 50 points"), rep3.detail
         return f"sl2: {rep2.detail}; sl3: {rep3.detail}; distinct section values"

@@ -225,24 +225,44 @@ def test_atlas_of_a_tall_diagonal_matrix_and_its_dense_conjugate(tmp_path):
 
 def test_oversized_numerals_exit_2_quickly(tmp_path):
     """A numeral whose numerator or denominator would have more than 100
-    digits is refused, an exponent before its power is formed, through
-    --param and --matrix alike."""
-    for k, numeral in enumerate(("1e5000", "1E100000000", "1" * 101)):
+    digits is refused, an exponent of either sign before its power is
+    formed, through --param and --matrix alike."""
+    digits = "has more than 100 digits in its numerator or denominator"
+    for k, numeral in enumerate(("1e5000", "1E100000000", "1" * 101, "1e-100000000")):
         for sub in ("build", "atlas"):
             _, err = _exits_quickly(2, sub, "--n", "2", "--element", "s", "--param", numeral,
                                     within=2)
             assert err.startswith("error: invalid input: bad --param value: "), numeral
+            assert digits in err, numeral
         path = tmp_path / f"oversized-{k}.json"
         path.write_text(json.dumps({"n": 2, "entries": [[numeral, "0"], ["0", "-" + numeral]]}))
         _, err = _exits_quickly(2, "build", "--matrix", str(path), within=2)
         assert err.startswith("error: invalid input: cannot read matrix file: "), numeral
+        assert digits in err, numeral
+
+
+def test_signed_exponents_parse(capsys):
+    """A sign right after e or E belongs to the exponent: each --param
+    builds the report of the fraction it names, but for config.param."""
+    def report(param):
+        code, out, err = _run(capsys, "build", "--n", "2", "--element", "s", f"--param={param}")
+        assert (code, err) == (0, ""), param
+        d = json.loads(out)
+        assert d["config"].pop("param") == [param]
+        return d
+
+    for numeral, fraction in (("1e-5", "1/100000"), ("1e+5", "100000"), ("1.5e-3", "3/2000"),
+                              ("1E-2", "1/100"), ("2-1e-1*i", "2-1/10*i")):
+        assert report(numeral) == report(fraction), numeral
 
 
 def test_numerals_past_the_int_string_limit_get_the_digit_bound_message(tmp_path):
     """A numeral int() would not read (a run of more than 4300 digits) is
     refused with the same 100-digit message as any other long numeral, not
-    with the interpreter's own: as a --param, as a matrix entry, and as a
-    bare JSON number in a matrix file, for an entry or for n."""
+    with the interpreter's own: as a --param, as a matrix entry, as a bare
+    JSON number in a matrix file, for an entry or for n, and as an --iprime
+    value.  The one-line message quotes the numeral by a short prefix and
+    its length."""
     argvs = []
     for k, numeral in enumerate(("1" * 5000, "1/" + "1" * 5000, "0." + "0" * 5000 + "1")):
         path = tmp_path / f"long-{k}.json"
@@ -255,10 +275,15 @@ def test_numerals_past_the_int_string_limit_get_the_digit_bound_message(tmp_path
         path = tmp_path / f"bare-{k}.json"
         path.write_text(text)
         argvs.append(("build", "--matrix", str(path)))
+    table = tmp_path / "long-value.json"
+    table.write_text('{"schema": "mf-iprime/1", "entries": '
+                     f'[{{"n": 2, "partition": [1, 1], "value": {bare}}}]}}')
+    argvs.append(("count", "--n", "2", "--iprime", str(table)))
     for argv in argvs:
         _, err = _exits_quickly(2, *argv, within=2)
         assert "has more than 100 digits in its numerator or denominator" in err, argv[-1]
         assert "set_int_max_str_digits" not in err
+        assert err.count("\n") == 1 and len(err) < 200, argv[-1]
 
 
 def test_a_100_digit_param_builds():

@@ -5,6 +5,7 @@ witnesses, image and singular probes), by their exact (passed, detail)."""
 from fractions import Fraction
 
 import pytest
+from property_suites import conjugate
 
 from mfatlas.components import (
     AffineComponent,
@@ -36,7 +37,7 @@ from mfatlas.flags import eigen_chains, enumerate_atlas, levi_projection, member
 from mfatlas.lie import sl
 from mfatlas.linalg import ExactMatrix, char_poly, span_contains
 from mfatlas.mfsystem import build_system
-from mfatlas.sampling import conjugate
+from mfatlas.sampling import rng_for
 from mfatlas.scalar import Scalar
 from mfatlas.unipoly import uni, uni_roots_gaussian
 from mfatlas.verify import (
@@ -327,7 +328,7 @@ def test_exotic_witness_rejects_atlas_members():
 
 
 def test_tarasov_exotic_probe():
-    assert _pair(check_tarasov_exotic(SYS_S3, ATLAS_S3, 15, 0)) == (
+    assert _pair(check_tarasov_exotic(SYS_S3, ATLAS_S3, rng_for("tarasov-exotic:3", 0), 15)) == (
         True, "15 points outside all 12 members")
 
 
@@ -349,9 +350,11 @@ def test_image_bba_reports():
 
 
 def test_critical_value_probe():
-    assert _pair(check_critical_values(SYS_S3, 10, 0)) == (True, "max rank 4 of 5")
+    assert _pair(check_critical_values(SYS_S3, rng_for("critical:3", 0), 10)) == (
+        True, "max rank 4 of 5")
     sys2 = build_system(sl2_semisimple(1))
-    assert _pair(check_critical_values(sys2, 10, 0)) == (True, "max rank 1 of 2, closed form")
+    assert _pair(check_critical_values(sys2, rng_for("critical:2", 0), 10)) == (
+        True, "max rank 1 of 2, closed form")
 
 
 def test_near_section_probe():

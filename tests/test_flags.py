@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from property_suites import representative
+from property_suites import conjugate, representative
 
 from mfatlas.components import levi_system
 from mfatlas.corpus import (
@@ -32,7 +32,7 @@ from mfatlas.flags import (
 )
 from mfatlas.lie import GElement, bracket, nilpotent_rep, semisimple_rep, sl
 from mfatlas.linalg import ExactMatrix, span_equal
-from mfatlas.sampling import conjugate, random_unimodular, rng_for
+from mfatlas.sampling import random_unimodular, rng_for
 from mfatlas.scalar import Scalar
 
 

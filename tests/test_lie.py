@@ -21,7 +21,6 @@ from mfatlas.lie import (
 from mfatlas.linalg import ExactMatrix
 from mfatlas.mpoly import MPoly, permute_cartan_chart
 from mfatlas.sampling import (
-    conjugate,
     random_distinct_rationals,
     random_element,
     random_scalar,
@@ -31,6 +30,7 @@ from mfatlas.sampling import (
 )
 from mfatlas.scalar import Scalar
 from oracles import is_regular_ad_kernel, killing_form
+from property_suites import conjugate
 
 
 def _el(L, rows):

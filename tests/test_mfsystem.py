@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from property_suites import REP_KEYS, representative, system_for
+from property_suites import REP_KEYS, conjugate, representative, system_for
 
 from mfatlas.components import (
     _line_regular,
@@ -34,7 +34,6 @@ from mfatlas.mfsystem import (
 )
 from mfatlas.mpoly import MPoly, generic_matrix, mpoly_dot
 from mfatlas.sampling import (
-    conjugate,
     random_combination,
     random_distinct_rationals,
     random_element,
@@ -430,12 +429,12 @@ def test_tangent_triple_builds_one_chain_per_point(monkeypatch):
 
 
 def test_tarasov_reports():
-    rep2 = check_tarasov_section(SYSTEMS["sl2-s"], 10, 0)
+    rep2 = check_tarasov_section(SYSTEMS["sl2-s"], rng_for("tarasov:2", 0), 10)
     assert rep2.passed and rep2.detail == "jacobian constant 8, 10 points"
-    rep3 = check_tarasov_section(SYSTEMS["sl3-s"], 10, 0)
+    rep3 = check_tarasov_section(SYSTEMS["sl3-s"], rng_for("tarasov:3", 0), 10)
     assert rep3.passed and rep3.detail == "jacobian constant 8640, 10 points"
     for key in ("sl3-r", "sl3-n"):
-        rep = check_tarasov_section(SYSTEMS[key], 5, 0)
+        rep = check_tarasov_section(SYSTEMS[key], rng_for("tarasov:3", 0), 5)
         assert (rep.passed, rep.detail) == (
             True, "skipped: the section check needs a diagonal shift element"), key
 
@@ -447,7 +446,7 @@ def test_tarasov_section_reports_a_shared_value(monkeypatch):
     from mfatlas.mfsystem import ShiftSystem
 
     monkeypatch.setattr(ShiftSystem, "evaluate", lambda self, x: (Scalar(0),) * self.b)
-    rep = check_tarasov_section(SYSTEMS["sl3-s"], 5, 0)
+    rep = check_tarasov_section(SYSTEMS["sl3-s"], rng_for("tarasov:3", 0), 5)
     assert (rep.passed, rep.detail) == (False, "distinct section points share a value vector (9 pairs)")
 
 

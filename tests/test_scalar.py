@@ -77,6 +77,14 @@ def test_parse_variants():
         scalar_from_str("")
     with pytest.raises(ValueError):
         scalar_from_str("2**i")
+    # a sign right after e or E belongs to the exponent
+    assert scalar_from_str("1e-5") == Scalar(Fraction(1, 100000))
+    assert scalar_from_str("1.5E+3") == Scalar(1500)
+    assert scalar_from_str("2-1e-1*i") == Scalar(2, Fraction(-1, 10))
+    assert scalar_from_str("1e-2+1e+2i") == Scalar(Fraction(1, 100), 100)
+    for text in ("1e-", "1e--5", "e-5"):
+        with pytest.raises(ValueError):
+            scalar_from_str(text)
 
 
 def test_as_scalar_coercions():

@@ -10,7 +10,7 @@ import json
 
 import pytest
 from oracles import weyl_orbit_value_count
-from property_suites import atlas_for, representative, system_for
+from property_suites import atlas_for, conjugate, representative, system_for
 
 from mfatlas.cli import main
 from mfatlas.errors import MembershipError
@@ -19,7 +19,6 @@ from mfatlas.lie import GElement, mixed_rep, nilpotent_rep, semisimple_rep, sl
 from mfatlas.mfsystem import ShiftSystem, build_system
 from mfatlas.mpoly import MPoly
 from mfatlas.sampling import (
-    conjugate,
     random_combination,
     random_distinct_rationals,
     random_traceless_distinct_diag,
@@ -87,6 +86,48 @@ def test_certificate_disagreement_fails_its_rows(monkeypatch):
         "tangent-triple", "strong-regularity", "tarasov-section"]
 
 
+SAMPLED_ROWS = ("reconstruction", "equivariance", "borel-invariance", "vandermonde",
+                "membership", "tangent", "sreg")
+
+
+@pytest.mark.parametrize("key, inversions", [("sl3-s", 52), ("sl2-s", 32)])
+def test_run_verify_suite_hands_every_sampled_row_its_generator(rng_log, monkeypatch,
+                                                                key, inversions):
+    """run_verify_suite builds every generator mf verify draws from, one per
+    sampled row in row order, and inverts one matrix per conjugator: the
+    atlas frame's U0, 6 equivariance draws, 25 Borel conjugators and, on
+    sl_3, 20 critical-values ones (the sl_2 closed form draws nothing)."""
+    import mfatlas.flags
+    import mfatlas.linalg
+
+    inverses = []
+    for module in (mfatlas.linalg, mfatlas.flags, mfatlas.verify):
+        monkeypatch.setattr(module, "mat_inverse",
+                            lambda m, real=module.mat_inverse: inverses.append(m) or real(m))
+    sys_ = system_for(key)
+    n = sys_.algebra.n
+    assert all(r.passed for r in run_verify_suite(sys_, seed=3))
+    assert [r.key for r in rng_log] == (
+        [(f"verify-{tag}:{n}", 3) for tag in SAMPLED_ROWS] + [(f"critical:{n}", 3), (f"tarasov:{n}", 3)])
+    assert [r.draws > 0 for r in rng_log] == [True] * 7 + [n > 2, True]
+    assert len(inverses) == inversions
+
+
+@pytest.mark.parametrize("n, element", [(2, "s"), (2, "n"), (3, "s"), (3, "r"), (3, "n"), (4, "n")])
+def test_verify_reports_do_not_depend_on_the_seed(n, element):
+    """mf verify prints the same report at seeds 0 and 5 but for config.seed.
+    sl_4 s is left out: its critical-values row still reads its draws
+    (ROADMAP item 1)."""
+    reports = []
+    for seed in (0, 5):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["verify", "--n", str(n), "--element", element, "--seed", str(seed)]) == 0
+        reports.append(buf.getvalue().replace(f'"seed": {seed}', '"seed": SEED'))
+    assert reports[0] == reports[1]
+    assert reports[0].count('"seed": SEED') == 1
+
+
 NEAR_SECTION = ("equal-value translates (translate count is a lower bound for the "
                 "fibre degree; exactness not asserted)")
 TWO_BORELS = "x + u^a lies in two distinct Borel components"
@@ -114,7 +155,7 @@ def test_fibre_check_reports_are_pinned(key):
     x = random_combination(a.algebra, atlas.b_a, rng_for(f"verify-singular-family:{a.algebra.n}", 0))
     results = [
         check_image_bba(sys_, atlas),
-        check_critical_values(sys_, 20, 0),
+        check_critical_values(sys_, rng_for(f"critical:{a.algebra.n}", 0), 20),
         check_singular_family(sys_, x, atlas),
         check_near_section(sys_, atlas),
     ]
@@ -135,7 +176,7 @@ def test_critical_values_on_sl2_rank_one_point(monkeypatch):
         sys_ = build_system(a)
         for samples in (1, 20):
             ranks.clear()
-            result = check_critical_values(sys_, samples, 0)
+            result = check_critical_values(sys_, rng_for("critical:2", 0), samples)
             assert (result.passed, result.detail) == (True, "max rank 1 of 2, closed form")
             assert ranks == [1]
 
@@ -146,7 +187,7 @@ def test_critical_values_reports_each_failure_once(monkeypatch):
 
     sys_ = system_for("sl3-s")
     monkeypatch.setattr(mfatlas.verify, "mat_rank", lambda m: sys_.b)
-    result = check_critical_values(sys_, 20, 0)
+    result = check_critical_values(sys_, rng_for("critical:3", 0), 20)
     assert (result.passed, result.detail) == (
         False, "singular sample is not a critical point (20 samples); "
         "max sampled rank 5 outside [b-2, b-1]")

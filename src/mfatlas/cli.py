@@ -10,6 +10,14 @@ Exit codes: 0 all checks passed, 1 verification failure, 2 invalid input.
 Each subcommand imports its own layer when it runs (mf build the symbolic
 system, mf atlas the flags, mf count the count), so each process loads just
 the layers its subcommand uses.
+
+A process ends through run: main writes and flushes its report (an
+unwritable stdout, like an unwritable --out, is exit 2), then run flushes
+stdout and stderr once more and calls os._exit, so the interpreter does not
+tear itself down after the work is done.  argparse's exits (--help, a bad
+flag) raise SystemExit from main and take the ordinary exit.  In-process
+callers of main are unaffected.  So nothing in mfatlas may rely on
+interpreter finalization: no atexit handler, no buffered file left open.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ import argparse
 import json
 import os
 import sys
+from typing import NoReturn
 
 from .errors import CertificationError, MFError, PreconditionError
 from .lie import GElement, mixed_rep, nilpotent_rep, semisimple_rep, sl
@@ -227,6 +236,7 @@ def render_report(report: dict, fmt: str) -> str:
 def write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
+        sys.stdout.flush()
         return
     import tempfile
 
@@ -338,5 +348,18 @@ def main(argv: list[str] | None = None) -> int:
     return 0 if ok else 1
 
 
+def run() -> NoReturn:
+    """The mf process: main, then os._exit with its code once stdout and
+    stderr are flushed.  A stream that cannot be flushed holds a report main
+    could not write; the process drops it and never exits 0."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            code = code or 2
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

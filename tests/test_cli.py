@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report schemas, determinism."""
 
+import ast
 import hashlib
 import json
 import os
@@ -8,7 +9,12 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
+import mfatlas.cli
 from mfatlas.cli import main, make_parser, render_report
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _run(capsys, *argv):
@@ -506,6 +512,102 @@ def test_unwritable_out_path_exits_2(tmp_path, capsys):
         assert err.startswith("error: invalid input: cannot write report: ")
         assert "Traceback" not in err
     assert not [p for p in tmp_path.iterdir() if p.name.startswith(".mf-report-")]
+
+
+def _buffered_env():
+    """The environment of a fresh mf process with src importable and
+    PYTHONUNBUFFERED removed, so its stdout is block-buffered and only a
+    flush puts the report on the file."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def test_unwritable_stdout_exits_2():
+    """A report that cannot reach stdout exits 2 with the message of an
+    unwritable --out, not with the interpreter's shut-down complaint."""
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "mfatlas.cli", "build", "--n", "2"],
+                              stdout=full, stderr=subprocess.PIPE, text=True,
+                              env=_buffered_env(), timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: invalid input: cannot write report: "), proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert "Exception ignored" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+# one argv per way a process ends: exit 0 (JSON and CSV), 1 and 2, argparse's
+# help and usage error, and a report written to --out
+_EXIT_ARGVS = (
+    ("build",),
+    ("atlas", "--n", "4", "--element", "s"),
+    ("count",),
+    ("check-examples", "--self-test"),
+    ("atlas", "--n", "3", "--format", "csv"),
+    ("verify", "--n", "3", "--element", "s", "--samples", "1", "--seed", "0"),
+    ("build", "--n", "2", "--param", "x"),
+    ("build", "--matrix", "missing.json"),
+    ("--help",),
+    ("build", "--bogus"),
+    ("build", "--n", "2", "--element", "n", "--out", "report.json"),
+)
+
+
+def test_process_exit_matches_main(tmp_path, monkeypatch, capsys):
+    """python -m mfatlas.cli, which ends through run, gives the bytes and
+    exit code of main called in process: on stdout, on stderr and in the
+    --out file."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    report = tmp_path / "report.json"
+    codes = set()
+    for argv in _EXIT_ARGVS:
+        proc = subprocess.run([sys.executable, "-m", "mfatlas.cli", *argv], capture_output=True,
+                              env=_buffered_env(), timeout=120)
+        process = (proc.returncode, proc.stdout, proc.stderr,
+                   report.read_bytes() if report.exists() else None)
+        report.unlink(missing_ok=True)
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        in_process = (code, out.out.encode(), out.err.encode(),
+                      report.read_bytes() if report.exists() else None)
+        report.unlink(missing_ok=True)
+        assert process == in_process, argv
+        codes.add(code)
+    assert codes == {0, 1, 2}
+
+
+def test_importing_mfatlas_registers_no_atexit_callback():
+    """run ends the process with os._exit, which runs no atexit callback, so
+    no mfatlas module may register one."""
+    probe = ("import atexit, importlib, pkgutil, mfatlas; before = atexit._ncallbacks(); "
+             "names = [m.name for m in pkgutil.iter_modules(mfatlas.__path__, 'mfatlas.')]; "
+             "[importlib.import_module(name) for name in names]; "
+             "print(len(names), before, atexit._ncallbacks())")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=_buffered_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    count, before, after = map(int, proc.stdout.split())
+    assert count == len(list((ROOT / "src" / "mfatlas").glob("[!_]*.py")))
+    assert after == before
+
+
+def test_console_script_is_the_main_block_entry():
+    """The mf console script names the function cli's __main__ block calls."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        target = tomllib.load(f)["project"]["scripts"]["mf"]
+    module, _, name = target.partition(":")
+    assert module == mfatlas.cli.__name__
+    (block,) = [node for node in ast.parse(Path(mfatlas.cli.__file__).read_text()).body
+                if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(statement) for statement in block.body] == [f"{name}()"]
+    assert getattr(mfatlas.cli, name) is mfatlas.cli.run
 
 
 def test_check_examples_fast_subset(capsys):

@@ -47,7 +47,7 @@ def resolve_element(args: argparse.Namespace) -> GElement:
             with open(args.matrix) as f:
                 data = json.load(f, parse_int=bounded_int)
             a = GElement.from_json_dict(data)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             raise PreconditionError(f"cannot read matrix file: {exc}") from exc
         if args.n is not None and a.algebra.n != args.n:
             raise PreconditionError(

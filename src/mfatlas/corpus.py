@@ -574,17 +574,19 @@ def check_sl3_weyl_degree() -> CheckResult:
 
 def _exotic_result(name: str, row: NamedShift) -> CheckResult:
     """The witness steps of every exotic row, on the row's witness x at its
-    shift a: value zero outside every atlas member, x^2 != 0 = x^3, and x
-    strongly regular (a is regular, so this also reads the certificate that
-    the line x + C a is regular, and a disagreement fails the row); where the
-    row has a reduced system, F = (2q, 3c, 0, 3s, 0) on its chart, as exact
-    identities, at both parameter choices of the row."""
+    shift a in sl_n: value zero outside every atlas member, x^(n-1) != 0 =
+    x^n (x is regular nilpotent), and x strongly regular (a is regular, so
+    this also reads the certificate that the line x + C a is regular, and a
+    disagreement fails the row); where the row has a reduced system,
+    F = (2q, 3c, 0, 3s, 0) on its chart, as exact identities, at both
+    parameter choices of the row."""
     a, x = row.witness
     sys_ = _system(a)
     rep = check_exotic_witness(sys_, x, _atlas(a))
     if not rep.passed:
         return _result(name, False, f"witness check {rep.detail}")
-    if x.matrix.matpow(2).is_zero() or not x.matrix.matpow(3).is_zero():
+    n = x.algebra.n
+    if x.matrix.matpow(n - 1).is_zero() or not x.matrix.matpow(n).is_zero():
         return _result(name, False, "not regular nilpotent")
     try:
         if not is_strongly_regular(sys_, x):

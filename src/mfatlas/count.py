@@ -49,16 +49,23 @@ def load_iprime(path: str) -> dict[tuple[int, tuple[int, ...]], tuple[int | None
             data = json.load(fh, parse_int=bounded_int)
     except (OSError, ValueError) as exc:
         raise PreconditionError(f"cannot read I' table: {exc}") from exc
+    rows = data.get("entries") if isinstance(data, dict) else None
+    if not isinstance(rows, list) or not all(
+            isinstance(row, dict) and "n" in row and isinstance(row.get("partition"), list)
+            for row in rows):
+        raise PreconditionError('malformed I\' table: expected an object whose "entries" list '
+                                'holds rows {"n": <integer>, "partition": [<integers>]}, '
+                                'each with an optional integer "value" and "lower"')
     try:
         entries = {}
-        for row in data["entries"]:
+        for row in rows:
             key = (_integer(row["n"]), tuple(_integer(k) for k in row["partition"]))
             value = None if row.get("value") is None else _integer(row["value"])
             lower = _integer(row.get("lower", 0))
             if lower < 0 or (value is not None and value < lower):
                 raise ValueError(f"entry {row} needs 0 <= lower <= value")
             entries[key] = (value, lower)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise PreconditionError(f"malformed I' table: {exc}") from exc
     return entries
 

@@ -234,16 +234,14 @@ class GElement:
         }
 
     @staticmethod
-    def from_json_dict(data: dict) -> "GElement":
-        try:
-            n = data["n"]
-            if type(n) is not int:  # a bool or a float is not read as an int
-                raise TypeError(f"n must be an integer, got {n!r}")
-            entries = data["entries"]
-            if len(entries) != n or any(len(r) != n for r in entries):
-                raise PreconditionError("element JSON has wrong shape")
-        except (KeyError, TypeError) as exc:
-            raise PreconditionError(f"malformed element JSON: {exc}") from exc
+    def from_json_dict(data) -> "GElement":
+        """The element to_json_dict writes: any other JSON shape, a bool or a
+        float n included, is a PreconditionError that names the shape."""
+        n, entries = (data.get("n"), data.get("entries")) if isinstance(data, dict) else (None, None)
+        if (type(n) is not int or not isinstance(entries, list) or len(entries) != n
+                or any(not isinstance(r, list) or len(r) != n for r in entries)):
+            raise PreconditionError('malformed element JSON: expected an object '
+                                    '{"n": <integer>, "entries": <n rows of n number strings>}')
         mat = ExactMatrix([[scalar_from_str(v) for v in row] for row in entries])
         return sl(n).element(mat)
 

@@ -11,17 +11,17 @@ byte-stable across runs.
 The constructor stores what it is given and checks nothing.  Every MPoly
 keeps one invariant: each value in terms is a nonzero Scalar, keyed by a
 tuple of len(vars) nonnegative ints.  Like terms are added in one routine,
-_merge: sums, products, substitution, the dot product, trace and
-determinant hand it all the (exponent, coefficient) terms of a result at
-once, so no partial polynomial is built per term, and it drops the
-coefficients that cancel, so a stored zero, which would break equality,
-cannot arise.  mpoly_dot, sum u_k v_k over rows of polynomials, is the
-counterpart of linalg._dot: the lambda-expansion in mfsystem takes either
-one as its ring's dot, and the matrix product and trace pairing are rows
-against columns of it.  The other operations keep distinct exponents distinct
-(differentiation, scaling, negation, projection) or drop zeros themselves
-(affine_chart).  Numbers enter through MPoly.const and scalar
-multiplication, the only places that coerce.
+_merge: sums, products, substitution, the dot product and trace hand it all
+the (exponent, coefficient) terms of a result at once, so no partial
+polynomial is built per term, and it drops the coefficients that cancel, so
+a stored zero, which would break equality, cannot arise.  mpoly_dot,
+sum u_k v_k over rows of polynomials, is the counterpart of linalg._dot: the
+lambda-expansion in mfsystem takes either one as its ring's dot, and the
+matrix product and trace pairing are rows against columns of it.  The other
+operations keep distinct exponents distinct (differentiation, scaling,
+negation, projection) or drop zeros themselves (affine_chart).  Numbers
+enter through MPoly.const and scalar multiplication, the only places that
+coerce.
 
 The polynomial views of sl_n live here too, so lie needs no polynomials:
 generic_matrix (the coordinate functions as a matrix) and
@@ -150,9 +150,6 @@ class MPoly:
 
     def constant_term(self) -> Scalar:
         return self.terms.get((0,) * len(self.vars), Scalar(0))
-
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
 
     # -- calculus and evaluation ----------------------------------------------------
 
@@ -352,27 +349,3 @@ def mpoly_mat_pair(P: Sequence[Sequence[MPoly]], Q: Sequence[Sequence[MPoly]]) -
 def mpoly_mat_trace(A: Sequence[Sequence[MPoly]]) -> MPoly:
     return _merge(A[0][0].vars, chain.from_iterable(A[i][i].terms.items() for i in range(len(A))))
 
-
-def mpoly_det(A: Sequence[Sequence[MPoly]]) -> MPoly:
-    """Determinant of a square MPoly matrix by memoized Laplace expansion."""
-    n = len(A)
-    if n == 0:
-        raise ValueError("empty matrix")
-    if any(len(row) != n for row in A):
-        raise ValueError("non-square matrix")
-    vars_ = A[0][0].vars
-    cache: dict[tuple[int, int], MPoly] = {}
-
-    def minor(row: int, mask: int) -> MPoly:
-        """The minor on rows row.. and the columns in mask, expanded along row."""
-        if row == n:
-            return MPoly.const(vars_, 1)
-        key = (row, mask)
-        if key not in cache:
-            cols = [j for j in range(n) if mask >> j & 1]
-            cache[key] = _merge(vars_, chain.from_iterable(
-                _products(-A[row][j] if idx % 2 else A[row][j], minor(row + 1, mask & ~(1 << j)))
-                for idx, j in enumerate(cols) if A[row][j]))
-        return cache[key]
-
-    return minor(0, (1 << n) - 1)

@@ -30,6 +30,10 @@ in mfatlas replaced, kept here to cross-check them.
   M^{n-1}v], M = x + lambda a and v a symbolic vector, is a nonzero
   constant; built entirely in sympy (oracle for the line certificate
   components.is_strongly_regular reads, components._line_regular).
+* tarasov_section_sympy: F_a on the Tarasov section xi + b for diagonal a,
+  rebuilt in sympy from the lambda-coefficients of tr((X + lambda A)^k) on
+  the section matrix, with each section variable's grading weight (oracle
+  for the Jacobian constant verify.check_tarasov_section certifies).
 * line_spot_checks: x + k a is regular for k = 0..2b, a necessary condition
   for a regular line (the one-sided oracle for the same certificate).
 * weyl_orbit_value_count: the number of distinct F_a values on the Weyl
@@ -88,6 +92,43 @@ def krylov_line_regular_sympy(x: GElement, a: GElement) -> bool:
     for c in by_monomial.values():
         g = g.gcd(c)
     return g != 0 and g.degree() == 0
+
+
+def tarasov_section_sympy(a: GElement):
+    """({label: component}, variables, weights) of F_a restricted to xi + b, a
+    diagonal: X has ones on the subdiagonal, a variable at each upper entry
+    (row by row), then Cartan variables h_k with diagonal h_(k+1) - h_k
+    (h_0 = h_n = 0).  Component (i, j), in F_a's label order, is the lambda^j
+    coefficient of tr((X + lambda A)^(i+1)).  The torus action fixing the
+    subdiagonal weighs the upper entry (i, j) 1 + (j - i) and h_k 1."""
+    import sympy
+
+    n = a.algebra.n
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    tvars = sympy.symbols(f"t1:{len(upper) + n}")
+    lam = sympy.Symbol("lam")
+    X = sympy.zeros(n, n)
+    for k in range(1, n):
+        X[k, k - 1] = 1
+    for (i, j), v in zip(upper, tvars):
+        X[i, j] = v
+    h = [0, *tvars[len(upper):], 0]
+    for k in range(n):
+        X[k, k] = h[k + 1] - h[k]
+    d = [a.matrix.entries[k][k] for k in range(n)]
+    M = X + lam * sympy.diag(*[sympy.Rational(s.re.numerator, s.re.denominator)
+                               + sympy.I * sympy.Rational(s.im.numerator, s.im.denominator)
+                               for s in d])
+    coeffs = {}
+    P = M
+    for deg in range(2, n + 1):
+        P = (P * M).applyfunc(sympy.expand)
+        trace = sympy.Poly(P.trace(), lam)
+        for j in range(deg):
+            coeffs[(deg - 1, j)] = trace.coeff_monomial(lam ** j)
+    labels = [(i, 0) for i in range(1, n)] + [(i, j) for i in range(1, n) for j in range(1, i + 1)]
+    weights = [1 + j - i for i, j in upper] + [1] * (n - 1)
+    return {label: coeffs[label] for label in labels}, tvars, weights
 
 
 def line_spot_checks(sys_: ShiftSystem, x: GElement) -> bool:

@@ -167,7 +167,7 @@ def test_criterion_09_tarasov_section():
         rep3 = check_tarasov_section(SYSTEMS["sl3-s"], rng_for("tarasov:3", 0), 50)
         assert (rep2.passed, rep2.detail) == (True, "jacobian constant 8, 50 points"), rep2.detail
         assert (rep3.passed, rep3.detail) == (True, "jacobian constant 8640, 50 points"), rep3.detail
-        return f"sl2: {rep2.detail}; sl3: {rep3.detail}; distinct section values"
+        return f"sl2: {rep2.detail}; sl3: {rep3.detail}; graded section, one point per fibre"
 
     _criterion(9, "tarasov-section", run)
 

@@ -124,6 +124,29 @@ def test_bad_numbers_exit_2(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_malformed_json_shapes_exit_2(tmp_path, capsys):
+    """A --matrix file or an --iprime table of the wrong JSON shape exits 2
+    with a message that names the expected shape."""
+    element = ('malformed element JSON: expected an object '
+               '{"n": <integer>, "entries": <n rows of n number strings>}')
+    table = ("malformed I' table: expected an object whose "
+             '"entries" list holds rows '
+             '{"n": <integer>, "partition": [<integers>]}, '
+             'each with an optional integer "value" and "lower"')
+    cases = [("build", "--matrix", text, element) for text in (
+        '[]', '"x"', '{"entries": [["1", "0"], ["0", "-1"]]}', '{"n": 2}',
+        '{"n": 2, "entries": 5}', '{"n": 2, "entries": [5, 6]}', '{"n": 2, "entries": ["10", "0-1"]}',
+        '{"n": 2, "entries": [["1", "0"]]}', '{"n": true, "entries": [["1"]]}')]
+    cases += [("count", "--iprime", text, table) for text in (
+        '[1, 2]', '"x"', '{}', '{"entries": 5}', '{"entries": [5]}',
+        '{"entries": [{"partition": [1, 1]}]}', '{"entries": [{"n": 2, "partition": 5}]}')]
+    for k, (sub, flag, text, message) in enumerate(cases):
+        path = tmp_path / f"shape-{k}.json"
+        path.write_text(text)
+        code, out, err = _run(capsys, sub, "--n", "2", flag, str(path))
+        assert (code, out, err) == (2, "", f"error: invalid input: {message}\n"), text
+
+
 def test_ignored_element_flags_exit_2(tmp_path, capsys):
     m = tmp_path / "m.json"
     m.write_text(json.dumps({"n": 3, "entries": [["1", "1", "0"], ["0", "1", "0"], ["0", "0", "-2"]]}))

@@ -18,6 +18,7 @@ from mfatlas.corpus import (
     run_corpus,
     run_tamper_self_test,
 )
+from mfatlas.lie import GElement, semisimple_rep, sl
 from mfatlas.linalg import ExactMatrix
 from mfatlas.mfsystem import ShiftSystem
 from mfatlas.mpoly import MPoly
@@ -301,6 +302,20 @@ def test_named_shift_table_matches_its_derivation():
     for name, chains in JORDAN_CHAINS_SL3.items():
         derived = _derived_row(chains)
         assert {field: getattr(table[name], field) for field in derived} == derived, name
+
+
+def test_exotic_steps_certify_an_sl4_witness():
+    """The witness steps read n off the witness: a rational point of the
+    zero fibre of diag(1, 2, 3, -6) on sl4, outside all 74 atlas members,
+    is regular nilpotent (x^3 != 0 = x^4) and strongly regular.  The row is
+    the sl_3 semisimple row with this witness and no reduced system."""
+    entries = [["0", "1", "2", "0"], ["1", "0", "1", "-1"],
+               ["-1", "1/2", "0", "1"], ["-7/4", "4", "9/2", "0"]]
+    a = semisimple_rep(sl(4), [Scalar(1), Scalar(2), Scalar(3)])
+    x = GElement.from_json_dict({"n": 4, "entries": entries})
+    row = corpus._sl3_shifts()["s"]._replace(witness=(a, x), reduced=None)
+    assert corpus._exotic_result("sl4-exotic", row) == ("sl4-exotic", True, "")
+    assert len(corpus._atlas(a).members) == 74
 
 
 def test_weyl_degree_fails_on_a_tampered_mixed_system(monkeypatch):

@@ -6,6 +6,7 @@ oracles.py."""
 import re
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 import pytest
 from property_suites import REP_KEYS, conjugate, representative, system_for
@@ -25,6 +26,7 @@ from mfatlas.flags import enumerate_atlas
 from mfatlas.lie import is_regular, nilpotent_rep, semisimple_rep, sl
 from mfatlas.linalg import ExactMatrix, _dot, mat_rank
 from mfatlas.mfsystem import (
+    ShiftSystem,
     build_system,
     gradient_matrix,
     invariant_values_along,
@@ -42,7 +44,7 @@ from mfatlas.sampling import (
     random_unimodular,
     rng_for,
 )
-from mfatlas.scalar import Scalar
+from mfatlas.scalar import Scalar, scalar_from_str
 from mfatlas.verify import check_tarasov_section
 from oracles import (
     evaluate_symbolic,
@@ -51,6 +53,7 @@ from oracles import (
     line_spot_checks,
     poisson_bracket_grads,
     shift_expansion_by_substitution,
+    tarasov_section_sympy,
 )
 
 REPS = {k: representative(k) for k in REP_KEYS}
@@ -439,15 +442,79 @@ def test_tarasov_reports():
             True, "skipped: the section check needs a diagonal shift element"), key
 
 
-def test_tarasov_section_reports_a_shared_value(monkeypatch):
-    """With every section value one constant, the injectivity branch fails
-    the check once, with the count of the 3 + 3 + 2 + 1 compared pairs; the
-    Jacobian constant and strong regularity still hold."""
-    from mfatlas.mfsystem import ShiftSystem
+def _section_mutant(key, edit):
+    """The system of `key` with its components edited by label."""
+    sys_ = SYSTEMS[key]
+    comps = dict(zip(sys_.labels, sys_.components))
+    edit(comps)
+    return ShiftSystem(sys_.a, [comps[label] for label in sys_.labels], sys_.labels,
+                       sys_.certificate_point)
 
-    monkeypatch.setattr(ShiftSystem, "evaluate", lambda self, x: (Scalar(0),) * self.b)
-    rep = check_tarasov_section(SYSTEMS["sl3-s"], rng_for("tarasov:3", 0), 5)
-    assert (rep.passed, rep.detail) == (False, "distinct section points share a value vector (9 pairs)")
+
+def test_tarasov_section_fails_a_term_of_the_wrong_weight():
+    """x12 h1 restricts to a section term of weight 2 + 1: component (2, 1),
+    of weight 2, fails the grading test alone (the term is not linear, so
+    J(0) is unchanged)."""
+    def edit(comps):
+        x12h1 = MPoly.var(comps[(2, 1)].vars, "x12") * MPoly.var(comps[(2, 1)].vars, "h1")
+        comps[(2, 1)] = comps[(2, 1)] + x12h1
+
+    rep = check_tarasov_section(_section_mutant("sl3-s", edit), rng_for("tarasov:3", 0), 5)
+    assert (rep.passed, rep.detail) == (
+        False, "section component (2, 1) is not weighted-homogeneous of weight 2")
+
+
+def test_tarasov_section_fails_a_singular_linear_part():
+    """Components (1, 0) and (2, 1) both have weight 2; made equal, they pass
+    the grading test and make J(0) singular."""
+    def edit(comps):
+        comps[(2, 1)] = comps[(1, 0)]
+
+    rep = check_tarasov_section(_section_mutant("sl3-s", edit), rng_for("tarasov:3", 0), 5)
+    assert (rep.passed, rep.detail) == (
+        False, "restricted Jacobian determinant is not a nonzero constant")
+
+
+# Diagonal shifts for the sympy oracle: the default one, a permutation of it
+# and a Gaussian one, each with the n - 1 --param values.
+TARASOV_SHIFTS = {
+    2: [["1"], ["-1"], ["1+2*i"]],
+    3: [["1", "2"], ["2", "-3"], ["1+1*i", "2-1*i"]],
+    4: [["1", "2", "3"], ["3", "-6", "1"], ["1+1*i", "2-1*i", "-1+2*i"]],
+}
+TARASOV_DEFAULT_CONSTANTS = {2: "8", 3: "8640", 4: "21849440256"}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_tarasov_constant_matches_sympy(n):
+    """The section's Jacobian constant, rebuilt in sympy.  On sl2 and sl3 the
+    full symbolic determinant equals the printed constant.  On sl4, where
+    sympy's determinant takes minutes, the two facts the row certifies by are
+    checked instead: weighted homogeneity and det J(0).  The default shift's
+    constant is the frozen value mf verify prints."""
+    sympy = pytest.importorskip("sympy")
+    for k, params in enumerate(TARASOV_SHIFTS[n]):
+        a = semisimple_rep(sl(n), [scalar_from_str(p) for p in params])
+        sys_ = build_system(a)
+        rep = check_tarasov_section(sys_, rng_for(f"tarasov:{n}", 0), 0)
+        assert rep.passed, (params, rep.detail)
+        printed = rep.detail.removeprefix("jacobian constant ").removesuffix(", 0 points")
+        if k == 0:
+            assert printed == TARASOV_DEFAULT_CONSTANTS[n]
+        comps, tvars, weights = tarasov_section_sympy(a)
+        assert list(comps) == sys_.labels
+        for (i, j), comp in comps.items():
+            degrees = {sum(map(mul, m, weights)) for m in sympy.Poly(comp, *tvars).monoms()}
+            assert degrees == {i + 1 - j}, (params, (i, j))
+        J = sympy.Matrix([[sympy.diff(c, v) for v in tvars] for c in comps.values()])
+        if n < 4:
+            det = sympy.expand(J.det(method="berkowitz"))
+            assert det.is_number, (params, det)
+        else:
+            det = J.subs({v: 0 for v in tvars}).det()
+        re_part, im_part = sympy.expand_complex(det).as_real_imag()
+        assert Scalar(Fraction(int(re_part.p), int(re_part.q)),
+                      Fraction(int(im_part.p), int(im_part.q))) == scalar_from_str(printed), params
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

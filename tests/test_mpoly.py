@@ -8,7 +8,6 @@ import pytest
 from mfatlas.mpoly import (
     MPoly,
     affine_chart,
-    mpoly_det,
     mpoly_mat_mul,
     mpoly_mat_pair,
     mpoly_mat_trace,
@@ -51,7 +50,7 @@ def test_eval_and_subs_agree():
         "z": MPoly.const(V, Scalar(1)),
     }
     q = p.subs(V, mapping)
-    assert q.is_constant() and q.constant_term() == Scalar(-1)
+    assert q == MPoly.const(V, Scalar(-1))
 
 
 def test_subs_composition():
@@ -90,27 +89,10 @@ def test_canonical_str_ordering():
     assert str(MPoly.zero(V)) == "0"
 
 
-def test_matrix_det_and_trace():
+def test_matrix_trace():
     a = [[_x(), _y()], [_z(), _x()]]
-    assert mpoly_det(a) == _x() * _x() - _y() * _z()
     prod = mpoly_mat_mul(a, a)
     assert mpoly_mat_trace(prod) == (_x() * _x() + _y() * _z()) * 2
-    # alternating: swapping two rows flips the sign
-    b = [[_z(), _x()], [_x(), _y()]]
-    assert mpoly_det([a[1], a[0]]) == MPoly.zero(V) - mpoly_det(a)
-    assert mpoly_det(b) == _z() * _y() - _x() * _x()
-
-
-def test_det_3x3_frozen():
-    rows = [
-        [_x(), _y(), _z()],
-        [_y(), _z(), _x()],
-        [_z(), _x(), _y()],
-    ]
-    det = mpoly_det(rows)
-    x, y, z = _x(), _y(), _z()
-    expect = x * z * y * 3 - (x * x * x + y * y * y + z * z * z)
-    assert det == expect
 
 
 def _well_formed(p):
@@ -144,7 +126,6 @@ def test_results_keep_the_term_invariant(seed):
                p.subs(V, {"x": q, "y": p - q, "z": MPoly.const(V, Scalar(-1))})]
     results.append(p.subs(V, {"x": _x(), "y": _y(), "z": MPoly.zero(V)}).project(("x", "y")))
     m = [[_small_poly(rng, V, 2) for _ in range(3)] for _ in range(3)]
-    results.append(mpoly_det(m))
     results.append(mpoly_mat_trace(mpoly_mat_mul(m, m)))
     m2 = [[_small_poly(rng, V, 2) for _ in range(3)] for _ in range(3)]
     pair = mpoly_mat_pair(m, m2)
